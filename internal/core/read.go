@@ -42,8 +42,11 @@ import (
 // the communication key, each client's last (t, h) context, and the
 // durable snapshot's sequence and majority-stable numbers. The writer
 // republishes it (a fresh map, never mutated in place) on every advance
-// and on every serialized state transition; readers take the RWMutex
-// only long enough to copy the references.
+// and on every serialized state transition. mu also covers the service's
+// durable view: the writer moves the view and republishes seq in one
+// write-locked section (publishDurable), and a reader holds the read lock
+// from copying seq until its SnapshotRead returns, so the Seq a read
+// reply seals is exactly the snapshot its value came from.
 type readState struct {
 	mu     sync.RWMutex
 	ready  bool
@@ -70,12 +73,26 @@ const (
 // syncReadState republishes the reader-visible projection from the
 // serialized state. Callers run on the serialized ecall path.
 func (p *Trusted) syncReadState() {
+	p.rs.mu.Lock()
+	defer p.rs.mu.Unlock()
+	p.syncReadStateLocked()
+}
+
+// publishDurable moves the service's durable view to seq and republishes
+// the projection before any reader can run against the moved view.
+func (p *Trusted) publishDurable(seq uint64) {
+	p.durableT = seq
+	p.rs.mu.Lock()
+	defer p.rs.mu.Unlock()
+	p.snapReader.AdvanceDurable(seq)
+	p.syncReadStateLocked()
+}
+
+func (p *Trusted) syncReadStateLocked() {
 	if p.snapReader == nil || !p.readsArmed {
 		return
 	}
 	rs := &p.rs
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	switch {
 	case !p.provisioned():
 		rs.ready, rs.reason = false, ErrNotProvisioned
@@ -121,10 +138,8 @@ func (p *Trusted) handleEnableReads() ([]byte, error) {
 		return nil, ErrReadsUnsupported
 	}
 	p.readsArmed = true
-	p.durableT = p.t
 	p.snapReader.EndBatch(p.t)
-	p.snapReader.AdvanceDurable(p.t)
-	p.syncReadState()
+	p.publishDurable(p.t)
 	return []byte("ok"), nil
 }
 
@@ -139,9 +154,7 @@ func (p *Trusted) handleAdvanceDurable(seq uint64) ([]byte, error) {
 		return nil, fmt.Errorf("lcm: advance to %d beyond executed sequence %d", seq, p.t)
 	}
 	if seq > p.durableT {
-		p.durableT = seq
-		p.snapReader.AdvanceDurable(seq)
-		p.syncReadState()
+		p.publishDurable(seq)
 	}
 	return []byte("ok"), nil
 }
@@ -153,14 +166,13 @@ func (p *Trusted) handleAdvanceDurable(seq uint64) ([]byte, error) {
 func (p *Trusted) HandleRead(ciphertext []byte) ([]byte, error) {
 	rs := &p.rs
 	rs.mu.RLock()
-	ready, reason := rs.ready, rs.reason
+	defer rs.mu.RUnlock() // held across SnapshotRead: see readState
 	kc, vref, seq, q := rs.kc, rs.v, rs.seq, rs.q
-	rs.mu.RUnlock()
-	if !ready {
-		if reason == nil {
-			reason = ErrReadsNotEnabled
+	if !rs.ready {
+		if rs.reason == nil {
+			return nil, ErrReadsNotEnabled
 		}
-		return nil, reason
+		return nil, rs.reason
 	}
 
 	plain, err := aead.Open(kc, ciphertext, []byte(adReadInvoke))

@@ -1010,9 +1010,8 @@ func (p *Trusted) persist(env tee.Env) error {
 	if p.readsArmed && p.snapReader != nil {
 		// The synchronous store above made everything durable; release
 		// the whole undo overlay to the snapshot readers.
-		p.durableT = p.t
 		p.snapReader.EndBatch(p.t)
-		p.snapReader.AdvanceDurable(p.t)
+		p.publishDurable(p.t)
 	}
 	return nil
 }

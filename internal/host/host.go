@@ -1012,17 +1012,8 @@ func (s *Server) processBatch(inst *instance, batch []request) {
 // namespace.
 func (s *Server) persistBatchResult(inst *instance, result *core.BatchResult) error {
 	if len(result.DeltaRecord) > 0 {
-		// Overlap peer replication with the local append (see the
-		// committer's delta path for the durability argument).
-		var repErr chan error
-		if inst.rs != nil {
-			repErr = make(chan error, 1)
-			go func() { repErr <- inst.rs.ReplicateGroup([][]byte{result.DeltaRecord}) }()
-		}
-		if err := inst.store.Append(core.SlotDeltaLog, result.DeltaRecord); err != nil {
-			if repErr != nil {
-				<-repErr
-			}
+		err := inst.appendReplicated([][]byte{result.DeltaRecord})
+		if err != nil && !errors.Is(err, replication.ErrQuorum) {
 			// The enclave's chain already advanced past the record we
 			// failed to persist; appending later records would leave a
 			// permanent gap on disk. Treat the lost write exactly like a
@@ -1030,22 +1021,15 @@ func (s *Server) persistBatchResult(inst *instance, result *core.BatchResult) er
 			// on-disk log, and let the affected clients converge through
 			// the Sec. 4.6.1 retry protocol. (The plain full-seal path
 			// below self-heals instead: the next batch rewrites the
-			// whole blob.)
+			// whole blob.) A quorum shortfall is NOT a crash: the record
+			// is locally durable and chain-consistent, so the enclave
+			// keeps running and the affected clients converge through
+			// cached-reply retries once enough peers are reachable again.
 			if rerr := inst.enclave.Restart(); rerr != nil {
 				return fmt.Errorf("%w (enclave restart: %v)", err, rerr)
 			}
-			return err
 		}
-		if repErr != nil {
-			// A quorum shortfall is NOT a crash: the record is locally
-			// durable and chain-consistent, so the enclave keeps running
-			// and the affected clients converge through cached-reply
-			// retries once enough peers are reachable again.
-			if err := <-repErr; err != nil {
-				return err
-			}
-		}
-		return nil
+		return err
 	}
 	if err := inst.store.Store(s.cfg.StateSlot, result.StateBlob); err != nil {
 		if result.Compact {
@@ -1163,19 +1147,12 @@ func (c *committer) process(pending []commitReq) {
 				records = append(records, pending[j].result.DeltaRecord)
 				j++
 			}
-			// Peer replication overlaps the local fsync: both must hold
-			// before any reply is released, so durability at release time
-			// is unchanged, but the group costs max(fsync, quorum) instead
-			// of their sum. If the local append is lost while the peers
-			// took the group, the restarted enclave heals the suffix back
-			// from them — peers running ahead is exactly the recoverable
-			// direction.
 			start := time.Now()
-			repErr := c.replicateAsync(records)
-			if err := c.inst.store.AppendGroup(core.SlotDeltaLog, records); err != nil {
-				<-repErr
-				c.fail(pending[i:j], err)
-			} else if err := <-repErr; err != nil {
+			switch err := c.inst.appendReplicated(records); {
+			case err == nil:
+				c.recordGroup(len(records), time.Since(start))
+				c.release(pending[i:j])
+			case errors.Is(err, replication.ErrQuorum):
 				// Quorum shortfall: locally durable and chain-consistent,
 				// so no restart — reject the replies and let the clients
 				// converge via cached-reply retries. The durable prefix
@@ -1185,15 +1162,8 @@ func (c *committer) process(pending []commitReq) {
 				for _, r := range pending[i:j] {
 					c.reject(r, err)
 				}
-			} else {
-				c.recordGroup(len(records), time.Since(start))
-				// Confirm durability to the enclave before any reply in
-				// the group is released: read-your-writes (see read.go).
-				c.srv.advanceDurable(c.inst, pending[j-1].result.Seq)
-				c.confirmBeacons(pending[i:j])
-				for _, r := range pending[i:j] {
-					c.release(r)
-				}
+			default:
+				c.fail(pending[i:j], err)
 			}
 			i = j
 		case !req.result.Compact:
@@ -1212,11 +1182,7 @@ func (c *committer) process(pending []commitReq) {
 			} else {
 				c.rebase(pending[j-1].result.StateBlob)
 				c.recordGroup(j-i, time.Since(start))
-				c.srv.advanceDurable(c.inst, pending[j-1].result.Seq)
-				c.confirmBeacons(pending[i:j])
-				for _, r := range pending[i:j] {
-					c.release(r)
-				}
+				c.release(pending[i:j])
 			}
 			i = j
 		default:
@@ -1229,9 +1195,7 @@ func (c *committer) process(pending []commitReq) {
 				c.fail(pending[i:i+1], err)
 			} else {
 				c.rebase(req.result.StateBlob)
-				c.srv.advanceDurable(c.inst, req.result.Seq)
-				c.confirmBeacons(pending[i : i+1])
-				c.release(req)
+				c.release(pending[i : i+1])
 			}
 			i++
 		}
@@ -1252,20 +1216,28 @@ func (c *committer) fail(group []commitReq, err error) {
 	_ = c.inst.enclave.Restart()
 }
 
-// replicateAsync ships a committed group to the instance's replica peers
-// in the background and returns the channel that delivers the quorum
-// outcome (immediately nil when unreplicated). The caller must receive
-// from it before touching the replica set again — the committer is the
-// set's only writer, and joining keeps the mirrored chain in commit
-// order.
-func (c *committer) replicateAsync(records [][]byte) <-chan error {
-	done := make(chan error, 1)
-	if c.inst.rs == nil {
-		done <- nil
-		return done
+// appendReplicated makes one group of sealed delta records durable: the
+// local log append and the replica set's mirroring run concurrently, and
+// the call returns once the local append is durable AND quorum-1 peers
+// have acknowledged, so the group costs max(local fsync, quorum) instead
+// of their sum with durability at release time unchanged. It returns the
+// local append's error if there is one (treat like a crash), else the
+// set's replication.ErrQuorum (locally durable: reject the replies, keep
+// the enclave), else nil. If the local append is lost while the peers took
+// the group, the restarted enclave heals the suffix back from them — peers
+// running ahead is exactly the recoverable direction.
+func (inst *instance) appendReplicated(records [][]byte) error {
+	quorum := make(chan error, 1)
+	if inst.rs != nil {
+		go func() { quorum <- inst.rs.ReplicateGroup(records) }()
+	} else {
+		quorum <- nil
 	}
-	go func() { done <- c.inst.rs.ReplicateGroup(records) }()
-	return done
+	err := inst.store.AppendGroup(core.SlotDeltaLog, records)
+	if qerr := <-quorum; err == nil {
+		err = qerr
+	}
+	return err
 }
 
 // rebase re-anchors the replica set on a freshly stored state blob (a
@@ -1276,9 +1248,16 @@ func (c *committer) rebase(blob []byte) {
 	}
 }
 
-func (c *committer) release(req commitReq) {
-	for i, r := range req.batch {
-		r.respond(wire.OKFrame(req.result.Replies[i]))
+// release answers a group that is durable (and replicated), after
+// confirming that to the enclave — before any reply in the group goes
+// out: read-your-writes (see read.go).
+func (c *committer) release(group []commitReq) {
+	c.srv.advanceDurable(c.inst, group[len(group)-1].result.Seq)
+	c.confirmBeacons(group)
+	for _, req := range group {
+		for i, r := range req.batch {
+			r.respond(wire.OKFrame(req.result.Replies[i]))
+		}
 	}
 }
 

@@ -1,16 +1,18 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lcm/internal/client"
 	"lcm/internal/core"
 	"lcm/internal/kvs"
-	"lcm/internal/replication"
 	"lcm/internal/stablestore"
 	"lcm/internal/tee"
 	"lcm/internal/transport"
@@ -242,16 +244,9 @@ func TestTornReplicationPeerLossResyncs(t *testing.T) {
 	if string(kv.Value) != "v3" {
 		t.Fatalf("value = %q, want v3", kv.Value)
 	}
-	for r := 0; r < 2; r++ {
-		peer := st.server.ReplicaEnclave(0, r)
-		resp, err := peer.Call(replication.EncodeStatusCall())
-		if err != nil {
-			t.Fatalf("peer %d status: %v", r, err)
-		}
-		pst, err := replication.DecodeStatus(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Through the set, not the peers' enclaves: replies are released at
+	// quorum, and only a set call waits for the peer still appending.
+	for r, pst := range st.server.instanceAt(0).rs.PeerStatuses() {
 		// 4 records: the three puts plus the get — reads advance the
 		// chain too.
 		if !pst.Provisioned || pst.Count != 4 {
@@ -430,6 +425,76 @@ func replicaCrashFuzz(t *testing.T, seed int64) {
 	for shard := 0; shard < shards; shard++ {
 		if err := st.server.Enclave(shard).HaltedErr(); err != nil {
 			t.Fatalf("false rollback positive on shard %d: %v", shard, err)
+		}
+	}
+}
+
+// mirrorFaultStore fails every mirror append of one replica while armed —
+// a peer whose storage is out for a while, below the rollback adversary.
+type mirrorFaultStore struct {
+	*stablestore.MemStore
+	prefix string
+	armed  atomic.Bool
+}
+
+func (s *mirrorFaultStore) AppendGroup(slot string, records [][]byte) error {
+	if s.armed.Load() && strings.HasPrefix(slot, s.prefix) {
+		return errors.New("injected mirror fault")
+	}
+	return s.MemStore.AppendGroup(slot, records)
+}
+
+// Release at quorum means a peer may lack groups whose replies are out.
+// The primary's log is then rolled back behind those groups while replica
+// 1 still lacks them: the restart heals from replica 0, which has them
+// all, loses no acknowledged write, and brings replica 1 level again.
+func TestRollbackHealsFromUpToDatePeer(t *testing.T) {
+	faulty := &mirrorFaultStore{MemStore: stablestore.NewMemStore(), prefix: "replica1/"}
+	storage := stablestore.NewRollbackStore(faulty)
+	st := newReplicatedStack(t, storage, 1, []uint32{1}, true, 2, 2)
+	sess := st.session(1)
+
+	acked := make(map[string]string)
+	put := func(key, value string) {
+		t.Helper()
+		if _, err := sess.Do(kvs.Put(key, value)); err != nil {
+			t.Fatalf("put %s: %v", key, err)
+		}
+		acked[key] = value
+	}
+	put("a", "1")
+	put("b", "2")
+	faulty.armed.Store(true)
+	put("a", "3") // acknowledged on the primary and replica 0 only
+	put("c", "4")
+	rs := st.server.instanceAt(0).rs
+	peers := rs.PeerStatuses() // a barrier: replica 1 has given up on both groups
+	faulty.armed.Store(false)
+	if peers[0].Count != 4 || peers[0].Head != rs.Head() || peers[1].Count >= 4 {
+		t.Fatalf("mirrors before the attack = %+v, want replica 0 complete and replica 1 short", peers)
+	}
+
+	if err := st.server.AttackRollback(0, 2); err != nil {
+		t.Fatalf("AttackRollback: %v", err)
+	}
+	for key, want := range acked {
+		res, err := sess.Do(kvs.Get(key))
+		if err != nil {
+			t.Fatalf("get %s after the healed rollback: %v", key, err)
+		}
+		if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != want {
+			t.Fatalf("%s = %q after heal, want acknowledged %q", key, kv.Value, want)
+		}
+	}
+	if err := st.server.Enclave(0).HaltedErr(); err != nil {
+		t.Fatalf("enclave halted although replica 0 held the suffix: %v", err)
+	}
+	if ds, err := st.server.DeploymentStatus(); err != nil || ds.Shards[0].Heals != 1 {
+		t.Fatalf("status = %+v (%v), want exactly one heal", ds, err)
+	}
+	for r, p := range rs.PeerStatuses() {
+		if !p.Provisioned || p.Head != rs.Head() {
+			t.Fatalf("replica %d after the heal = %+v, want it level with the set head", r, p)
 		}
 	}
 }

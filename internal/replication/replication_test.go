@@ -233,16 +233,27 @@ func TestReplicaRefusesForeignKey(t *testing.T) {
 // (each under its own namespace), mirroring the host's layout.
 func setRig(t *testing.T, n, quorum int) (*Set, []*tee.Enclave, *stablestore.RollbackStore) {
 	t.Helper()
+	backing := stablestore.NewRollbackStore(stablestore.NewMemStore())
+	stores := make([]stablestore.Store, n)
+	for i := range stores {
+		stores[i] = stablestore.NewNamespaced(backing, fmt.Sprintf("replica%d", i))
+	}
+	set, peers := setRigOver(t, quorum, stores)
+	return set, peers, backing
+}
+
+// setRigOver builds a replica set with one peer per given store.
+func setRigOver(t *testing.T, quorum int, stores []stablestore.Store) (*Set, []*tee.Enclave) {
+	t.Helper()
 	platform, err := tee.NewPlatform("plat-set")
 	if err != nil {
 		t.Fatal(err)
 	}
 	att := tee.NewAttestationService()
 	att.Register(platform)
-	backing := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	peers := make([]*tee.Enclave, n)
+	peers := make([]*tee.Enclave, len(stores))
 	for i := range peers {
-		peers[i] = platform.NewEnclave(Factory(), stablestore.NewNamespaced(backing, fmt.Sprintf("replica%d", i)))
+		peers[i] = platform.NewEnclave(Factory(), stores[i])
 		peers[i].SetLabel(fmt.Sprintf("replica%d", i))
 		if err := peers[i].Start(); err != nil {
 			t.Fatal(err)
@@ -253,7 +264,7 @@ func setRig(t *testing.T, n, quorum int) (*Set, []*tee.Enclave, *stablestore.Rol
 		t.Fatal(err)
 	}
 	t.Cleanup(set.Stop)
-	return set, peers, backing
+	return set, peers
 }
 
 // The set replicates groups at quorum, tolerates a dead minority, reports

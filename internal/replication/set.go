@@ -57,8 +57,11 @@ type peer struct {
 // Set is the host-side handle for one primary's replica set. It owns the
 // replica-set key kR, tracks the primary's chain window since its last
 // base blob, and fans appends out to the peers. All methods are
-// serialised: the committer is the only writer during normal operation,
-// and healing runs under the same per-instance persistence lock.
+// serialised by mu: the committer is the only writer during normal
+// operation, and healing runs under the same per-instance persistence
+// lock. ReplicateGroup alone returns before it lets go of mu — it hands
+// the lock to the peers still appending — so every other method is a
+// barrier that first waits out the previous group's stragglers.
 type Set struct {
 	mu     sync.Mutex
 	cfg    Config
@@ -151,8 +154,11 @@ func (s *Set) ResetBase(base [32]byte) {
 }
 
 // Reseed rebuilds the set's view from the primary's (healed) local chain
-// and pushes it to every peer, clearing breaker state first — healing is
-// rare and wants maximal peer coverage.
+// and brings every peer to it in parallel, clearing breaker state first —
+// healing is rare and wants maximal peer coverage. Each peer is probed
+// with an authenticated empty append at the new head: one already there
+// (every peer, on an honest restart) is left alone, and only a peer that
+// answers out-of-sync or unprovisioned has its mirror rebuilt.
 func (s *Set) Reseed(base [32]byte, records [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,22 +170,24 @@ func (s *Set) Reseed(base [32]byte, records [][]byte) {
 	}
 	for _, p := range s.peers {
 		p.fails, p.skip = 0, 0
-		if err := s.syncPeer(p); err != nil {
-			s.notePeerFailure(p)
-		}
 	}
+	_, peersDone := s.fanOut(s.head, nil)
+	peersDone.Wait()
 }
 
 // ReplicateGroup mirrors one committed group of sealed delta records to
-// the peers and blocks until quorum-1 peer acknowledgements arrive (the
-// primary's own local append is the first copy). It returns ErrQuorum if
-// the quorum cannot be reached.
+// the peers and returns as soon as quorum-1 peers have acknowledged it
+// (the primary's own local append is the first copy), or with ErrQuorum
+// as soon as that many acknowledgements have become impossible. Peers
+// still working on the group — stragglers — keep the set's lock until the
+// last of them finishes, so the next group, and every other method, waits
+// for them: per-peer append order and the single-writer rule hold exactly
+// as if the call had waited for everyone.
 func (s *Set) ReplicateGroup(records [][]byte) error {
 	if len(records) == 0 {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	prevHead := s.head
 	s.window = append(s.window, records...)
 	for _, rec := range records {
@@ -187,22 +195,17 @@ func (s *Set) ReplicateGroup(records [][]byte) error {
 	}
 	need := s.cfg.Quorum - 1
 	if need <= 0 {
+		s.mu.Unlock()
 		return nil
 	}
-	acks := make(chan bool, len(s.peers))
-	var wg sync.WaitGroup
-	for _, p := range s.peers {
-		wg.Add(1)
-		go func(p *peer) {
-			defer wg.Done()
-			acks <- s.appendPeer(p, prevHead, records)
-		}(p)
-	}
-	wg.Wait()
-	close(acks)
+	acks, peersDone := s.fanOut(prevHead, records)
+	go func() {
+		peersDone.Wait()
+		s.mu.Unlock()
+	}()
 	got := 0
-	for ok := range acks {
-		if ok {
+	for left := len(s.peers); got < need && got+left >= need; left-- {
+		if <-acks {
 			got++
 		}
 	}
@@ -212,10 +215,28 @@ func (s *Set) ReplicateGroup(records [][]byte) error {
 	return nil
 }
 
+// fanOut appends records at prevHead to every peer concurrently and
+// returns the (buffered) channel their outcomes arrive on and the group
+// that completes when the last peer has answered. Called with s.mu held,
+// which must stay held until then: each goroutine owns its peer struct
+// exclusively and reads the set's base and window.
+func (s *Set) fanOut(prevHead [32]byte, records [][]byte) (<-chan bool, *sync.WaitGroup) {
+	acks := make(chan bool, len(s.peers))
+	wg := new(sync.WaitGroup)
+	for _, p := range s.peers {
+		wg.Add(1)
+		go func(p *peer) {
+			defer wg.Done()
+			acks <- s.appendPeer(p, prevHead, records)
+		}(p)
+	}
+	return acks, wg
+}
+
 // appendPeer pushes one group to a peer with retry, backoff and circuit
 // breaking. Out-of-sync or unprovisioned peers are resynchronised from
-// the set's window. Called with s.mu held; each goroutine owns its peer
-// struct exclusively for the duration of the call.
+// the set's window; with no records the call is a probe that rebuilds
+// only a diverged mirror. Called from fanOut.
 func (s *Set) appendPeer(p *peer, prevHead [32]byte, records [][]byte) bool {
 	if p.skip > 0 {
 		p.skip--
@@ -412,8 +433,10 @@ func (s *Set) PeerEnclave(r int) *tee.Enclave {
 	return s.peers[r].enclave
 }
 
-// Stop stops every peer enclave.
+// Stop stops every peer enclave, after any straggler has finished.
 func (s *Set) Stop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, p := range s.peers {
 		p.enclave.Stop()
 	}

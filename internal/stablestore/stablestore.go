@@ -263,12 +263,32 @@ func (s *MemStore) Slots() []string {
 // Sync mode every write is fsync'd (and charged the model's SyncWrite
 // latency), which is the configuration of Fig. 6; otherwise writes are
 // asynchronous as in Figs. 4-5.
+//
+// Locking contract. Operations serialise per slot, not per store. Each
+// slot name (its blob and its log share it) has a mutex held across the
+// whole operation — write, fsync and charged latency included — so one
+// slot's operations are mutually exclusive and ordered, while different
+// slots never wait on each other's I/O: a primary's log append and its
+// replicas' mirror appends fsync concurrently. The store mutex guards only
+// the slot table and the directory-wide calls (Slots, DeleteNamespace),
+// never a slot's I/O. DeleteNamespace takes it and then the lock of every
+// slot it removes, so an append racing a TruncateLog or DeleteNamespace of
+// its own slot either lands before the unlink or reopens the file — never
+// a write to a closed handle. No lock is held across a ScanLog callback.
+// Table entries are never dropped (a racing call may hold one), only
+// their handles.
 type FileStore struct {
 	dir   string
 	sync  bool
 	model *latency.Model
 	mu    sync.Mutex
-	logs  map[string]*os.File // open append handles, one per log slot
+	slots map[string]*fileSlot
+}
+
+// fileSlot is one slot's lock and, once appended to, its open log handle.
+type fileSlot struct {
+	mu  sync.Mutex
+	log *os.File
 }
 
 var (
@@ -283,20 +303,37 @@ func NewFileStore(dir string, syncWrites bool, model *latency.Model) (*FileStore
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("stablestore: create dir: %w", err)
 	}
-	return &FileStore{dir: dir, sync: syncWrites, model: model, logs: make(map[string]*os.File)}, nil
+	return &FileStore{dir: dir, sync: syncWrites, model: model, slots: make(map[string]*fileSlot)}, nil
 }
 
+// lock returns slot's entry with its mutex held; the caller unlocks it.
+func (s *FileStore) lock(slot string) *fileSlot {
+	s.mu.Lock()
+	sl, ok := s.slots[slot]
+	if !ok {
+		sl = &fileSlot{}
+		s.slots[slot] = sl
+	}
+	s.mu.Unlock()
+	sl.mu.Lock()
+	return sl
+}
+
+// slotStem maps a slot name to its file stem. Slot names are
+// protocol-chosen constants, but guard against path separators anyway.
+var slotStem = strings.NewReplacer("/", "_", "\\", "_", "..", "_")
+
 func (s *FileStore) path(slot string) string {
-	// Slot names are protocol-chosen constants, but guard against path
-	// separators anyway.
-	safe := strings.NewReplacer("/", "_", "\\", "_", "..", "_").Replace(slot)
-	return filepath.Join(s.dir, safe+".blob")
+	return filepath.Join(s.dir, slotStem.Replace(slot)+".blob")
+}
+
+func (s *FileStore) logPath(slot string) string {
+	return filepath.Join(s.dir, slotStem.Replace(slot)+".log")
 }
 
 // Store implements Store.
 func (s *FileStore) Store(slot string, blob []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.lock(slot).mu.Unlock()
 	final := s.path(slot)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -325,8 +362,7 @@ func (s *FileStore) Store(slot string, blob []byte) error {
 
 // Load implements Store.
 func (s *FileStore) Load(slot string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.lock(slot).mu.Unlock()
 	blob, err := os.ReadFile(s.path(slot))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNotFound
@@ -335,25 +371,6 @@ func (s *FileStore) Load(slot string) ([]byte, error) {
 		return nil, fmt.Errorf("stablestore: read: %w", err)
 	}
 	return blob, nil
-}
-
-func (s *FileStore) logPath(slot string) string {
-	safe := strings.NewReplacer("/", "_", "\\", "_", "..", "_").Replace(slot)
-	return filepath.Join(s.dir, safe+".log")
-}
-
-// logFile returns (opening and caching if needed) the append handle for a
-// log slot. Caller holds s.mu.
-func (s *FileStore) logFile(slot string) (*os.File, error) {
-	if f, ok := s.logs[slot]; ok {
-		return f, nil
-	}
-	f, err := os.OpenFile(s.logPath(slot), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("stablestore: open log: %w", err)
-	}
-	s.logs[slot] = f
-	return f, nil
 }
 
 // Append implements Store. Records are framed as a 4-byte big-endian
@@ -385,20 +402,23 @@ func (s *FileStore) AppendGroup(slot string, records [][]byte) error {
 	return s.appendFramed(slot, framed)
 }
 
-// appendFramed writes pre-framed bytes to a log slot, fsyncing once in
-// sync mode.
+// appendFramed writes pre-framed bytes to a log slot (opening and caching
+// its append handle if needed), fsyncing once in sync mode.
 func (s *FileStore) appendFramed(slot string, framed []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.logFile(slot)
-	if err != nil {
-		return err
+	sl := s.lock(slot)
+	defer sl.mu.Unlock()
+	if sl.log == nil {
+		f, err := os.OpenFile(s.logPath(slot), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("stablestore: open log: %w", err)
+		}
+		sl.log = f
 	}
-	if _, err := f.Write(framed); err != nil {
+	if _, err := sl.log.Write(framed); err != nil {
 		return fmt.Errorf("stablestore: append: %w", err)
 	}
 	if s.sync {
-		if err := f.Sync(); err != nil {
+		if err := sl.log.Sync(); err != nil {
 			return fmt.Errorf("stablestore: append fsync: %w", err)
 		}
 		s.model.WaitSyncWrite()
@@ -410,8 +430,7 @@ func (s *FileStore) appendFramed(slot string, framed []byte) error {
 // is silently dropped: the enclave only releases replies after the host
 // acknowledges the append, so a torn tail is by construction unacked work.
 func (s *FileStore) LoadLog(slot string) ([][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.lock(slot).mu.Unlock()
 	raw, err := os.ReadFile(s.logPath(slot))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -427,13 +446,13 @@ func (s *FileStore) LoadLog(slot string) ([][]byte, error) {
 // resident. The scan covers the file's size at scan start (a consistent
 // prefix — later appends are by construction unacknowledged relative to
 // the scan); a torn trailing frame is dropped exactly like in LoadLog.
-// The store's lock is only held to snapshot the size, never across fn,
-// so a callback may append to another slot of this same store.
+// The slot's lock is only held to snapshot the size, never across fn,
+// so a callback may append to this or any other slot of the same store.
 func (s *FileStore) ScanLog(slot string, fn func(record []byte) error) error {
-	s.mu.Lock()
+	sl := s.lock(slot)
 	path := s.logPath(slot)
 	fi, err := os.Stat(path)
-	s.mu.Unlock()
+	sl.mu.Unlock()
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -471,14 +490,19 @@ func (s *FileStore) ScanLog(slot string, fn func(record []byte) error) error {
 	}
 }
 
+// closeLog drops the slot's append handle; the caller holds sl.mu.
+func (sl *fileSlot) closeLog() {
+	if sl.log != nil {
+		sl.log.Close()
+		sl.log = nil
+	}
+}
+
 // TruncateLog implements Store.
 func (s *FileStore) TruncateLog(slot string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.logs[slot]; ok {
-		f.Close()
-		delete(s.logs, slot)
-	}
+	sl := s.lock(slot)
+	defer sl.mu.Unlock()
+	sl.closeLog()
 	if err := os.Remove(s.logPath(slot)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("stablestore: truncate log: %w", err)
 	}
@@ -487,19 +511,20 @@ func (s *FileStore) TruncateLog(slot string) error {
 
 // DeleteNamespace implements NamespaceDeleter. Slot names sanitize "/"
 // to "_" on disk, so a namespace's files all share the sanitized prefix
-// plus the separator; open append handles for logs under the prefix are
-// closed before their files are removed.
+// plus the separator. Every known slot under the prefix stays locked from
+// before its append handle is closed until the files are gone.
 func (s *FileStore) DeleteNamespace(prefix string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slotPrefix := prefix + "/"
-	for slot, f := range s.logs {
+	for slot, sl := range s.slots {
 		if strings.HasPrefix(slot, slotPrefix) {
-			f.Close()
-			delete(s.logs, slot)
+			sl.mu.Lock()
+			defer sl.mu.Unlock()
+			sl.closeLog()
 		}
 	}
-	safe := strings.NewReplacer("/", "_", "\\", "_", "..", "_").Replace(slotPrefix)
+	safe := slotStem.Replace(slotPrefix)
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("stablestore: delete namespace: %w", err)
