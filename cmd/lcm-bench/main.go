@@ -14,8 +14,8 @@
 // The paper measures each data point over 30 s; the default window here is
 // 2 s so a full figure regenerates in minutes. Use -duration 30s for a
 // paper-faithful run. Absolute numbers depend on the simulation's latency
-// model (see DESIGN.md); the claimed reproduction is the *shape* of each
-// figure, recorded in EXPERIMENTS.md.
+// model (internal/latency); the claimed reproduction is the *shape* of
+// each figure.
 //
 // -latencymodel sleep makes every injected charge a timer sleep instead of
 // a sub-100µs busy-wait: charged enclave time then overlaps across shard

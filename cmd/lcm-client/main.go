@@ -548,8 +548,8 @@ func runSingle(conn transport.Conn, id uint32, kc aead.Key, svcName, statePath s
 	}
 	do := session.Do
 	if svcName == "kvs" && args[0] == "read" {
-		// Snapshot read: the host's concurrent read pool (lcm-server
-		// -snapshotreads) instead of the serialized write loop.
+		// Snapshot read: served outside the serialized write loop
+		// (lcm-server -snapshotreads).
 		do = session.DoRead
 	}
 	res, err := do(op)
@@ -703,8 +703,8 @@ func runSharded(conn transport.Conn, id uint32, keys []aead.Key, svcName, stateP
 		return runShardedTransfer(session, statePath, from, to, amount, saveStates)
 
 	case svcName == "kvs" && args[0] == "read":
-		// Snapshot read: served by the host's concurrent read pool
-		// against the shard's durable snapshot (lcm-server
+		// Snapshot read: served outside the write loop against the
+		// shard's durable snapshot (lcm-server
 		// -snapshotreads), with the full per-client context check.
 		if len(args) != 2 {
 			return errors.New("usage: read <key>")

@@ -122,7 +122,7 @@ func run() error {
 		svcName = flag.String("service", "kvs", "hosted functionality: kvs | bank")
 		sync    = flag.Bool("sync", false, "fsync every state write (crash tolerance, Fig. 6 mode)")
 		group   = flag.Bool("groupcommit", true, "coalesce concurrent batches' delta appends under one fsync")
-		snap    = flag.Bool("snapshotreads", false, "serve classified read-only ops from a concurrent snapshot read pool (clients use DoRead)")
+		snap    = flag.Bool("snapshotreads", false, "serve classified read-only ops from the durable snapshot, outside the write loop (clients use DoRead)")
 		scale   = flag.Float64("scale", 1.0, "latency model scale (0 disables injected latencies)")
 
 		replicas = flag.Int("replicas", 0, "peer enclave replicas per shard (chain replication; 0 disables)")

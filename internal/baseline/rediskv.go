@@ -22,8 +22,8 @@ import (
 //     Fig. 6 while the per-op-fsync native store goes flat.
 //
 // The wire protocol is the same framed kvs codec as the other baselines
-// rather than textual RESP; the simplification is documented in DESIGN.md
-// and does not affect the measured shape.
+// rather than textual RESP; the simplification does not affect the
+// measured shape.
 type RedisServer struct {
 	key    aead.Key
 	mu     sync.RWMutex

@@ -6,7 +6,7 @@ import (
 )
 
 // AblationPoint is one row of the design-choice ablations (beyond the
-// paper's figures; DESIGN.md motivates each).
+// paper's figures; README.md's "Evaluation" section lists them).
 type AblationPoint struct {
 	Name       string
 	X          int

@@ -16,7 +16,7 @@ import (
 //   - lcm-read-serial:   reads are ordinary INVOKEs through the write
 //     loop (the classic deployment; SnapshotReads off);
 //   - lcm-read-snapshot: reads go through DoRead to the host's
-//     concurrent read pool executing against the enclave's durable
+//     concurrent read path executing against the enclave's durable
 //     snapshot, while the 5 % writes keep the committer busy.
 //
 // The printed ratio is the tentpole claim: the snapshot arm must clear
@@ -27,7 +27,7 @@ func RunReadAblation(cfg RunConfig, clients []int) ([]AblationPoint, error) {
 	if len(clients) == 0 {
 		clients = []int{8, 16}
 	}
-	fmt.Fprintln(cfg.Out, "# Ablation — snapshot reads: serialized loop vs concurrent read pool (YCSB-B, sync writes, group commit, 1 shard)")
+	fmt.Fprintln(cfg.Out, "# Ablation — snapshot reads: serialized loop vs concurrent snapshot reads (YCSB-B, sync writes, group commit, 1 shard)")
 	var points []AblationPoint
 	for _, n := range clients {
 		byArm := map[bool]float64{}

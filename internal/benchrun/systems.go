@@ -1,6 +1,6 @@
 // Package benchrun assembles the systems under test and regenerates every
-// table and figure of the paper's evaluation (Sec. 6). See DESIGN.md for
-// the experiment index and EXPERIMENTS.md for paper-vs-measured results.
+// table and figure of the paper's evaluation (Sec. 6). README.md's
+// "Evaluation" section is the experiment index.
 package benchrun
 
 import (
@@ -89,7 +89,7 @@ type Options struct {
 	// plus peer acks — required before a reply is released; 0 picks the
 	// host's majority default. Only meaningful with Replicas > 0.
 	Quorum int
-	// SnapshotReads turns on the host's snapshot-isolated read pool
+	// SnapshotReads turns on the host's snapshot-isolated read path
 	// (host.Config.SnapshotReads) AND routes the workload's reads through
 	// the sessions' DoRead instead of the serialized write loop. LCM only.
 	SnapshotReads bool
@@ -209,7 +209,7 @@ type lcmDoer interface {
 
 // lcmSession adapts an LCM client session (single or sharded) to
 // baseline.Session. With snapshotReads set, Gets go through the
-// session's DoRead — the host's concurrent read pool — instead of the
+// session's DoRead — the host's concurrent read path — instead of the
 // serialized write loop.
 type lcmSession struct {
 	inner         lcmDoer

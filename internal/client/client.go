@@ -19,9 +19,10 @@
 // the receiving shard.
 //
 // Read-only operations can additionally travel the snapshot-read path
-// (DoRead): the op is sealed as a READ-INVOKE and executed on the host's
-// concurrent read pool against the last durable state, with the same
-// per-client context verification as a write (see internal/core/read.go).
+// (DoRead): the op is sealed as a READ-INVOKE and executed by the host,
+// concurrently with the write path, against the last durable state, with
+// the same per-client context verification as a write (see
+// internal/core/read.go).
 package client
 
 import (
@@ -398,7 +399,7 @@ func (s *session) roundTrip(i int, op []byte, invoke []byte) (*core.Result, erro
 }
 
 // readOn executes a read-only op on context i over the snapshot-read path
-// (wire.FrameReadInvoke → the host's concurrent read pool). Reads are
+// (wire.FrameReadInvoke, served outside the host's write loop). Reads are
 // side-effect free, so a timed-out read is simply abandoned and re-issued
 // under a fresh nonce rather than retried with a marker.
 func (s *session) readOn(i int, op []byte) (*core.Result, error) {
@@ -664,9 +665,9 @@ func (s *Session) Err() error { return s.protos[0].Err() }
 func (s *Session) Do(op []byte) (*core.Result, error) { return s.doOn(0, op) }
 
 // DoRead executes a read-only operation over the snapshot-read path: it
-// runs on the host's concurrent read pool against the last durable state,
-// fully verified against this client's context, without entering the
-// write pipeline. Requires host.Config.SnapshotReads; the result's Seq is
+// runs against the last durable state, concurrently with the host's write
+// path and fully verified against this client's context, without entering
+// the write pipeline. Requires host.Config.SnapshotReads; the result's Seq is
 // the snapshot's sequence number (≥ this client's last write).
 func (s *Session) DoRead(op []byte) (*core.Result, error) { return s.readOn(0, op) }
 

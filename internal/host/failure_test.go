@@ -3,6 +3,8 @@ package host
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -535,5 +537,44 @@ func TestTransientAppendFailureKeepsChainConsistent(t *testing.T) {
 	status, _ := core.QueryStatus(server.ECall)
 	if status.Seq != 4 {
 		t.Fatalf("t = %d, want 4", status.Seq)
+	}
+}
+
+// An honest crash can leave a zero-filled tail behind the last complete
+// delta record (the file was extended before the data reached it). The
+// restart fold must read the zeros as a torn tail and keep serving, not
+// halt on them as a record that failed authentication.
+func TestZeroFilledLogTailRestartsWithoutHalt(t *testing.T) {
+	dir := t.TempDir()
+	store, err := stablestore.NewFileStore(dir, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newShardStack(t, store, 1, []uint32{1}, false)
+	c := s.session(1)
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Do(kvs.Put("k", fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log, err := os.OpenFile(filepath.Join(dir, core.SlotDeltaLog+".log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.server.Enclave(0).Restart(); err != nil {
+		t.Fatalf("restart over a zero-filled log tail: %v", err)
+	}
+	res, err := c.Do(kvs.Get("k"))
+	if err != nil {
+		t.Fatalf("get after restart: %v", err)
+	}
+	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v3" {
+		t.Fatalf("value after restart = %q, want v3", kv.Value)
 	}
 }

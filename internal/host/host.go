@@ -107,17 +107,15 @@ type Config struct {
 	// (Replicas/2 + 1 peers plus the primary... i.e. (Replicas+1)/2+1
 	// total). Only meaningful with Replicas > 0.
 	Quorum int
-	// SnapshotReads serves FrameReadInvoke requests from a concurrent
-	// per-instance read pool executing against the enclave's durable
-	// snapshot (see core/read.go), instead of refusing them. The host
-	// additionally confirms each commit group's durability to the enclave
-	// (one tiny advance ecall) before releasing the covered replies,
-	// which is what gives readers read-your-writes.
+	// SnapshotReads serves FrameReadInvoke requests against the enclave's
+	// durable snapshot (see core/read.go) instead of refusing them. Each
+	// read executes on the goroutine of the connection it arrived on,
+	// outside the batch queue and the persistence barrier, so reads from
+	// different connections run in parallel with each other and with the
+	// write path. The host additionally confirms each commit group's
+	// durability to the enclave (one tiny advance ecall) before releasing
+	// the covered replies, which is what gives readers read-your-writes.
 	SnapshotReads bool
-	// ReadWorkers is the number of concurrent read executors per enclave
-	// instance; 0 selects DefaultReadWorkers. Only meaningful with
-	// SnapshotReads.
-	ReadWorkers int
 	// CommitLatencyTarget bounds the extra reply latency group commit may
 	// add: the committer adaptively sizes commit groups (see groupPolicy)
 	// so that one group's persistence stays within this target. 0 selects
@@ -143,10 +141,6 @@ type Config struct {
 	// an explicit epoch-seal ecall.
 	EpochInterval time.Duration
 }
-
-// DefaultReadWorkers is the per-instance read-pool size when
-// Config.SnapshotReads is on and Config.ReadWorkers is 0.
-const DefaultReadWorkers = 8
 
 // Validate checks the configuration for inconsistent combinations and
 // fills in the documented defaults (it is called by New; exported so
@@ -201,15 +195,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("host: config: quorum %d exceeds the replica set size %d (Replicas+1)",
 				c.Quorum, c.Replicas+1)
 		}
-	}
-	if c.ReadWorkers < 0 {
-		return fmt.Errorf("host: config: ReadWorkers must be ≥ 0 (got %d)", c.ReadWorkers)
-	}
-	if c.ReadWorkers > 0 && !c.SnapshotReads {
-		return fmt.Errorf("host: config: ReadWorkers %d configured without SnapshotReads", c.ReadWorkers)
-	}
-	if c.SnapshotReads && c.ReadWorkers == 0 {
-		c.ReadWorkers = DefaultReadWorkers
 	}
 	if c.CommitLatencyTarget < 0 {
 		return fmt.Errorf("host: config: CommitLatencyTarget must be ≥ 0 (got %v)", c.CommitLatencyTarget)
@@ -310,9 +295,8 @@ type instance struct {
 	store   stablestore.Store
 	shard   int // keyspace shard this instance serves
 	queue   chan request
-	readq   chan request // snapshot reads; nil when SnapshotReads is off
-	cm      *committer   // nil when GroupCommit is off
-	pm      *sync.Mutex  // serialize batch (ecall+persist) vs barrier ecalls
+	cm      *committer  // nil when GroupCommit is off
+	pm      *sync.Mutex // serialize batch (ecall+persist) vs barrier ecalls
 
 	// Replication state (nil/zero when unreplicated or a fork instance):
 	// the shard's replica set, the enclave epoch the heal check last ran
@@ -484,7 +468,7 @@ func (s *Server) addInstance(shard int) (int, error) {
 		// so every batch tags its undo generation from the start. Best
 		// effort: a service without snapshot support simply keeps
 		// answering reads with an error, and enclave restarts re-arm
-		// lazily from the read pool (see processRead).
+		// lazily on their first read (see snapshotRead).
 		_, _ = s.instanceBarrierECall(inst, core.EncodeEnableReadsCall())
 	}
 	return idx, nil
@@ -510,14 +494,11 @@ func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shar
 			policy: newGroupPolicy(s.cfg.CommitLatencyTarget),
 		}
 	}
-	if s.cfg.SnapshotReads {
-		inst.readq = make(chan request, 1024)
-	}
 	return inst
 }
 
-// startInstance launches an instance's committer, batch loop and read
-// pool.
+// startInstance launches an instance's committer, batch loop and tick
+// loops.
 func (s *Server) startInstance(inst *instance) {
 	if inst.cm != nil {
 		s.wg.Add(1)
@@ -531,15 +512,6 @@ func (s *Server) startInstance(inst *instance) {
 		defer s.wg.Done()
 		s.batchLoop(inst)
 	}()
-	if inst.readq != nil {
-		for w := 0; w < s.cfg.ReadWorkers; w++ {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.readLoop(inst)
-			}()
-		}
-	}
 	if s.cfg.BeaconInterval > 0 {
 		s.wg.Add(1)
 		go func() {
@@ -809,26 +781,21 @@ func (s *Server) connLoop(cs *connState) {
 				}
 			}
 		case wire.FrameReadInvoke:
-			// Snapshot reads skip the batch queue entirely: they join the
-			// instance's read pool and execute concurrently against the
-			// durable snapshot (see read.go). Routing — including the
-			// generation check and fork overrides — is identical to
-			// writes, so a forked or stale-generation read is refused or
-			// detected exactly like a forked write.
+			// Snapshot reads skip the batch queue entirely and execute
+			// right here against the durable snapshot (see read.go).
+			// Routing — including the generation check and fork
+			// overrides — is identical to writes, so a forked or
+			// stale-generation read is refused or detected exactly like
+			// a forked write.
 			inst, invoke, err := s.routeFrame(cs, payload)
+			if err == nil && !s.cfg.SnapshotReads {
+				err = errSnapshotReadsDisabled
+			}
 			if err != nil {
 				_ = cs.send(wire.ErrorFrame(err))
 				continue
 			}
-			if inst.readq == nil {
-				_ = cs.send(wire.ErrorFrame(errSnapshotReadsDisabled))
-				continue
-			}
-			select {
-			case inst.readq <- request{conn: cs, invoke: invoke}:
-			case <-s.stop:
-				return
-			}
+			_ = cs.send(s.snapshotRead(inst, invoke))
 		case wire.FrameChurn:
 			// One sealed membership message (join/leave/heartbeat); the
 			// churn ecall persists its sealed change before the ack is

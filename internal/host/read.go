@@ -10,46 +10,35 @@ import (
 // The host side of the snapshot-read path (core/read.go). Reads bypass
 // everything the write path serializes on: they never enter the batch
 // queue, never take the persistence barrier, and execute concurrently
-// inside the enclave via tee.Enclave.ReadCall. Each instance runs
-// Config.ReadWorkers executor goroutines draining a dedicated read
-// queue, so a slow read (or a pile of them) can delay only other reads —
-// the writer pipeline's latency is untouched.
+// inside the enclave via tee.Enclave.ReadCall. Each read runs on the
+// goroutine of the connection it arrived on; the protocol allows one
+// outstanding operation per client (Sec. 4.1), so a slow read holds up
+// only its own connection, and reads from different connections run in
+// parallel without a hand-off to a worker.
 
 // errSnapshotReadsDisabled answers FrameReadInvoke when the deployment
 // was configured without Config.SnapshotReads.
 var errSnapshotReadsDisabled = errors.New("host: snapshot reads disabled; set Config.SnapshotReads")
 
-// readLoop is one read-pool executor.
-func (s *Server) readLoop(inst *instance) {
-	for {
-		select {
-		case req := <-inst.readq:
-			s.processRead(inst, req)
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// processRead executes one snapshot read against the instance's enclave.
-// A fresh enclave epoch (restart, heal, rollback attack) starts un-armed;
-// the first read to notice re-arms it through the persistence barrier —
-// the barrier flushes the committer first, so everything executed at arm
-// time is durable and the current state is a valid first snapshot.
-func (s *Server) processRead(inst *instance, req request) {
-	resp, err := inst.enclave.ReadCall(req.invoke)
+// snapshotRead executes one snapshot read against the instance's enclave
+// and returns the response frame. A fresh enclave epoch (restart, heal,
+// rollback attack) starts un-armed; the first read to notice re-arms it
+// through the persistence barrier — the barrier flushes the committer
+// first, so everything executed at arm time is durable and the current
+// state is a valid first snapshot.
+func (s *Server) snapshotRead(inst *instance, invoke []byte) []byte {
+	resp, err := inst.enclave.ReadCall(invoke)
 	if err != nil && errors.Is(err, core.ErrReadsNotEnabled) {
 		if _, armErr := s.instanceBarrierECall(inst, core.EncodeEnableReadsCall()); armErr != nil {
 			err = armErr
 		} else {
-			resp, err = inst.enclave.ReadCall(req.invoke)
+			resp, err = inst.enclave.ReadCall(invoke)
 		}
 	}
 	if err != nil {
-		req.respond(wire.ErrorFrame(err))
-		return
+		return wire.ErrorFrame(err)
 	}
-	req.respond(wire.OKFrame(resp))
+	return wire.OKFrame(resp)
 }
 
 // advanceDurable confirms to the enclave that every batch up to seq has

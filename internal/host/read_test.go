@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lcm/internal/client"
 	"lcm/internal/core"
 	"lcm/internal/kvs"
+	"lcm/internal/service"
 	"lcm/internal/stablestore"
 	"lcm/internal/tee"
 	"lcm/internal/transport"
@@ -126,9 +128,9 @@ func TestSnapshotReadBasic(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadMatchesSerialized is the read-pool ≡ serialized-loop
+// TestSnapshotReadMatchesSerialized is the snapshot-read ≡ serialized-loop
 // property: against a quiescent store, every read-only op must produce
-// the same service-level result through DoRead (concurrent read pool,
+// the same service-level result through DoRead (concurrent read path,
 // durable snapshot) as through Do (serialized writer loop).
 func TestSnapshotReadMatchesSerialized(t *testing.T) {
 	s := newReadStack(t, []uint32{1}, 4, true)
@@ -355,5 +357,90 @@ func TestSnapshotReadsDisabled(t *testing.T) {
 	if _, err := c.DoRead(kvs.Get("k")); err == nil ||
 		!strings.Contains(err.Error(), "snapshot reads disabled") {
 		t.Fatalf("DoRead on disabled deployment: %v; want disabled error", err)
+	}
+}
+
+// readGate parks the next snapshot read that reaches a gatedKVS.
+type readGate struct {
+	armed   atomic.Bool   // park the next SnapshotRead
+	entered chan struct{} // the parked read announces itself
+	proceed chan struct{} // closed to let it through
+}
+
+// gatedKVS is a kvs.Store whose SnapshotRead can be parked on entry.
+type gatedKVS struct {
+	*kvs.Store
+	gate *readGate
+}
+
+func (g *gatedKVS) SnapshotRead(op []byte) ([]byte, error) {
+	if g.gate.armed.CompareAndSwap(true, false) {
+		g.gate.entered <- struct{}{}
+		<-g.gate.proceed
+	}
+	return g.Store.SnapshotRead(op)
+}
+
+// A read executes on the goroutine of the connection it arrived on, so a
+// read parked inside SnapshotRead holds up only its own connection: while
+// connection A's read sits in shard 0's service, connection B still reads
+// both shards and writes shard 1. (A write to shard 0 would wait for the
+// parked read whatever the host does: its durability advance moves the
+// snapshot the read holds, see core/read.go.)
+func TestSnapshotReadParkedHoldsUpOnlyItsConnection(t *testing.T) {
+	gate := &readGate{entered: make(chan struct{}), proceed: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gate.proceed) })
+	defer release()
+	s := newServiceShardStack(t, stablestore.NewMemStore(), 2, []uint32{1, 2}, true, "kvs",
+		func() service.Service { return &gatedKVS{Store: kvs.New(), gate: gate} },
+		func(c *Config) { c.SnapshotReads = true })
+	a, b := s.session(1), s.session(2)
+	k0, k1 := keyOnShard(0, 2, "k"), keyOnShard(1, 2, "k")
+	for _, k := range []string{k0, k1} {
+		if _, err := b.Do(kvs.Put(k, "v")); err != nil {
+			t.Fatalf("put %s: %v", k, err)
+		}
+	}
+
+	gate.armed.Store(true)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := a.DoReadOn(0, kvs.Get(k0))
+		parked <- err
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection A's read never reached the service")
+	}
+
+	other := make(chan error, 1)
+	go func() {
+		other <- func() error {
+			for i := 0; i < 5; i++ {
+				if _, err := b.DoReadOn(0, kvs.Get(k0)); err != nil {
+					return fmt.Errorf("read shard 0: %w", err)
+				}
+				if _, err := b.DoReadOn(1, kvs.Get(k1)); err != nil {
+					return fmt.Errorf("read shard 1: %w", err)
+				}
+				if _, err := b.DoOn(1, kvs.Put(k1, fmt.Sprint(i))); err != nil {
+					return fmt.Errorf("write shard 1: %w", err)
+				}
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-other:
+		if err != nil {
+			t.Fatalf("connection B: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection B was held up by the read parked on connection A")
+	}
+	release()
+	if err := <-parked; err != nil {
+		t.Fatalf("parked read: %v", err)
 	}
 }

@@ -35,8 +35,9 @@ func newShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs 
 }
 
 // newServiceShardStack is newShardStack generalized over the hosted
-// functionality — the escrow tests deploy the bank instead of the kvs.
-func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, groupCommit bool, svcName string, factory service.Factory) *shardStack {
+// functionality — the escrow tests deploy the bank instead of the kvs —
+// and over any further host configuration opts apply.
+func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, groupCommit bool, svcName string, factory service.Factory, opts ...func(*Config)) *shardStack {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-shard")
@@ -44,7 +45,7 @@ func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, cli
 		t.Fatal(err)
 	}
 	attestation.Register(platform)
-	server, err := New(Config{
+	cfg := Config{
 		Platform: platform,
 		Factory: core.NewTrustedFactory(core.TrustedConfig{
 			ServiceName: svcName,
@@ -55,7 +56,11 @@ func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, cli
 		Shards:      shards,
 		BatchSize:   4,
 		GroupCommit: groupCommit,
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	server, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"quorum without replication", func(c *Config) { c.Quorum = 2 }, "without replication"},
 		{"negative quorum", func(c *Config) { c.Replicas = 2; c.Quorum = -1 }, "Quorum must be"},
 		{"quorum exceeds replica set", func(c *Config) { c.Replicas = 2; c.Quorum = 4 }, "exceeds the replica set size 3"},
-		{"negative read workers", func(c *Config) { c.ReadWorkers = -1 }, "ReadWorkers must be"},
-		{"read workers without snapshot reads", func(c *Config) { c.ReadWorkers = 4 }, "without SnapshotReads"},
 		{"negative latency target", func(c *Config) { c.CommitLatencyTarget = -time.Millisecond }, "CommitLatencyTarget must be"},
 		{"latency target without group commit", func(c *Config) { c.CommitLatencyTarget = time.Millisecond }, "without GroupCommit"},
 	}
@@ -82,9 +80,6 @@ func TestConfigValidateDefaults(t *testing.T) {
 	// Majority of a 5-member replica set (primary + 4 peers) is 3.
 	if cfg.Quorum != 3 {
 		t.Errorf("Quorum = %d, want 3", cfg.Quorum)
-	}
-	if cfg.ReadWorkers != DefaultReadWorkers {
-		t.Errorf("ReadWorkers = %d, want %d", cfg.ReadWorkers, DefaultReadWorkers)
 	}
 	if cfg.CommitLatencyTarget != DefaultCommitLatencyTarget {
 		t.Errorf("CommitLatencyTarget = %v, want %v", cfg.CommitLatencyTarget, DefaultCommitLatencyTarget)

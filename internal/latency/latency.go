@@ -14,7 +14,7 @@ import (
 )
 
 // Default cost constants. Values are chosen to match published
-// measurements for the paper's platform (see DESIGN.md, Sec. 1):
+// measurements for the paper's platform:
 //
 //   - ECall/OCall: ~8 µs per enclave transition (SGX SDK literature reports
 //     2-8 µs for a warm transition; batching amortizes it, which is why the

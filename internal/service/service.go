@@ -143,7 +143,7 @@ type Resharder interface {
 // SnapshotReader is an optional extension for services that can serve
 // read-only operations against the last *durable* version of their state
 // while newer writes are still in flight. The trusted context uses it to
-// execute classified reads on a concurrent read pool, snapshot-isolated
+// execute classified reads concurrently, snapshot-isolated
 // from the writer batch: a read observes exactly the state as of the
 // sequence number last reported durable, never a write whose persistence
 // (and therefore whose reply) is still pending — so a crash can never

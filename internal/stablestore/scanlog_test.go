@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -53,37 +54,111 @@ func TestScanLogMatchesLoadLog(t *testing.T) {
 }
 
 // A torn trailing frame (crash mid-append) is dropped by the streaming
-// reader exactly like by LoadLog.
+// reader exactly like by LoadLog: a header promising more bytes than
+// exist, a zero-filled tail (the file extended before its data reached
+// it; sealed records are never empty), and a corrupt length near 4 GiB,
+// which must not cost an allocation of that size.
 func TestFileStoreScanLogDropsTornTail(t *testing.T) {
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"short payload", []byte{0, 0, 0, 99, 'x', 'y'}},
+		{"zero fill", make([]byte, 4096)},
+		{"huge length", []byte{0xFF, 0xFF, 0xFF, 0xF0, 'x', 'y'}},
+	} {
+		tail := tc.tail
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewFileStore(dir, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append("log", []byte("complete")); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "log.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			var got [][]byte
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = ScanLog(s, "log", func(record []byte) error {
+				got = append(got, record)
+				return nil
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || string(got[0]) != "complete" {
+				t.Fatalf("scan over torn log = %q", got)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Fatalf("scan over a %d-byte log allocated %d bytes", 12+len(tail), alloc)
+			}
+			if log, err := s.LoadLog("log"); err != nil || len(log) != 1 {
+				t.Fatalf("LoadLog over torn log = %q, %v", log, err)
+			}
+		})
+	}
+}
+
+// FuzzFileStoreScanLog writes an arbitrary byte string as a log file.
+// Oracles: no panic; ScanLog streams exactly the records LoadLog (that
+// is, wire.SplitLogFrames) returns — the two decoders agree on every
+// torn-tail rule; and the scan allocates in proportion to the file, not
+// to the lengths its headers claim.
+func FuzzFileStoreScanLog(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 'a', 0, 0, 0, 2, 'b', 'c'})
+	f.Add([]byte{0, 0, 0, 1, 'a', 0, 0, 0, 99, 'x', 'y'})
+	f.Add([]byte{0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 1, 'b'})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xF0, 'x', 'y'})
+	dir := f.TempDir()
 	s, err := NewFileStore(dir, false, nil)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if err := s.Append("log", []byte("complete")); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the tail: a header promising more bytes than exist.
 	path := filepath.Join(dir, "log.log")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0, 0, 0, 99, 'x', 'y'}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var got [][]byte
-	if err := ScanLog(s, "log", func(record []byte) error {
-		got = append(got, record)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || string(got[0]) != "complete" {
-		t.Fatalf("scan over torn log = %q", got)
-	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var scanned [][]byte
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := ScanLog(s, "log", func(record []byte) error {
+			scanned = append(scanned, record)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("ScanLog: %v", err)
+		}
+		// The 64 KiB read buffer, the records and the slice of them.
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(12*len(raw)+256<<10); alloc > bound {
+			t.Fatalf("scan of a %d-byte log allocated %d bytes, bound %d", len(raw), alloc, bound)
+		}
+		loaded, err := s.LoadLog("log")
+		if err != nil {
+			t.Fatalf("LoadLog: %v", err)
+		}
+		if len(scanned) != len(loaded) {
+			t.Fatalf("ScanLog saw %d records, LoadLog %d", len(scanned), len(loaded))
+		}
+		for i := range loaded {
+			if !bytes.Equal(scanned[i], loaded[i]) {
+				t.Fatalf("record %d: ScanLog %q, LoadLog %q", i, scanned[i], loaded[i])
+			}
+		}
+	})
 }
 
 // The callback may write back into the same underlying store — the

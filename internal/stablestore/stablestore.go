@@ -12,6 +12,7 @@ package stablestore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -466,17 +467,23 @@ func (s *FileStore) ScanLog(slot string, fn func(record []byte) error) error {
 	defer f.Close()
 	br := bufio.NewReaderSize(io.LimitReader(f, fi.Size()), 64<<10)
 	var hdr [4]byte
-	for {
+	for left := fi.Size(); ; {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil // clean end or torn header
 			}
 			return fmt.Errorf("stablestore: scan log: %w", err)
 		}
-		n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-		if n < 0 {
-			return nil // corrupt length; treat like a torn tail
+		left -= 4
+		// The wire.SplitLogFrames rules: a length beyond the bytes left
+		// is a torn frame, and so is a zero length (sealed records are
+		// never empty; a crash can leave a zero-filled tail). Checking
+		// before the allocation bounds it by the file's size.
+		n := int64(binary.BigEndian.Uint32(hdr[:]))
+		if n == 0 || n > left {
+			return nil
 		}
+		left -= n
 		rec := make([]byte, n)
 		if _, err := io.ReadFull(br, rec); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

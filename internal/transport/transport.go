@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -231,11 +232,23 @@ func (o TCPOptions) apply(nc net.Conn) {
 	}
 }
 
+// recvChunk bounds how far ahead of the bytes that have arrived Recv
+// allocates a frame's body: a peer that sends only a header announcing
+// MaxFrame pins one chunk, not 16 MiB.
+const recvChunk = 64 << 10
+
 type tcpConn struct {
-	nc      net.Conn
-	opts    TCPOptions
+	nc   net.Conn
+	opts TCPOptions
+
 	readMu  sync.Mutex
+	rhdr    [4]byte // guarded by readMu
 	writeMu sync.Mutex
+	// Guarded by writeMu and reused by every Send, so a frame costs one
+	// vectored write and no allocation.
+	whdr [4]byte
+	wvec [2][]byte
+	wbuf net.Buffers
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -265,7 +278,8 @@ func wrapIO(what string, err error) error {
 	return fmt.Errorf("transport: %s: %w", what, err)
 }
 
-// Send implements Conn with u32 length-prefixed framing.
+// Send implements Conn with u32 length-prefixed framing: header and body
+// leave in one vectored write (writev on a TCP socket).
 func (c *tcpConn) Send(msg []byte) error {
 	if len(msg) > MaxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(msg))
@@ -275,41 +289,47 @@ func (c *tcpConn) Send(msg []byte) error {
 	if t := c.opts.WriteTimeout; t > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(t))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return wrapIO("write header", err)
-	}
-	if _, err := c.nc.Write(msg); err != nil {
-		return wrapIO("write body", err)
+	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(msg)))
+	c.wvec = [2][]byte{c.whdr[:], msg}
+	c.wbuf = c.wvec[:] // WriteTo advances wbuf past what it wrote
+	if _, err := c.wbuf.WriteTo(c.nc); err != nil {
+		return wrapIO("write frame", err)
 	}
 	return nil
 }
 
-// Recv implements Conn.
+// Recv implements Conn. The body buffer grows with the bytes that have
+// arrived, at most recvChunk ahead of them.
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	if t := c.opts.ReadTimeout; t > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(t))
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.nc, c.rhdr[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, err
 		}
 		return nil, wrapIO("read header", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(c.rhdr[:])
+	if size > MaxFrame {
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(c.nc, msg); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, err
+	n := int(size)
+	msg := make([]byte, 0, min(n, recvChunk))
+	for len(msg) < n {
+		if len(msg) == cap(msg) {
+			msg = slices.Grow(msg, min(n-len(msg), len(msg)))
 		}
-		return nil, wrapIO("read body", err)
+		got, err := io.ReadFull(c.nc, msg[len(msg):min(n, cap(msg))])
+		msg = msg[:len(msg)+got]
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, wrapIO("read body", err)
+		}
 	}
 	return msg, nil
 }

@@ -486,6 +486,15 @@ func TestTCPConcurrentSendRecv(t *testing.T) {
 	}
 }
 
+// Hostile byte streams the TCP receive tests send; FuzzTCPRecv seeds its
+// corpus with them.
+var (
+	// tornFrame is a header promising 100 bytes followed by only 10.
+	tornFrame = append([]byte{0, 0, 0, 100}, make([]byte, 10)...)
+	// oversizedHeader announces one byte more than MaxFrame.
+	oversizedHeader = binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+)
+
 func TestTCPTornFrameOnKill(t *testing.T) {
 	// A connection killed mid-frame must surface an error, not a short
 	// frame: write a header promising 100 bytes, deliver 10, and close.
@@ -507,9 +516,7 @@ func TestTCPTornFrameOnKill(t *testing.T) {
 	}
 	server := <-accepted
 	defer server.Close()
-	hdr := []byte{0, 0, 0, 100}
-	raw.Write(hdr)
-	raw.Write(make([]byte, 10))
+	raw.Write(tornFrame)
 	raw.Close()
 	if _, err := server.Recv(); err == nil {
 		t.Fatal("Recv returned a torn frame as success")
@@ -538,9 +545,7 @@ func TestTCPRecvRejectsOversizedFrame(t *testing.T) {
 	defer raw.Close()
 	server := <-accepted
 	defer server.Close()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := raw.Write(hdr[:]); err != nil {
+	if _, err := raw.Write(oversizedHeader); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := server.Recv(); err == nil {

@@ -52,8 +52,8 @@ const (
 	// FrameReadInvoke carries an encrypted snapshot-read request (a
 	// wire.ReadInvoke sealed under the shard's kC); the response carries
 	// the encrypted ReadReply. Routing header matches FrameInvoke
-	// ([u8 shard][u32 gen]), but the host serves these from the shard's
-	// concurrent read pool against the last durable snapshot instead of
+	// ([u8 shard][u32 gen]), but the host serves these on the receiving
+	// connection's goroutine against the last durable snapshot instead of
 	// queueing them behind the writer batch. The split is untrusted
 	// routing: a read misrouted into the write queue fails the message
 	// tag check inside the enclave, never executes as a write.
@@ -244,19 +244,21 @@ func AppendLogFrame(dst, record []byte) []byte {
 // SplitLogFrames parses a frame stream into records, copying each payload.
 // A torn trailing frame is silently dropped: the enclave only releases
 // replies after the host acknowledges the append, so a torn tail is by
-// construction unacknowledged work.
+// construction unacknowledged work. A zero-length frame also ends the
+// stream as a torn tail: sealed records are never empty, and a crash can
+// leave a zero-filled tail behind the last complete append (delayed
+// allocation extends the file before the data reaches it).
 func SplitLogFrames(raw []byte) [][]byte {
 	var out [][]byte
 	for off := 0; off+4 <= len(raw); {
-		n := int(raw[off])<<24 | int(raw[off+1])<<16 | int(raw[off+2])<<8 | int(raw[off+3])
+		n := uint64(binary.BigEndian.Uint32(raw[off:]))
 		off += 4
-		if n < 0 || off+n > len(raw) {
+		if n == 0 || n > uint64(len(raw)-off) {
 			break // torn tail
 		}
 		rec := make([]byte, n)
-		copy(rec, raw[off:off+n])
+		off += copy(rec, raw[off:])
 		out = append(out, rec)
-		off += n
 	}
 	return out
 }

@@ -220,7 +220,7 @@ func TestWriterSteadyStateAllocs(t *testing.T) {
 }
 
 func TestLogFramesRoundTrip(t *testing.T) {
-	records := [][]byte{[]byte("a"), {}, []byte("longer-record-payload")}
+	records := [][]byte{[]byte("a"), []byte("b"), []byte("longer-record-payload")}
 	var stream []byte
 	for _, rec := range records {
 		stream = AppendLogFrame(stream, rec)

@@ -38,9 +38,9 @@
 //   - internal/benchrun — regenerates every figure of the paper
 //   - internal/consistency — fork-linearizability checker
 //
-// See examples/quickstart for an end-to-end walkthrough, DESIGN.md for
-// the architecture and experiment index, and EXPERIMENTS.md for the
-// reproduction results.
+// See examples/quickstart for an end-to-end walkthrough,
+// docs/ARCHITECTURE.md for the formats and protocols, and README.md
+// ("Evaluation") for the experiment index.
 package lcm
 
 import (

@@ -2,7 +2,9 @@
 // offline: every relative link target must exist, and every fragment
 // (#anchor) into a markdown file must match a heading there (GitHub's
 // slug rules, approximately). External http(s)/mailto links are skipped —
-// the check must stay deterministic in CI.
+// the check must stay deterministic in CI. Go comments count too: every
+// markdown file name a comment cites must exist, relative to the Go
+// file's directory or to the root.
 //
 //	go run ./tools/linkcheck [root]
 //
@@ -11,6 +13,8 @@ package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -24,6 +28,13 @@ var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
 // headingRe matches ATX headings.
 var headingRe = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*#*\s*$`)
+
+// mdNameRe matches a markdown file name in comment text; urlRe matches
+// the external URLs removed from the text first.
+var (
+	mdNameRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+	urlRe    = regexp.MustCompile(`\w+://\S+`)
+)
 
 func main() {
 	root := "."
@@ -45,7 +56,7 @@ func main() {
 }
 
 func run(root string) (broken []string, checked int, err error) {
-	var files []string
+	var files, goFiles []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,8 +67,11 @@ func run(root string) (broken []string, checked int, err error) {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") {
+		switch ext := filepath.Ext(path); {
+		case strings.EqualFold(ext, ".md"):
 			files = append(files, path)
+		case ext == ".go":
+			goFiles = append(goFiles, path)
 		}
 		return nil
 	})
@@ -80,7 +94,42 @@ func run(root string) (broken []string, checked int, err error) {
 			}
 		}
 	}
+	for _, file := range goFiles {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, name := range commentMarkdownNames(src) {
+			checked++
+			if !exists(filepath.Join(filepath.Dir(file), name)) && !exists(filepath.Join(root, name)) {
+				broken = append(broken, fmt.Sprintf("%s -> %s (missing file)", file, name))
+			}
+		}
+	}
 	return broken, checked, nil
+}
+
+// commentMarkdownNames returns the markdown file names cited in a Go
+// source file's comments, in order. String literals are not comments.
+func commentMarkdownNames(src []byte) []string {
+	fset := token.NewFileSet()
+	var sc scanner.Scanner
+	sc.Init(fset.AddFile("", fset.Base(), len(src)), src, nil, scanner.ScanComments)
+	var names []string
+	for {
+		_, tok, lit := sc.Scan()
+		switch tok {
+		case token.EOF:
+			return names
+		case token.COMMENT:
+			names = append(names, mdNameRe.FindAllString(urlRe.ReplaceAllString(lit, ""), -1)...)
+		}
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 func skip(target string) bool {
@@ -95,7 +144,7 @@ func check(from, target string) string {
 	resolved := filepath.Dir(from)
 	if path != "" {
 		resolved = filepath.Join(filepath.Dir(from), path)
-		if _, err := os.Stat(resolved); err != nil {
+		if !exists(resolved) {
 			return "missing file"
 		}
 	} else {

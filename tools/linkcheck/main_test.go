@@ -71,6 +71,19 @@ func TestLinkcheck(t *testing.T) {
 			},
 			wantOK: 1, // only the relative link is checked
 		},
+		{
+			name: "markdown names in Go comments must exist",
+			files: map[string]string{
+				"README.md":     "# Readme\n",
+				"docs/GUIDE.md": "# Guide\n",
+				"pkg/NOTES.md":  "# Notes\n",
+				"pkg/a.go": "// See DESIGN.md and README.md.\npackage pkg\n\n" +
+					"/* docs/GUIDE.md, NOTES.md; https://example.com/X.md is external */\n" +
+					"var s = \"MISSING.md in a string literal\"\n",
+			},
+			wantBroken: []string{"DESIGN.md (missing file)"},
+			wantOK:     4,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
