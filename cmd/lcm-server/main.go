@@ -121,7 +121,7 @@ func run() error {
 		shards  = flag.Int("shards", 1, "keyspace shards (independent enclave instances)")
 		svcName = flag.String("service", "kvs", "hosted functionality: kvs | bank")
 		sync    = flag.Bool("sync", false, "fsync every state write (crash tolerance, Fig. 6 mode)")
-		group   = flag.Bool("groupcommit", true, "coalesce concurrent batches' delta appends under one fsync")
+		group   = flag.Bool("groupcommit", true, "overlap the next ecall with the previous commit, so concurrent batches' appends share one fsync")
 		snap    = flag.Bool("snapshotreads", false, "serve classified read-only ops from the durable snapshot, outside the write loop (clients use DoRead)")
 		scale   = flag.Float64("scale", 1.0, "latency model scale (0 disables injected latencies)")
 

@@ -154,7 +154,7 @@ func (d *Deployment) Close() {
 func (d *Deployment) System() System { return d.system }
 
 // GroupCommitStats reports the host's group-commit activity (zeros for
-// non-LCM deployments or when group commit is disabled).
+// non-LCM deployments; one result per group when group commit is off).
 func (d *Deployment) GroupCommitStats() (groups, records, maxGroup int) {
 	if d.host == nil {
 		return 0, 0, 0

@@ -8,35 +8,58 @@ import (
 	"lcm/internal/tee"
 )
 
-// Chain-heartbeat beacons (host side).
+// Periodic trusted calls and chain-heartbeat beacons (host side).
 //
-// The trusted context's beacon protocol (core.Trusted.handleBeacon) is
-// tick-driven by the host: every Config.BeaconInterval the per-instance
-// beacon loop asks the enclave to commit one beacon record, persists it
-// through the ordinary path — the group committer coalesces it with
-// in-flight batch records, so a beacon costs at most one extra record in
-// an append that was happening anyway — and, strictly after the record is
-// durable, issues the confirm ecall that claims the reserved platform
-// counter tick. Running the loop per instance is the point: a cloned or
-// forked instance beacons too, and two instances beaconing against one
-// counter is exactly the collision the protocol detects.
+// Each enclave instance runs one tick loop for its periodic trusted
+// calls: the heartbeat beacon every Config.BeaconInterval and the
+// membership epoch seal every Config.EpochInterval (see epoch.go). The
+// trusted context's beacon protocol (core.Trusted.handleBeacon) is
+// tick-driven by the host: every beacon tick asks the enclave to commit
+// one beacon record and hands it to the committer like any batch result —
+// the committer coalesces it with in-flight batch records, so a beacon
+// costs at most one extra record in an append that was happening anyway —
+// and, strictly after the record is durable, the committer issues the
+// confirm ecall that claims the reserved platform counter tick. Running
+// the loop per instance is the point: a cloned or forked instance beacons
+// too, and two instances beaconing against one counter is exactly the
+// collision the protocol detects.
 
-// beaconLoop drives one instance's heartbeat until the server stops or
-// the instance's enclave terminally leaves the serving state (halt,
-// migration, reshard). On a halt it also drops any route override
+// realTicker is the wall-clock ticker constructor (Server.newTicker).
+func realTicker(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTicker(d)
+	return t.C, t.Stop
+}
+
+// tick arms a ticker for a positive interval; a zero interval yields a nil
+// channel, which never fires in a select.
+func (s *Server) tick(d time.Duration) (<-chan time.Time, func()) {
+	if d <= 0 {
+		return nil, func() {}
+	}
+	return s.newTicker(d)
+}
+
+// tickLoop drives one instance's beacons and epoch seals until the server
+// stops or the instance's enclave terminally leaves the serving state
+// (halt, migration, reshard). On a halt it also drops any route override
 // pointing at this instance, so subsequently accepted connections reach
 // the shard's surviving primary instead of a dead clone — attack arms
 // stay composable after detection fires.
-func (s *Server) beaconLoop(inst *instance) {
-	ticker := time.NewTicker(s.cfg.BeaconInterval)
-	defer ticker.Stop()
+func (s *Server) tickLoop(inst *instance) {
+	beacon, stopBeacon := s.tick(s.cfg.BeaconInterval)
+	defer stopBeacon()
+	epoch, stopEpoch := s.tick(s.cfg.EpochInterval)
+	defer stopEpoch()
 	for {
+		var err error
 		select {
-		case <-ticker.C:
+		case <-beacon:
+			err = s.beaconOnce(inst)
+		case <-epoch:
+			_, err = s.instanceBarrierECall(inst, core.EncodeEpochSealCall())
 		case <-s.stop:
 			return
 		}
-		err := s.beaconOnce(inst)
 		switch {
 		case err == nil:
 		case errors.Is(err, tee.ErrEnclaveHalted):
@@ -46,49 +69,21 @@ func (s *Server) beaconLoop(inst *instance) {
 			return
 		default:
 			// Transient refusals (not yet provisioned, frozen mid-reshard,
-			// enclave momentarily stopped for a restart): keep ticking.
+			// enclave momentarily stopped for a restart, a lost write the
+			// committer already restarted for): keep ticking.
 		}
 	}
 }
 
 // beaconOnce performs one beacon round: the reserve ecall behind the
-// persistence barrier, then the record's persistence. Under group commit
-// the result queues at the committer — which confirms the beacon after
-// the group's fsync — exactly like a batch result; otherwise the inline
-// path persists and confirms here.
+// persistence barrier, then the hand-off of its record to the committer,
+// which confirms the beacon after the record is durable. Without
+// GroupCommit the round waits for that commit.
 func (s *Server) beaconOnce(inst *instance) error {
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	s.healLocked(inst)
-	epoch := inst.enclave.Epoch()
-	resp, err := inst.enclave.Call(core.EncodeBeaconCall())
-	if err != nil {
-		return err
-	}
-	result, err := core.DecodeBatchResult(resp)
-	if err != nil {
-		return errors.New("host: malformed beacon response")
-	}
-	if inst.cm != nil {
-		if inst.enclave.Epoch() != epoch {
-			// Same hazard as processBatch: a committer-initiated restart
-			// raced the ecall, so the sealed record may not belong to the
-			// live chain. Restart once more and drop the beacon; the next
-			// tick retries.
-			_ = inst.enclave.Restart()
-			return nil
-		}
-		select {
-		case inst.cm.ch <- commitReq{result: result, epoch: epoch}:
-		case <-s.stop:
-		}
-		return nil
-	}
-	if err := s.persistBatchResult(inst, result); err != nil {
-		return err
-	}
-	s.advanceDurable(inst, result.Seq)
-	_, err = inst.enclave.Call(core.EncodeBeaconConfirmCall())
+	_, _, err := s.sealLocked(inst, core.EncodeBeaconCall(), !s.cfg.GroupCommit)
 	return err
 }
 

@@ -27,6 +27,12 @@ type cloneStack struct {
 }
 
 func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Duration, groupCommit bool) *cloneStack {
+	return newTickedCloneStack(t, name, clientIDs, beacon, groupCommit, realTicker)
+}
+
+// newTickedCloneStack is newCloneStack with the tick loop's tickers built
+// by newTicker (a fakeClock's, to drive beacons by hand).
+func newTickedCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Duration, groupCommit bool, newTicker func(time.Duration) (<-chan time.Time, func())) *cloneStack {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-clone-" + name)
@@ -34,7 +40,7 @@ func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Du
 		t.Fatal(err)
 	}
 	attestation.Register(platform)
-	server, err := New(Config{
+	server, err := newServer(Config{
 		Platform: platform,
 		Factory: core.NewTrustedFactory(core.TrustedConfig{
 			ServiceName: "kvs",
@@ -45,7 +51,7 @@ func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Du
 		BatchSize:      1,
 		GroupCommit:    groupCommit,
 		BeaconInterval: beacon,
-	})
+	}, newTicker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +292,10 @@ func TestCloneBeaconDetection(t *testing.T) {
 }
 
 // Beacons on an un-cloned deployment never fire: heavy traffic, both
-// commit paths, and an honest enclave restart (which replays the beacon
+// commit modes, and an honest enclave restart (which replays the beacon
 // records from the sealed chain and re-bases on the counter's tolerance
 // window) produce zero false positives — and the beacons demonstrably ran.
+// The beacon ticks are driven by hand, one per round of traffic.
 func TestBeaconNoFalsePositives(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -298,10 +305,11 @@ func TestBeaconNoFalsePositives(t *testing.T) {
 		{"group-commit", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const interval = 5 * time.Millisecond
-			s := newCloneStack(t, "honest-"+tc.name, []uint32{1, 2}, interval, tc.groupCommit)
+			clock := newFakeClock()
+			s := newTickedCloneStack(t, "honest-"+tc.name, []uint32{1, 2}, time.Hour, tc.groupCommit, clock.newTicker)
 			c1, c2 := s.session(1), s.session(2)
 			for i := 0; i < 40; i++ {
+				clock.fire(t, time.Hour, 0)
 				if _, err := c1.Do(kvs.Put(fmt.Sprintf("a%d", i), "v")); err != nil {
 					t.Fatalf("client 1 op %d: %v", i, err)
 				}
@@ -316,7 +324,9 @@ func TestBeaconNoFalsePositives(t *testing.T) {
 					}
 				}
 			}
-			time.Sleep(4 * interval) // a few more unconfined beacon rounds
+			for i := 0; i < 4; i++ { // a few more beacon rounds without traffic
+				clock.fire(t, time.Hour, 0)
+			}
 			if err := s.server.Enclave(0).HaltedErr(); err != nil {
 				t.Fatalf("false positive: %v", err)
 			}
@@ -403,8 +413,8 @@ func TestAttackArmsCompose(t *testing.T) {
 // poisons the client with ErrBeaconStale once the horizon passes.
 func TestBeaconFreshnessHorizon(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) {
-		const interval = 10 * time.Millisecond
-		s := newCloneStack(t, "fresh", []uint32{1}, interval, false)
+		clock := newFakeClock()
+		s := newTickedCloneStack(t, "fresh", []uint32{1}, time.Hour, false, clock.newTicker)
 		conn, err := s.net.Dial("lcm-server")
 		if err != nil {
 			t.Fatal(err)
@@ -416,6 +426,7 @@ func TestBeaconFreshnessHorizon(t *testing.T) {
 		defer c.Close()
 		sawBeacon := false
 		for i := 0; i < 50; i++ {
+			clock.fire(t, time.Hour, 0)
 			res, err := c.Do(kvs.Put("k", "v"))
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
@@ -423,7 +434,6 @@ func TestBeaconFreshnessHorizon(t *testing.T) {
 			if res.BeaconSeq > 0 {
 				sawBeacon = true
 			}
-			time.Sleep(interval / 4)
 		}
 		if !sawBeacon {
 			t.Fatal("replies never carried a beacon ordinal")

@@ -3,111 +3,74 @@ package host
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"lcm/internal/core"
-	"lcm/internal/tee"
 )
 
 // Membership epochs and client churn (host side).
 //
 // The trusted context's epoch-seal protocol (core.Trusted.handleEpochSeal)
 // is tick-driven by the host, exactly like the heartbeat beacon: every
-// Config.EpochInterval the per-instance epoch loop asks the enclave to
-// seal a membership epoch — batching staged evictions, rotating kC when
-// any fire, and resealing the witness-committee digests. The seal's
-// result carries a sealed record (or a full state blob) the host MUST
-// persist before anything else touches the chain: an epoch seal routed
-// through a non-persisting path would leave the enclave's chain head
-// ahead of the disk, and the next restart would halt on a phantom
-// rollback. Both the ticker below and the generic ecall paths therefore
-// funnel epoch seals through epochSealLocked.
+// Config.EpochInterval the instance's tick loop (see beacon.go) asks the
+// enclave to seal a membership epoch — batching staged evictions,
+// rotating kC when any fire, and resealing the witness-committee digests.
+// The seal's result carries a sealed record (or a full state blob) that
+// must be durable before anything else touches the chain: an epoch seal
+// routed through a non-persisting path would leave the enclave's chain
+// head ahead of the disk, and the next restart would halt on a phantom
+// rollback. Both the tick loop and the generic ecall paths therefore
+// funnel epoch seals through epochSealLocked, which commits the result
+// through the committer and waits for it.
 //
-// Churn frames (wire.FrameChurn) take the same inline-persist path: one
-// churn ecall per frame, behind the persistence barrier, with the sealed
-// membership change durable before the ack is released — the same
-// contract batches honour for replies.
+// Churn frames (wire.FrameChurn) do the same: one churn ecall per frame,
+// behind the persistence barrier, with the sealed membership change
+// committed before the ack is released — the contract batches honour for
+// replies.
 
-// epochLoop drives one instance's membership epochs until the server
-// stops or the instance's enclave terminally leaves the serving state.
-func (s *Server) epochLoop(inst *instance) {
-	ticker := time.NewTicker(s.cfg.EpochInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-		case <-s.stop:
-			return
-		}
-		_, err := s.instanceBarrierECall(inst, core.EncodeEpochSealCall())
-		switch {
-		case err == nil:
-		case errors.Is(err, tee.ErrEnclaveHalted):
-			s.clearOverridesTo(inst)
-			return
-		case errors.Is(err, core.ErrMigratedAway), errors.Is(err, core.ErrReshardedAway):
-			return
-		default:
-			// Transient refusals (not yet provisioned, frozen mid-reshard):
-			// keep ticking.
-		}
-	}
-}
-
-// epochSealLocked performs the epoch-seal ecall and persists its sealed
-// output inline. The caller holds inst.pm with the committer flushed, so
-// the record chains directly onto the acknowledged history.
-func (s *Server) epochSealLocked(inst *instance) ([]byte, error) {
-	resp, err := inst.enclave.Call(core.EncodeEpochSealCall())
+// sealLocked performs one sealing ecall whose result carries no client
+// replies (beacon, epoch seal, churn) and hands the result to the
+// committer, waiting for its commit when wait is set. The caller holds
+// inst.pm.
+func (s *Server) sealLocked(inst *instance, payload []byte, wait bool) ([]byte, *core.BatchResult, error) {
+	epoch := inst.enclave.Epoch()
+	resp, err := inst.enclave.Call(payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	result, err := core.DecodeBatchResult(resp)
 	if err != nil {
-		return nil, errors.New("host: malformed epoch seal response")
+		return nil, nil, errors.New("host: malformed enclave response")
 	}
-	if err := s.persistResultLocked(inst, result); err != nil {
-		return nil, fmt.Errorf("host: persist epoch seal: %w", err)
+	return resp, result, s.commitLocked(inst, nil, result, epoch, wait)
+}
+
+// epochSealLocked performs the epoch-seal ecall and waits for the
+// committer to make its sealed output durable. The caller holds inst.pm
+// with the committer flushed, so the record chains directly onto the
+// acknowledged history.
+func (s *Server) epochSealLocked(inst *instance) ([]byte, error) {
+	resp, _, err := s.sealLocked(inst, core.EncodeEpochSealCall(), true)
+	if err != nil {
+		return nil, fmt.Errorf("host: epoch seal: %w", err)
 	}
 	return resp, nil
 }
 
 // churnECall performs one churn ecall (a single sealed membership
-// message) behind the persistence barrier and returns the sealed ack —
-// nil for heartbeats, which the enclave deliberately leaves unanswered.
+// message) behind the persistence barrier, waits for the committer to
+// make its result durable and returns the sealed ack — nil for
+// heartbeats, which the enclave deliberately leaves unanswered.
 func (s *Server) churnECall(inst *instance, msg []byte) ([]byte, error) {
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	s.healLocked(inst)
-	if inst.cm != nil {
-		inst.cm.flush(s.stop)
-	}
-	resp, err := inst.enclave.Call(core.EncodeChurnCall([][]byte{msg}))
+	inst.cm.flush()
+	_, result, err := s.sealLocked(inst, core.EncodeChurnCall([][]byte{msg}), true)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("host: churn: %w", err)
 	}
-	result, err := core.DecodeBatchResult(resp)
-	if err != nil || len(result.Replies) != 1 {
+	if len(result.Replies) != 1 {
 		return nil, errors.New("host: malformed churn response")
 	}
-	if err := s.persistResultLocked(inst, result); err != nil {
-		return nil, fmt.Errorf("host: persist churn: %w", err)
-	}
 	return result.Replies[0], nil
-}
-
-// persistResultLocked makes an ecall's piggybacked persistence work
-// durable — a no-op when the result carries none (e.g. a pure-heartbeat
-// churn batch; storing its empty blob would destroy the state). Caller
-// holds inst.pm with the committer flushed.
-func (s *Server) persistResultLocked(inst *instance, result *core.BatchResult) error {
-	if len(result.DeltaRecord) == 0 && len(result.StateBlob) == 0 {
-		return nil
-	}
-	if err := s.persistBatchResult(inst, result); err != nil {
-		return err
-	}
-	s.advanceDurable(inst, result.Seq)
-	s.resyncBaseLocked(inst)
-	return nil
 }

@@ -58,8 +58,10 @@ func crashStack(t *testing.T) (*Server, *stablestore.CrashStore, *core.Admin, *t
 }
 
 // A storage failure while persisting the sealed state is reported to the
-// client; once storage recovers, a retry completes the operation exactly
-// once (the enclave already executed it — retry case B of Sec. 4.6.1).
+// client and, like every lost write, restarts the enclave from the last
+// persisted state; once storage recovers, the retry re-executes the
+// operation exactly once (the restarted epoch never processed it — retry
+// case A of Sec. 4.6.1).
 func TestStorageCrashDuringStateStore(t *testing.T) {
 	server, storage, admin, net := crashStack(t)
 

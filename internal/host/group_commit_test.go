@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"lcm/internal/client"
 	"lcm/internal/core"
+	"lcm/internal/counter"
 	"lcm/internal/kvs"
 	"lcm/internal/latency"
 	"lcm/internal/stablestore"
@@ -265,5 +267,156 @@ func TestGroupCommitAdminBarrier(t *testing.T) {
 	c3 := groupSession(t, net, admin, 3)
 	if _, err := c3.Do(kvs.Put("new", "client")); err != nil {
 		t.Fatalf("new member op: %v", err)
+	}
+}
+
+// A result with nothing to persist — a pure-heartbeat churn batch — goes
+// through the committer like every sealed result and must write nothing:
+// storing its empty blob would destroy the state. The state blob stays
+// byte-identical and the heartbeats issue no store or append.
+func TestGroupCommitHeartbeatWritesNothing(t *testing.T) {
+	for _, groupCommit := range []bool{false, true} {
+		t.Run(fmt.Sprintf("groupcommit=%v", groupCommit), func(t *testing.T) {
+			storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
+			st := newShardStack(t, storage, 1, []uint32{1}, groupCommit)
+			sess := st.session(1)
+			if _, err := sess.Do(kvs.Put("k", "v")); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := storage.Load(core.SlotStateBlob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			versions, records := storage.Versions(core.SlotStateBlob), storage.LogLen(core.SlotDeltaLog)
+			for i := 0; i < 3; i++ {
+				if err := sess.Heartbeat(); err != nil {
+					t.Fatalf("heartbeat %d: %v", i, err)
+				}
+			}
+			// Heartbeats are fire-and-forget; the connection handles its
+			// frames in order, so this read's reply means every heartbeat
+			// has been committed. The read itself appends one record.
+			get := func() {
+				t.Helper()
+				res, err := sess.Do(kvs.Get("k"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v" {
+					t.Fatalf("k = %q, want v", kv.Value)
+				}
+			}
+			get()
+			after, err := storage.Load(core.SlotStateBlob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, blob) {
+				t.Fatalf("state blob changed under heartbeats: %d → %d bytes", len(blob), len(after))
+			}
+			if v, r := storage.Versions(core.SlotStateBlob), storage.LogLen(core.SlotDeltaLog); v != versions || r != records+1 {
+				t.Fatalf("heartbeats wrote: blob versions %d → %d, log records %d → %d (want +1 for the read)",
+					versions, v, records, r)
+			}
+			// The state is intact: a restart folds it and the value reads back.
+			if err := st.server.Enclave(0).Restart(); err != nil {
+				t.Fatal(err)
+			}
+			get()
+		})
+	}
+}
+
+// GroupCommit selects whether the next ecall overlaps the previous commit,
+// not a code path: one schedule — writes, heartbeats, an epoch seal, an
+// honest restart, reads — observes the same results and ends at the same
+// chain position with GroupCommit off and on, on every stack helper.
+func TestGroupCommitDifferential(t *testing.T) {
+	// deployment is one stack reduced to what the schedule drives: one
+	// client's operations and heartbeats, and shard 0's barrier ecall.
+	type deployment struct {
+		do        func(op []byte) (*core.Result, error)
+		heartbeat func() error
+		ecall     core.CallFunc
+		server    *Server
+		write     func(i int) []byte
+		read      []byte
+	}
+	kvWrite := func(i int) []byte { return kvs.Put(fmt.Sprintf("k%d", i%3), fmt.Sprintf("v%d", i)) }
+	ids := []uint32{1}
+	sharded := func(st *shardStack, sess *client.ShardedSession) deployment {
+		return deployment{do: sess.Do, heartbeat: sess.Heartbeat, ecall: st.server.ShardCall(0),
+			server: st.server, write: kvWrite, read: kvs.Get("k1")}
+	}
+	plain := func(srv *Server, sess *client.Session) deployment {
+		return deployment{do: sess.Do, heartbeat: sess.Heartbeat, ecall: srv.ECall,
+			server: srv, write: kvWrite, read: kvs.Get("k1")}
+	}
+	helpers := []struct {
+		name  string
+		build func(t *testing.T, groupCommit bool) deployment
+	}{
+		{"shard", func(t *testing.T, gc bool) deployment {
+			st := newShardStack(t, stablestore.NewMemStore(), 1, ids, gc)
+			return sharded(st, st.session(1))
+		}},
+		{"replicated", func(t *testing.T, gc bool) deployment {
+			st := newReplicatedStack(t, stablestore.NewMemStore(), 1, ids, gc, 2, 2)
+			return sharded(st, st.session(1))
+		}},
+		{"clone", func(t *testing.T, gc bool) deployment {
+			s := newCloneStack(t, "differential", ids, 0, gc)
+			return plain(s.server, s.session(1))
+		}},
+		{"read", func(t *testing.T, gc bool) deployment {
+			s := newReadStack(t, ids, 4, gc)
+			return plain(s.server, s.session(1))
+		}},
+		{"bank", func(t *testing.T, gc bool) deployment {
+			st := bankStack(t, stablestore.NewMemStore(), 1, ids, gc)
+			d := sharded(st, st.sessionWith(1, counter.New()))
+			d.write = func(i int) []byte { return counter.Inc(fmt.Sprintf("acct%d", i%3), int64(i)) }
+			d.read = counter.Read("acct1")
+			return d
+		}},
+	}
+	schedule := func(t *testing.T, d deployment) []string {
+		var trace []string
+		op := func(payload []byte) {
+			t.Helper()
+			res, err := d.do(payload)
+			if err != nil {
+				t.Fatalf("op %d: %v", len(trace), err)
+			}
+			trace = append(trace, fmt.Sprintf("seq=%d value=%x", res.Seq, res.Value))
+		}
+		for i := 0; i < 6; i++ {
+			op(d.write(i))
+		}
+		if err := d.heartbeat(); err != nil {
+			t.Fatalf("heartbeat: %v", err)
+		}
+		if _, err := d.ecall(core.EncodeEpochSealCall()); err != nil {
+			t.Fatalf("epoch seal: %v", err)
+		}
+		op(d.write(6))
+		if err := d.server.Enclave(0).Restart(); err != nil {
+			t.Fatal(err)
+		}
+		op(d.read)
+		op(d.write(7))
+		st, err := core.QueryStatus(d.ecall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(trace, fmt.Sprintf("seq=%d chain=%d group-epoch=%d", st.Seq, st.ChainLen, st.GroupEpoch))
+	}
+	for _, h := range helpers {
+		t.Run(h.name, func(t *testing.T) {
+			off, on := schedule(t, h.build(t, false)), schedule(t, h.build(t, true))
+			if fmt.Sprint(off) != fmt.Sprint(on) {
+				t.Fatalf("GroupCommit off and on diverge:\noff %q\non  %q", off, on)
+			}
+		})
 	}
 }

@@ -17,8 +17,8 @@
 //   - its own storage namespace on the shared Store ("shard<i>/<slot>",
 //     via stablestore.Namespaced), so sealed blobs and delta logs never
 //     collide;
-//   - its own batch queue, persistence barrier and (under GroupCommit)
-//     group committer, so shards persist and fsync independently.
+//   - its own batch queue, persistence barrier and committer, so shards
+//     persist and fsync independently.
 //
 // Routing is the client's job, not the host's: INVOKE ciphertexts are
 // opaque to the untrusted server, so the client computes the shard from
@@ -84,15 +84,16 @@ type Config struct {
 	// empty means the LCM default (core.SlotStateBlob). Baseline enclave
 	// programs that share this host use their own slot.
 	StateSlot string
-	// GroupCommit enables the pipelined group-commit committer for delta
-	// records: the batch loop hands each batch's persistence work to a
-	// per-enclave committer and immediately starts the next ecall; the
-	// committer coalesces every record that queued up during one fsync
-	// into a single AppendGroup call (the baseline.AOF.AppendGroup
-	// pattern, Sec. 6.4's Redis configuration). Replies are released only
-	// after the group's fsync, so crash tolerance is unchanged. Non-batch
-	// ecalls flush the committer first. Sharded deployments run one
-	// committer per enclave instance.
+	// GroupCommit lets the batch loop and the beacon tick start their next
+	// ecall while the previous result is still being committed. Every
+	// sealed result (batch, beacon, epoch seal, churn) is made durable by
+	// the enclave instance's committer, which coalesces the records queued
+	// during one fsync into a single AppendGroup call (the
+	// baseline.AOF.AppendGroup pattern, Sec. 6.4's Redis configuration)
+	// and releases replies only after the covering write. With GroupCommit
+	// off, each submitter waits for its own commit before it drops the
+	// persist lock, so groups hold one result. Crash tolerance is the same
+	// either way; non-batch ecalls flush the committer first.
 	GroupCommit bool
 	// Replicas adds enclave-to-enclave chain replication: every shard
 	// primary gets this many peer replica enclaves mirroring its sealed
@@ -119,7 +120,7 @@ type Config struct {
 	// CommitLatencyTarget bounds the extra reply latency group commit may
 	// add: the committer adaptively sizes commit groups (see groupPolicy)
 	// so that one group's persistence stays within this target. 0 selects
-	// DefaultCommitLatencyTarget. Only meaningful with GroupCommit.
+	// DefaultCommitLatencyTarget.
 	CommitLatencyTarget time.Duration
 	// BeaconInterval arms the chain-heartbeat beacon (clone detection):
 	// every interval, each enclave instance commits a self-attesting
@@ -136,7 +137,8 @@ type Config struct {
 	// fencing the epoch number with the platform counter, batching staged
 	// and heartbeat-expired evictions behind one kC rotation, and
 	// resealing the witness-committee digests. The seal's sealed record
-	// persists inline behind the persistence barrier (see epoch.go).
+	// commits through the committer behind the persistence barrier (see
+	// epoch.go).
 	// 0 disables the ticker; epochs then advance only when an admin sends
 	// an explicit epoch-seal ecall.
 	EpochInterval time.Duration
@@ -199,10 +201,7 @@ func (c *Config) Validate() error {
 	if c.CommitLatencyTarget < 0 {
 		return fmt.Errorf("host: config: CommitLatencyTarget must be ≥ 0 (got %v)", c.CommitLatencyTarget)
 	}
-	if c.CommitLatencyTarget > 0 && !c.GroupCommit {
-		return fmt.Errorf("host: config: CommitLatencyTarget %v configured without GroupCommit", c.CommitLatencyTarget)
-	}
-	if c.GroupCommit && c.CommitLatencyTarget == 0 {
+	if c.CommitLatencyTarget == 0 {
 		c.CommitLatencyTarget = DefaultCommitLatencyTarget
 	}
 	if c.BeaconInterval < 0 {
@@ -288,15 +287,15 @@ func (c *connState) send(frame []byte) error {
 
 // instance is one enclave instance together with everything the host runs
 // for it: its private storage view, batch queue, persistence barrier and
-// (optional) group committer. Instances 0..shards-1 are the shard
-// primaries; later entries are fork instances mounted by AttackFork.
+// committer. Instances 0..shards-1 are the shard primaries; later entries
+// are fork instances mounted by AttackFork.
 type instance struct {
 	enclave *tee.Enclave
 	store   stablestore.Store
 	shard   int // keyspace shard this instance serves
 	queue   chan request
-	cm      *committer  // nil when GroupCommit is off
-	pm      *sync.Mutex // serialize batch (ecall+persist) vs barrier ecalls
+	cm      *committer  // the only writer of sealed results
+	pm      *sync.Mutex // serialize (ecall, commit hand-off) pairs vs barrier ecalls
 
 	// Replication state (nil/zero when unreplicated or a fork instance):
 	// the shard's replica set, the enclave epoch the heal check last ran
@@ -331,6 +330,9 @@ type Server struct {
 	adopted     map[uint64]map[uint32]struct{}
 	gcUpTo      uint64
 
+	// newTicker builds the tick loop's tickers (realTicker outside tests).
+	newTicker func(time.Duration) (<-chan time.Time, func())
+
 	wg       sync.WaitGroup
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -354,11 +356,15 @@ func genShardPrefix(gen uint64, shard int) string {
 
 // New creates a server with one started enclave instance per shard and
 // honest routing (each shard's traffic to its primary).
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, realTicker) }
+
+// newServer is New with the tick loop's ticker constructor supplied.
+func newServer(cfg Config, newTicker func(time.Duration) (<-chan time.Time, func())) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{
+		newTicker:     newTicker,
 		cfg:           cfg,
 		shards:        cfg.Shards,
 		reshardInfos:  make(map[uint64][]byte),
@@ -475,8 +481,8 @@ func (s *Server) addInstance(shard int) (int, error) {
 }
 
 // newInstance assembles the host-side runtime state of one enclave
-// instance (queue, persistence barrier, optional committer) without
-// registering or starting it.
+// instance (queue, persistence barrier, committer) without registering or
+// starting it.
 func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shard int, rs *replication.Set) *instance {
 	inst := &instance{
 		enclave: enclave,
@@ -486,44 +492,27 @@ func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shar
 		pm:      &sync.Mutex{},
 		rs:      rs,
 	}
-	if s.cfg.GroupCommit {
-		inst.cm = &committer{
-			srv:    s,
-			inst:   inst,
-			ch:     make(chan commitReq, commitGroupCeiling),
-			policy: newGroupPolicy(s.cfg.CommitLatencyTarget),
-		}
+	inst.cm = &committer{
+		srv:    s,
+		inst:   inst,
+		ch:     make(chan commitReq, commitGroupCeiling),
+		policy: newGroupPolicy(s.cfg.CommitLatencyTarget),
 	}
 	return inst
 }
 
-// startInstance launches an instance's committer, batch loop and tick
-// loops.
+// startInstance launches an instance's committer, batch loop and (when a
+// beacon or epoch interval is armed) tick loop.
 func (s *Server) startInstance(inst *instance) {
-	if inst.cm != nil {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			inst.cm.run()
-		}()
+	loops := []func(){inst.cm.run, func() { s.batchLoop(inst) }}
+	if s.cfg.BeaconInterval > 0 || s.cfg.EpochInterval > 0 {
+		loops = append(loops, func() { s.tickLoop(inst) })
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.batchLoop(inst)
-	}()
-	if s.cfg.BeaconInterval > 0 {
+	for _, loop := range loops {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.beaconLoop(inst)
-		}()
-	}
-	if s.cfg.EpochInterval > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.epochLoop(inst)
+			loop()
 		}()
 	}
 }
@@ -546,8 +535,8 @@ func (s *Server) instanceAt(idx int) *instance {
 // just-sealed delta record still queued at the committer, landing an
 // unchained record at the head of the truncated log; a later restart
 // would then discard acknowledged work and halt on a phantom rollback.
-// The same lock serializes the legacy inline (ecall, persist) pair for
-// the identical reason.
+// The same lock pairs every sealing ecall with the hand-off of its result
+// to the committer, for the identical reason (see processBatch).
 func (s *Server) barrierECall(idx int, payload []byte) ([]byte, error) {
 	inst := s.instanceAt(idx)
 	if inst == nil {
@@ -564,11 +553,9 @@ func (s *Server) instanceBarrierECall(inst *instance, payload []byte) ([]byte, e
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	s.healLocked(inst)
-	if inst.cm != nil {
-		inst.cm.flush(s.stop)
-	}
+	inst.cm.flush()
 	if core.IsEpochSealCall(payload) {
-		// An epoch seal's result carries a sealed record the host must
+		// An epoch seal's result carries a sealed record the committer must
 		// persist — routing it through the plain path would leave the
 		// enclave's chain ahead of the disk (see epoch.go).
 		return s.epochSealLocked(inst)
@@ -878,9 +865,9 @@ func (s *Server) connLoop(cs *connState) {
 
 // batchLoop collects requests into batches (up to BatchSize, or fewer when
 // the queue momentarily empties — the Sec. 5.3 policy), performs the
-// ecall, persists the sealed state and distributes replies. With a group
-// committer attached, persistence and reply release are handed off so the
-// next ecall overlaps the previous batch's fsync.
+// ecall and hands the sealed result to the committer, which persists it
+// and releases the replies. Under GroupCommit the next ecall overlaps the
+// previous batch's fsync; otherwise the loop waits for each commit.
 func (s *Server) batchLoop(inst *instance) {
 	for {
 		var batch []request
@@ -905,9 +892,9 @@ func (s *Server) batchLoop(inst *instance) {
 
 func (s *Server) processBatch(inst *instance, batch []request) {
 	// The persist lock pairs this ecall atomically with handing its
-	// sealed output to the persistence path (committer queue or inline
-	// store), so a barrier ecall can never slip in between and persist a
-	// chain-restarting blob ahead of an already-sealed record.
+	// sealed output to the committer, so a barrier ecall can never slip in
+	// between and persist a chain-restarting blob ahead of an
+	// already-sealed record.
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	// First call of a new enclave epoch: heal a stale chain from the
@@ -925,121 +912,95 @@ func (s *Server) processBatch(inst *instance, batch []request) {
 	core.AppendBatchCall(w, invokes)
 	resp, err := inst.enclave.Call(w.Bytes())
 	wire.PutWriter(w)
+	var result *core.BatchResult
+	if err == nil {
+		if result, err = core.DecodeBatchResult(resp); err != nil || len(result.Replies) != len(batch) {
+			err = errors.New("host: malformed enclave response")
+		}
+	}
 	if err != nil {
-		for _, req := range batch {
-			req.respond(wire.ErrorFrame(err))
-		}
+		failBatch(batch, err)
 		return
 	}
-	result, err := core.DecodeBatchResult(resp)
-	if err != nil || len(result.Replies) != len(batch) {
-		for _, req := range batch {
-			req.respond(wire.ErrorFrame(errors.New("host: malformed enclave response")))
-		}
-		return
-	}
-	if inst.cm != nil {
-		if inst.enclave.Epoch() != epoch {
-			// A committer-initiated restart raced this ecall, so the
-			// epoch tag may not match the epoch that sealed the record.
-			// Fail the batch and restart once more: the chain re-folds
-			// from disk and the clients converge via retries.
-			_ = inst.enclave.Restart()
-			for _, req := range batch {
-				req.respond(wire.ErrorFrame(errors.New("host: enclave restarted during batch; retry")))
-			}
-			return
-		}
-		select {
-		case inst.cm.ch <- commitReq{batch: batch, result: result, epoch: epoch}:
-		case <-s.stop:
-		}
-		return
-	}
-	// Persist the piggybacked sealed state before releasing replies, so a
-	// crash after a client saw its reply cannot lose the corresponding
-	// state (crash tolerance, Sec. 4.6.1 / Sec. 5.3). In delta mode the
-	// enclave hands us a log record to append instead of a full blob; at
-	// compaction points it hands a fresh blob plus the instruction to
-	// truncate the now-subsumed log.
-	if err := s.persistBatchResult(inst, result); err != nil {
-		for _, req := range batch {
-			req.respond(wire.ErrorFrame(fmt.Errorf("host: persist state: %w", err)))
-		}
-		return
-	}
-	s.advanceDurable(inst, result.Seq)
-	for i, req := range batch {
-		req.respond(wire.OKFrame(result.Replies[i]))
+	_ = s.commitLocked(inst, batch, result, epoch, !s.cfg.GroupCommit)
+}
+
+// failBatch answers every request of a batch with err.
+func failBatch(batch []request, err error) {
+	for _, req := range batch {
+		req.respond(wire.ErrorFrame(err))
 	}
 }
 
-// persistBatchResult performs the persistence work a batch response
-// piggybacks (the honest-host protocol) against the instance's storage
-// namespace.
-func (s *Server) persistBatchResult(inst *instance, result *core.BatchResult) error {
-	if len(result.DeltaRecord) > 0 {
-		err := inst.appendReplicated([][]byte{result.DeltaRecord})
-		if err != nil && !errors.Is(err, replication.ErrQuorum) {
-			// The enclave's chain already advanced past the record we
-			// failed to persist; appending later records would leave a
-			// permanent gap on disk. Treat the lost write exactly like a
-			// crash: restart the enclave so it re-folds the consistent
-			// on-disk log, and let the affected clients converge through
-			// the Sec. 4.6.1 retry protocol. (The plain full-seal path
-			// below self-heals instead: the next batch rewrites the
-			// whole blob.) A quorum shortfall is NOT a crash: the record
-			// is locally durable and chain-consistent, so the enclave
-			// keeps running and the affected clients converge through
-			// cached-reply retries once enough peers are reachable again.
-			if rerr := inst.enclave.Restart(); rerr != nil {
-				return fmt.Errorf("%w (enclave restart: %v)", err, rerr)
-			}
-		}
-		return err
+var errRestartedDuringCall = errors.New("host: enclave restarted during ecall; retry")
+
+// commitLocked hands one sealed result to the instance's committer — the
+// only code that persists sealed state, so a crash after a client saw its
+// reply cannot lose the corresponding state (crash tolerance, Sec. 4.6.1 /
+// Sec. 5.3) — and, when wait is set, blocks until the committer released
+// or rejected it, returning the outcome. The caller holds inst.pm and
+// passes the enclave epoch it read before the ecall. If a
+// committer-initiated restart raced the ecall, the epoch tag may not
+// match the epoch that sealed the record: the result is failed and the
+// enclave restarted once more, so the chain re-folds from disk and the
+// clients converge via retries.
+func (s *Server) commitLocked(inst *instance, batch []request, result *core.BatchResult, epoch uint64, wait bool) error {
+	if inst.enclave.Epoch() != epoch {
+		_ = inst.enclave.Restart()
+		failBatch(batch, errRestartedDuringCall)
+		return errRestartedDuringCall
 	}
-	if err := inst.store.Store(s.cfg.StateSlot, result.StateBlob); err != nil {
-		if result.Compact {
-			// A lost compaction blob desynchronizes the chain the same
-			// way a lost append does (the enclave already rechained at
-			// the new blob): restart so the chain re-folds from disk.
-			if rerr := inst.enclave.Restart(); rerr != nil {
-				return fmt.Errorf("%w (enclave restart: %v)", err, rerr)
-			}
-		}
-		return err
+	req := commitReq{batch: batch, result: result, epoch: epoch}
+	if wait {
+		req.ack = make(chan error, 1)
 	}
-	if inst.rs != nil {
-		// A fresh (or compacting) blob starts a new chain segment: the
-		// peer mirrors of the subsumed records are obsolete, re-anchor
-		// the set on the blob.
-		inst.rs.ResetBase(sha256.Sum256(result.StateBlob))
-	}
-	if result.Compact {
-		return inst.store.TruncateLog(core.SlotDeltaLog)
-	}
-	return nil
+	return inst.cm.submit(req)
 }
 
 // ---- Group commit ----
 
-// commitReq is one batch's persistence work queued at a committer, or —
-// when done is non-nil — a flush barrier.
+// commitReq is one sealed result's persistence work queued at a
+// committer, or — when result is nil — a flush barrier.
 type commitReq struct {
-	batch  []request
+	batch  []request // replies to release; nil for beacon, epoch and churn results
 	result *core.BatchResult
-	epoch  uint64 // enclave epoch that sealed the result
-	done   chan struct{}
+	epoch  uint64     // enclave epoch that sealed the result
+	ack    chan error // if set (buffered, 1), receives the outcome after release or reject
 }
 
-// committer drains batch results from one enclave's batch loop and makes
-// them durable: consecutive delta records are appended as one group under
-// a single fsync (Store.AppendGroup), consecutive full-seal blobs
-// collapse to one store of the last (subsuming) blob, and compaction
-// blobs act as barriers. Replies are released only after the covering
-// write returns, and any persistence failure is treated as a crash — the
-// enclave restarts, queued results from the failed epoch are discarded,
-// and clients converge via retries.
+// commitKind classifies a queued request by the write it needs.
+type commitKind int
+
+const (
+	commitNone    commitKind = iota // flush barrier, or a result with nothing to persist
+	commitDelta                     // one delta record: appended
+	commitSeal                      // a full-seal blob: stored
+	commitCompact                   // a compaction blob: stored, then the log truncated
+)
+
+func (r commitReq) kind() commitKind {
+	switch {
+	case r.result == nil:
+		return commitNone
+	case len(r.result.DeltaRecord) > 0:
+		return commitDelta
+	case len(r.result.StateBlob) == 0:
+		return commitNone
+	case r.result.Compact:
+		return commitCompact
+	}
+	return commitSeal
+}
+
+// committer is the only code in the host that makes sealed results
+// durable. It drains the results of one enclave instance's batch loop,
+// beacon ticks, epoch seals and churn ecalls: consecutive delta records
+// are appended as one group under a single fsync (Store.AppendGroup),
+// consecutive full-seal blobs collapse to one store of the last
+// (subsuming) blob, and compaction blobs act as barriers. Replies are
+// released only after the covering write returns, and any persistence
+// failure is treated as a crash — the enclave restarts, queued results
+// from the failed epoch are discarded, and clients converge via retries.
 type committer struct {
 	srv    *Server
 	inst   *instance
@@ -1077,110 +1038,116 @@ func (c *committer) run() {
 	}
 }
 
-// flush blocks until every result queued before it is durable (or the
-// server stops).
-func (c *committer) flush(stop <-chan struct{}) {
-	done := make(chan struct{})
+// submit queues req and, when it carries an ack, waits for the
+// committer's verdict on it.
+func (c *committer) submit(req commitReq) error {
 	select {
-	case c.ch <- commitReq{done: done}:
-	case <-stop:
-		return
+	case c.ch <- req:
+	case <-c.srv.stop:
+		return transport.ErrClosed
+	}
+	if req.ack == nil {
+		return nil
 	}
 	select {
-	case <-done:
-	case <-stop:
+	case err := <-req.ack:
+		return err
+	case <-c.srv.stop:
+		return transport.ErrClosed
 	}
 }
 
+// flush blocks until every result queued before it is durable (or the
+// server stops).
+func (c *committer) flush() { _ = c.submit(commitReq{ack: make(chan error, 1)}) }
+
 func (c *committer) process(pending []commitReq) {
-	i := 0
-	for i < len(pending) {
+	for i := 0; i < len(pending); {
 		req := pending[i]
-		switch {
-		case req.done != nil:
-			close(req.done)
-			i++
-		case req.epoch <= c.failEpoch:
+		if req.result != nil && req.epoch <= c.failEpoch {
 			// Sealed before the restart that followed a failed write; the
 			// record is no longer part of the live chain.
 			c.reject(req, errStaleEpoch)
 			i++
-		case len(req.result.DeltaRecord) > 0:
-			// Group every consecutive delta record under one fsync.
-			j := i
-			var records [][]byte
-			for j < len(pending) && pending[j].done == nil &&
-				pending[j].epoch > c.failEpoch && len(pending[j].result.DeltaRecord) > 0 {
-				records = append(records, pending[j].result.DeltaRecord)
+			continue
+		}
+		// A run of delta records commits under one fsync; a run of
+		// full-seal blobs commits as one store of its last blob, since
+		// each later blob subsumes every earlier one's effects.
+		kind := req.kind()
+		j := i + 1
+		if kind == commitDelta || kind == commitSeal {
+			for j < len(pending) && pending[j].kind() == kind && pending[j].epoch > c.failEpoch {
 				j++
 			}
-			start := time.Now()
+		}
+		group := pending[i:j]
+		i = j
+		start := time.Now()
+		switch kind {
+		case commitNone:
+			// A flush barrier, or a result without persistence work (a
+			// pure-heartbeat churn batch; storing its empty blob would
+			// destroy the state). No write, and no durable-prefix advance:
+			// an earlier quorum-rejected group may still be holding it back.
+			c.answer(req)
+		case commitDelta:
+			records := make([][]byte, len(group))
+			for k, r := range group {
+				records[k] = r.result.DeltaRecord
+			}
 			switch err := c.inst.appendReplicated(records); {
 			case err == nil:
-				c.recordGroup(len(records), time.Since(start))
-				c.release(pending[i:j])
+				c.recordGroup(len(group), time.Since(start))
+				c.release(group)
 			case errors.Is(err, replication.ErrQuorum):
 				// Quorum shortfall: locally durable and chain-consistent,
 				// so no restart — reject the replies and let the clients
 				// converge via cached-reply retries. The durable prefix
 				// is NOT advanced: a reader must not see state whose
 				// replies the quorum never covered.
-				c.recordGroup(len(records), time.Since(start))
-				for _, r := range pending[i:j] {
+				c.recordGroup(len(group), time.Since(start))
+				for _, r := range group {
 					c.reject(r, err)
 				}
 			default:
-				c.fail(pending[i:j], err)
+				c.fail(group, err)
 			}
-			i = j
-		case !req.result.Compact:
-			// Full-seal blobs: each later blob subsumes every earlier
-			// one's effects, so a consecutive run commits as a single
-			// store of the last blob — full-seal services group-commit
-			// too, just through overwrite instead of append.
-			j := i
-			for j < len(pending) && pending[j].done == nil && pending[j].epoch > c.failEpoch &&
-				len(pending[j].result.DeltaRecord) == 0 && !pending[j].result.Compact {
-				j++
-			}
-			start := time.Now()
-			if err := c.inst.store.Store(c.srv.cfg.StateSlot, pending[j-1].result.StateBlob); err != nil {
-				c.fail(pending[i:j], err)
-			} else {
-				c.rebase(pending[j-1].result.StateBlob)
-				c.recordGroup(j-i, time.Since(start))
-				c.release(pending[i:j])
-			}
-			i = j
 		default:
-			// A compaction blob: a barrier write plus log truncation.
-			err := c.inst.store.Store(c.srv.cfg.StateSlot, req.result.StateBlob)
-			if err == nil {
+			blob := group[len(group)-1].result.StateBlob
+			err := c.inst.store.Store(c.srv.cfg.StateSlot, blob)
+			if err == nil && kind == commitCompact {
 				err = c.inst.store.TruncateLog(core.SlotDeltaLog)
 			}
 			if err != nil {
-				c.fail(pending[i:i+1], err)
-			} else {
-				c.rebase(req.result.StateBlob)
-				c.release(pending[i : i+1])
+				c.fail(group, err)
+				continue
 			}
-			i++
+			c.rebase(blob)
+			if kind == commitSeal {
+				// A compaction is a one-off re-seal, not a group: it stays
+				// out of the sizing policy.
+				c.recordGroup(len(group), time.Since(start))
+			}
+			c.release(group)
 		}
 	}
 }
 
 var errStaleEpoch = errors.New("host: batch result discarded after enclave restart; retry")
 
-// fail handles a lost write: every batch in the failed group gets an
-// error, the enclave restarts so its chain re-folds from the on-disk log,
-// and results sealed before the restart are poisoned so a later append
-// cannot leave a gap behind the lost record.
+// fail handles a lost write like a crash, whatever the write was:
+// results sealed in the current epoch are poisoned so a later append
+// cannot leave a gap behind the lost record, the enclave restarts so its
+// chain re-folds from disk, and only then does every result in the failed
+// group get its error — a waiting submitter resumes against the restarted
+// enclave.
 func (c *committer) fail(group []commitReq, err error) {
 	c.failEpoch = c.inst.enclave.Epoch()
+	_ = c.inst.enclave.Restart()
 	for _, r := range group {
 		c.reject(r, fmt.Errorf("host: persist state: %w", err))
 	}
-	_ = c.inst.enclave.Restart()
 }
 
 // appendReplicated makes one group of sealed delta records durable: the
@@ -1208,7 +1175,8 @@ func (inst *instance) appendReplicated(records [][]byte) error {
 }
 
 // rebase re-anchors the replica set on a freshly stored state blob (a
-// compaction or full-seal write subsumes the mirrored delta records).
+// compaction or full-seal write subsumes the mirrored delta records) —
+// the same anchor resyncBaseLocked would load back from the store.
 func (c *committer) rebase(blob []byte) {
 	if c.inst.rs != nil {
 		c.inst.rs.ResetBase(sha256.Sum256(blob))
@@ -1222,15 +1190,24 @@ func (c *committer) release(group []commitReq) {
 	c.srv.advanceDurable(c.inst, group[len(group)-1].result.Seq)
 	c.confirmBeacons(group)
 	for _, req := range group {
-		for i, r := range req.batch {
-			r.respond(wire.OKFrame(req.result.Replies[i]))
-		}
+		c.answer(req)
+	}
+}
+
+// answer sends one committed request's replies and acks its submitter.
+func (c *committer) answer(req commitReq) {
+	for i, r := range req.batch {
+		r.respond(wire.OKFrame(req.result.Replies[i]))
+	}
+	if req.ack != nil {
+		req.ack <- nil
 	}
 }
 
 func (c *committer) reject(req commitReq, err error) {
-	for _, r := range req.batch {
-		r.respond(wire.ErrorFrame(err))
+	failBatch(req.batch, err)
+	if req.ack != nil {
+		req.ack <- err
 	}
 }
 
@@ -1267,42 +1244,24 @@ func (c *committer) capNow() int {
 
 // GroupCommitStats reports the deployment-wide group-commit activity,
 // summed over every enclave instance's committer: commit groups written,
-// batch results they covered, and the largest single group. Zeros when
-// group commit is disabled.
-func (s *Server) GroupCommitStats() (groups, records, maxGroup int) {
-	s.mu.Lock()
-	insts := append([]*instance(nil), s.instances...)
-	s.mu.Unlock()
-	for _, inst := range insts {
-		if inst.cm == nil {
-			continue
-		}
-		g, r, m := inst.cm.stats()
-		groups += g
-		records += r
-		if m > maxGroup {
-			maxGroup = m
-		}
-	}
-	return groups, records, maxGroup
-}
+// batch results they covered, and the largest single group. Without
+// GroupCommit every group holds one result.
+func (s *Server) GroupCommitStats() (groups, records, maxGroup int) { return s.commitStats(-1) }
 
-// ShardGroupCommitStats reports the group-commit activity of every
-// instance serving one shard (the primary plus any forks).
-func (s *Server) ShardGroupCommitStats(shard int) (groups, records, maxGroup int) {
+// commitStats sums the committer counters of every instance serving one
+// shard (the primary plus any forks), or of every instance when shard < 0.
+func (s *Server) commitStats(shard int) (groups, records, maxGroup int) {
 	s.mu.Lock()
 	insts := append([]*instance(nil), s.instances...)
 	s.mu.Unlock()
 	for _, inst := range insts {
-		if inst.shard != shard || inst.cm == nil {
+		if shard >= 0 && inst.shard != shard {
 			continue
 		}
 		g, r, m := inst.cm.stats()
 		groups += g
 		records += r
-		if m > maxGroup {
-			maxGroup = m
-		}
+		maxGroup = max(maxGroup, m)
 	}
 	return groups, records, maxGroup
 }
@@ -1340,7 +1299,7 @@ func (s *Server) DeploymentStatus() (*core.DeploymentStatus, error) {
 			}
 		}
 		s.mu.Unlock()
-		entry.Groups, entry.Records, entry.MaxGroup = s.ShardGroupCommitStats(shard)
+		entry.Groups, entry.Records, entry.MaxGroup = s.commitStats(shard)
 		if inst := s.instanceAt(shard); inst != nil && inst.rs != nil {
 			entry.Replicas = inst.rs.Replicas()
 			entry.Quorum = inst.rs.Quorum()
@@ -1365,9 +1324,7 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 	for _, inst := range instances {
 		inst.pm.Lock()
-		if inst.cm != nil {
-			inst.cm.flush(s.stop)
-		}
+		inst.cm.flush()
 		inst.pm.Unlock()
 	}
 }
@@ -1481,9 +1438,7 @@ func (s *Server) AttackClone(shard int) (int, error) {
 	if err := func() error {
 		src.pm.Lock()
 		defer src.pm.Unlock()
-		if src.cm != nil {
-			src.cm.flush(s.stop)
-		}
+		src.cm.flush()
 		keyBlob, err := src.store.Load(core.SlotKeyBlob)
 		if err != nil {
 			return fmt.Errorf("host: clone attack: source key blob: %w", err)
@@ -1501,7 +1456,7 @@ func (s *Server) AttackClone(shard int) (int, error) {
 
 	// Boot and register the clone like a fork instance: no replica set (an
 	// attack artifact must not feed the honest chain's mirrors) and its
-	// own queue, committer and — when beacons are armed — beacon loop,
+	// own queue, committer and — when beacons are armed — tick loop,
 	// which is what makes the clone collide with the primary.
 	enclave := s.cfg.Platform.NewEnclave(s.cfg.Factory, cloneStore)
 	enclave.SetLabel(label)

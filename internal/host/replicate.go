@@ -84,8 +84,8 @@ func (s *Server) replicaSetFor(gen uint64, shards, shard int) (*replication.Set,
 // epoch, with the instance's persist lock held: it probes the enclave's
 // chain position, offers it the longest peer suffix beyond that position,
 // rewrites the local log to the healed chain, and reseeds the peers from
-// the enclave's (possibly healed) state. Peer failures degrade healing to
-// the paper's detect-and-halt behaviour; they never make things worse.
+// the chain the enclave verified. Peer failures degrade healing to the
+// paper's detect-and-halt behaviour; they never make things worse.
 func (s *Server) healLocked(inst *instance) {
 	if inst.rs == nil {
 		return
@@ -97,39 +97,39 @@ func (s *Server) healLocked(inst *instance) {
 	// Results sealed before the restart may still sit at the committer;
 	// make them durable (and replicated) first so the peers' view covers
 	// every released reply before we compare chains.
-	if inst.cm != nil {
-		inst.cm.flush(s.stop)
-	}
+	inst.cm.flush()
 	inst.healedEpoch = epoch
-	probe, err := s.chainSync(inst, nil)
+	cur, err := s.chainSync(inst, nil)
 	if err != nil {
 		return // unprovisioned, frozen or halted: nothing to heal
 	}
-	cur := probe
-	folded := 0
-	if suffix := inst.rs.FetchSuffix(probe.Head); len(suffix) > 0 {
+	var chain [][]byte // the enclave's verified chain, once known
+	if suffix := inst.rs.FetchSuffix(cur.Head); len(suffix) > 0 {
 		res, err := s.chainSync(inst, suffix)
 		if err != nil {
 			return // a halt during fold sticks; detection already fired
 		}
-		folded = res.Folded
 		cur = res
-		if folded > 0 {
-			s.rewriteHealedLog(inst, cur, suffix[:folded])
+		if res.Folded > 0 {
+			chain = s.rewriteHealedLog(inst, cur, suffix[:res.Folded])
 			inst.heals++
 		}
 	}
-	// Reseed the set from the healed chain so lagging (or reset) peers
-	// converge on the enclave's view.
+	// Reseed the set from the verified chain so lagging (or reset) peers
+	// converge on the enclave's view. The host's log stands in for it only
+	// when it is exactly that long: a shorter view (a rollback pin still
+	// in force) would rebuild every peer down to the stale head and destroy
+	// the copies the next heal needs.
 	blob, err := inst.store.Load(s.cfg.StateSlot)
 	if err != nil {
 		return
 	}
-	records, err := inst.store.LoadLog(core.SlotDeltaLog)
-	if err != nil {
-		return
+	if chain == nil {
+		if chain, err = inst.store.LoadLog(core.SlotDeltaLog); err != nil || len(chain) != cur.ChainLen {
+			return
+		}
 	}
-	inst.rs.Reseed(sha256.Sum256(blob), records)
+	inst.rs.Reseed(sha256.Sum256(blob), chain)
 }
 
 func (s *Server) chainSync(inst *instance, suffix [][]byte) (*core.ChainSyncResult, error) {
@@ -141,25 +141,27 @@ func (s *Server) chainSync(inst *instance, suffix [][]byte) (*core.ChainSyncResu
 }
 
 // rewriteHealedLog replaces the local delta log with exactly the chain
-// the enclave now holds: the local prefix it folded at recovery plus the
-// peer suffix it folded just now. A blind append would duplicate records
-// whenever the stale local view hid a longer on-disk log; the rewrite is
-// idempotent, and a crash inside it loses nothing — every record is held
-// by a quorum of peers and the next restart re-heals.
-func (s *Server) rewriteHealedLog(inst *instance, cur *core.ChainSyncResult, suffix [][]byte) {
+// the enclave now holds — the local prefix it folded at recovery plus the
+// peer suffix it folded just now — and returns that chain, or nil when
+// the host's view of the log does not match the enclave's. A blind append
+// would duplicate records whenever the stale local view hid a longer
+// on-disk log; the rewrite is idempotent, and a crash inside it loses
+// nothing — every record is held by a quorum of peers and the next
+// restart re-heals.
+func (s *Server) rewriteHealedLog(inst *instance, cur *core.ChainSyncResult, suffix [][]byte) [][]byte {
 	local, err := inst.store.LoadLog(core.SlotDeltaLog)
 	if err != nil {
-		return
+		return nil
 	}
 	keep := cur.ChainLen - len(suffix)
 	if keep < 0 || keep > len(local) {
-		return // view mismatch: leave the log alone, memory is healed
+		return nil // view mismatch: leave the log alone, memory is healed
 	}
 	healed := append(append([][]byte(nil), local[:keep]...), suffix...)
-	if err := inst.store.TruncateLog(core.SlotDeltaLog); err != nil {
-		return
+	if err := inst.store.TruncateLog(core.SlotDeltaLog); err == nil {
+		_ = inst.store.AppendGroup(core.SlotDeltaLog, healed)
 	}
-	_ = inst.store.AppendGroup(core.SlotDeltaLog, healed)
+	return healed
 }
 
 // resyncBaseLocked re-anchors the replica set after a barrier ecall that

@@ -210,6 +210,55 @@ func TestTornReplicationLocalLossHeals(t *testing.T) {
 	}
 }
 
+// A heal must not reseed the peers from the host's stale view of the log.
+// The rollback pin stays in force across the heal, so the host keeps
+// serving the truncated log even after the healed rewrite: the peers must
+// still hold the whole acknowledged chain afterwards, and a second restart
+// under the same pin heals again from them.
+func TestHealKeepsPeersUnderHeldPin(t *testing.T) {
+	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
+	st := newReplicatedStack(t, storage, 1, []uint32{1}, true, 2, 2)
+	sess := st.session(1)
+	for i := 1; i <= 4; i++ {
+		if _, err := sess.Do(kvs.Put("doc", fmt.Sprintf("draft-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.server.AttackRollback(0, 2); err != nil {
+		t.Fatalf("AttackRollback: %v", err)
+	}
+	get := func(when string) {
+		t.Helper()
+		res, err := sess.Do(kvs.Get("doc"))
+		if err != nil {
+			t.Fatalf("get %s: %v", when, err)
+		}
+		if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "draft-4" {
+			t.Fatalf("doc %s = %q, want draft-4", when, kv.Value)
+		}
+	}
+	get("after the first heal")
+	rs := st.server.instanceAt(0).rs
+	chain := storage.LogLen(core.SlotDeltaLog) // the healed chain, past the pin
+	for r, p := range rs.PeerStatuses() {
+		if p.Count != chain || p.Head != rs.Head() {
+			t.Fatalf("replica %d after the heal holds %d records (head level %v), want all %d",
+				r, p.Count, p.Head == rs.Head(), chain)
+		}
+	}
+
+	if err := st.server.Enclave(0).Restart(); err != nil {
+		t.Fatal(err)
+	}
+	get("after the second heal")
+	if err := st.server.Enclave(0).HaltedErr(); err != nil {
+		t.Fatalf("second restart under the pin halted: %v", err)
+	}
+	if ds, err := st.server.DeploymentStatus(); err != nil || ds.Shards[0].Heals != 2 {
+		t.Fatalf("status = %+v (%v), want two heals", ds, err)
+	}
+}
+
 // Torn replication state, direction two: the local fsync survived but the
 // peers lost (rolled back) their acknowledged mirrors. The primary's
 // restart reseeds the peers from its local chain, so the replica set

@@ -43,7 +43,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative quorum", func(c *Config) { c.Replicas = 2; c.Quorum = -1 }, "Quorum must be"},
 		{"quorum exceeds replica set", func(c *Config) { c.Replicas = 2; c.Quorum = 4 }, "exceeds the replica set size 3"},
 		{"negative latency target", func(c *Config) { c.CommitLatencyTarget = -time.Millisecond }, "CommitLatencyTarget must be"},
-		{"latency target without group commit", func(c *Config) { c.CommitLatencyTarget = time.Millisecond }, "without GroupCommit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,7 +62,6 @@ func TestConfigValidateRejects(t *testing.T) {
 func TestConfigValidateDefaults(t *testing.T) {
 	cfg := validConfig(t)
 	cfg.Replicas = 4
-	cfg.GroupCommit = true
 	cfg.SnapshotReads = true
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)

@@ -358,6 +358,25 @@ func (s *FileStore) Store(slot string, blob []byte) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("stablestore: rename: %w", err)
 	}
+	return s.syncDir()
+}
+
+// syncDir makes the directory's entries durable in sync mode: a rename,
+// a log's creation or its unlink is otherwise not guaranteed to survive a
+// power cut, which could pair an old blob with a new log (a false
+// rollback).
+func (s *FileStore) syncDir() error {
+	if !s.sync {
+		return nil
+	}
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return fmt.Errorf("stablestore: open dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("stablestore: fsync dir: %w", err)
+	}
 	return nil
 }
 
@@ -409,9 +428,9 @@ func (s *FileStore) appendFramed(slot string, framed []byte) error {
 	sl := s.lock(slot)
 	defer sl.mu.Unlock()
 	if sl.log == nil {
-		f, err := os.OpenFile(s.logPath(slot), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		f, err := s.openLog(slot)
 		if err != nil {
-			return fmt.Errorf("stablestore: open log: %w", err)
+			return err
 		}
 		sl.log = f
 	}
@@ -425,6 +444,53 @@ func (s *FileStore) appendFramed(slot string, framed []byte) error {
 		s.model.WaitSyncWrite()
 	}
 	return nil
+}
+
+// openLog opens a log slot for appending. A crash can leave a torn frame
+// at the tail, which LoadLog drops; appending behind it would bury every
+// later record inside that frame, so the next restart would cut off
+// acknowledged records (a false rollback). The file is therefore cut back
+// to its last complete frame first. A newly created log's directory entry
+// is made durable in sync mode.
+func (s *FileStore) openLog(slot string) (*os.File, error) {
+	f, err := os.OpenFile(s.logPath(slot), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("stablestore: open log: %w", err)
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		var end int64
+		if end, err = completeFrames(f, fi.Size()); err == nil && end < fi.Size() {
+			err = f.Truncate(end)
+		}
+	}
+	if err == nil && fi.Size() == 0 {
+		err = s.syncDir()
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("stablestore: open log: %w", err)
+	}
+	return f, nil
+}
+
+// completeFrames returns the length of the longest prefix of the log's
+// first size bytes made of complete frames, under the wire.SplitLogFrames
+// rules: a zero length or one beyond the bytes left is a torn frame.
+func completeFrames(f *os.File, size int64) (int64, error) {
+	var hdr [4]byte
+	var off int64
+	for off+4 <= size {
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return 0, err
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[:]))
+		if n == 0 || n > size-off-4 {
+			break
+		}
+		off += 4 + n
+	}
+	return off, nil
 }
 
 // LoadLog implements Store. A torn trailing record (host crash mid-append)
@@ -510,10 +576,14 @@ func (s *FileStore) TruncateLog(slot string) error {
 	sl := s.lock(slot)
 	defer sl.mu.Unlock()
 	sl.closeLog()
-	if err := os.Remove(s.logPath(slot)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	err := os.Remove(s.logPath(slot))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("stablestore: truncate log: %w", err)
 	}
-	return nil
+	return s.syncDir()
 }
 
 // DeleteNamespace implements NamespaceDeleter. Slot names sanitize "/"

@@ -395,6 +395,64 @@ func TestFileStoreLogReopenAndTornTail(t *testing.T) {
 	}
 }
 
+// Golden: an append after a crash that left a torn tail lands behind the
+// last complete frame, so a reopen returns every record — before and
+// after the crash. Appending behind the torn bytes would bury the new
+// records inside the torn frame and lose them at the next restart.
+func TestFileStoreAppendAfterTornTail(t *testing.T) {
+	for _, torn := range []struct {
+		name string
+		tail []byte
+	}{
+		{"short payload", []byte{0, 0, 0, 100, 'x', 'y', 'z'}},
+		{"short header", []byte{0, 0}},
+		{"zero filled", make([]byte, 12)},
+	} {
+		t.Run(torn.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := NewFileStore(dir, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.AppendGroup("lcm-deltalog", [][]byte{[]byte("r0"), []byte("r1")}); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(fs.logPath("lcm-deltalog"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(torn.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			// Restart: a fresh store over the directory appends once more.
+			fs2, err := NewFileStore(dir, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs2.AppendGroup("lcm-deltalog", [][]byte{[]byte("r2"), []byte("r3")}); err != nil {
+				t.Fatal(err)
+			}
+			fs3, err := NewFileStore(dir, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := fs3.LoadLog("lcm-deltalog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, len(log))
+			for i, rec := range log {
+				got[i] = string(rec)
+			}
+			if want := []string{"r0", "r1", "r2", "r3"}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("log after torn tail + append = %q, want %q", got, want)
+			}
+		})
+	}
+}
+
 // The rollback adversary can serve a truncated delta-log suffix and stops
 // doing so after ClearAttack.
 func TestRollbackStoreLogTruncationAttack(t *testing.T) {
