@@ -47,7 +47,7 @@ func run() error {
 	var (
 		experiment = flag.String("experiment", "all", "fig4|fig5|fig6|memory|msgsize|tmc|ablation|sealablation|syncablation|shardablation|scanablation|batchgroup|reshardablation|replication|readablation|cloneablation|membership|ci|all")
 		duration   = flag.Duration("duration", 2*time.Second, "measurement window per data point (paper: 30s)")
-		scale      = flag.Float64("scale", 1.0, "latency model scale factor (1.0 = full fidelity)")
+		scale      = flag.Float64("scale", 1.0, "latency model scale factor (1.0 = full fidelity, 0 = off)")
 		records    = flag.Int("records", 1000, "object count (paper: 1000)")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		latModel   = flag.String("latencymodel", "spin", "spin (precise, needs one core per enclave) | sleep (overlaps on any core count)")

@@ -116,7 +116,7 @@ func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "listen address")
 		dir     = flag.String("dir", "lcm-data", "stable storage directory")
-		batch   = flag.Int("batch", 16, "request batch size (1 disables batching)")
+		batch   = flag.Int("batch", 16, "cap on a request batch; batches form from requests queued behind a running ecall (1 disables batching)")
 		clients = flag.Int("clients", 8, "client group size (ids 1..n)")
 		shards  = flag.Int("shards", 1, "keyspace shards (independent enclave instances)")
 		svcName = flag.String("service", "kvs", "hosted functionality: kvs | bank")

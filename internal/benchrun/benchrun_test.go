@@ -404,3 +404,18 @@ func TestDeployReplicatedLCM(t *testing.T) {
 		t.Fatalf("Get = %q %v %v", v, found, err)
 	}
 }
+
+// Scale 0 turns the latency model off, as lcm-server -scale 0 does: the
+// filled configs keep it, and the model a run builds charges nothing.
+func TestScaleZeroChargesNothing(t *testing.T) {
+	if s := (MemoryConfig{}).fill().Scale; s != 0 {
+		t.Fatalf("MemoryConfig{}.fill().Scale = %v, want 0", s)
+	}
+	m := RunConfig{}.fill().model()
+	start := time.Now()
+	m.WaitTMC() // 60 ms at scale 1
+	m.WaitSyncWrite()
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("a Scale 0 model charged %v for a counter increment and an fsync", d)
+	}
+}

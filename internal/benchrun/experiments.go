@@ -11,14 +11,16 @@ import (
 	"lcm/internal/ycsb"
 )
 
-// RunConfig tunes an experiment run. The zero value gets sensible
-// defaults from fill().
+// RunConfig tunes an experiment run. Zero fields get sensible defaults
+// from fill(), except Scale: 0 turns the latency model off, as
+// lcm-server -scale 0 does.
 type RunConfig struct {
 	// Duration is the measurement window per data point. The paper uses
 	// 30 s; the default here is 2 s so a full figure regenerates in
 	// minutes. Pass -duration 30s to lcm-bench for paper-faithful runs.
 	Duration time.Duration
-	// Scale multiplies every injected latency (1.0 = full fidelity).
+	// Scale multiplies every injected latency (1.0 = full fidelity, 0 =
+	// none).
 	Scale float64
 	// SleepAll switches the latency model from spinning to sleeping for
 	// every charge (lcm-bench -latencymodel sleep): charged enclave time
@@ -43,9 +45,6 @@ type RunConfig struct {
 func (c RunConfig) fill() RunConfig {
 	if c.Duration == 0 {
 		c.Duration = 2 * time.Second
-	}
-	if c.Scale == 0 {
-		c.Scale = 1.0
 	}
 	if len(c.Clients) == 0 {
 		c.Clients = []int{1, 2, 4, 8, 16, 32}

@@ -32,7 +32,7 @@ type MemoryConfig struct {
 	EPCLimitBytes int64
 	// ProbeOps is how many GET/PUT probes time each step.
 	ProbeOps int
-	// Scale multiplies injected latencies.
+	// Scale multiplies injected latencies (0 = none).
 	Scale float64
 }
 
@@ -47,9 +47,6 @@ func (c MemoryConfig) fill() MemoryConfig {
 	}
 	if c.ProbeOps == 0 {
 		c.ProbeOps = 200
-	}
-	if c.Scale == 0 {
-		c.Scale = 1.0
 	}
 	return c
 }

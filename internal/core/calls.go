@@ -75,7 +75,7 @@ func BatchCallSize(invokes [][]byte) int {
 }
 
 // AppendBatchCall encodes a batch call into w, allowing hot paths (the
-// host's batch loop) to reuse one buffer across batches.
+// host's batch ecall) to reuse one buffer across batches.
 func AppendBatchCall(w *wire.Writer, invokes [][]byte) {
 	w.U8(callBatch)
 	w.U32(uint32(len(invokes)))

@@ -78,8 +78,10 @@ func (s *Server) tickLoop(inst *instance) {
 // beaconOnce performs one beacon round: the reserve ecall behind the
 // persistence barrier, then the hand-off of its record to the committer,
 // which confirms the beacon after the record is durable. Without
-// GroupCommit the round waits for that commit.
+// GroupCommit the round waits for that commit; with it, the round commits
+// inline once the persist lock is dropped, unless a commit is running.
 func (s *Server) beaconOnce(inst *instance) error {
+	defer inst.cm.kick()
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	s.healLocked(inst)

@@ -15,9 +15,9 @@ const (
 	DefaultCommitLatencyTarget = 10 * time.Millisecond
 
 	// commitGroupFloor and commitGroupCeiling bound the adaptive cap.
-	// The ceiling is a burst backstop (and the committer queue's buffer
-	// size), not a tuning knob: a burst can never defer durability — and
-	// replies — indefinitely.
+	// The ceiling is a burst backstop and the committer queue's bound, not
+	// a tuning knob: a burst can never defer durability — and replies —
+	// indefinitely.
 	commitGroupFloor   = 1
 	commitGroupCeiling = 1024
 
@@ -26,10 +26,10 @@ const (
 )
 
 // groupPolicy decides how many queued batch results the committer drains
-// into one commit group. It is owned by the committer goroutine; no
-// internal locking. The policy is deterministic — observe() is a pure
-// function of the current cap and the measured group — so it unit-tests
-// without a clock.
+// into one commit group. Only the goroutine currently committing uses it
+// (committer.running); no internal locking. The policy is deterministic —
+// observe() is a pure function of the current cap and the measured group —
+// so it unit-tests without a clock.
 type groupPolicy struct {
 	target time.Duration
 	limit  int

@@ -46,6 +46,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -77,23 +78,24 @@ type Config struct {
 	// is partitioned over; 0 or 1 means the classic single-enclave
 	// deployment (and keeps the unprefixed storage layout).
 	Shards int
-	// BatchSize limits how many invokes one ecall carries; 1 disables
+	// BatchSize caps how many invokes one ecall carries; batches form only
+	// from the requests that queue behind a running ecall. 1 disables
 	// batching (the paper evaluates both, Sec. 6.4).
 	BatchSize int
 	// StateSlot names the storage slot for piggybacked state blobs;
 	// empty means the LCM default (core.SlotStateBlob). Baseline enclave
 	// programs that share this host use their own slot.
 	StateSlot string
-	// GroupCommit lets the batch loop and the beacon tick start their next
-	// ecall while the previous result is still being committed. Every
-	// sealed result (batch, beacon, epoch seal, churn) is made durable by
-	// the enclave instance's committer, which coalesces the records queued
-	// during one fsync into a single AppendGroup call (the
-	// baseline.AOF.AppendGroup pattern, Sec. 6.4's Redis configuration)
-	// and releases replies only after the covering write. With GroupCommit
-	// off, each submitter waits for its own commit before it drops the
-	// persist lock, so groups hold one result. Crash tolerance is the same
-	// either way; non-batch ecalls flush the committer first.
+	// GroupCommit lets the next ecall start while the previous result is
+	// still being committed. Every sealed result (batch, beacon, epoch
+	// seal, churn) is made durable by the enclave instance's committer,
+	// which coalesces the records queued behind a running commit into a
+	// single AppendGroup call (the baseline.AOF.AppendGroup pattern,
+	// Sec. 6.4's Redis configuration) and releases replies only after the
+	// covering write. With GroupCommit off, each submitter commits (or
+	// waits for) its own result before it drops the persist lock, so
+	// groups hold one result. Crash tolerance is the same either way;
+	// non-batch ecalls flush the committer first.
 	GroupCommit bool
 	// Replicas adds enclave-to-enclave chain replication: every shard
 	// primary gets this many peer replica enclaves mirroring its sealed
@@ -235,8 +237,8 @@ func (r request) respond(frame []byte) {
 }
 
 // gather accumulates the per-part response frames of one FrameMultiInvoke
-// request. Parts complete independently on their shards' batch loops (and
-// committers); the combined response is sent exactly once, when the last
+// request. Parts complete independently on their shards' ecall and commit
+// stages; the combined response is sent exactly once, when the last
 // part lands. A slow or halted shard therefore delays only its own
 // requests' gathers, never another connection's traffic.
 type gather struct {
@@ -296,6 +298,9 @@ type instance struct {
 	queue   chan request
 	cm      *committer  // the only writer of sealed results
 	pm      *sync.Mutex // serialize (ecall, commit hand-off) pairs vs barrier ecalls
+
+	qmu     sync.Mutex // guards leading
+	leading bool       // a goroutine leads the ecall stage (see lead)
 
 	// Replication state (nil/zero when unreplicated or a fork instance):
 	// the shard's replica set, the enclave epoch the heal check last ran
@@ -495,26 +500,28 @@ func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shar
 	inst.cm = &committer{
 		srv:    s,
 		inst:   inst,
-		ch:     make(chan commitReq, commitGroupCeiling),
+		wake:   make(chan struct{}, 1),
 		policy: newGroupPolicy(s.cfg.CommitLatencyTarget),
 	}
 	return inst
 }
 
-// startInstance launches an instance's committer, batch loop and (when a
-// beacon or epoch interval is armed) tick loop.
+// startInstance launches an instance's committer and (when a beacon or
+// epoch interval is armed) tick loop.
 func (s *Server) startInstance(inst *instance) {
-	loops := []func(){inst.cm.run, func() { s.batchLoop(inst) }}
+	s.spawn(inst.cm.run)
 	if s.cfg.BeaconInterval > 0 || s.cfg.EpochInterval > 0 {
-		loops = append(loops, func() { s.tickLoop(inst) })
+		s.spawn(func() { s.tickLoop(inst) })
 	}
-	for _, loop := range loops {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			loop()
-		}()
-	}
+}
+
+// spawn runs f on a goroutine that Shutdown waits for.
+func (s *Server) spawn(f func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
 }
 
 // instanceAt returns instance idx, or nil when out of range.
@@ -707,7 +714,8 @@ func (s *Server) routeFrame(cs *connState, payload []byte) (*instance, []byte, e
 // connections) and reconnects.
 var errStaleGeneration = errors.New("host: deployment resharded; refresh routing via reshard info")
 
-// connLoop reads frames from one client connection.
+// connLoop reads frames from one client connection and answers each,
+// except an invoke: that is answered by whichever goroutine commits it.
 func (s *Server) connLoop(cs *connState) {
 	defer cs.conn.Close()
 	for {
@@ -726,10 +734,8 @@ func (s *Server) connLoop(cs *connState) {
 				_ = cs.send(wire.ErrorFrame(err))
 				continue
 			}
-			select {
-			case inst.queue <- request{conn: cs, invoke: invoke}:
-			case <-s.stop:
-				return
+			if s.enqueue(inst, request{conn: cs, invoke: invoke}) {
+				s.lead(inst)
 			}
 		case wire.FrameMultiInvoke:
 			// Scatter: each part joins its shard's batch queue like a
@@ -737,10 +743,19 @@ func (s *Server) connLoop(cs *connState) {
 			// every shard has answered. Routing (including fork
 			// overrides) is per part; the generation check and every
 			// part's instance resolution share one critical section for
-			// the same reason as routeFrame.
+			// the same reason as routeFrame. Every part is queued before
+			// this goroutine leads any instance, so an enqueue that waits
+			// at a full queue may hold the lead of the frame's earlier
+			// shards; parts must name strictly increasing shards (as the
+			// client sends them), so those waits can never close a cycle.
 			gen, parts, err := wire.DecodeMultiShardParts(payload)
 			if err == nil && len(parts) == 0 {
 				err = errors.New("host: empty multi-shard frame")
+			}
+			for i := 1; err == nil && i < len(parts); i++ {
+				if parts[i].Shard <= parts[i-1].Shard {
+					err = errors.New("host: multi-shard frame parts must name strictly increasing shards")
+				}
 			}
 			if err != nil {
 				_ = cs.send(wire.ErrorFrame(err))
@@ -756,15 +771,21 @@ func (s *Server) connLoop(cs *connState) {
 				continue
 			}
 			g := newGather(cs, len(parts))
+			var leads []*instance
 			for i, p := range parts {
 				if partErrs[i] != nil {
 					g.set(i, wire.ErrorFrame(partErrs[i]))
-					continue
+				} else if s.enqueue(insts[i], request{conn: cs, gather: g, part: i, invoke: p.Payload}) {
+					leads = append(leads, insts[i])
 				}
-				select {
-				case insts[i].queue <- request{conn: cs, gather: g, part: i, invoke: p.Payload}:
-				case <-s.stop:
-					return
+			}
+			// The shards work in parallel: all but the last instance this
+			// frame leads get a goroutine of their own.
+			for i, inst := range leads {
+				if i < len(leads)-1 {
+					s.spawn(func() { s.lead(inst) })
+				} else {
+					s.lead(inst)
 				}
 			}
 		case wire.FrameReadInvoke:
@@ -863,31 +884,59 @@ func (s *Server) connLoop(cs *connState) {
 	}
 }
 
-// batchLoop collects requests into batches (up to BatchSize, or fewer when
-// the queue momentarily empties — the Sec. 5.3 policy), performs the
-// ecall and hands the sealed result to the committer, which persists it
-// and releases the replies. Under GroupCommit the next ecall overlaps the
-// previous batch's fsync; otherwise the loop waits for each commit.
-func (s *Server) batchLoop(inst *instance) {
-	for {
-		var batch []request
-		select {
-		case first := <-inst.queue:
-			batch = append(batch, first)
-		case <-s.stop:
-			return
-		}
-	fill:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case next := <-inst.queue:
-				batch = append(batch, next)
-			default:
-				break fill
-			}
-		}
+// enqueue adds req to the instance's batch queue, waiting while the queue
+// is full, and reports whether the caller must now lead the ecall stage
+// (no goroutine was leading it). After Shutdown it drops req.
+func (s *Server) enqueue(inst *instance, req request) bool {
+	select {
+	case <-s.stop:
+		return false
+	default:
+	}
+	select {
+	case inst.queue <- req:
+	case <-s.stop:
+		return false
+	}
+	inst.qmu.Lock()
+	defer inst.qmu.Unlock()
+	lead := !inst.leading
+	inst.leading = true
+	return lead
+}
+
+// lead runs the ecall stage for one batch (leader/follower batching): it
+// takes up to BatchSize queued requests — what queued behind the previous
+// ecall, so batches grow exactly when the enclave is the bottleneck
+// (Sec. 5.3) — and runs processBatch. If requests are still queued it
+// hands the stage to a fresh goroutine, so no connection leads for ever
+// and the next ecall overlaps this commit; then it commits inline if no
+// commit is running. Followers' replies go out from whichever goroutine
+// commits them. After Shutdown it fails its batch and hands nothing on.
+func (s *Server) lead(inst *instance) {
+	// Only the leader receives, so a receive after a non-zero len never
+	// blocks.
+	batch := make([]request, 0, min(s.cfg.BatchSize, len(inst.queue)))
+	for len(batch) < cap(batch) {
+		batch = append(batch, <-inst.queue)
+	}
+	select {
+	case <-s.stop:
+		failBatch(batch, transport.ErrClosed)
+		return
+	default:
+	}
+	if len(batch) > 0 {
 		s.processBatch(inst, batch)
 	}
+	inst.qmu.Lock()
+	inst.leading = len(inst.queue) > 0
+	more := inst.leading
+	inst.qmu.Unlock()
+	if more {
+		s.spawn(func() { s.lead(inst) })
+	}
+	inst.cm.kick()
 }
 
 func (s *Server) processBatch(inst *instance, batch []request) {
@@ -993,7 +1042,7 @@ func (r commitReq) kind() commitKind {
 }
 
 // committer is the only code in the host that makes sealed results
-// durable. It drains the results of one enclave instance's batch loop,
+// durable. It commits the results of one enclave instance's batches,
 // beacon ticks, epoch seals and churn ecalls: consecutive delta records
 // are appended as one group under a single fsync (Store.AppendGroup),
 // consecutive full-seal blobs collapse to one store of the last
@@ -1001,11 +1050,22 @@ func (r commitReq) kind() commitKind {
 // released only after the covering write returns, and any persistence
 // failure is treated as a crash — the enclave restarts, queued results
 // from the failed epoch are discarded, and clients converge via retries.
+//
+// Commits run on whichever goroutine finds the committer idle (flat
+// combining): a leader commits one group inline after dropping the
+// persist lock, a waiting submitter commits until its own result is
+// answered, and the resident goroutine (run) drains what queued behind a
+// running commit. Whoever sets running is the only writer until it clears
+// it; results queue in submission order, which pm makes chain order.
 type committer struct {
 	srv    *Server
 	inst   *instance
-	ch     chan commitReq
 	policy *groupPolicy // adaptive group cap (see groupsize.go)
+
+	mu      sync.Mutex
+	pending []commitReq   // submitted, not yet committed
+	running bool          // a goroutine is committing a group
+	wake    chan struct{} // (buffered, 1) results pending behind a commit
 
 	failEpoch uint64 // results sealed in epochs <= failEpoch are dropped
 
@@ -1018,36 +1078,63 @@ type committer struct {
 
 func (c *committer) run() {
 	for {
-		var first commitReq
 		select {
-		case first = <-c.ch:
+		case <-c.wake:
 		case <-c.srv.stop:
 			return
 		}
-		pending := []commitReq{first}
-	drain:
-		for len(pending) < c.policy.size() {
-			select {
-			case r := <-c.ch:
-				pending = append(pending, r)
-			default:
-				break drain
-			}
+		for c.commit() {
 		}
-		c.process(pending)
 	}
 }
 
-// submit queues req and, when it carries an ack, waits for the
-// committer's verdict on it.
-func (c *committer) submit(req commitReq) error {
-	select {
-	case c.ch <- req:
-	case <-c.srv.stop:
-		return transport.ErrClosed
+// commit makes the next group durable unless another goroutine is
+// committing, and reports whether results are still pending after it.
+func (c *committer) commit() bool {
+	c.mu.Lock()
+	if c.running || len(c.pending) == 0 {
+		c.mu.Unlock()
+		return false
 	}
+	c.running = true
+	n := min(len(c.pending), c.policy.size())
+	group := slices.Clone(c.pending[:n])
+	c.pending = slices.Delete(c.pending, 0, n)
+	c.mu.Unlock()
+	c.process(group)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.running = false
+	return len(c.pending) > 0
+}
+
+// kick commits one group inline unless a commit is running, and leaves
+// what is still pending to the resident goroutine. Every submitter that
+// does not wait calls it after dropping the persist lock.
+func (c *committer) kick() {
+	if c.commit() {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// submit queues req; the caller holds inst.pm. A submitter that waits —
+// its req carries an ack, or it finds commitGroupCeiling results already
+// pending — commits inline until nothing is pending (pm keeps anyone else
+// from adding to the list), or waits for the running commit to answer.
+func (c *committer) submit(req commitReq) error {
+	c.mu.Lock()
+	if len(c.pending) >= commitGroupCeiling && req.ack == nil {
+		req.ack = make(chan error, 1)
+	}
+	c.pending = append(c.pending, req)
+	c.mu.Unlock()
 	if req.ack == nil {
 		return nil
+	}
+	for c.commit() {
 	}
 	select {
 	case err := <-req.ack:
@@ -1329,7 +1416,7 @@ func (s *Server) Drain() {
 	}
 }
 
-// Shutdown stops the batchers, closes every live connection (unblocking
+// Shutdown stops the committers, closes every live connection (unblocking
 // their handlers) and waits for all goroutines to drain. The caller closes
 // its Listener (which unblocks Serve) before calling.
 func (s *Server) Shutdown() {

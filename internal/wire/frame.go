@@ -137,13 +137,14 @@ func EncodeMultiShardFrame(gen uint32, parts []ShardPart) []byte {
 
 // DecodeMultiShardParts parses a FrameMultiInvoke payload (everything
 // after the kind byte) into the sender's generation and its
-// shard-addressed parts.
+// shard-addressed parts. The untrusted count reserves no more parts than
+// the payload can hold (each takes at least 5 bytes).
 func DecodeMultiShardParts(payload []byte) (uint32, []ShardPart, error) {
 	r := NewReader(payload)
 	gen := r.U32()
 	n := int(r.U16())
-	parts := make([]ShardPart, 0, n)
-	for i := 0; i < n; i++ {
+	parts := make([]ShardPart, 0, min(n, r.Remaining()/5))
+	for i := 0; i < n && r.Err() == nil; i++ {
 		shard := int(r.U8())
 		inner := r.Var()
 		parts = append(parts, ShardPart{Shard: shard, Payload: inner})
@@ -174,12 +175,13 @@ func EncodeMultiResponse(parts [][]byte) []byte {
 // DecodeMultiResponse splits a multi-response payload back into the
 // per-part response frames, to be decoded individually with
 // DecodeResponse — so one halted shard yields an error part while the
-// other parts still carry verifiable replies.
+// other parts still carry verifiable replies. Like DecodeMultiShardParts,
+// it bounds the reservation by the payload (a part is at least 4 bytes).
 func DecodeMultiResponse(payload []byte) ([][]byte, error) {
 	r := NewReader(payload)
 	n := int(r.U16())
-	parts := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
+	parts := make([][]byte, 0, min(n, r.Remaining()/4))
+	for i := 0; i < n && r.Err() == nil; i++ {
 		parts = append(parts, r.Var())
 	}
 	if err := r.Done(); err != nil {
