@@ -18,6 +18,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -162,6 +163,28 @@ func Seal(k Key, plaintext, associated []byte) ([]byte, error) {
 		return nil, fmt.Errorf("aead: nonce: %w", err)
 	}
 	return gcm.Seal(nonce, nonce, plaintext, associated), nil
+}
+
+// SealInPlace is Seal for a plaintext encoded straight into the buffer
+// that will hold the ciphertext: buf is NonceSize bytes of headroom
+// followed by the plaintext. The nonce is drawn into the headroom and the
+// plaintext encrypted where it lies, so when cap(buf) leaves room for the
+// tag (Overhead − NonceSize bytes) the result aliases buf and sealing
+// neither allocates nor copies. The result is nonce ‖ ciphertext ‖ tag,
+// exactly what Seal returns.
+func SealInPlace(k Key, buf, associated []byte) ([]byte, error) {
+	gcm, err := cachedGCM(k)
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) < NonceSize {
+		return nil, ErrCiphertextShort
+	}
+	buf = slices.Grow(buf, gcm.Overhead())
+	if _, err := rand.Read(buf[:NonceSize]); err != nil {
+		return nil, fmt.Errorf("aead: nonce: %w", err)
+	}
+	return gcm.Seal(buf[:NonceSize], buf[:NonceSize], buf[NonceSize:], associated), nil
 }
 
 // Open implements auth-decrypt(c, k): it verifies and decrypts a ciphertext

@@ -40,6 +40,44 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// SealInPlace produces what Seal produces (Open cannot tell them apart),
+// inside the caller's buffer when it has room for the tag, and grows the
+// buffer when it has not.
+func TestSealInPlace(t *testing.T) {
+	k, _ := NewKey()
+	plaintext := bytes.Repeat([]byte("state"), 1000)
+	ad := []byte("blob")
+	for _, spare := range []int{Overhead - NonceSize, 0} {
+		buf := make([]byte, NonceSize+len(plaintext), NonceSize+len(plaintext)+spare)
+		copy(buf[NonceSize:], plaintext)
+		ct, err := SealInPlace(k, buf, ad)
+		if err != nil {
+			t.Fatalf("SealInPlace (spare %d): %v", spare, err)
+		}
+		if len(ct) != len(plaintext)+Overhead {
+			t.Fatalf("spare %d: sealed %d bytes, want %d", spare, len(ct), len(plaintext)+Overhead)
+		}
+		if inPlace := &ct[0] == &buf[0]; inPlace != (spare > 0) {
+			t.Fatalf("spare %d: result in the caller's buffer = %v", spare, inPlace)
+		}
+		got, err := Open(k, ct, ad)
+		if err != nil || !bytes.Equal(got, plaintext) {
+			t.Fatalf("spare %d: Open = %v, round trip equal %v", spare, err, bytes.Equal(got, plaintext))
+		}
+	}
+	buf := make([]byte, NonceSize+len(plaintext), Overhead+len(plaintext))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := SealInPlace(k, buf, ad); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("SealInPlace with room for the tag allocated %.1f times, want 0", allocs)
+	}
+	if _, err := SealInPlace(k, make([]byte, NonceSize-1), ad); err != ErrCiphertextShort {
+		t.Fatalf("SealInPlace without nonce headroom = %v, want ErrCiphertextShort", err)
+	}
+}
+
 func TestOpenRejectsTamperedCiphertext(t *testing.T) {
 	k, _ := NewKey()
 	ct, err := Seal(k, []byte("state blob"), []byte("ad"))

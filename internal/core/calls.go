@@ -168,17 +168,19 @@ func encodeBatchResult(res *BatchResult) []byte {
 	return w.Bytes()
 }
 
-// DecodeBatchResult parses the enclave's batch response (host side).
+// DecodeBatchResult parses the enclave's batch response (host side). The
+// replies, the blob and the record alias b, which an ecall allocates
+// afresh for every response: the caller must not reuse b.
 func DecodeBatchResult(b []byte) (*BatchResult, error) {
 	r := wire.NewReader(b)
-	n := r.U32()
+	n := r.Count(4)
 	res := &BatchResult{Replies: make([][]byte, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		res.Replies = append(res.Replies, r.Var())
+	for i := 0; i < n; i++ {
+		res.Replies = append(res.Replies, r.VarView())
 	}
 	res.Compact = r.Bool()
-	res.StateBlob = r.Var()
-	res.DeltaRecord = r.Var()
+	res.StateBlob = r.VarView()
+	res.DeltaRecord = r.VarView()
 	res.Seq = r.U64()
 	res.Beacon = r.Bool()
 	if err := r.Done(); err != nil {

@@ -308,7 +308,7 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 		res.StateBlob = blob
 		res.Compact = true
 	default:
-		rec, err := p.sealDeltaRecord(p.t, vmap{}, nil)
+		rec, err := p.sealDeltaRecord(p.t, vmap{}, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -403,7 +403,7 @@ func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 			res.StateBlob = blob
 			res.Compact = true
 		default:
-			rec, err := p.sealDeltaRecord(p.t, touched, removed)
+			rec, err := p.sealDeltaRecord(p.t, touched, removed, false)
 			if err != nil {
 				return nil, err
 			}

@@ -55,8 +55,10 @@ func newRigWith(t *testing.T, clientIDs []uint32, tune func(*TrustedConfig)) *ri
 	}
 }
 
-func TestDeltaRecordRoundtrip(t *testing.T) {
-	rec := deltaRecord{
+// goldenDeltaRecord is the record the golden round-trip test encodes; the
+// decoder's fuzz target starts from it too.
+func goldenDeltaRecord() *deltaRecord {
+	return &deltaRecord{
 		FromT:    7,
 		ToT:      9,
 		AdminSeq: 3,
@@ -67,6 +69,10 @@ func TestDeltaRecordRoundtrip(t *testing.T) {
 		},
 		Delta: []byte("service-delta"),
 	}
+}
+
+func TestDeltaRecordRoundtrip(t *testing.T) {
+	rec := goldenDeltaRecord()
 	enc := rec.encode()
 	got, err := decodeDeltaRecord(enc)
 	if err != nil {

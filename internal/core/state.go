@@ -66,7 +66,12 @@ package core
 //
 // Compaction re-seals a full snapshot instead of a delta; the host stores
 // it and truncates the log, bounding recovery time and reclaiming space.
-// The chain restarts at the fresh blob's hash.
+// The chain restarts at the fresh blob's hash. One compaction touches the
+// state five times: the service encodes its snapshot into an exact-size
+// buffer, sealState copies it once into the blob's buffer, seals it there
+// in place, hashes the blob for the chain, and the ecall response copies
+// it across the boundary (the host decodes it without a copy). Recovery
+// opens the blob and restores the service from the plaintext in place.
 //
 // The default policy is adaptive: the enclave tracks the sealed size of
 // the last full snapshot (what one compaction costs) and the cumulative
@@ -101,6 +106,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 
 	"lcm/internal/hashchain"
@@ -167,43 +173,53 @@ type trustedState struct {
 func (s *trustedState) encodedSize() int {
 	size := 56 + len(s.KC) + len(s.Snapshot) + 40 + hashchain.Size + 4*len(s.Evicted)
 	for _, e := range s.V {
-		size += 4 + 8 + 8 + 2*hashchain.Size + 4 + len(e.LastReply)
+		size += vEntryMinSize + len(e.LastReply)
 	}
 	return size
 }
 
-func encodeVEntry(w *wire.Writer, id uint32, e *ventry) {
-	w.U32(id)
-	w.U64(e.TA)
-	w.Bytes32(e.HA)
-	w.U64(e.T)
-	w.Bytes32(e.H)
-	w.Var(e.LastReply)
+// vEntryMinSize is an encoded V entry's size with an empty LastReply.
+const vEntryMinSize = 4 + 8 + 8 + 2*hashchain.Size + 4
+
+// encodeVMap writes v count-prefixed, in ascending id order.
+func encodeVMap(w *wire.Writer, v vmap) {
+	w.U32(uint32(len(v)))
+	for _, id := range v.clientIDs() {
+		e := v[id]
+		w.U32(id)
+		w.U64(e.TA)
+		w.Bytes32(e.HA)
+		w.U64(e.T)
+		w.Bytes32(e.H)
+		w.Var(e.LastReply)
+	}
 }
 
-func decodeVEntry(r *wire.Reader) (uint32, *ventry) {
-	id := r.U32()
-	e := &ventry{
-		TA: r.U64(),
-		HA: r.Bytes32(),
-		T:  r.U64(),
-		H:  r.Bytes32(),
+// decodeVMap reads what encodeVMap writes. Any other entry order, or a
+// repeated id, is malformed, so every V that decodes has one encoding.
+func decodeVMap(r *wire.Reader) vmap {
+	n := r.Count(vEntryMinSize)
+	v := make(vmap, n)
+	for i, prev := 0, int64(-1); i < n; i++ {
+		id := r.U32()
+		if int64(id) <= prev {
+			r.Fail(errors.New("V entries not in ascending id order"))
+		}
+		prev = int64(id)
+		e := &ventry{TA: r.U64(), HA: r.Bytes32(), T: r.U64(), H: r.Bytes32()}
+		if e.LastReply = r.Var(); len(e.LastReply) == 0 {
+			e.LastReply = nil
+		}
+		v[id] = e
 	}
-	e.LastReply = r.Var()
-	if len(e.LastReply) == 0 {
-		e.LastReply = nil
-	}
-	return id, e
+	return v
 }
 
 func (s *trustedState) encodeTo(w *wire.Writer) {
 	w.U64(s.AdminSeq)
 	w.U64(s.Gen)
 	w.Var(s.KC)
-	w.U32(uint32(len(s.V)))
-	for _, id := range s.V.clientIDs() {
-		encodeVEntry(w, id, s.V[id])
-	}
+	encodeVMap(w, s.V)
 	w.Var(s.Snapshot)
 	w.U64(s.BeaconSeq)
 	w.U64(s.BeaconTick)
@@ -227,23 +243,17 @@ func (s *trustedState) encode() []byte {
 
 func decodeTrustedState(b []byte) (*trustedState, error) {
 	r := wire.NewReader(b)
-	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var()}
-	n := r.U32()
-	s.V = make(vmap, n)
-	for i := uint32(0); i < n; i++ {
-		id, e := decodeVEntry(r)
-		s.V[id] = e
-	}
-	s.Snapshot = r.Var()
+	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var(), V: decodeVMap(r)}
+	s.Snapshot = r.VarView() // aliases b; Restore copies what it keeps
 	s.BeaconSeq = r.U64()
 	s.BeaconTick = r.U64()
 	s.GroupEpoch = r.U64()
 	s.QFloor = r.U64()
 	s.CommitteeSize = r.U32()
-	ne := r.U32()
+	ne := r.Count(4)
 	if ne > 0 {
 		s.Evicted = make([]uint32, ne)
-		for i := uint32(0); i < ne; i++ {
+		for i := 0; i < ne; i++ {
 			s.Evicted[i] = r.U32()
 		}
 	}
@@ -284,7 +294,7 @@ type deltaRecord struct {
 func (d *deltaRecord) encodedSize() int {
 	size := 8 + 8 + 8 + 32 + 4 + 4 + 16 + len(d.Delta) + 32 + hashchain.Size + 4*len(d.Removed)
 	for _, e := range d.Entries {
-		size += 4 + 8 + 8 + 2*hashchain.Size + 4 + len(e.LastReply)
+		size += vEntryMinSize + len(e.LastReply)
 	}
 	return size
 }
@@ -294,11 +304,7 @@ func (d *deltaRecord) encodeTo(w *wire.Writer) {
 	w.U64(d.ToT)
 	w.U64(d.AdminSeq)
 	w.Bytes32(d.Prev)
-	w.U32(uint32(len(d.Entries)))
-	// Deterministic order, like every other LCM encoding.
-	for _, id := range d.Entries.clientIDs() {
-		encodeVEntry(w, id, d.Entries[id])
-	}
+	encodeVMap(w, d.Entries)
 	w.Var(d.Delta)
 	w.U64(d.BeaconSeq)
 	w.U64(d.BeaconTick)
@@ -325,20 +331,15 @@ func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 		ToT:      r.U64(),
 		AdminSeq: r.U64(),
 		Prev:     r.Bytes32(),
-	}
-	n := r.U32()
-	d.Entries = make(vmap, n)
-	for i := uint32(0); i < n; i++ {
-		id, e := decodeVEntry(r)
-		d.Entries[id] = e
+		Entries:  decodeVMap(r),
 	}
 	d.Delta = r.Var()
 	d.BeaconSeq = r.U64()
 	d.BeaconTick = r.U64()
-	nr := r.U32()
+	nr := r.Count(4)
 	if nr > 0 {
 		d.Removed = make([]uint32, nr)
-		for i := uint32(0); i < nr; i++ {
+		for i := 0; i < nr; i++ {
 			d.Removed[i] = r.U32()
 		}
 	}

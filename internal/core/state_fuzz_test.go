@@ -1,0 +1,98 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
+
+// withCount returns b with the u32 at off replaced by n: an announced
+// element count the rest of the input cannot back.
+func withCount(b []byte, off int, n uint32) []byte {
+	out := bytes.Clone(b)
+	binary.BigEndian.PutUint32(out[off:], n)
+	return out
+}
+
+// decodeBound is what decoding len bytes may allocate: the entries and
+// copies the input can actually hold, never what its counts announce.
+func decodeBound(n int) uint64 { return uint64(16*n + 64<<10) }
+
+// FuzzDecodeTrustedState: no panic; the bytes allocated are bounded by
+// the input's length, whatever its counts announce; and a state that
+// decodes re-encodes to exactly the input.
+func FuzzDecodeTrustedState(f *testing.F) {
+	golden := goldenTrustedState().encode()
+	vCount := 8 + 8 + 4 + 16 // AdminSeq, Gen, KC (16 bytes)
+	f.Add(golden)
+	f.Add(golden[:len(golden)-1])
+	f.Add([]byte{1, 2, 3})
+	f.Add(make([]byte, 40))
+	f.Add(withCount(golden, vCount, 1<<24))                 // 16 M V entries
+	f.Add(withCount(golden, vCount, 0xFFFFFFFF))            // the largest count
+	f.Add(withCount(golden, len(golden)-(4+8+8+32), 1<<30)) // evicted ids
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var (
+			s   *trustedState
+			err error
+		)
+		if alloc, _ := allocated(func() { s, err = decodeTrustedState(b) }); alloc > decodeBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(b), alloc, decodeBound(len(b)))
+		}
+		if err != nil {
+			return
+		}
+		if out := s.encode(); !bytes.Equal(out, b) {
+			t.Fatalf("decode/encode round trip changed the state:\n in %x\nout %x", b, out)
+		}
+	})
+}
+
+// FuzzDecodeDeltaRecord: the same three oracles for a delta-log record.
+func FuzzDecodeDeltaRecord(f *testing.F) {
+	golden := goldenDeltaRecord().encode()
+	entriesCount := 8 + 8 + 8 + 32                     // FromT, ToT, AdminSeq, Prev
+	removedCount := len(golden) - (4 + 8 + 8 + 8 + 32) // before GroupEpoch, QFloor, SeqT, SeqH
+	f.Add(golden)
+	f.Add(golden[:len(golden)-1])
+	f.Add((&deltaRecord{Removed: []uint32{4, 2}}).encode())
+	f.Add(make([]byte, 40))
+	f.Add(withCount(golden, entriesCount, 1<<24))
+	f.Add(withCount(golden, entriesCount, 0xFFFFFFFF))
+	f.Add(withCount(golden, removedCount, 1<<30))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var (
+			d   *deltaRecord
+			err error
+		)
+		if alloc, _ := allocated(func() { d, err = decodeDeltaRecord(b) }); alloc > decodeBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(b), alloc, decodeBound(len(b)))
+		}
+		if err != nil {
+			return
+		}
+		if out := d.encode(); !bytes.Equal(out, b) {
+			t.Fatalf("decode/encode round trip changed the record:\n in %x\nout %x", b, out)
+		}
+	})
+}
+
+// The canonical V encoding is the only one: entries out of id order, or a
+// repeated id, do not decode (the encoders never write either).
+func TestDecodeVMapRejectsNonCanonicalOrder(t *testing.T) {
+	golden := goldenTrustedState().encode()
+	first := 8 + 8 + 4 + 16 + 4 // the first V entry's id
+	second := first + vEntryMinSize + len("cached-reply")
+	for name, id := range map[string]uint32{"descending": 0, "repeated": 1} {
+		b := withCount(golden, second, id)
+		if _, err := decodeTrustedState(b); err == nil {
+			t.Fatalf("%s ids decoded", name)
+		}
+	}
+	if _, err := decodeTrustedState(withCount(golden, second, 3)); err != nil {
+		t.Fatalf("ascending ids 1, 3: %v", err)
+	}
+	if _, err := decodeTrustedState(withCount(golden, first, 0)); err != nil {
+		t.Fatalf("ascending ids 0, 2: %v", err)
+	}
+}

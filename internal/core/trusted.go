@@ -664,7 +664,7 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 		res.StateBlob = blob
 		res.Compact = true
 	default:
-		rec, err := p.sealDeltaRecord(fromT, touched, nil)
+		rec, err := p.sealDeltaRecord(fromT, touched, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -701,8 +701,12 @@ func (p *Trusted) shouldCompact() bool {
 }
 
 // sealDeltaRecord seals this batch's delta record and advances the chain.
-// removed lists membership tombstones (churn leaves) the record carries.
-func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, removed []uint32) ([]byte, error) {
+// removed lists membership tombstones (churn leaves) the record carries. A
+// beacon record is an empty batch's record that also carries the beacon
+// fields: it advances the chain exactly like a batch record, so a clone
+// committing beacons of its own forks the chain like any other divergent
+// writer.
+func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, removed []uint32, beacon bool) ([]byte, error) {
 	delta, err := p.deltaSvc.Delta()
 	if err != nil {
 		return nil, fmt.Errorf("lcm: service delta: %w", err)
@@ -720,10 +724,10 @@ func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, remo
 		SeqT:       p.t,
 		SeqH:       p.h,
 	}
-	w := wire.GetWriter(rec.encodedSize())
-	rec.encodeTo(w)
-	sealed, err := aead.Seal(p.kp, w.Bytes(), []byte(adDeltaLog))
-	wire.PutWriter(w)
+	if beacon {
+		rec.BeaconSeq, rec.BeaconTick = p.beaconSeq, p.beaconTick
+	}
+	sealed, err := p.sealEncoded(&rec, adDeltaLog)
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal delta record: %w", err)
 	}
@@ -803,49 +807,13 @@ func (p *Trusted) handleBeacon(env tee.Env) ([]byte, error) {
 		res.StateBlob = blob
 		res.Compact = true
 	default:
-		rec, err := p.sealBeaconRecord()
+		rec, err := p.sealDeltaRecord(p.t, vmap{}, nil, true)
 		if err != nil {
 			return nil, err
 		}
 		res.DeltaRecord = rec
 	}
 	return encodeBatchResult(&res), nil
-}
-
-// sealBeaconRecord seals an empty-batch delta record carrying the beacon
-// fields and advances the chain exactly like a batch record — a clone
-// committing beacons of its own forks the chain like any other divergent
-// writer.
-func (p *Trusted) sealBeaconRecord() ([]byte, error) {
-	delta, err := p.deltaSvc.Delta()
-	if err != nil {
-		return nil, fmt.Errorf("lcm: service delta: %w", err)
-	}
-	rec := deltaRecord{
-		FromT:      p.t,
-		ToT:        p.t,
-		AdminSeq:   p.adminSeq,
-		Prev:       p.chainPrev,
-		Entries:    vmap{},
-		Delta:      delta,
-		BeaconSeq:  p.beaconSeq,
-		BeaconTick: p.beaconTick,
-		GroupEpoch: p.g.epoch,
-		QFloor:     p.g.qFloor,
-		SeqT:       p.t,
-		SeqH:       p.h,
-	}
-	w := wire.GetWriter(rec.encodedSize())
-	rec.encodeTo(w)
-	sealed, err := aead.Seal(p.kp, w.Bytes(), []byte(adDeltaLog))
-	wire.PutWriter(w)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: seal beacon record: %w", err)
-	}
-	p.chainPrev = blobHash(sealed)
-	p.chainLen++
-	p.chainBytes += len(sealed)
-	return sealed, nil
 }
 
 // handleBeaconConfirm claims the counter tick the last beacon reserved,
@@ -956,10 +924,7 @@ func (p *Trusted) sealState() ([]byte, error) {
 		SeqT:          p.t,
 		SeqH:          p.h,
 	}
-	w := wire.GetWriter(state.encodedSize())
-	state.encodeTo(w)
-	blob, err := aead.Seal(p.kp, w.Bytes(), []byte(adStateBlob))
-	wire.PutWriter(w)
+	blob, err := p.sealEncoded(&state, adStateBlob)
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal state: %w", err)
 	}
@@ -972,6 +937,19 @@ func (p *Trusted) sealState() ([]byte, error) {
 	p.snapBytes = len(blob)
 	p.forceCompact = false
 	return blob, nil
+}
+
+// sealEncoded encodes v behind nonce headroom into a buffer with room for
+// the tag and seals it there (aead.SealInPlace): the plaintext is written
+// once and the ciphertext needs no buffer of its own.
+func (p *Trusted) sealEncoded(v interface {
+	encodedSize() int
+	encodeTo(*wire.Writer)
+}, ad string) ([]byte, error) {
+	w := wire.NewWriter(aead.Overhead + v.encodedSize())
+	w.Pad(aead.NonceSize)
+	v.encodeTo(w)
+	return aead.SealInPlace(p.kp, w.Bytes(), []byte(ad))
 }
 
 // sealKeyBlob produces blobkey ← auth-encrypt(kP, kS).

@@ -198,18 +198,25 @@ func TestClientIDsSorted(t *testing.T) {
 	}
 }
 
-func TestStateEncodeDecodeRoundTrip(t *testing.T) {
+// goldenTrustedState is the state the golden round-trip test encodes; the
+// decoder's fuzz target starts from it too.
+func goldenTrustedState() *trustedState {
 	v := newVMap([]uint32{1, 2})
 	v[1].TA, v[1].T = 3, 4
 	v[1].HA = hashchain.Extend(hashchain.Initial(), []byte("a"), 3, 1)
 	v[1].H = hashchain.Extend(hashchain.Initial(), []byte("b"), 4, 1)
 	v[1].LastReply = []byte("cached-reply")
-	state := &trustedState{
+	return &trustedState{
 		AdminSeq: 7,
 		KC:       make([]byte, 16),
 		V:        v,
 		Snapshot: []byte("service-snapshot"),
 	}
+}
+
+func TestStateEncodeDecodeRoundTrip(t *testing.T) {
+	state := goldenTrustedState()
+	v := state.V
 	got, err := decodeTrustedState(state.encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)

@@ -467,8 +467,8 @@ func encodeTxRecord(w *wire.Writer, key string, rec txRecord) {
 
 // decodeTxRecord reads one keyed transaction record.
 func decodeTxRecord(r *wire.Reader) (string, txRecord) {
-	key := string(r.Var())
-	rec := txRecord{State: r.U8(), Account: string(r.Var())}
+	key := string(r.VarView())
+	rec := txRecord{State: r.U8(), Account: string(r.VarView())}
 	rec.Amount = int64(r.U64())
 	rec.Epoch = r.U64()
 	return key, rec
@@ -513,15 +513,15 @@ func (b *Bank) Snapshot() ([]byte, error) {
 // Restore implements service.Service.
 func (b *Bank) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
-	n := r.U32()
+	n := r.Count(12)
 	accounts := make(map[string]int64, n)
-	for i := uint32(0); i < n; i++ {
-		name := string(r.Var())
+	for i := 0; i < n; i++ {
+		name := string(r.VarView())
 		accounts[name] = int64(r.U64())
 	}
-	ntx := r.U32()
+	ntx := r.Count(25)
 	txs := make(map[string]txRecord, ntx)
-	for i := uint32(0); i < ntx; i++ {
+	for i := 0; i < ntx; i++ {
 		key, rec := decodeTxRecord(r)
 		txs[key] = rec
 	}

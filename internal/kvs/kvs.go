@@ -290,11 +290,13 @@ func (s *Store) Footprint() int64 { return s.footprint }
 // (sorted keys) so identical states serialize identically.
 func (s *Store) Snapshot() ([]byte, error) {
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	size := 4 // exact, so the writer never regrows (a regrow copies the state)
+	for k, v := range s.data {
 		keys = append(keys, k)
+		size += 8 + len(k) + len(v)
 	}
 	sort.Strings(keys)
-	w := wire.NewWriter(16 + len(s.data)*32)
+	w := wire.NewWriter(size)
 	w.U32(uint32(len(keys)))
 	for _, k := range keys {
 		w.Var([]byte(k))
@@ -309,12 +311,12 @@ func (s *Store) Snapshot() ([]byte, error) {
 // Restore implements service.Service.
 func (s *Store) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
-	n := r.U32()
+	n := r.Count(8)
 	data := make(map[string]string, n)
 	var footprint int64
-	for i := uint32(0); i < n; i++ {
-		k := string(r.Var())
-		v := string(r.Var())
+	for i := 0; i < n; i++ {
+		k := string(r.VarView())
+		v := string(r.VarView())
 		data[k] = v
 		footprint += entryFootprint(k, v)
 	}
@@ -361,13 +363,13 @@ func (s *Store) Delta() ([]byte, error) {
 // the snapshot overlay's point of view.
 func (s *Store) ApplyDelta(delta []byte) error {
 	r := wire.NewReader(delta)
-	n := r.U32()
-	for i := uint32(0); i < n; i++ {
+	n := r.Count(5)
+	for i := 0; i < n; i++ {
 		kind := r.U8()
-		k := string(r.Var())
+		k := string(r.VarView())
 		switch kind {
 		case deltaSet:
-			v := string(r.Var())
+			v := string(r.VarView())
 			if r.Err() != nil {
 				break
 			}

@@ -29,7 +29,8 @@ type Service interface {
 	Snapshot() ([]byte, error)
 
 	// Restore replaces the service state from a snapshot produced by
-	// Snapshot.
+	// Snapshot. The snapshot may alias a caller's buffer (the opened state
+	// blob): copy what must outlive the call, never retain the slice.
 	Restore(snapshot []byte) error
 
 	// Footprint estimates the resident memory of the service state in

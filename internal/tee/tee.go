@@ -366,6 +366,7 @@ type Enclave struct {
 	mu       sync.Mutex
 	label    string
 	program  Program // nil when stopped
+	env      *env    // the running epoch's, sealing key derived once at Start
 	epoch    uint64
 	resident int64
 	halted   bool
@@ -489,9 +490,9 @@ func (e *Enclave) Start() error {
 	}
 	e.epoch++
 	e.resident = 0
-	ev := &env{enclave: e, sealing: sealing, epoch: e.epoch}
+	e.env = &env{enclave: e, sealing: sealing, epoch: e.epoch}
 	e.platform.model.WaitECall()
-	if err := prog.Init(ev); err != nil {
+	if err := prog.Init(e.env); err != nil {
 		var halt *HaltError
 		if errors.As(err, &halt) {
 			e.halted = true
@@ -551,12 +552,7 @@ func (e *Enclave) Call(payload []byte) ([]byte, error) {
 	if f := e.pagingFactor(); f > 0 {
 		e.platform.model.WaitPaging(f)
 	}
-	sealing, err := keyderiv.SealingKey(e.platform.rootSecret, e.measurement[:])
-	if err != nil {
-		return nil, err
-	}
-	ev := &env{enclave: e, sealing: sealing, epoch: e.epoch}
-	resp, err := e.program.Call(ev, payload)
+	resp, err := e.program.Call(e.env, payload)
 	if err != nil {
 		var halt *HaltError
 		if errors.As(err, &halt) {

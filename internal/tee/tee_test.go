@@ -170,6 +170,23 @@ func TestSealingKeyProperties(t *testing.T) {
 	}
 }
 
+// An ecall costs the program's work and nothing else: the epoch's sealing
+// key is derived once, at Start, not per Call.
+func TestCallDoesNotAllocate(t *testing.T) {
+	_, e := newTestEnclave(t)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("echo")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.Call(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Call of a no-op program allocated %.1f times, want 0", allocs)
+	}
+}
+
 func TestHaltOnViolationIsPermanent(t *testing.T) {
 	_, e := newTestEnclave(t)
 	if err := e.Start(); err != nil {

@@ -115,6 +115,10 @@ func PutWriter(w *Writer) {
 	}
 }
 
+// Pad appends n zero bytes: headroom a later in-place step fills (the
+// nonce of aead.SealInPlace).
+func (w *Writer) Pad(n int) { w.buf = append(w.buf, make([]byte, n)...) }
+
 // U8 appends one byte.
 func (w *Writer) U8(v byte) { w.buf = append(w.buf, v) }
 
@@ -164,6 +168,15 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 // Err returns the first decoding error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
+// Fail records err unless an error is already set: a decoder's own
+// checks beyond the wire format surface through Err and Done like
+// ErrTruncated does.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
@@ -187,7 +200,7 @@ func (r *Reader) take(n int) []byte {
 		r.err = ErrTruncated
 		return nil
 	}
-	out := r.buf[r.off : r.off+n]
+	out := r.buf[r.off : r.off+n : r.off+n] // an append to a view never overwrites what follows
 	r.off += n
 	return out
 }
@@ -229,6 +242,19 @@ func (r *Reader) U64() uint64 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(b)
+}
+
+// Count reads a u32 element count for elements of at least minSize bytes
+// each. A count the remaining bytes cannot hold is ErrTruncated (and reads
+// as 0), so a decoder that sizes an allocation or a loop by it never does
+// more work than its input can back.
+func (r *Reader) Count(minSize int) int {
+	n := r.U32()
+	if r.err == nil && uint64(n)*uint64(minSize) > uint64(r.Remaining()) {
+		r.err = ErrTruncated
+		return 0
+	}
+	return int(n)
 }
 
 // Bytes32 reads a fixed 32-byte value.

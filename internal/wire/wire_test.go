@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -216,6 +217,42 @@ func TestWriterSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state encode allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// Count admits a count only when the bytes left can hold that many
+// elements of the stated minimum size; Fail keeps the first error; a view
+// never reaches past its own bytes.
+func TestReaderCountFailAndViews(t *testing.T) {
+	w := NewWriter(0)
+	w.U32(3)
+	w.Pad(3 * 8)
+	if n := NewReader(w.Bytes()).Count(8); n != 3 {
+		t.Fatalf("Count(8) over 3 × 8 bytes = %d, want 3", n)
+	}
+	r := NewReader(w.Bytes())
+	if n := r.Count(9); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Count(9) over 3 × 8 bytes = %d, %v; want 0, ErrTruncated", n, r.Err())
+	}
+	custom := errors.New("out of order")
+	r.Fail(custom)
+	if !errors.Is(r.Done(), ErrTruncated) {
+		t.Fatalf("Fail replaced the first error: %v", r.Done())
+	}
+	r = NewReader(w.Bytes())
+	r.Fail(custom)
+	if !errors.Is(r.Done(), custom) || r.U32() != 0 {
+		t.Fatalf("after Fail: Done = %v", r.Done())
+	}
+
+	w = NewWriter(0)
+	w.Var([]byte("ab"))
+	w.Var([]byte("cd"))
+	r = NewReader(w.Bytes())
+	first := r.VarView()
+	_ = append(first, 'X')
+	if second := r.VarView(); string(second) != "cd" {
+		t.Fatalf("an append to the first view overwrote the second: %q", second)
 	}
 }
 
