@@ -1,6 +1,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -578,5 +579,60 @@ func TestZeroFilledLogTailRestartsWithoutHalt(t *testing.T) {
 	}
 	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v3" {
 		t.Fatalf("value after restart = %q, want v3", kv.Value)
+	}
+}
+
+// An honest crash can also persist a record's frame at full length with
+// the tail of its payload still zeros (the log's size reached the disk
+// before its data). The restart fold must read that frame as a torn tail
+// — the write it carried was never durable — and keep serving the state
+// before it, not halt on it as a record that failed authentication.
+func TestTornLogFrameRestartsWithoutHalt(t *testing.T) {
+	dir := t.TempDir()
+	store, err := stablestore.NewFileStore(dir, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newShardStack(t, store, 1, []uint32{1, 2}, false)
+	c := s.session(1)
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Do(kvs.Put("k", fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, core.SlotDeltaLog+".log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the [u32 length | u32 CRC-32C | payload] frames to the end of
+	// the last one.
+	end := 0
+	for end+8 <= len(raw) {
+		n := int(binary.BigEndian.Uint32(raw[end:]))
+		if n == 0 || n > len(raw)-end-8 {
+			break
+		}
+		end += 8 + n
+	}
+	log, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteAt(make([]byte, 16), int64(end-16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.server.Enclave(0).Restart(); err != nil {
+		t.Fatalf("restart over a torn log frame: %v", err)
+	}
+	res, err := s.session(2).Do(kvs.Get("k"))
+	if err != nil {
+		t.Fatalf("get after restart: %v", err)
+	}
+	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v2" {
+		t.Fatalf("value after restart = %q, want v2", kv.Value)
 	}
 }

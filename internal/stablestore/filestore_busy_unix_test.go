@@ -12,22 +12,23 @@ import (
 )
 
 // Slot B's operations complete while slot A is busy inside its own I/O.
-// A's log file is a FIFO nobody drains, so an append larger than the pipe
-// buffer stays parked in write(2) — under A's lock — for as long as the
-// test likes. With one store-wide lock every call below would wait for it.
+// A's blob temp file is a FIFO nobody drains, so a Store larger than the
+// pipe buffer stays parked — first in open(2) until the test opens the
+// read end, then in write(2) — under A's lock for as long as the test
+// likes. With one store-wide lock every call below would wait for it.
 func TestFileStoreConcurrentSlotBusy(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFileStore(dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo := filepath.Join(dir, "a.log")
+	fifo := filepath.Join(dir, "a.blob.tmp")
 	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
 		t.Skipf("mkfifo: %v", err)
 	}
-	appended := make(chan error, 1)
-	go func() { appended <- fs.Append("a", make([]byte, 1<<20)) }()
-	// Opening the read end returns once the append has opened the write
+	stored := make(chan error, 1)
+	go func() { stored <- fs.Store("a", make([]byte, 1<<20)) }()
+	// Opening the read end returns once the Store has opened the write
 	// end, which it does with A's lock held.
 	drain, err := os.Open(fifo)
 	if err != nil {
@@ -61,16 +62,16 @@ func TestFileStoreConcurrentSlotBusy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("slot b while slot a is busy: %v", err)
 		}
-	case err := <-appended:
-		t.Fatalf("the append to slot a was meant to stay parked, returned %v", err)
+	case err := <-stored:
+		t.Fatalf("the Store to slot a was meant to stay parked, returned %v", err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("slot b's operations waited for slot a's write")
 	}
 
-	if _, err := io.Copy(io.Discard, io.LimitReader(drain, 4+1<<20)); err != nil {
+	if _, err := io.Copy(io.Discard, io.LimitReader(drain, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-appended; err != nil {
-		t.Fatalf("append to slot a: %v", err)
+	if err := <-stored; err != nil {
+		t.Fatalf("Store to slot a: %v", err)
 	}
 }

@@ -63,28 +63,20 @@ func TestFileStoreScanLogDropsTornTail(t *testing.T) {
 		name string
 		tail []byte
 	}{
-		{"short payload", []byte{0, 0, 0, 99, 'x', 'y'}},
+		{"short payload", []byte{0, 0, 0, 99, 1, 2, 3, 4, 'x', 'y'}},
 		{"zero fill", make([]byte, 4096)},
-		{"huge length", []byte{0xFF, 0xFF, 0xFF, 0xF0, 'x', 'y'}},
+		{"huge length", []byte{0xFF, 0xFF, 0xFF, 0xF0, 1, 2, 3, 4, 'x', 'y'}},
 	} {
 		tail := tc.tail
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := NewFileStore(dir, false, nil)
+			s, err := NewFileStore(t.TempDir(), false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Append("log", []byte("complete")); err != nil {
 				t.Fatal(err)
 			}
-			f, err := os.OpenFile(filepath.Join(dir, "log.log"), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(tail); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+			s = tornRestart(t, s, "log", 0, tail)
 
 			var got [][]byte
 			var before, after runtime.MemStats
@@ -101,7 +93,7 @@ func TestFileStoreScanLogDropsTornTail(t *testing.T) {
 				t.Fatalf("scan over torn log = %q", got)
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
-				t.Fatalf("scan over a %d-byte log allocated %d bytes", 12+len(tail), alloc)
+				t.Fatalf("scan over a %d-byte log allocated %d bytes", frameHeader+len("complete")+len(tail), alloc)
 			}
 			if log, err := s.LoadLog("log"); err != nil || len(log) != 1 {
 				t.Fatalf("LoadLog over torn log = %q, %v", log, err)
@@ -112,15 +104,22 @@ func TestFileStoreScanLogDropsTornTail(t *testing.T) {
 
 // FuzzFileStoreScanLog writes an arbitrary byte string as a log file.
 // Oracles: no panic; ScanLog streams exactly the records LoadLog (that
-// is, wire.SplitLogFrames) returns — the two decoders agree on every
-// torn-tail rule; and the scan allocates in proportion to the file, not
-// to the lengths its headers claim.
+// is, splitFrames) returns, and openLog cuts the file back to exactly
+// those records' frames — the three readers agree on every torn-tail
+// rule; flipping a byte inside a returned record's payload ends the
+// stream at that record; and the scan allocates in proportion to the
+// file, not to the lengths its headers claim.
 func FuzzFileStoreScanLog(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 'a', 0, 0, 0, 2, 'b', 'c'})
-	f.Add([]byte{0, 0, 0, 1, 'a', 0, 0, 0, 99, 'x', 'y'})
-	f.Add([]byte{0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 1, 'b'})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xF0, 'x', 'y'})
+	f.Add(frameStream("a", "bc"))
+	f.Add(append(frameStream("a"), 0, 0, 0, 99, 1, 2, 3, 4, 'x', 'y'))
+	f.Add(append(frameStream("a"), appendFrame(make([]byte, frameHeader), []byte("b"))...))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xF0, 1, 2, 3, 4, 'x', 'y'})
+	zeroed := frameStream("a", "zero-filled payload")
+	clear(zeroed[len(zeroed)-len("zero-filled payload"):])
+	f.Add(zeroed)
+	f.Add(append(frameStream("a", "bc"), "garbage behind a valid frame"...))
+	f.Add(append(frameStream("a", "bc"), make([]byte, logExtent)...))
 	dir := f.TempDir()
 	s, err := NewFileStore(dir, false, nil)
 	if err != nil {
@@ -153,9 +152,48 @@ func FuzzFileStoreScanLog(f *testing.F) {
 		if len(scanned) != len(loaded) {
 			t.Fatalf("ScanLog saw %d records, LoadLog %d", len(scanned), len(loaded))
 		}
+		var framed int64
 		for i := range loaded {
 			if !bytes.Equal(scanned[i], loaded[i]) {
 				t.Fatalf("record %d: ScanLog %q, LoadLog %q", i, scanned[i], loaded[i])
+			}
+			framed += frameHeader + int64(len(loaded[i]))
+		}
+
+		sl := s.lock("log")
+		err = s.openLog(sl, "log")
+		off := sl.off
+		sl.closeLog()
+		sl.mu.Unlock()
+		if err != nil {
+			t.Fatalf("openLog: %v", err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off != framed || fi.Size() != framed {
+			t.Fatalf("openLog cut the log to %d bytes, append offset %d; the records LoadLog returns span %d", fi.Size(), off, framed)
+		}
+
+		var start int64
+		for i, rec := range loaded {
+			start += frameHeader
+			flipped := bytes.Clone(raw[:framed])
+			flipped[start+int64(len(raw)%len(rec))] ^= 0xFF
+			start += int64(len(rec))
+			if got, end := splitFrames(flipped); len(got) != i || end != start-frameHeader-int64(len(rec)) {
+				t.Fatalf("a byte flipped in record %d: split = %d records ending at %d", i, len(got), end)
+			}
+			if i != len(raw)%len(loaded) {
+				continue
+			}
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := s.ScanLog("log", func([]byte) error { n++; return nil }); err != nil || n != i {
+				t.Fatalf("a byte flipped in record %d: ScanLog visited %d records (%v)", i, n, err)
 			}
 		}
 	})

@@ -12,9 +12,11 @@ package stablestore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,7 +25,6 @@ import (
 	"sync"
 
 	"lcm/internal/latency"
-	"lcm/internal/wire"
 )
 
 // ErrNotFound reports that a slot has never been stored.
@@ -265,6 +266,13 @@ func (s *MemStore) Slots() []string {
 // latency), which is the configuration of Fig. 6; otherwise writes are
 // asynchronous as in Figs. 4-5.
 //
+// A log file is extended in logExtent steps ahead of its frames (a zero
+// tail), and appends WriteAt the end of the complete frames, so an fsync
+// commits the file's size only when an append crosses into a new extent.
+// A failed extend, write or fsync drops the slot's handle: the next
+// append reopens the log and cuts it back to its complete frames. The
+// append offset lives in the FileStore: one FileStore per directory.
+//
 // Locking contract. Operations serialise per slot, not per store. Each
 // slot name (its blob and its log share it) has a mutex held across the
 // whole operation — write, fsync and charged latency included — so one
@@ -288,9 +296,14 @@ type FileStore struct {
 
 // fileSlot is one slot's lock and, once appended to, its open log handle.
 type fileSlot struct {
-	mu  sync.Mutex
-	log *os.File
+	mu   sync.Mutex
+	log  *os.File
+	off  int64 // end of the complete frames: where the next append writes
+	size int64 // the file's length: off plus the zero tail
 }
+
+// logExtent is the step a log file grows by ahead of its frames.
+const logExtent = 64 << 10
 
 var (
 	_ Store      = (*FileStore)(nil)
@@ -393,16 +406,75 @@ func (s *FileStore) Load(slot string) ([]byte, error) {
 	return blob, nil
 }
 
-// Append implements Store. Records are framed as a 4-byte big-endian
-// length followed by the payload (wire.AppendLogFrame), written in a
-// single Write so a crash leaves at most one torn record at the tail —
-// which LoadLog drops, the same recovery contract as a lost final Store.
+// Log framing: a log is a stream of [u32 length | u32 CRC-32C of the
+// payload | payload] frames, big-endian, written by the untrusted host
+// (the CRC is no MAC: the enclave authenticates each record). The stream
+// ends at its first torn frame, by construction unacknowledged work: a
+// zero length (sealed records are never empty; a log's tail is zeros), a
+// length past the bytes left, or a payload that fails its checksum.
+const frameHeader = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendFrame appends record's frame to dst.
+func appendFrame(dst, record []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(record)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(record, castagnoli))
+	return append(dst, record...)
+}
+
+// scanFrames calls fn with each record of the size-byte frame stream r up
+// to its first torn frame, and returns the length of the complete frames.
+// A length is checked against the bytes left before its payload is
+// allocated, so a corrupt header costs nothing.
+func scanFrames(r io.Reader, size int64, fn func(record []byte) error) (end int64, err error) {
+	var hdr [frameHeader]byte
+	for {
+		if _, err = io.ReadFull(r, hdr[:]); err != nil {
+			break
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[:]))
+		if n == 0 || n > size-end-frameHeader {
+			return end, nil
+		}
+		rec := make([]byte, n)
+		if _, err = io.ReadFull(r, rec); err != nil {
+			break
+		}
+		if crc32.Checksum(rec, castagnoli) != binary.BigEndian.Uint32(hdr[4:]) {
+			return end, nil
+		}
+		if err := fn(rec); err != nil {
+			return end, err
+		}
+		end += frameHeader + n
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return end, nil // a clean end, a torn header, or a file that shrank
+	}
+	return end, err
+}
+
+// splitFrames cuts an in-memory frame stream into records and returns the
+// length of the complete frames.
+func splitFrames(raw []byte) (records [][]byte, end int64) {
+	end, _ = scanFrames(bytes.NewReader(raw), int64(len(raw)), func(rec []byte) error {
+		records = append(records, rec)
+		return nil
+	})
+	return records, end
+}
+
+// Append implements Store. The record's frame is written in a single
+// WriteAt, so a crash leaves at most one torn frame behind the complete
+// ones — which LoadLog drops, the same recovery contract as a lost final
+// Store.
 func (s *FileStore) Append(slot string, record []byte) error {
-	return s.appendFramed(slot, wire.AppendLogFrame(nil, record))
+	return s.appendFramed(slot, appendFrame(nil, record))
 }
 
 // AppendGroup implements Store: the whole group is framed into one buffer,
-// written in a single Write and covered by a single fsync (and a single
+// written in a single WriteAt and covered by a single fsync (and a single
 // charged SyncWrite latency) — concurrent batches amortize the commit
 // cost, which is what lets the sync-writes configuration scale. A crash
 // mid-write persists a prefix of complete records plus at most one torn
@@ -413,112 +485,123 @@ func (s *FileStore) AppendGroup(slot string, records [][]byte) error {
 	}
 	size := 0
 	for _, record := range records {
-		size += 4 + len(record)
+		size += frameHeader + len(record)
 	}
 	framed := make([]byte, 0, size)
 	for _, record := range records {
-		framed = wire.AppendLogFrame(framed, record)
+		framed = appendFrame(framed, record)
 	}
 	return s.appendFramed(slot, framed)
 }
 
-// appendFramed writes pre-framed bytes to a log slot (opening and caching
-// its append handle if needed), fsyncing once in sync mode.
+// appendFramed writes pre-framed bytes at the end of a log slot's
+// complete frames (opening the log if needed), extends the file first
+// when they do not fit, and fsyncs once in sync mode. Any failure drops
+// the handle, so the next append reopens and cuts the log back.
 func (s *FileStore) appendFramed(slot string, framed []byte) error {
 	sl := s.lock(slot)
 	defer sl.mu.Unlock()
 	if sl.log == nil {
-		f, err := s.openLog(slot)
-		if err != nil {
+		if err := s.openLog(sl, slot); err != nil {
 			return err
 		}
-		sl.log = f
 	}
-	if _, err := sl.log.Write(framed); err != nil {
+	var err error
+	if end := sl.off + int64(len(framed)); end > sl.size {
+		sl.size = (end + logExtent - 1) / logExtent * logExtent
+		err = sl.log.Truncate(sl.size)
+	}
+	if err == nil {
+		_, err = sl.log.WriteAt(framed, sl.off)
+	}
+	if err == nil && s.sync {
+		err = sl.log.Sync()
+	}
+	if err != nil {
+		sl.closeLog()
 		return fmt.Errorf("stablestore: append: %w", err)
 	}
+	sl.off += int64(len(framed))
 	if s.sync {
-		if err := sl.log.Sync(); err != nil {
-			return fmt.Errorf("stablestore: append fsync: %w", err)
-		}
 		s.model.WaitSyncWrite()
 	}
 	return nil
 }
 
-// openLog opens a log slot for appending. A crash can leave a torn frame
-// at the tail, which LoadLog drops; appending behind it would bury every
-// later record inside that frame, so the next restart would cut off
-// acknowledged records (a false rollback). The file is therefore cut back
-// to its last complete frame first. A newly created log's directory entry
-// is made durable in sync mode.
-func (s *FileStore) openLog(slot string) (*os.File, error) {
-	f, err := os.OpenFile(s.logPath(slot), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+// openLog opens sl's log for positional writes. A crash can leave a torn
+// frame behind the complete ones, which LoadLog drops; appending behind it
+// would bury every later record inside that frame, so the next restart
+// would cut off acknowledged records (a false rollback). The file is
+// therefore cut back to its complete frames first, zero tail included;
+// the next append re-extends it. A newly created log's directory entry is
+// made durable in sync mode.
+func (s *FileStore) openLog(sl *fileSlot, slot string) error {
+	f, err := os.OpenFile(s.logPath(slot), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("stablestore: open log: %w", err)
+		return fmt.Errorf("stablestore: open log: %w", err)
 	}
+	var end int64
 	fi, err := f.Stat()
 	if err == nil {
-		var end int64
-		if end, err = completeFrames(f, fi.Size()); err == nil && end < fi.Size() {
-			err = f.Truncate(end)
-		}
+		end, err = scanFrames(bufio.NewReader(f), fi.Size(), func([]byte) error { return nil })
+	}
+	if err == nil && end < fi.Size() {
+		err = f.Truncate(end)
 	}
 	if err == nil && fi.Size() == 0 {
 		err = s.syncDir()
 	}
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("stablestore: open log: %w", err)
+		return fmt.Errorf("stablestore: open log: %w", err)
 	}
-	return f, nil
-}
-
-// completeFrames returns the length of the longest prefix of the log's
-// first size bytes made of complete frames, under the wire.SplitLogFrames
-// rules: a zero length or one beyond the bytes left is a torn frame.
-func completeFrames(f *os.File, size int64) (int64, error) {
-	var hdr [4]byte
-	var off int64
-	for off+4 <= size {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return 0, err
-		}
-		n := int64(binary.BigEndian.Uint32(hdr[:]))
-		if n == 0 || n > size-off-4 {
-			break
-		}
-		off += 4 + n
-	}
-	return off, nil
+	sl.log, sl.off, sl.size = f, end, end
+	return nil
 }
 
 // LoadLog implements Store. A torn trailing record (host crash mid-append)
 // is silently dropped: the enclave only releases replies after the host
 // acknowledges the append, so a torn tail is by construction unacked work.
+// With the slot's handle open only the complete frames are read (the rest
+// is zeros); otherwise the whole file.
 func (s *FileStore) LoadLog(slot string) ([][]byte, error) {
-	defer s.lock(slot).mu.Unlock()
-	raw, err := os.ReadFile(s.logPath(slot))
-	if errors.Is(err, os.ErrNotExist) {
+	sl := s.lock(slot)
+	defer sl.mu.Unlock()
+	var raw []byte
+	var err error
+	if sl.log != nil {
+		raw = make([]byte, sl.off)
+		_, err = sl.log.ReadAt(raw, 0)
+	} else if raw, err = os.ReadFile(s.logPath(slot)); errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stablestore: read log: %w", err)
 	}
-	return wire.SplitLogFrames(raw), nil
+	records, _ := splitFrames(raw)
+	return records, nil
 }
 
 // ScanLog implements LogScanner: records stream through a bounded read
 // buffer, so a multi-gigabyte delta log is copied without ever being
-// resident. The scan covers the file's size at scan start (a consistent
-// prefix — later appends are by construction unacknowledged relative to
-// the scan); a torn trailing frame is dropped exactly like in LoadLog.
-// The slot's lock is only held to snapshot the size, never across fn,
-// so a callback may append to this or any other slot of the same store.
+// resident. The scan covers the log's bytes at scan start — the complete
+// frames when the slot's handle is open, the whole file otherwise (a
+// consistent prefix: later appends are by construction unacknowledged
+// relative to the scan); a torn trailing frame is dropped exactly like in
+// LoadLog. The slot's lock is only held to snapshot the end, never across
+// fn, so a callback may append to this or any other slot of the same
+// store.
 func (s *FileStore) ScanLog(slot string, fn func(record []byte) error) error {
 	sl := s.lock(slot)
 	path := s.logPath(slot)
-	fi, err := os.Stat(path)
+	end := sl.off
+	var err error
+	if sl.log == nil {
+		var fi os.FileInfo
+		if fi, err = os.Stat(path); err == nil {
+			end = fi.Size()
+		}
+	}
 	sl.mu.Unlock()
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -531,43 +614,15 @@ func (s *FileStore) ScanLog(slot string, fn func(record []byte) error) error {
 		return fmt.Errorf("stablestore: scan log: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(io.LimitReader(f, fi.Size()), 64<<10)
-	var hdr [4]byte
-	for left := fi.Size(); ; {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // clean end or torn header
-			}
-			return fmt.Errorf("stablestore: scan log: %w", err)
-		}
-		left -= 4
-		// The wire.SplitLogFrames rules: a length beyond the bytes left
-		// is a torn frame, and so is a zero length (sealed records are
-		// never empty; a crash can leave a zero-filled tail). Checking
-		// before the allocation bounds it by the file's size.
-		n := int64(binary.BigEndian.Uint32(hdr[:]))
-		if n == 0 || n > left {
-			return nil
-		}
-		left -= n
-		rec := make([]byte, n)
-		if _, err := io.ReadFull(br, rec); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // torn payload
-			}
-			return fmt.Errorf("stablestore: scan log: %w", err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
+	_, err = scanFrames(bufio.NewReaderSize(io.LimitReader(f, end), 64<<10), end, fn)
+	return err
 }
 
 // closeLog drops the slot's append handle; the caller holds sl.mu.
 func (sl *fileSlot) closeLog() {
 	if sl.log != nil {
 		sl.log.Close()
-		sl.log = nil
+		sl.log, sl.off, sl.size = nil, 0, 0
 	}
 }
 

@@ -368,20 +368,12 @@ func TestFileStoreLogReopenAndTornTail(t *testing.T) {
 		t.Fatalf("reopened log = %d records, %v; want 3", len(log), err)
 	}
 
-	// Tear the tail: append a record, then chop bytes off the file as a
-	// crash mid-write would.
+	// Tear the tail: append a record, then cut the file inside its frame
+	// as a crash mid-write would.
 	if err := fs2.Append("lcm-deltalog", []byte("torn-record")); err != nil {
 		t.Fatal(err)
 	}
-	path := fs2.logPath("lcm-deltalog")
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()-4); err != nil {
-		t.Fatal(err)
-	}
-	log, err = fs2.LoadLog("lcm-deltalog")
+	log, err = tornRestart(t, fs2, "lcm-deltalog", 4, nil).LoadLog("lcm-deltalog")
 	if err != nil {
 		t.Fatalf("LoadLog with torn tail: %v", err)
 	}
@@ -395,6 +387,34 @@ func TestFileStoreLogReopenAndTornTail(t *testing.T) {
 	}
 }
 
+// tornRestart simulates a crash in the middle of an append to slot's log:
+// the file ends cut bytes before s's complete frames end, with tail
+// written from there on. It returns a FileStore reopened over the
+// directory — the restarted host.
+func tornRestart(t *testing.T, s *FileStore, slot string, cut int64, tail []byte) *FileStore {
+	t.Helper()
+	sl := s.lock(slot)
+	end := sl.off - cut
+	sl.closeLog()
+	sl.mu.Unlock()
+	f, err := os.OpenFile(s.logPath(slot), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Truncate(end); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(tail, end); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewFileStore(s.dir, s.sync, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restarted
+}
+
 // Golden: an append after a crash that left a torn tail lands behind the
 // last complete frame, so a reopen returns every record — before and
 // after the crash. Appending behind the torn bytes would bury the new
@@ -404,7 +424,7 @@ func TestFileStoreAppendAfterTornTail(t *testing.T) {
 		name string
 		tail []byte
 	}{
-		{"short payload", []byte{0, 0, 0, 100, 'x', 'y', 'z'}},
+		{"short payload", []byte{0, 0, 0, 100, 1, 2, 3, 4, 'x', 'y', 'z'}},
 		{"short header", []byte{0, 0}},
 		{"zero filled", make([]byte, 12)},
 	} {
@@ -417,20 +437,9 @@ func TestFileStoreAppendAfterTornTail(t *testing.T) {
 			if err := fs.AppendGroup("lcm-deltalog", [][]byte{[]byte("r0"), []byte("r1")}); err != nil {
 				t.Fatal(err)
 			}
-			f, err := os.OpenFile(fs.logPath("lcm-deltalog"), os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(torn.tail); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
 
 			// Restart: a fresh store over the directory appends once more.
-			fs2, err := NewFileStore(dir, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fs2 := tornRestart(t, fs, "lcm-deltalog", 0, torn.tail)
 			if err := fs2.AppendGroup("lcm-deltalog", [][]byte{[]byte("r2"), []byte("r3")}); err != nil {
 				t.Fatal(err)
 			}
@@ -450,6 +459,131 @@ func TestFileStoreAppendAfterTornTail(t *testing.T) {
 				t.Fatalf("log after torn tail + append = %q, want %q", got, want)
 			}
 		})
+	}
+}
+
+// logRecords returns slot's records as LoadLog and as ScanLog read them.
+func logRecords(t *testing.T, s *FileStore, slot string) (loaded, scanned []string) {
+	t.Helper()
+	log, err := s.LoadLog(slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range log {
+		loaded = append(loaded, string(rec))
+	}
+	if err := s.ScanLog(slot, func(rec []byte) error {
+		scanned = append(scanned, string(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return loaded, scanned
+}
+
+// Golden: a power cut can persist a log's size before its data, leaving a
+// full-length frame whose payload ends in zeros where the file keeps its
+// size. Both readers stop before that frame, the next append overwrites
+// it, and a reopen returns every acknowledged record.
+func TestFileStoreTornFrameInsideFile(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := []string{"record-0", "record-1", "record-2 with a payload of some length"}
+	var end int64
+	for _, rec := range records {
+		if err := fs.Append("log", []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		end += frameHeader + int64(len(rec))
+	}
+	torn := end - frameHeader - int64(len(records[2]))
+	path := fs.logPath("log")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 16), end-16); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+		t.Fatalf("tearing in place changed the log's size: %d -> %v (%v)", before.Size(), after, err)
+	}
+
+	want := fmt.Sprint(records[:2])
+	// The live store, which reads only its complete frames, and a
+	// restarted one, which reads the whole file.
+	fs2, err := NewFileStore(dir, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*FileStore{"live": fs, "restarted": fs2} {
+		if loaded, scanned := logRecords(t, s, "log"); fmt.Sprint(loaded) != want || fmt.Sprint(scanned) != want {
+			t.Fatalf("%s: LoadLog %q, ScanLog %q over a torn frame, want %s", name, loaded, scanned, want)
+		}
+	}
+	if err := fs2.Append("log", []byte("record-3")); err != nil {
+		t.Fatal(err)
+	}
+	sl := fs2.lock("log")
+	off := sl.off
+	sl.mu.Unlock()
+	if want := torn + frameHeader + int64(len("record-3")); off != want {
+		t.Fatalf("append after the torn frame ends at %d, want %d (where the torn frame began plus one frame)", off, want)
+	}
+	fs3, err := NewFileStore(dir, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = fmt.Sprint([]string{records[0], records[1], "record-3"})
+	if loaded, scanned := logRecords(t, fs3, "log"); fmt.Sprint(loaded) != want || fmt.Sprint(scanned) != want {
+		t.Fatalf("reopened: LoadLog %q, ScanLog %q, want %s", loaded, scanned, want)
+	}
+}
+
+// A failed write drops the slot's handle: the next append reopens the log,
+// cuts it back to its complete frames and lands behind them, so a reopen
+// returns every acknowledged record.
+func TestFileStoreFailedAppendDropsHandle(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append("log", []byte("acked-0")); err != nil {
+		t.Fatal(err)
+	}
+	sl := fs.lock("log")
+	sl.log.Close()
+	sl.mu.Unlock()
+	if err := fs.Append("log", []byte("failed")); err == nil {
+		t.Fatal("append through a closed handle succeeded")
+	}
+	sl.mu.Lock()
+	dropped := sl.log == nil
+	sl.mu.Unlock()
+	if !dropped {
+		t.Fatal("a failed append kept the slot's handle")
+	}
+	if err := fs.Append("log", []byte("acked-1")); err != nil {
+		t.Fatalf("append after a failed one: %v", err)
+	}
+	reopened, err := NewFileStore(dir, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint([]string{"acked-0", "acked-1"})
+	for name, s := range map[string]*FileStore{"live": fs, "reopened": reopened} {
+		if loaded, scanned := logRecords(t, s, "log"); fmt.Sprint(loaded) != want || fmt.Sprint(scanned) != want {
+			t.Fatalf("%s: LoadLog %q, ScanLog %q, want %s", name, loaded, scanned, want)
+		}
 	}
 }
 
@@ -579,15 +713,7 @@ func TestFileStoreAppendGroupReopenAndTornTail(t *testing.T) {
 	if err := fs2.AppendGroup("lcm-deltalog", [][]byte{[]byte("h-0"), []byte("h-1")}); err != nil {
 		t.Fatal(err)
 	}
-	path := fs2.logPath("lcm-deltalog")
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()-2); err != nil {
-		t.Fatal(err)
-	}
-	log, err = fs2.LoadLog("lcm-deltalog")
+	log, err = tornRestart(t, fs2, "lcm-deltalog", 2, nil).LoadLog("lcm-deltalog")
 	if err != nil {
 		t.Fatalf("LoadLog with torn group tail: %v", err)
 	}

@@ -229,42 +229,6 @@ func ErrorFrame(err error) []byte {
 	return out
 }
 
-// Log-record framing: stable storage persists append-only log slots as a
-// byte stream of [4-byte big-endian length | payload] frames. The framing
-// is untrusted (the host writes it); its only job is to let an honest
-// host cut the stream back into records, with a torn trailing frame
-// (crash mid-append) recoverable by dropping it.
-
-// AppendLogFrame appends one length-prefixed record frame to dst and
-// returns the extended slice.
-func AppendLogFrame(dst, record []byte) []byte {
-	n := len(record)
-	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	return append(dst, record...)
-}
-
-// SplitLogFrames parses a frame stream into records, copying each payload.
-// A torn trailing frame is silently dropped: the enclave only releases
-// replies after the host acknowledges the append, so a torn tail is by
-// construction unacknowledged work. A zero-length frame also ends the
-// stream as a torn tail: sealed records are never empty, and a crash can
-// leave a zero-filled tail behind the last complete append (delayed
-// allocation extends the file before the data reaches it).
-func SplitLogFrames(raw []byte) [][]byte {
-	var out [][]byte
-	for off := 0; off+4 <= len(raw); {
-		n := uint64(binary.BigEndian.Uint32(raw[off:]))
-		off += 4
-		if n == 0 || n > uint64(len(raw)-off) {
-			break // torn tail
-		}
-		rec := make([]byte, n)
-		off += copy(rec, raw[off:])
-		out = append(out, rec)
-	}
-	return out
-}
-
 // DecodeResponse splits a response frame into payload or error.
 func DecodeResponse(frame []byte) ([]byte, error) {
 	if len(frame) == 0 {

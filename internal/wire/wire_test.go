@@ -255,31 +255,3 @@ func TestReaderCountFailAndViews(t *testing.T) {
 		t.Fatalf("an append to the first view overwrote the second: %q", second)
 	}
 }
-
-func TestLogFramesRoundTrip(t *testing.T) {
-	records := [][]byte{[]byte("a"), []byte("b"), []byte("longer-record-payload")}
-	var stream []byte
-	for _, rec := range records {
-		stream = AppendLogFrame(stream, rec)
-	}
-	got := SplitLogFrames(stream)
-	if len(got) != len(records) {
-		t.Fatalf("split = %d records, want %d", len(got), len(records))
-	}
-	for i, rec := range got {
-		if !bytes.Equal(rec, records[i]) {
-			t.Fatalf("record %d = %q, want %q", i, rec, records[i])
-		}
-	}
-	// A torn tail (any strict prefix cutting into the last frame) drops
-	// exactly the last record.
-	for cut := 1; cut <= 4+len(records[2]); cut++ {
-		torn := SplitLogFrames(stream[:len(stream)-cut])
-		if len(torn) != 2 {
-			t.Fatalf("cut %d: %d records survive, want 2", cut, len(torn))
-		}
-	}
-	if got := SplitLogFrames(nil); len(got) != 0 {
-		t.Fatalf("empty stream = %d records", len(got))
-	}
-}
