@@ -61,7 +61,7 @@
 // a potential attack.
 //
 // The status command prints the host's aggregated operational view: one
-// line per shard (sequence, stability, delta-chain and compaction state,
+// line per shard (sequence, stability, delta-chain and checkpoint state,
 // group-commit counters) plus deployment totals.
 package main
 

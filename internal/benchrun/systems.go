@@ -68,10 +68,6 @@ type Options struct {
 	// appending sealed delta records — the paper's original persistence,
 	// kept as the comparison arm of the sealing ablation.
 	FullSeal bool
-	// CompactEvery overrides the delta log's compaction threshold when
-	// > 0 (records between full re-seals; 0 keeps the adaptive
-	// snapshot/delta-ratio policy).
-	CompactEvery int
 	// GroupCommit enables the host's pipelined group-commit committer for
 	// LCM deployments: concurrent batches' delta records share one fsync.
 	// The sync-writes ablation compares this against per-batch fsync.
@@ -441,7 +437,6 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 				NewService:    kvs.Factory(),
 				Attestation:   attestation,
 				FullSeal:      opt.FullSeal,
-				CompactEvery:  opt.CompactEvery,
 				CommitteeSize: opt.CommitteeSize,
 			}),
 			Store:          store,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"lcm/internal/aead"
 	"lcm/internal/kvs"
+	"lcm/internal/tee"
 )
 
 // Allocation budgets for compaction and recovery: each touches the sealed
@@ -28,21 +30,21 @@ func allocated(f func()) (bytes, objects uint64) {
 }
 
 // bigStateRig loads the store through delta records, then swaps in an
-// enclave over the same platform and storage that compacts after every
-// record, so that its first batch re-seals the whole state.
+// enclave over the same platform and storage that cuts a checkpoint after
+// every record, so that its first batch freezes the whole state.
 func bigStateRig(t *testing.T) *rig {
 	t.Helper()
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 1 << 30 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.cutRecords = 1 << 30 })
 	value := strings.Repeat("v", budgetValue)
 	for i := 0; i < budgetKeys; i++ {
 		r.mustPut(1, fmt.Sprintf("key%05d", i), value)
 	}
 	r.enclave.Stop()
 	r.enclave = r.platform.NewEnclave(NewTrustedFactory(TrustedConfig{
-		ServiceName:  "kvs",
-		NewService:   kvs.Factory(),
-		Attestation:  r.attestation,
-		CompactEvery: 1,
+		ServiceName: "kvs",
+		NewService:  kvs.Factory(),
+		Attestation: r.attestation,
+		cutRecords:  1,
 	}), r.storage)
 	if err := r.enclave.Start(); err != nil {
 		t.Fatal(err)
@@ -50,11 +52,11 @@ func bigStateRig(t *testing.T) *rig {
 	return r
 }
 
-// compactingPut runs one put that the enclave must answer with a
-// compaction, persists it like the honest host, and reports the sealed
-// blob and what the ecall plus the host's decode of its response
-// allocated.
-func (r *rig) compactingPut(key string) (blob []byte, bytes, objects uint64) {
+// compactingPut runs one put that the enclave must answer with a cut,
+// seals and stores the checkpoint like the honest host, and reports the
+// sealed blob, what the cutting ecall allocated, and what the checkpoint
+// seal and the host's decode of its response allocated.
+func (r *rig) compactingPut(key string) (blob []byte, cutBytes, sealBytes uint64) {
 	r.t.Helper()
 	c := r.clients[1]
 	invoke, err := c.Invoke(kvs.Put(key, "compacted"))
@@ -63,7 +65,7 @@ func (r *rig) compactingPut(key string) (blob []byte, bytes, objects uint64) {
 	}
 	payload := EncodeBatchCall([][]byte{invoke})
 	var batch *BatchResult
-	bytes, objects = allocated(func() {
+	cutBytes, _ = allocated(func() {
 		var resp []byte
 		if resp, err = r.enclave.Call(payload); err == nil {
 			batch, err = DecodeBatchResult(resp)
@@ -72,30 +74,42 @@ func (r *rig) compactingPut(key string) (blob []byte, bytes, objects uint64) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if !batch.Compact || len(batch.StateBlob) == 0 {
-		r.t.Fatal("the batch did not compact")
+	if !batch.Cut {
+		r.t.Fatal("the batch did not cut a checkpoint")
 	}
-	if err := r.persistBatch(batch); err != nil {
+	if err := r.storage.Append(SegmentSlot(batch.Seg), batch.DeltaRecord); err != nil {
+		r.t.Fatal(err)
+	}
+	sealBytes, _ = allocated(func() { blob, err = r.enclave.BackgroundCall(EncodeCheckpointCall(batch.Seg + 1)) })
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.storeBlob(blob); err != nil {
 		r.t.Fatal(err)
 	}
 	if _, err := c.ProcessReply(batch.Replies[0]); err != nil {
 		r.t.Fatal(err)
 	}
-	return batch.StateBlob, bytes, objects
+	return blob, cutBytes, sealBytes
 }
 
-// A compacting batch allocates three state-sized buffers: the service's
-// snapshot, the blob it is encoded and sealed in, and the ecall response.
-// Besides them it may allocate the snapshot's sorted key index (one string
-// header per key) and a few KiB per call. A snapshot writer that regrows
-// from a guess, or a seal into a buffer of its own, breaks the budget.
+// The batch that cuts a checkpoint allocates no state-sized buffer: it
+// clones the service's map (a bucket array, no keys or values) and V. The
+// background seal allocates two state-sized buffers — the service's
+// snapshot and the blob it is encoded and sealed in — plus the snapshot's
+// sorted key index (one string header per key) and a few KiB. A snapshot
+// writer that regrows from a guess, or a seal into a buffer of its own,
+// breaks the budget.
 func TestCompactionAllocBudget(t *testing.T) {
 	r := bigStateRig(t)
-	blob, bytes, _ := r.compactingPut("key00000")
-	budget := 3*uint64(len(blob)) + 16*budgetKeys + 8<<10
-	t.Logf("compacting batch: %d bytes = %.3f× the %d-byte blob", bytes, float64(bytes)/float64(len(blob)), len(blob))
-	if bytes > budget {
-		t.Fatalf("a compacting batch allocated %d bytes = %.2f× its %d-byte blob, budget %d", bytes, float64(bytes)/float64(len(blob)), len(blob), budget)
+	blob, cut, seal := r.compactingPut("key00000")
+	t.Logf("cutting batch: %d bytes = %.3f× the %d-byte blob; seal: %d bytes = %.3f×",
+		cut, float64(cut)/float64(len(blob)), len(blob), seal, float64(seal)/float64(len(blob)))
+	if budget := uint64(len(blob)) / 8; cut > budget {
+		t.Fatalf("a cutting batch allocated %d bytes = %.2f× its %d-byte blob, budget %d", cut, float64(cut)/float64(len(blob)), len(blob), budget)
+	}
+	if budget := 2*uint64(len(blob)) + 16*budgetKeys + 8<<10; seal > budget {
+		t.Fatalf("a checkpoint seal allocated %d bytes = %.2f× its %d-byte blob, budget %d", seal, float64(seal)/float64(len(blob)), len(blob), budget)
 	}
 }
 
@@ -129,45 +143,33 @@ func TestRestartAllocBudget(t *testing.T) {
 	}
 }
 
-// The sealed format is unchanged: a state blob sealed as earlier versions
-// sealed it (aead.Seal over the encoded state, in a buffer of its own)
-// restores, and the chain continues from it across a further restart.
-func TestStateBlobSealedBySealRestores(t *testing.T) {
-	r := newRigWith(t, []uint32{1, 2}, func(cfg *TrustedConfig) { cfg.CompactEvery = 1 })
-	r.mustPut(1, "a", "1") // a delta record
-	r.mustPut(2, "b", "2") // a compaction: the blob holds everything, the log is empty
-	if log, err := r.storage.LoadLog(SlotDeltaLog); err != nil || len(log) != 0 {
-		t.Fatalf("log after compaction = %d records, %v", len(log), err)
-	}
+// A state blob in the format of builds before the version byte — one
+// aead.Seal ciphertext of the encoded state, without the trailing Head —
+// halts recovery with ErrStateVersion, not as a malformed or forged blob.
+func TestPreVersionStateBlobFailsWithErrStateVersion(t *testing.T) {
+	r := newRigWith(t, []uint32{1, 2}, func(cfg *TrustedConfig) { cfg.cutRecords = 2 })
+	r.mustPut(1, "a", "1")
+	r.mustPut(2, "b", "2") // cuts: the stored checkpoint holds everything
 	blob, err := r.storage.Load(SlotStateBlob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := aead.Open(r.admin.kp, blob, []byte(adStateBlob))
+	state, _, err := openStateBlob(r.admin.kp, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := decodeTrustedState(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := aead.Seal(r.admin.kp, state.encode(), []byte(adStateBlob))
+	enc := state.encode()
+	old, err := aead.Seal(r.admin.kp, enc[:len(enc)-32], []byte(adStateBlob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.storage.Store(SlotStateBlob, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.enclave.Restart(); err != nil {
-		t.Fatalf("restart over an aead.Seal blob: %v", err)
+	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
+		t.Fatalf("restart over a pre-version blob = %v, want a halt", err)
 	}
-	r.mustPut(2, "c", "3") // a delta record chained to the old blob's hash
-	if err := r.enclave.Restart(); err != nil {
-		t.Fatalf("restart folding onto an aead.Seal blob: %v", err)
-	}
-	for key, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		if kv, _ := r.mustGet(1, key); string(kv.Value) != want {
-			t.Fatalf("get %s = %q, want %q", key, kv.Value, want)
-		}
+	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrStateVersion) {
+		t.Fatalf("halt = %v, want ErrStateVersion", err)
 	}
 }

@@ -62,7 +62,18 @@ const (
 	// the admin's window onto epoch, committees, members and the current
 	// kC (see churn.go).
 	callGroupInfo
+	// callCheckpoint seals a frozen checkpoint (see cut in trusted.go).
+	callCheckpoint
 )
+
+// EncodeCheckpointCall builds the call that seals the checkpoint starting
+// segment seg; it answers with the blob, or ErrNoCheckpoint if superseded.
+func EncodeCheckpointCall(seg uint64) []byte {
+	w := wire.NewWriter(9)
+	w.U8(callCheckpoint)
+	w.U64(seg)
+	return w.Bytes()
+}
 
 // BatchCallSize returns the encoded size of a batch call, for writer
 // preallocation.
@@ -123,19 +134,21 @@ func IsBatchCall(payload []byte) bool {
 // BatchResult is the enclave's response to a batch call: one encrypted
 // REPLY per invoke, in order, plus the persistence work the host must
 // perform before releasing the replies (piggybacked on the response
-// instead of an ocall, Sec. 5.2). Exactly one of StateBlob / DeltaRecord
+// instead of an ocall, Sec. 5.2). At most one of StateBlob / DeltaRecord
 // is set:
 //
-//   - StateBlob — a full sealed snapshot; the host stores it under the
-//     state slot, and additionally truncates the delta log when Compact is
-//     set (the record-count/bytes threshold fired).
+//   - StateBlob — a full sealed snapshot, sealed inline; the host stores
+//     it under the state slot, then drops the log segments below Seg.
 //   - DeltaRecord — one sealed delta-log record; the host appends it to
-//     the delta-log slot.
+//     segment Seg. With Cut set the record closed its segment and the
+//     enclave froze a checkpoint at Seq: the host seals it in the
+//     background (EncodeCheckpointCall) and stores it once Seq is durable.
 type BatchResult struct {
 	Replies     [][]byte
 	StateBlob   []byte
 	DeltaRecord []byte
-	Compact     bool
+	Cut         bool
+	Seg         uint64
 	// Seq is the trusted context's sequence number after this batch — the
 	// value the host reports back through EncodeAdvanceDurableCall once
 	// the batch's persistence record is durable.
@@ -151,7 +164,7 @@ type BatchResult struct {
 func (res *BatchResult) Encode() []byte { return encodeBatchResult(res) }
 
 func encodeBatchResult(res *BatchResult) []byte {
-	size := 22 + len(res.StateBlob) + len(res.DeltaRecord)
+	size := 30 + len(res.StateBlob) + len(res.DeltaRecord)
 	for _, rep := range res.Replies {
 		size += 4 + len(rep)
 	}
@@ -160,7 +173,8 @@ func encodeBatchResult(res *BatchResult) []byte {
 	for _, rep := range res.Replies {
 		w.Var(rep)
 	}
-	w.Bool(res.Compact)
+	w.Bool(res.Cut)
+	w.U64(res.Seg)
 	w.Var(res.StateBlob)
 	w.Var(res.DeltaRecord)
 	w.U64(res.Seq)
@@ -178,7 +192,8 @@ func DecodeBatchResult(b []byte) (*BatchResult, error) {
 	for i := 0; i < n; i++ {
 		res.Replies = append(res.Replies, r.VarView())
 	}
-	res.Compact = r.Bool()
+	res.Cut = r.Bool()
+	res.Seg = r.U64()
 	res.StateBlob = r.VarView()
 	res.DeltaRecord = r.VarView()
 	res.Seq = r.U64()
@@ -420,15 +435,14 @@ type Status struct {
 	Gen         uint64 // reshard generation this context belongs to
 	Resharding  bool   // frozen mid-reshard (between prepare and export)
 
-	// Persistence observability: the delta chain the host currently holds
-	// and the enclave's compaction history (operators size storage and
-	// recovery time from these; see state.go).
+	// Persistence observability: the delta chain since the last
+	// checkpoint and the checkpoint history (see state.go).
 	DeltaActive    bool   // batches persist as delta records, not full seals
-	ChainLen       int    // records in the live delta chain
-	ChainBytes     int    // sealed bytes in the live delta chain
+	ChainLen       int    // records since the last checkpoint cut or blob
+	ChainBytes     int    // sealed bytes of those records
 	SnapshotBytes  int    // size of the last sealed full snapshot
-	Compactions    uint64 // full re-seals that truncated a non-empty chain
-	LastCompactSeq uint64 // t at the most recent compaction
+	Compactions    uint64 // checkpoint cuts, and inline seals after a non-empty chain
+	LastCompactSeq uint64 // t at the most recent one
 
 	// BeaconSeq counts the heartbeat beacon records this context has
 	// committed (0 when beacons are off); see trusted.go.

@@ -292,27 +292,17 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 		p.snapReader.EndBatch(p.t)
 	}
 	res := BatchResult{Seq: p.t}
-	switch {
-	case !p.deltaActive():
+	if len(removed) > 0 {
+		// A rotation changes kC, which lives only in the state blob: it
+		// is sealed inline, and the committer stores it before any later
+		// record.
 		blob, err := p.sealState()
 		if err != nil {
 			return nil, err
 		}
-		res.StateBlob = blob
-	case len(removed) > 0 || p.shouldCompact():
-		// A rotation changes kC, which lives in the state blob: full seal.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-		res.Compact = true
-	default:
-		rec, err := p.sealDeltaRecord(p.t, vmap{}, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		res.DeltaRecord = rec
+		res.StateBlob, res.Seg = blob, p.seg
+	} else if err := p.sealResult(&res, p.t, vmap{}, nil, false); err != nil {
+		return nil, err
 	}
 	return encodeBatchResult(&res), nil
 }
@@ -388,26 +378,8 @@ func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 			removed = append(removed, id)
 		}
 		sortU32(removed)
-		switch {
-		case !p.deltaActive():
-			blob, err := p.sealState()
-			if err != nil {
-				return nil, err
-			}
-			res.StateBlob = blob
-		case p.shouldCompact():
-			blob, err := p.sealState()
-			if err != nil {
-				return nil, err
-			}
-			res.StateBlob = blob
-			res.Compact = true
-		default:
-			rec, err := p.sealDeltaRecord(p.t, touched, removed, false)
-			if err != nil {
-				return nil, err
-			}
-			res.DeltaRecord = rec
+		if err := p.sealResult(&res, p.t, touched, removed, false); err != nil {
+			return nil, err
 		}
 	}
 	return encodeBatchResult(&res), nil

@@ -127,20 +127,24 @@ func TestDeltaBatchesAppendAndRecover(t *testing.T) {
 	}
 }
 
-// Crossing the CompactEvery threshold re-seals a full blob and truncates
-// the log; the chain restarts there and recovery keeps working.
+// Crossing the record threshold cuts a checkpoint; once it is stored the
+// segments below it are dropped, the chain continues in the next segment,
+// and recovery keeps working.
 func TestDeltaCompactionTruncatesAndRechains(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 3 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.cutRecords = 3 })
 	for i := 1; i <= 8; i++ {
 		r.mustPut(1, "k", fmt.Sprintf("v%d", i))
 	}
-	// Batches 1-3 append (chainLen 0,1,2), batch 4 compacts, 5-7 append,
-	// batch 8 compacts again.
+	// Every batch appends; batches 3 and 6 cut, and their checkpoints
+	// drop the segments below them, leaving records 7 and 8.
 	if got := r.storage.Versions(SlotStateBlob); got != 3 {
-		t.Fatalf("state blob versions = %d, want 3 (bootstrap + 2 compactions)", got)
+		t.Fatalf("state blob versions = %d, want 3 (bootstrap + 2 checkpoints)", got)
 	}
-	if got := r.storage.LogLen(SlotDeltaLog); got != 0 {
-		t.Fatalf("log after compaction = %d records, want 0", got)
+	if got := r.chainRecords(); got != 2 {
+		t.Fatalf("chain after the checkpoints = %d records, want 2", got)
+	}
+	if got := r.storage.LogLen(SegmentSlot(0)) + r.storage.LogLen(SegmentSlot(1)); got != 0 {
+		t.Fatalf("segments below the checkpoint hold %d records, want 0", got)
 	}
 	if err := r.enclave.Restart(); err != nil {
 		t.Fatalf("Restart after compaction: %v", err)
@@ -156,21 +160,6 @@ func TestDeltaCompactionTruncatesAndRechains(t *testing.T) {
 	status, _ := QueryStatus(r.enclave.Call)
 	if status.Seq != 10 {
 		t.Fatalf("seq = %d, want 10", status.Seq)
-	}
-}
-
-// The CompactBytes threshold fires on sealed volume even when the record
-// count stays low.
-func TestDeltaCompactionByBytes(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactBytes = 1024 })
-	big := string(make([]byte, 2048))
-	r.mustPut(1, "big", big) // record 1: ~2 KiB sealed > threshold
-	r.mustPut(1, "k", "v")   // crosses the threshold → compaction
-	if got := r.storage.Versions(SlotStateBlob); got != 2 {
-		t.Fatalf("state blob versions = %d, want 2", got)
-	}
-	if got := r.storage.LogLen(SlotDeltaLog); got != 0 {
-		t.Fatalf("log = %d records, want 0 after byte-threshold compaction", got)
 	}
 }
 
@@ -193,7 +182,7 @@ func TestAdaptiveCompactionTracksSnapshotRatio(t *testing.T) {
 	if status.Compactions == 0 {
 		t.Fatalf("tiny-state chain never compacted: %+v", status)
 	}
-	if got := r.storage.LogLen(SlotDeltaLog); got >= CompactMinRecords+4 {
+	if got := r.chainRecords(); got >= CompactMinRecords+4 {
 		t.Fatalf("log holds %d records; compaction never truncated", got)
 	}
 
@@ -202,7 +191,7 @@ func TestAdaptiveCompactionTracksSnapshotRatio(t *testing.T) {
 	big := string(make([]byte, 32<<10))
 	r.mustPut(1, "big", big)
 	// Ensure the chain restarts at a fresh large snapshot.
-	for r.storage.LogLen(SlotDeltaLog) != 1 {
+	for r.chainRecords() != 1 {
 		r.mustPut(1, "warm", "x")
 	}
 	before, _ := QueryStatus(r.enclave.Call)
@@ -228,10 +217,10 @@ func TestAdaptiveCompactionTracksSnapshotRatio(t *testing.T) {
 }
 
 // Status surfaces the persistence pipeline's observables: chain length and
-// bytes track appended records and reset at compaction, and the snapshot
-// size and compaction history are reported.
+// bytes track appended records and reset at a cut, and the snapshot size
+// and checkpoint history are reported.
 func TestStatusReportsChainAndCompaction(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 4 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.cutRecords = 4 })
 	status, err := QueryStatus(r.enclave.Call)
 	if err != nil {
 		t.Fatal(err)
@@ -249,14 +238,17 @@ func TestStatusReportsChainAndCompaction(t *testing.T) {
 			t.Fatalf("ChainBytes = %d after %d batches", status.ChainBytes, i)
 		}
 	}
-	r.mustPut(1, "k", "v4")       // chain reaches the CompactEvery threshold
-	r.mustPut(1, "k", "compacts") // the next batch re-seals and truncates
+	r.mustPut(1, "k", "v4") // the fourth record reaches the threshold and cuts
 	status, _ = QueryStatus(r.enclave.Call)
 	if status.ChainLen != 0 || status.ChainBytes != 0 {
-		t.Fatalf("chain not reset at compaction: %+v", status)
+		t.Fatalf("chain not reset at the cut: %+v", status)
 	}
-	if status.Compactions != 1 || status.LastCompactSeq != 5 {
-		t.Fatalf("compaction stats = %+v", status)
+	if status.Compactions != 1 || status.LastCompactSeq != 4 {
+		t.Fatalf("checkpoint stats = %+v", status)
+	}
+	r.mustPut(1, "k", "v5") // the next record starts the new chain
+	if status, _ = QueryStatus(r.enclave.Call); status.ChainLen != 1 {
+		t.Fatalf("ChainLen after the cut = %d, want 1", status.ChainLen)
 	}
 }
 
@@ -264,7 +256,7 @@ func TestStatusReportsChainAndCompaction(t *testing.T) {
 // ships the sealed blob + log, and the target folds them, continues the
 // chain, and resumes compaction bookkeeping where the origin left off.
 func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
-	tune := func(cfg *TrustedConfig) { cfg.CompactEvery = 4 }
+	tune := func(cfg *TrustedConfig) { cfg.cutRecords = 4 }
 	r := newRigWith(t, []uint32{1}, tune)
 	r.mustPut(1, "k", "v1")
 	r.mustPut(1, "k", "v2")
@@ -305,7 +297,7 @@ func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
 	}
 
 	// The client continues against the target; the 4th record (2 migrated
-	// + 2 fresh) crosses CompactEvery and compacts on the target.
+	// + 2 fresh) reaches the record threshold and cuts on the target.
 	tr := &rig{t: t, storage: targetStorage, enclave: targetEnclave, clients: r.clients}
 	tr.mustPut(1, "k", "v3")
 	tr.mustPut(1, "k", "v4")
@@ -314,7 +306,7 @@ func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
 	if status.Compactions != 1 {
 		t.Fatalf("migrated-in enclave did not resume compaction: %+v", status)
 	}
-	if got := targetStorage.LogLen(SlotDeltaLog); got > 1 {
+	if got := tr.chainRecords(); got > 1 {
 		t.Fatalf("target log holds %d records after compaction", got)
 	}
 
@@ -413,68 +405,61 @@ func TestDeltaLogTamperHaltsRecovery(t *testing.T) {
 	}
 }
 
-// A crash between compaction's blob store and log truncate leaves a log
-// that no longer chains to the base. Recovery must discard it (the blob
-// already contains everything) and resume seamlessly — a benign crash
-// must never halt the enclave.
+// A crash between a checkpoint's blob store and the drop of the segments
+// below it leaves a segment the new blob no longer names. Recovery must
+// ignore it (the blob already contains everything) and resume seamlessly
+// — a benign crash must never halt the enclave — and the next checkpoint
+// drops it.
 func TestDeltaStaleLogAfterCompactionCrashDiscarded(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 2 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.cutRecords = 2 })
 	c := r.clients[1]
-	r.mustPut(1, "k", "v1") // record 1
-	r.mustPut(1, "k", "v2") // record 2
+	r.mustPut(1, "k", "v1") // record 1, segment 0
 
-	// Batch 3 compacts. Play a host that crashed after storing the blob
-	// but before truncating the log.
-	inv, err := c.Invoke(kvs.Put("k", "v3"))
+	// Batch 2 cuts. Play a host that crashed after storing the checkpoint
+	// but before dropping segment 0.
+	inv, err := c.Invoke(kvs.Put("k", "v2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.enclave.Call(EncodeBatchCall([][]byte{inv}))
-	if err != nil {
+	batch := r.call(inv)
+	if !batch.Cut || batch.Seg != 0 {
+		t.Fatalf("second batch did not cut segment 0: %+v", batch)
+	}
+	if err := r.storage.Append(SegmentSlot(0), batch.DeltaRecord); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := DecodeBatchResult(resp)
-	if err != nil {
+	if err := r.storage.Store(SlotStateBlob, r.sealCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
-	if !batch.Compact || len(batch.StateBlob) == 0 {
-		t.Fatalf("third batch did not compact: %+v", batch)
-	}
-	if err := r.storage.Store(SlotStateBlob, batch.StateBlob); err != nil {
-		t.Fatal(err)
-	}
-	// ... crash: no TruncateLog, reply lost, enclave restarts.
+	// ... crash: segment 0 stays, enclave restarts.
 	if _, err := c.ProcessReply(batch.Replies[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.enclave.Restart(); err != nil {
-		t.Fatalf("restart with stale log = %v, want clean recovery", err)
+		t.Fatalf("restart with a stale segment = %v, want clean recovery", err)
 	}
 	status, err := QueryStatus(r.enclave.Call)
-	if err != nil || status.Seq != 3 {
-		t.Fatalf("recovered seq = %v, %v; want 3 (the compacted blob)", status, err)
+	if err != nil || status.Seq != 2 || status.ChainLen != 0 {
+		t.Fatalf("recovered status = %+v, %v; want seq 2 from the checkpoint alone", status, err)
 	}
-	kv, _ := r.mustGet(1, "k")
-	if string(kv.Value) != "v3" {
-		t.Fatalf("value = %q, want v3", kv.Value)
+	kv, _ := r.mustGet(1, "k") // record 3, segment 1
+	if string(kv.Value) != "v2" {
+		t.Fatalf("value = %q, want v2", kv.Value)
 	}
-
-	// Regression: the get above ran after a stale-log discard, so it must
-	// have compacted (clearing the stale records from disk) rather than
-	// appended behind the stale prefix — otherwise this second restart
-	// would discard the live suffix and the next op would halt as a
-	// phantom rollback.
-	if got := r.storage.LogLen(SlotDeltaLog); got != 0 {
-		t.Fatalf("stale log still holds %d records after the first post-recovery batch", got)
+	if got := r.storage.LogLen(SegmentSlot(0)); got != 2 {
+		t.Fatalf("stale segment 0 holds %d records, want the 2 the crash left", got)
 	}
-	r.mustPut(1, "k", "v4")
+	r.mustPut(1, "k", "v4") // record 4 cuts: its checkpoint drops segments 0 and 1
+	if got := r.storage.LogLen(SegmentSlot(0)); got != 0 {
+		t.Fatalf("stale segment 0 still holds %d records after the next checkpoint", got)
+	}
 	if err := r.enclave.Restart(); err != nil {
 		t.Fatalf("second restart: %v", err)
 	}
 	r.mustPut(1, "k", "v5")
 	status, err = QueryStatus(r.enclave.Call)
-	if err != nil || status.Seq != 6 {
-		t.Fatalf("seq after crash-recovery cycle = %v, %v; want 6", status, err)
+	if err != nil || status.Seq != 5 {
+		t.Fatalf("seq after crash-recovery cycle = %v, %v; want 5", status, err)
 	}
 }
 
@@ -496,7 +481,7 @@ func TestQuickDeltaMatchesFullSeal(t *testing.T) {
 			ids[i] = uint32(i + 1)
 		}
 		delta := newRigWith(t, ids, func(cfg *TrustedConfig) {
-			cfg.CompactEvery = 1 + rng.Intn(6)
+			cfg.cutRecords = 1 + rng.Intn(6)
 		})
 		full := newRigWith(t, ids, func(cfg *TrustedConfig) { cfg.FullSeal = true })
 

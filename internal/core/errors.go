@@ -78,6 +78,14 @@ var (
 	// has not completed bootstrapping (Sec. 4.3).
 	ErrNotProvisioned = errors.New("lcm: trusted context not provisioned")
 
+	// ErrStateVersion reports a state blob of an unknown version, or from
+	// before blobs carried one; recovery halts with it.
+	ErrStateVersion = errors.New("lcm: state blob version unknown")
+
+	// ErrNoCheckpoint reports a checkpoint-seal call for a checkpoint a
+	// later cut, a fresh blob or a restart superseded.
+	ErrNoCheckpoint = errors.New("lcm: no checkpoint pending")
+
 	// ErrAlreadyProvisioned reports a second provisioning attempt.
 	ErrAlreadyProvisioned = errors.New("lcm: trusted context already provisioned")
 

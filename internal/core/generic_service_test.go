@@ -159,7 +159,7 @@ func TestBankMigration(t *testing.T) {
 	}
 	batch, _ := DecodeBatchResult(resp)
 	if len(batch.DeltaRecord) > 0 {
-		if err := targetStorage.Append(SlotDeltaLog, batch.DeltaRecord); err != nil {
+		if err := targetStorage.Append(SegmentSlot(batch.Seg), batch.DeltaRecord); err != nil {
 			t.Fatal(err)
 		}
 	} else if err := targetStorage.Store(SlotStateBlob, batch.StateBlob); err != nil {

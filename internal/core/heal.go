@@ -53,21 +53,28 @@ func EncodeChainSyncCall(records [][]byte) []byte {
 
 // ChainSyncResult reports the outcome of a chain-sync call: how many of
 // the offered records folded, and the enclave's resulting chain position
-// (sequence number, chain head hash, and live chain length in records —
-// the latter lets the host rewrite its log copy to match exactly).
+// (sequence number, chain head hash, and the chain since its base blob:
+// the blob's anchor and segment, the current segment, and the length in
+// records — the host rewrites its segments to match and reseeds peers).
 type ChainSyncResult struct {
 	Folded   int
 	Seq      uint64
 	Head     [32]byte
 	ChainLen int
+	Base     [32]byte
+	BaseSeg  uint64
+	Seg      uint64
 }
 
 func encodeChainSyncResult(res *ChainSyncResult) []byte {
-	w := wire.NewWriter(4 + 8 + 32 + 4)
+	w := wire.NewWriter(4 + 8 + 32 + 4 + 32 + 16)
 	w.U32(uint32(res.Folded))
 	w.U64(res.Seq)
 	w.Bytes32(res.Head)
 	w.U32(uint32(res.ChainLen))
+	w.Bytes32(res.Base)
+	w.U64(res.BaseSeg)
+	w.U64(res.Seg)
 	return w.Bytes()
 }
 
@@ -77,6 +84,9 @@ func DecodeChainSyncResult(b []byte) (*ChainSyncResult, error) {
 	res := &ChainSyncResult{Folded: int(r.U32()), Seq: r.U64()}
 	res.Head = r.Bytes32()
 	res.ChainLen = int(r.U32())
+	res.Base = r.Bytes32()
+	res.BaseSeg = r.U64()
+	res.Seg = r.U64()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lcm: decode chain sync result: %w", err)
 	}
@@ -112,43 +122,9 @@ func (p *Trusted) handleChainSync(env tee.Env, records [][]byte) ([]byte, error)
 			}
 			// From here on the record is our own sealed history; the
 			// strict foldDeltaLog consistency rules apply.
-			if rec.FromT != p.t || rec.ToT < rec.FromT {
-				return nil, tee.Halt("chain sync record sequence discontinuity", nil)
+			if err := p.applyRecord(rec, sealed); err != nil {
+				return nil, err
 			}
-			if rec.AdminSeq != p.adminSeq {
-				return nil, tee.Halt("chain sync record admin sequence mismatch", nil)
-			}
-			for id, e := range rec.Entries {
-				p.g.v[id] = e
-			}
-			p.g.applyTombstones(rec.Removed)
-			if rec.GroupEpoch > p.g.epoch {
-				p.g.epoch = rec.GroupEpoch
-				p.g.graceEpoch = rec.GroupEpoch
-			}
-			if rec.QFloor > p.g.qFloor {
-				p.g.qFloor = rec.QFloor
-			}
-			if err := p.deltaSvc.ApplyDelta(rec.Delta); err != nil {
-				return nil, tee.Halt("service delta malformed", err)
-			}
-			p.t, p.h = p.g.v.argmax()
-			if rec.SeqT > p.t {
-				// Removals can delete the V entry holding the head; the
-				// record's authoritative pair restores it (see state.go).
-				p.t, p.h = rec.SeqT, rec.SeqH
-			}
-			if p.t != rec.ToT {
-				return nil, tee.Halt("chain sync record does not reach its declared sequence", nil)
-			}
-			if rec.BeaconSeq > 0 {
-				// Healed beacon record: resume the counter reservation
-				// where the suffix's author left it (see foldDeltaLog).
-				p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
-			}
-			p.chainPrev = blobHash(sealed)
-			p.chainLen++
-			p.chainBytes += len(sealed)
 			res.Folded++
 		}
 		p.chargeFootprint(env)
@@ -156,6 +132,7 @@ func (p *Trusted) handleChainSync(env tee.Env, records [][]byte) ([]byte, error)
 	res.Seq = p.t
 	res.Head = p.chainPrev
 	res.ChainLen = p.chainLen
+	res.Base, res.BaseSeg, res.Seg = p.baseHead, p.baseSeg, p.seg
 	return encodeChainSyncResult(res), nil
 }
 
@@ -205,20 +182,16 @@ func (p *Trusted) handleRecover(env tee.Env, senderPub, ct []byte) ([]byte, erro
 	if err != nil {
 		return nil, fmt.Errorf("lcm: load state blob: %w", err)
 	}
-	statePlain, err := aead.Open(kp, blobstate, []byte(adStateBlob))
+	state, seg, err := openStateBlob(kp, blobstate)
 	if err != nil {
-		// Wrong key or foreign blob: refuse, do not halt — the enclave
-		// adopted nothing yet.
+		// Wrong key, foreign or malformed blob: refuse, do not halt —
+		// the enclave adopted nothing yet.
 		return nil, fmt.Errorf("lcm: recover: state blob does not open under offered kP: %w", err)
-	}
-	state, err := decodeTrustedState(statePlain)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: recover: state blob malformed: %w", err)
 	}
 	if err := p.install(env, kp, state); err != nil {
 		return nil, err
 	}
-	if err := p.foldDeltaLog(env, blobstate); err != nil {
+	if err := p.foldDeltaLog(env, state, seg, len(blobstate), SegmentSlot); err != nil {
 		return nil, err
 	}
 	// Recovery typically lands on a replacement platform whose counter did

@@ -833,7 +833,7 @@ func (p *Trusted) handleReshardPrepare(env tee.Env, senderPub, ct []byte) ([]byt
 // handleReshardExport runs on every frozen source: it emits the pieces
 // and the handoff, then stops processing permanently (the source's
 // state now lives in the new generation).
-func (p *Trusted) handleReshardExport(env tee.Env) ([]byte, error) {
+func (p *Trusted) handleReshardExport(env tee.Env) (_ []byte, err error) {
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -844,16 +844,17 @@ func (p *Trusted) handleReshardExport(env tee.Env) ([]byte, error) {
 
 	// Pending service changes not yet covered by a persisted record.
 	// Delta() resets the service's change tracking, so if anything below
-	// fails the next persistence event must be a full snapshot — nothing
-	// is lost, the next batch just pays a compaction.
+	// fails an inline seal covers them before the error returns.
 	var pending []byte
 	if p.deltaActive() {
-		var err error
-		pending, err = p.deltaSvc.Delta()
-		if err != nil {
+		if pending, err = p.deltaSvc.Delta(); err != nil {
 			return nil, fmt.Errorf("lcm: pending delta for reshard: %w", err)
 		}
-		p.forceCompact = true
+		defer func() {
+			if err != nil && len(pending) > 0 {
+				err = errors.Join(err, p.persist(env))
+			}
+		}()
 	}
 
 	res := &ReshardExportResult{}
@@ -898,9 +899,11 @@ func (p *Trusted) handleReshardExport(env tee.Env) ([]byte, error) {
 	res.Handoff = sealedHandoff
 
 	// Point of no return: like a migration origin, this context stops
-	// processing (Sec. 4.6.2 semantics, generalized).
+	// processing (Sec. 4.6.2 semantics, generalized), and leaves a
+	// checkpoint not yet sealed unsealed.
 	p.resharded = true
 	p.resh = nil
+	p.pending.Store(nil)
 	return res.Encode(), nil
 }
 
@@ -1022,8 +1025,7 @@ func (p *Trusted) handleReshardImport(env tee.Env, senderPub, leadCT []byte, pie
 // host-staged copy of its sealed blob + delta log and returns this
 // target's fragment of it. The fold applies the same acceptance rules as
 // recovery (state.go): per-record authentication under the source's kP,
-// an unbroken predecessor chain (an unchained *first* record is the
-// benign compaction-crash residue and discards the log), and sequence
+// an unbroken predecessor chain across the staged segments, and sequence
 // continuity — and it additionally must end exactly at the head the
 // source pinned inside the sealed piece, so a stale, truncated or
 // tampered copy is refused rather than imported.
@@ -1036,79 +1038,32 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 	if err != nil {
 		return nil, fmt.Errorf("staged state blob: %w", err)
 	}
-	basePlain, err := aead.Open(kp, blob, []byte(adStateBlob))
+	state, seg, err := openStateBlob(kp, blob)
 	if err != nil {
-		return nil, fmt.Errorf("staged state blob failed authentication: %w", err)
+		return nil, fmt.Errorf("staged state blob: %w", err)
 	}
-	state, err := decodeTrustedState(basePlain)
+	// Fold the staged chain in a scratch context, with recovery's rules. A
+	// copy that breaks them is refused, not a violation of this context.
+	src := &Trusted{newService: p.newService, svc: p.newService()}
+	src.deltaSvc, _ = src.svc.(service.DeltaService)
+	quiet := quietEnv{env}
+	err = src.install(quiet, kp, state)
+	if err == nil {
+		err = src.foldDeltaLog(quiet, state, seg, len(blob), func(seg uint64) string {
+			return ReshardSrcSlot(piece.Src, SegmentSlot(seg))
+		})
+	}
+	var halt *tee.HaltError
+	if errors.As(err, &halt) {
+		err = errors.New(halt.Reason)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("staged chain: %w", err)
 	}
-	svc := p.newService()
-	if err := svc.Restore(state.Snapshot); err != nil {
-		return nil, fmt.Errorf("source snapshot malformed: %w", err)
-	}
-	deltaSvc, _ := svc.(service.DeltaService)
-	v := state.V
-	t, _ := v.argmax()
-	if state.SeqT > t {
-		// A removal may have deleted the V entry holding the head; the
-		// blob's authoritative pair restores it (see state.go).
-		t = state.SeqT
-	}
-	head := blobHash(blob)
-
-	records, err := env.Host().LoadLog(ReshardSrcSlot(piece.Src, SlotDeltaLog))
-	if err != nil {
-		return nil, fmt.Errorf("staged delta log: %w", err)
-	}
-	for i, sealed := range records {
-		recPlain, err := aead.Open(kp, sealed, []byte(adDeltaLog))
-		if err != nil {
-			return nil, fmt.Errorf("staged delta record failed authentication: %w", err)
-		}
-		rec, err := decodeDeltaRecord(recPlain)
-		if err != nil {
-			return nil, err
-		}
-		if rec.Prev != head {
-			if i == 0 {
-				// Stale residue of a crash between the source's compaction
-				// store and truncate; the base blob subsumes it.
-				break
-			}
-			return nil, errors.New("staged delta log chain broken")
-		}
-		if deltaSvc == nil {
-			return nil, errors.New("staged delta log present but service cannot apply deltas")
-		}
-		if rec.FromT != t || rec.ToT < rec.FromT {
-			return nil, errors.New("staged delta record sequence discontinuity")
-		}
-		if rec.AdminSeq != state.AdminSeq {
-			return nil, errors.New("staged delta record admin sequence mismatch")
-		}
-		for id, e := range rec.Entries {
-			v[id] = e
-		}
-		for _, id := range rec.Removed {
-			delete(v, id)
-		}
-		if err := deltaSvc.ApplyDelta(rec.Delta); err != nil {
-			return nil, fmt.Errorf("staged delta malformed: %w", err)
-		}
-		t, _ = v.argmax()
-		if rec.SeqT > t {
-			t = rec.SeqT
-		}
-		if t != rec.ToT {
-			return nil, errors.New("staged delta record does not reach its declared sequence")
-		}
-		head = blobHash(sealed)
-	}
-	if head != piece.Head {
+	if src.chainPrev != piece.Head {
 		return nil, errors.New("staged chain does not reach the source's exported head")
 	}
+	svc, deltaSvc := src.svc, src.deltaSvc // the source state, folded
 	if len(piece.Pending) > 0 {
 		if deltaSvc == nil {
 			return nil, errors.New("pending delta present but service cannot apply deltas")
@@ -1127,3 +1082,9 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 	}
 	return fragments[self], nil
 }
+
+// quietEnv charges no enclave memory: a scratch context that is about to
+// be discarded.
+type quietEnv struct{ tee.Env }
+
+func (quietEnv) ChargeMemory(int64) {}

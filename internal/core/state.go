@@ -7,14 +7,17 @@ package core
 //
 //	blobkey   (SlotKeyBlob)   — kP sealed under the TEE sealing key kS.
 //	blobstate (SlotStateBlob) — a full snapshot (s, V, kC, adminSeq)
-//	                            sealed under kP. Written at bootstrap, on
-//	                            admin/migration changes, and at every
-//	                            compaction; in full-seal mode also after
-//	                            every batch.
-//	delta log (SlotDeltaLog)  — an append-only sequence of sealed delta
-//	                            records, one per batch, emitted when the
-//	                            service supports service.DeltaService and
-//	                            delta persistence is enabled.
+//	                            sealed under kP: a checkpoint or an
+//	                            inline seal.
+//	segments  (SegmentSlot(n)) — logs of sealed delta records, one per
+//	                            batch, in delta mode.
+//
+// A state blob is U8 stateVersion, U64 Seg (the segment holding the
+// records after it), then the AEAD ciphertext of trustedState under kP
+// with adStateBlob and those 9 bytes as associated data: the host reads
+// Seg without kP, and cannot change it. An unknown version, or a blob
+// from before the header, fails with ErrStateVersion. trustedState ends
+// with Head, the chain value the first record of segment Seg links to.
 //
 // # Delta record layout
 //
@@ -22,7 +25,7 @@ package core
 //
 //	U64      FromT        t before the batch (chain continuity check)
 //	U64      ToT          t after the batch
-//	U64      AdminSeq     must equal the base blob's (admin ops compact)
+//	U64      AdminSeq     must equal the base blob's (admin ops re-seal)
 //	Bytes32  Prev         SHA-256 of the predecessor ciphertext
 //	U32      n            number of touched V entries
 //	n ×      U32 id, U64 TA, Bytes32 HA, U64 T, Bytes32 H, Var LastReply
@@ -42,47 +45,32 @@ package core
 // ride the same chain, so a clone committing beacons forks the chain like
 // any other divergent writer.
 //
-// # Chaining
+// # Chaining and checkpoints
 //
-// Prev binds every record to the exact ciphertext that precedes it: the
-// sealed base state blob for the first record, the previous sealed record
-// otherwise. The host therefore cannot reorder, splice, or drop interior
-// records without breaking the chain, which recovery treats as a
-// violation (halt). Two suffix manipulations remain and are handled
-// exactly like the classic single-blob rollback:
+// Prev binds every record to the exact ciphertext that precedes it, or
+// to the blob's Head. The chain runs across segments in segment order and
+// never restarts. The batch that takes the chain's sealed bytes past
+// CompactRatio times the last snapshot's size (within CompactMinRecords
+// and CompactMaxRecords records) appends its record, then cuts: it
+// freezes V, the group and beacon state, the head h_S at its sequence S
+// and a view of the service (service.Freezer, or Snapshot), and later
+// records go to the next segment. The host seals the frozen state off
+// the request path, stores it once S is durable, and drops the segments
+// below it. Recovery folds the blob's segment and every later one that
+// holds records; the cut record closed the segment before, so none of
+// them holds a record at or before S. Inline seals write the blob at
+// once, with the current head, in a new segment unless the current one
+// is empty. The rollback argument, row by row:
 //
-//   - A log whose first record does not chain to the current base blob is
-//     discarded wholesale. This is the benign residue of a crash between
-//     compaction's Store and TruncateLog (the old log outlived its base);
-//     maliciously it is equivalent to serving an empty log — a rollback,
-//     detected at the first client invocation whose context is ahead of V.
-//   - A truncated suffix (including a torn final record after a crash) is
-//     indistinguishable from the host never having persisted those
-//     batches. Replies for them were withheld from clients if the host is
-//     honest; if it released them, the clients' contexts are ahead of the
-//     folded V and detection follows.
-//
-// # Compaction
-//
-// Compaction re-seals a full snapshot instead of a delta; the host stores
-// it and truncates the log, bounding recovery time and reclaiming space.
-// The chain restarts at the fresh blob's hash. One compaction touches the
-// state five times: the service encodes its snapshot into an exact-size
-// buffer, sealState copies it once into the blob's buffer, seals it there
-// in place, hashes the blob for the chain, and the ecall response copies
-// it across the boundary (the host decodes it without a copy). Recovery
-// opens the blob and restores the service from the plaintext in place.
-//
-// The default policy is adaptive: the enclave tracks the sealed size of
-// the last full snapshot (what one compaction costs) and the cumulative
-// sealed bytes of the live chain (what replaying it at recovery costs),
-// and compacts once the chain exceeds CompactRatio times the snapshot —
-// bounded below by CompactMinRecords (tiny services must not thrash) and
-// above by CompactMaxRecords (recovery authenticates a bounded record
-// count no matter how small the records are). Configuring CompactEvery
-// or CompactBytes replaces the adaptive policy with those fixed
-// thresholds. Chain length/bytes, the observed snapshot size and the
-// compaction history are surfaced through Status.
+//   - Old blob + a longer log is the full chain: every later segment
+//     links. A crash before the blob write, or a failed one, leaves this.
+//   - New blob + a stale or missing post-S segment is a truncated suffix.
+//     Clients whose contexts are ahead of the folded V detect it.
+//   - Spliced, swapped or reordered segments break a link: halt.
+//   - A crash between the blob write and the drop leaves segments below
+//     the blob's, which recovery never reads; a crash during an append
+//     leaves a torn tail, which is a truncated suffix of unacknowledged
+//     records.
 //
 // # Group commit (host side)
 //
@@ -98,7 +86,7 @@ package core
 // merely run ahead of the disk by the in-flight window, which a crash
 // converts into ordinary unacknowledged work. A failed group is handled
 // like a crash: the host restarts the enclave so the chain re-folds from
-// the on-disk log, and the affected clients converge through the
+// the on-disk segments, and the affected clients converge through the
 // Sec. 4.6.1 retry protocol. Non-batch ecalls (status, admin, migration)
 // act as barriers — the host flushes the committer first — so every
 // administrative view of the storage is consistent with acknowledged
@@ -106,8 +94,12 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
+
+	"lcm/internal/aead"
 
 	"lcm/internal/hashchain"
 	"lcm/internal/wire"
@@ -135,8 +127,64 @@ const (
 	adReshardAdminCh = "lcm/reshard/adminchannel/v1"
 )
 
-// blobHash condenses a sealed blob (ciphertext) for chain binding.
+// blobHash condenses a sealed delta record (ciphertext) for chain
+// binding.
 func blobHash(blob []byte) [32]byte { return sha256.Sum256(blob) }
+
+// SegmentSlot names log segment seg; segment 0 is SlotDeltaLog.
+func SegmentSlot(seg uint64) string {
+	if seg == 0 {
+		return SlotDeltaLog
+	}
+	return SlotDeltaLog + "." + strconv.FormatUint(seg, 10)
+}
+
+// State blob header (see the layout above).
+const (
+	stateVersion    = 1
+	stateHeaderSize = 1 + 8
+)
+
+// BlobSegment reads the segment a state blob's header names, without
+// authenticating it; ok is false for an unknown version.
+func BlobSegment(blob []byte) (seg uint64, ok bool) {
+	if len(blob) < stateHeaderSize || blob[0] != stateVersion {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(blob[1:stateHeaderSize]), true
+}
+
+// sealStateBlob seals s as a state blob naming segment seg, in one
+// exact-size buffer sealed in place (aead.SealInPlace).
+func sealStateBlob(kp aead.Key, s *trustedState, seg uint64) ([]byte, error) {
+	w := wire.NewWriter(stateHeaderSize + aead.Overhead + s.encodedSize())
+	w.U8(stateVersion)
+	w.U64(seg)
+	w.Pad(aead.NonceSize)
+	s.encodeTo(w)
+	buf := w.Bytes()
+	ct, err := aead.SealInPlace(kp, buf[stateHeaderSize:], append([]byte(adStateBlob), buf[:stateHeaderSize]...))
+	return buf[:stateHeaderSize+len(ct)], err
+}
+
+// openStateBlob authenticates and decodes a state blob and returns the
+// segment it names. An unknown version, or a headerless blob (one that
+// opens under the bare label), fails with ErrStateVersion.
+func openStateBlob(kp aead.Key, blob []byte) (*trustedState, uint64, error) {
+	seg, ok := BlobSegment(blob)
+	if !ok {
+		return nil, 0, ErrStateVersion
+	}
+	plain, err := aead.Open(kp, blob[stateHeaderSize:], append([]byte(adStateBlob), blob[:stateHeaderSize]...))
+	if err != nil {
+		if _, lerr := aead.Open(kp, blob, []byte(adStateBlob)); lerr == nil {
+			return nil, 0, ErrStateVersion // headerless, its nonce began with the version byte
+		}
+		return nil, 0, err
+	}
+	state, err := decodeTrustedState(plain)
+	return state, seg, err
+}
 
 // trustedState is the plaintext of the sealed state blob: the protocol
 // state V, the communication key kC, the admin sequence number and the
@@ -168,10 +216,13 @@ type trustedState struct {
 	Evictions     uint64
 	SeqT          uint64
 	SeqH          hashchain.Value
+	// Head is the chain value the first record after this blob links to
+	// (the hash of the cut's record, or the head at an inline seal).
+	Head [32]byte
 }
 
 func (s *trustedState) encodedSize() int {
-	size := 56 + len(s.KC) + len(s.Snapshot) + 40 + hashchain.Size + 4*len(s.Evicted)
+	size := 56 + len(s.KC) + len(s.Snapshot) + 40 + hashchain.Size + 32 + 4*len(s.Evicted)
 	for _, e := range s.V {
 		size += vEntryMinSize + len(e.LastReply)
 	}
@@ -233,6 +284,7 @@ func (s *trustedState) encodeTo(w *wire.Writer) {
 	w.U64(s.Evictions)
 	w.U64(s.SeqT)
 	w.Bytes32(s.SeqH)
+	w.Bytes32(s.Head)
 }
 
 func (s *trustedState) encode() []byte {
@@ -260,6 +312,7 @@ func decodeTrustedState(b []byte) (*trustedState, error) {
 	s.Evictions = r.U64()
 	s.SeqT = r.U64()
 	s.SeqH = r.Bytes32()
+	s.Head = r.Bytes32()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lcm: decode trusted state: %w", err)
 	}

@@ -28,9 +28,13 @@ func FuzzDecodeTrustedState(f *testing.F) {
 	f.Add(golden[:len(golden)-1])
 	f.Add([]byte{1, 2, 3})
 	f.Add(make([]byte, 40))
-	f.Add(withCount(golden, vCount, 1<<24))                 // 16 M V entries
-	f.Add(withCount(golden, vCount, 0xFFFFFFFF))            // the largest count
-	f.Add(withCount(golden, len(golden)-(4+8+8+32), 1<<30)) // evicted ids
+	f.Add(withCount(golden, vCount, 1<<24))                    // 16 M V entries
+	f.Add(withCount(golden, vCount, 0xFFFFFFFF))               // the largest count
+	f.Add(withCount(golden, len(golden)-(4+8+8+32+32), 1<<30)) // evicted ids
+	f.Add(golden[:len(golden)-32])                             // the layout before Head
+	cut := goldenTrustedState()
+	cut.Snapshot, cut.Evicted, cut.SeqT = nil, []uint32{2, 9}, 11 // a cut's frozen state
+	f.Add(cut.encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var (
 			s   *trustedState

@@ -3,9 +3,11 @@ package core
 import (
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"lcm/internal/aead"
 	"lcm/internal/hashchain"
@@ -32,9 +34,8 @@ type Trusted struct {
 	newService   service.Factory
 	attestation  *tee.AttestationService // verification root for migration targets
 	fullSeal     bool
-	compactEvery int
-	compactBytes int
 	compactRatio float64
+	cutRecords   int // tests: cut after this many records, whatever their size
 
 	// Group-strategy configuration (see group.go).
 	committeeSize      int
@@ -65,22 +66,16 @@ type Trusted struct {
 	resh      *reshardState
 	resharded bool
 
-	// Delta-chain state (see the format docs in state.go): the hash of the
-	// last sealed blob/record, and the log's current size for the
-	// compaction policy. forceCompact makes the next batch re-seal a full
-	// snapshot regardless of the thresholds — set when recovery discarded
-	// a stale log, so the host truncates it (through the normal
-	// compaction directive) before any new record could land behind the
-	// stale prefix.
+	// Delta-chain state (see state.go): the chain head, the records and
+	// sealed bytes since the last cut or blob, the segment records go to,
+	// and the segment and Head of the last blob sealed or recovered from.
 	chainPrev    [32]byte
 	chainLen     int
 	chainBytes   int
-	forceCompact bool
-
-	// Adaptive-compaction observations: the size of the last sealed full
-	// snapshot (what one compaction costs) and the running compaction
-	// stats surfaced through Status.
-	snapBytes    int
+	seg, baseSeg uint64
+	baseHead     [32]byte
+	pending      atomic.Pointer[checkpoint] // frozen by the last cut, until sealed
+	snapBytes    atomic.Int64               // size of the last sealed snapshot
 	compactions  uint64
 	lastCompactT uint64
 
@@ -102,18 +97,20 @@ type Trusted struct {
 	rs         readState
 }
 
-var _ tee.ReadProgram = (*Trusted)(nil)
+var (
+	_ tee.ReadProgram       = (*Trusted)(nil)
+	_ tee.BackgroundProgram = (*Trusted)(nil)
+)
 
 var _ tee.Program = (*Trusted)(nil)
 
-// Adaptive-compaction policy constants. By default the enclave re-seals a
-// full snapshot (and directs the host to truncate the delta log) when the
-// accumulated sealed delta bytes exceed DefaultCompactRatio times the
-// observed size of the last full snapshot — i.e. when replaying the chain
-// at recovery would cost a configurable multiple of simply re-sealing.
-// The record-count floor keeps a tiny service from compacting on every
-// other batch, and the cap bounds the number of records recovery must
-// authenticate regardless of their size.
+// Checkpoint policy constants. The enclave cuts a checkpoint (see cut)
+// when the sealed delta bytes since the last one exceed
+// DefaultCompactRatio times the observed size of the last full snapshot —
+// i.e. when replaying the chain at recovery would cost a configurable
+// multiple of re-sealing. The record-count floor keeps a tiny service
+// from cutting on every other batch, and the cap bounds the number of
+// records recovery must authenticate regardless of their size.
 const (
 	DefaultCompactRatio = 4.0
 	CompactMinRecords   = 16
@@ -137,16 +134,9 @@ type TrustedConfig struct {
 	// still folds any existing delta log, so the toggle is safe across
 	// restarts.
 	FullSeal bool
-	// CompactEvery, when > 0, switches compaction to a fixed policy that
-	// re-seals after this many delta records (tests and ablations; the
-	// default is the adaptive snapshot/delta-ratio policy).
-	CompactEvery int
-	// CompactBytes, when > 0, switches compaction to a fixed policy that
-	// re-seals after this many sealed delta bytes.
-	CompactBytes int
-	// CompactRatio tunes the adaptive policy: compact once the chain's
-	// sealed bytes exceed this multiple of the last full snapshot's size.
-	// 0 means DefaultCompactRatio. Ignored when a fixed policy is set.
+	// CompactRatio tunes the checkpoint policy: cut once the chain's
+	// sealed bytes since the last checkpoint exceed this multiple of the
+	// last full snapshot's size. 0 means DefaultCompactRatio.
 	CompactRatio float64
 	// CommitteeSize is the witness-committee size k for large groups; 0
 	// means DefaultCommitteeSize. Admin.SetCommitteeSize overrides it at
@@ -160,6 +150,8 @@ type TrustedConfig struct {
 	// heartbeat or join) for this many membership epochs, batched at the
 	// epoch seal; 0 disables heartbeat eviction.
 	EvictAfterEpochs int
+
+	cutRecords int // tests: cut after this many records, whatever their size
 }
 
 // NewTrustedFactory returns a tee.ProgramFactory for the LCM protocol over
@@ -175,8 +167,7 @@ func NewTrustedFactory(cfg TrustedConfig) tee.ProgramFactory {
 			newService:         cfg.NewService,
 			attestation:        cfg.Attestation,
 			fullSeal:           cfg.FullSeal,
-			compactEvery:       cfg.CompactEvery,
-			compactBytes:       cfg.CompactBytes,
+			cutRecords:         cfg.cutRecords,
 			compactRatio:       compactRatio,
 			committeeSize:      cfg.CommitteeSize,
 			stabilityThreshold: cfg.StabilityThreshold,
@@ -245,104 +236,105 @@ func (p *Trusted) Init(env tee.Env) error {
 	if err != nil {
 		return fmt.Errorf("lcm: load state blob: %w", err)
 	}
-	statePlain, err := aead.Open(kp, blobstate, []byte(adStateBlob))
-	if err != nil {
+	state, seg, err := openStateBlob(kp, blobstate)
+	switch {
+	case errors.Is(err, ErrStateVersion):
+		return tee.Halt("state blob version unknown", err)
+	case errors.Is(err, aead.ErrAuth):
 		return tee.Halt("state blob failed authentication", err)
-	}
-	state, err := decodeTrustedState(statePlain)
-	if err != nil {
+	case err != nil:
 		return tee.Halt("state blob malformed", err)
 	}
 	if err := p.install(env, kp, state); err != nil {
 		return err
 	}
-	return p.foldDeltaLog(env, blobstate)
+	return p.foldDeltaLog(env, state, seg, len(blobstate), SegmentSlot)
 }
 
-// foldDeltaLog replays the sealed delta log onto the freshly installed
-// base snapshot, verifying per-record authentication and the predecessor
-// hash chain. See state.go for the exact acceptance policy: an unchained
-// first record means a stale log (discarded — at worst a rollback, which
-// clients detect), while a chain break after that is proof of tampering.
-func (p *Trusted) foldDeltaLog(env tee.Env, baseBlob []byte) error {
-	p.chainPrev = blobHash(baseBlob)
+// foldDeltaLog replays the chain after the freshly installed blob: the
+// blob's segment and every later one holding records (slot names them),
+// authenticating each record and its link. A broken link halts; a short
+// suffix is a rollback, which clients detect (see state.go).
+func (p *Trusted) foldDeltaLog(env tee.Env, base *trustedState, seg uint64, blobBytes int, slot func(uint64) string) error {
+	p.chainPrev, p.baseHead = base.Head, base.Head
+	p.seg, p.baseSeg = seg, seg
 	p.chainLen, p.chainBytes = 0, 0
-	p.snapBytes = len(baseBlob)
-	records, err := env.Host().LoadLog(SlotDeltaLog)
-	if err != nil {
-		return fmt.Errorf("lcm: load delta log: %w", err)
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	if p.deltaSvc == nil {
-		return tee.Halt("delta log present but service cannot apply deltas", nil)
-	}
-	for i, sealed := range records {
-		plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
+	p.snapBytes.Store(int64(blobBytes))
+	for ; ; seg++ {
+		records, err := env.Host().LoadLog(slot(seg))
 		if err != nil {
-			return tee.Halt("delta record failed authentication", err)
+			return fmt.Errorf("lcm: load log segment %d: %w", seg, err)
 		}
-		rec, err := decodeDeltaRecord(plain)
-		if err != nil {
-			return tee.Halt("delta record malformed", err)
+		if len(records) == 0 {
+			break
 		}
-		if rec.Prev != p.chainPrev {
-			if i == 0 {
-				// A log that does not chain to the current base is the
-				// benign residue of a crash between compaction's store
-				// and truncate; discard it wholesale. The stale records
-				// are still on disk, so the next batch must compact
-				// (full seal + host truncation) rather than append a
-				// live record behind the stale prefix — a later restart
-				// would otherwise discard the live suffix too.
-				p.forceCompact = true
-				return nil
+		if p.deltaSvc == nil {
+			return tee.Halt("delta log present but service cannot apply deltas", nil)
+		}
+		for _, sealed := range records {
+			plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
+			if err != nil {
+				return tee.Halt("delta record failed authentication", err)
 			}
-			return tee.Halt("delta log chain broken", nil)
+			rec, err := decodeDeltaRecord(plain)
+			if err != nil {
+				return tee.Halt("delta record malformed", err)
+			}
+			if rec.Prev != p.chainPrev {
+				return tee.Halt("delta log chain broken", nil)
+			}
+			if err := p.applyRecord(rec, sealed); err != nil {
+				return err
+			}
 		}
-		if rec.FromT != p.t || rec.ToT < rec.FromT {
-			return tee.Halt("delta record sequence discontinuity", nil)
-		}
-		if rec.AdminSeq != p.adminSeq {
-			return tee.Halt("delta record admin sequence mismatch", nil)
-		}
-		for id, e := range rec.Entries {
-			p.g.v[id] = e
-		}
-		p.g.applyTombstones(rec.Removed)
-		if rec.GroupEpoch > p.g.epoch {
-			p.g.epoch = rec.GroupEpoch
-			p.g.graceEpoch = rec.GroupEpoch
-		}
-		if rec.QFloor > p.g.qFloor {
-			p.g.qFloor = rec.QFloor
-		}
-		if err := p.deltaSvc.ApplyDelta(rec.Delta); err != nil {
-			return tee.Halt("service delta malformed", err)
-		}
-		p.t, p.h = p.g.v.argmax()
-		if rec.SeqT > p.t {
-			// A removal in this record may have deleted the entry holding
-			// the head; the record carries the authoritative (t, h).
-			p.t, p.h = rec.SeqT, rec.SeqH
-		}
-		if p.t != rec.ToT {
-			return tee.Halt("delta record does not reach its declared sequence", nil)
-		}
-		if rec.BeaconSeq > 0 {
-			// A beacon record: resume the counter-reservation protocol at
-			// the tick it reserved. beaconOpen stays false — whether the
-			// confirm increment ran is what the next reserve's R ∈
-			// {tick, tick−1} tolerance absorbs.
-			p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
-		}
-		p.chainPrev = blobHash(sealed)
-		p.chainLen++
-		p.chainBytes += len(sealed)
+		p.seg = seg
 	}
 	p.durableT = p.t // the folded chain came from stable storage
 	p.chargeFootprint(env)
+	return nil
+}
+
+// applyRecord folds an authenticated record that links onto the head.
+func (p *Trusted) applyRecord(rec *deltaRecord, sealed []byte) error {
+	if rec.FromT != p.t || rec.ToT < rec.FromT {
+		return tee.Halt("delta record sequence discontinuity", nil)
+	}
+	if rec.AdminSeq != p.adminSeq {
+		return tee.Halt("delta record admin sequence mismatch", nil)
+	}
+	for id, e := range rec.Entries {
+		p.g.v[id] = e
+	}
+	p.g.applyTombstones(rec.Removed)
+	if rec.GroupEpoch > p.g.epoch {
+		p.g.epoch = rec.GroupEpoch
+		p.g.graceEpoch = rec.GroupEpoch
+	}
+	if rec.QFloor > p.g.qFloor {
+		p.g.qFloor = rec.QFloor
+	}
+	if err := p.deltaSvc.ApplyDelta(rec.Delta); err != nil {
+		return tee.Halt("service delta malformed", err)
+	}
+	p.t, p.h = p.g.v.argmax()
+	if rec.SeqT > p.t {
+		// A removal in this record may have deleted the entry holding
+		// the head; the record carries the authoritative (t, h).
+		p.t, p.h = rec.SeqT, rec.SeqH
+	}
+	if p.t != rec.ToT {
+		return tee.Halt("delta record does not reach its declared sequence", nil)
+	}
+	if rec.BeaconSeq > 0 {
+		// A beacon record: resume the counter-reservation protocol at
+		// the tick it reserved. beaconOpen stays false — whether the
+		// confirm increment ran is what the next reserve's R ∈
+		// {tick, tick−1} tolerance absorbs.
+		p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
+	}
+	p.chainPrev = blobHash(sealed)
+	p.chainLen++
+	p.chainBytes += len(sealed)
 	return nil
 }
 
@@ -395,7 +387,7 @@ func (p *Trusted) Call(env tee.Env, payload []byte) ([]byte, error) {
 	if err == nil && len(payload) > 0 {
 		switch payload[0] {
 		case callBatch, callStatus, callAttest, callEnableReads, callAdvanceDurable,
-			callBeacon, callBeaconConfirm, callGroupInfo:
+			callBeacon, callBeaconConfirm, callGroupInfo, callCheckpoint:
 			// Reads-neutral (status, attest, beacons — no client-visible
 			// state changes), self-publishing (enable, advance), or
 			// published only once durable (batch).
@@ -472,7 +464,7 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			DeltaActive:    p.deltaActive(),
 			ChainLen:       p.chainLen,
 			ChainBytes:     p.chainBytes,
-			SnapshotBytes:  p.snapBytes,
+			SnapshotBytes:  int(p.snapBytes.Load()),
 			Compactions:    p.compactions,
 			LastCompactSeq: p.lastCompactT,
 			BeaconSeq:      p.beaconSeq,
@@ -591,6 +583,12 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return p.handleGroupInfo()
+	case callCheckpoint:
+		seg := r.U64()
+		if err := r.Done(); err != nil {
+			return nil, err
+		}
+		return p.sealCheckpoint(seg)
 	default:
 		return nil, fmt.Errorf("lcm: unknown call kind %d", payload[0])
 	}
@@ -602,8 +600,8 @@ func (p *Trusted) deltaActive() bool { return p.deltaSvc != nil && !p.fullSeal }
 
 // handleBatch processes a batch of INVOKE messages sequentially (the main
 // loop of Alg. 2) and seals the persistence record once per batch: a
-// delta record covering exactly this batch's changes in the common case,
-// or a full state blob in full-seal mode and at compaction points.
+// delta record covering exactly this batch's changes, or a full state
+// blob in full-seal mode.
 func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
@@ -644,48 +642,37 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 		p.snapReader.EndBatch(p.t)
 	}
 	res := BatchResult{Replies: replies, Seq: p.t}
-	switch {
-	case touched == nil:
-		// Full-seal mode (or a service without delta support): the
-		// original per-batch O(state) seal.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-	case p.shouldCompact():
-		// Compaction: re-seal a full snapshot and direct the host to
-		// truncate the log. Snapshot subsumes this batch's pending
-		// delta (the DeltaService contract), so nothing is lost.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-		res.Compact = true
-	default:
-		rec, err := p.sealDeltaRecord(fromT, touched, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		res.DeltaRecord = rec
+	if err := p.sealResult(&res, fromT, touched, nil, false); err != nil {
+		return nil, err
 	}
 	return encodeBatchResult(&res), nil
 }
 
-// shouldCompact decides whether the next batch re-seals a full snapshot
-// instead of appending a delta record. With an explicit CompactEvery or
-// CompactBytes configured the fixed thresholds apply verbatim; otherwise
-// the adaptive policy compacts once the chain's replay cost (its sealed
-// bytes) exceeds compactRatio times the observed full-snapshot size,
-// bounded below by CompactMinRecords and above by CompactMaxRecords.
-func (p *Trusted) shouldCompact() bool {
-	if p.forceCompact {
-		return true
+// sealResult seals a result's persistence record: a full state blob in
+// full-seal mode, else a delta record, then cuts if the chain is due.
+func (p *Trusted) sealResult(res *BatchResult, fromT uint64, touched vmap, removed []uint32, beacon bool) error {
+	if !p.deltaActive() {
+		blob, err := p.sealState()
+		res.StateBlob, res.Seg = blob, p.seg
+		return err
 	}
-	if p.compactEvery > 0 || p.compactBytes > 0 {
-		return (p.compactEvery > 0 && p.chainLen >= p.compactEvery) ||
-			(p.compactBytes > 0 && p.chainBytes >= p.compactBytes)
+	rec, err := p.sealDeltaRecord(fromT, touched, removed, beacon)
+	if err != nil {
+		return err
+	}
+	res.DeltaRecord, res.Seg = rec, p.seg
+	if res.Cut = p.shouldCut(); res.Cut {
+		p.cut()
+	}
+	return nil
+}
+
+// shouldCut reports whether the chain's replay cost since the last
+// checkpoint (its sealed bytes) exceeds compactRatio times the snapshot
+// size, within CompactMinRecords and CompactMaxRecords records.
+func (p *Trusted) shouldCut() bool {
+	if p.cutRecords > 0 {
+		return p.chainLen >= p.cutRecords
 	}
 	if p.chainLen < CompactMinRecords {
 		return false
@@ -693,11 +680,64 @@ func (p *Trusted) shouldCompact() bool {
 	if p.chainLen >= CompactMaxRecords {
 		return true
 	}
-	snap := p.snapBytes
-	if snap < 1 {
-		snap = 1
+	return float64(p.chainBytes) >= p.compactRatio*float64(max(p.snapBytes.Load(), 1))
+}
+
+// checkpoint is what a cut freezes (state at S with Head h_S, and more).
+type checkpoint struct {
+	state trustedState
+	seg   uint64
+	kp    aead.Key
+	view  func() ([]byte, error)
+}
+
+// cut freezes a checkpoint at S after the record reaching S, which closes
+// its segment: O(members) plus the service's Freeze. The O(state) seal
+// runs later, off the request path; a newer cut or blob replaces it.
+func (p *Trusted) cut() {
+	var view func() ([]byte, error)
+	if f, ok := p.svc.(service.Freezer); ok {
+		view = f.Freeze()
+	} else {
+		snapshot, err := p.svc.Snapshot()
+		view = func() ([]byte, error) { return snapshot, err }
 	}
-	return float64(p.chainBytes) >= p.compactRatio*float64(snap)
+	state := p.stateOf(nil)
+	state.V = state.V.clone() // later batches mutate the entries
+	p.seg++
+	p.pending.Store(&checkpoint{state: state, seg: p.seg, kp: p.kp, view: view})
+	p.chainLen, p.chainBytes = 0, 0
+	p.compactions++
+	p.lastCompactT = p.t
+}
+
+// HandleBackground implements tee.BackgroundProgram: checkpoint seals.
+func (p *Trusted) HandleBackground(payload []byte) ([]byte, error) {
+	if len(payload) != 9 || payload[0] != callCheckpoint {
+		return nil, errors.New("lcm: unknown background call")
+	}
+	return p.sealCheckpoint(binary.BigEndian.Uint64(payload[1:]))
+}
+
+// sealCheckpoint seals the pending checkpoint starting segment seg, beside
+// later batches: it touches only atomics. Records chain from Head, so the
+// blob is not hashed.
+func (p *Trusted) sealCheckpoint(seg uint64) ([]byte, error) {
+	ck := p.pending.Load()
+	if ck == nil || ck.seg != seg || !p.pending.CompareAndSwap(ck, nil) {
+		return nil, ErrNoCheckpoint
+	}
+	snapshot, err := ck.view()
+	if err != nil {
+		return nil, fmt.Errorf("lcm: checkpoint snapshot: %w", err)
+	}
+	ck.state.Snapshot = snapshot
+	blob, err := sealStateBlob(ck.kp, &ck.state, ck.seg)
+	if err != nil {
+		return nil, fmt.Errorf("lcm: seal checkpoint: %w", err)
+	}
+	p.snapBytes.Store(int64(len(blob)))
+	return blob, nil
 }
 
 // sealDeltaRecord seals this batch's delta record and advances the chain.
@@ -727,7 +767,12 @@ func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, remo
 	if beacon {
 		rec.BeaconSeq, rec.BeaconTick = p.beaconSeq, p.beaconTick
 	}
-	sealed, err := p.sealEncoded(&rec, adDeltaLog)
+	// Encoded behind nonce headroom, with room for the tag, and sealed in
+	// place (aead.SealInPlace): written once, no buffer of its own.
+	w := wire.NewWriter(aead.Overhead + rec.encodedSize())
+	w.Pad(aead.NonceSize)
+	rec.encodeTo(w)
+	sealed, err := aead.SealInPlace(p.kp, w.Bytes(), []byte(adDeltaLog))
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal delta record: %w", err)
 	}
@@ -788,30 +833,10 @@ func (p *Trusted) handleBeacon(env tee.Env) ([]byte, error) {
 	p.beaconSeq++
 	p.beaconTick = read + 1
 	p.beaconOpen = true
+	// In full-seal mode the beacon fields travel in the state blob.
 	res := BatchResult{Seq: p.t, Beacon: true}
-	switch {
-	case !p.deltaActive():
-		// Full-seal mode: the beacon fields travel in the state blob.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-	case p.shouldCompact():
-		// Never append behind a stale prefix (forceCompact) and keep the
-		// chain bounded: compact exactly like a batch would.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-		res.Compact = true
-	default:
-		rec, err := p.sealDeltaRecord(p.t, vmap{}, nil, true)
-		if err != nil {
-			return nil, err
-		}
-		res.DeltaRecord = rec
+	if err := p.sealResult(&res, p.t, vmap{}, nil, true); err != nil {
+		return nil, err
 	}
 	return encodeBatchResult(&res), nil
 }
@@ -900,15 +925,9 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 	return replyCT, inv.ClientID, nil
 }
 
-// sealState produces the blob ← auth-encrypt((s, V, kC), kP) of Alg. 2
-// and restarts the delta chain at it (a full snapshot subsumes any
-// pending deltas; kvs-style services clear their dirty set on Snapshot).
-func (p *Trusted) sealState() ([]byte, error) {
-	snapshot, err := p.svc.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("lcm: snapshot service: %w", err)
-	}
-	state := trustedState{
+// stateOf assembles the sealed-state plaintext, with Head the chain head.
+func (p *Trusted) stateOf(snapshot []byte) trustedState {
+	return trustedState{
 		AdminSeq:      p.adminSeq,
 		Gen:           p.gen,
 		KC:            p.kc.Bytes(),
@@ -923,33 +942,34 @@ func (p *Trusted) sealState() ([]byte, error) {
 		Evictions:     p.g.evictions,
 		SeqT:          p.t,
 		SeqH:          p.h,
+		Head:          p.chainPrev,
 	}
-	blob, err := p.sealEncoded(&state, adStateBlob)
+}
+
+// sealState produces the blob ← auth-encrypt((s, V, kC), kP) of Alg. 2
+// inline (a full snapshot subsumes any pending deltas; kvs-style services
+// clear their dirty set on Snapshot). The chain continues from its Head in
+// a new segment, unless the current one is empty, and it supersedes any
+// checkpoint not yet sealed.
+func (p *Trusted) sealState() ([]byte, error) {
+	snapshot, err := p.svc.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("lcm: seal state: %w", err)
+		return nil, fmt.Errorf("lcm: snapshot service: %w", err)
 	}
-	if p.chainLen > 0 || p.forceCompact {
+	if p.chainLen > 0 {
+		p.seg++
 		p.compactions++
 		p.lastCompactT = p.t
 	}
-	p.chainPrev = blobHash(blob)
+	p.pending.Store(nil)
+	state := p.stateOf(snapshot)
+	blob, err := sealStateBlob(p.kp, &state, p.seg)
+	if err != nil {
+		return nil, fmt.Errorf("lcm: seal state: %w", err)
+	}
 	p.chainLen, p.chainBytes = 0, 0
-	p.snapBytes = len(blob)
-	p.forceCompact = false
+	p.snapBytes.Store(int64(len(blob)))
 	return blob, nil
-}
-
-// sealEncoded encodes v behind nonce headroom into a buffer with room for
-// the tag and seals it there (aead.SealInPlace): the plaintext is written
-// once and the ciphertext needs no buffer of its own.
-func (p *Trusted) sealEncoded(v interface {
-	encodedSize() int
-	encodeTo(*wire.Writer)
-}, ad string) ([]byte, error) {
-	w := wire.NewWriter(aead.Overhead + v.encodedSize())
-	w.Pad(aead.NonceSize)
-	v.encodeTo(w)
-	return aead.SealInPlace(p.kp, w.Bytes(), []byte(ad))
 }
 
 // sealKeyBlob produces blobkey ← auth-encrypt(kP, kS).
@@ -976,14 +996,14 @@ func (p *Trusted) persist(env tee.Env) error {
 	if err := env.Host().Store(SlotKeyBlob, keyBlob); err != nil {
 		return fmt.Errorf("lcm: store key blob: %w", err)
 	}
+	// The blob's segment holds no record of this chain; clear foreign
+	// residue (an import onto used storage) before the blob names it. The
+	// host's next checkpoint drops the segments below it.
+	if err := env.Host().TruncateLog(SegmentSlot(p.seg)); err != nil {
+		return fmt.Errorf("lcm: clear log segment: %w", err)
+	}
 	if err := env.Host().Store(SlotStateBlob, stateBlob); err != nil {
 		return fmt.Errorf("lcm: store state blob: %w", err)
-	}
-	// A fresh full snapshot obsoletes the delta log. Truncating after the
-	// store keeps a crash in between benign: an unchained leftover log is
-	// discarded at recovery (see state.go).
-	if err := env.Host().TruncateLog(SlotDeltaLog); err != nil {
-		return fmt.Errorf("lcm: truncate delta log: %w", err)
 	}
 	if p.readsArmed && p.snapReader != nil {
 		// The synchronous store above made everything durable; release
@@ -1164,21 +1184,7 @@ func (p *Trusted) handleMigrateExport(env tee.Env, quoteBytes []byte) ([]byte, e
 	}
 	p.migNonce = nil
 
-	state := trustedState{
-		AdminSeq:      p.adminSeq,
-		Gen:           p.gen,
-		KC:            p.kc.Bytes(),
-		V:             p.g.v.clone(),
-		BeaconSeq:     p.beaconSeq,
-		BeaconTick:    p.beaconTick,
-		GroupEpoch:    p.g.epoch,
-		QFloor:        p.g.qFloor,
-		CommitteeSize: uint32(p.g.committeeSize),
-		Evicted:       p.g.evictedIDs(),
-		Evictions:     p.g.evictions,
-		SeqT:          p.t,
-		SeqH:          p.h,
-	}
+	state := p.stateOf(nil)
 	payload := migrationPayload{KP: p.kp.Bytes()}
 	if p.deltaActive() {
 		// Chain mode: carry the delta chain instead of forcing an
@@ -1205,8 +1211,10 @@ func (p *Trusted) handleMigrateExport(env tee.Env, quoteBytes []byte) ([]byte, e
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal migration payload: %w", err)
 	}
-	// At this point T stops processing requests (Sec. 4.6.2).
+	// At this point T stops processing requests (Sec. 4.6.2), and leaves
+	// a checkpoint not yet sealed unsealed: the host copies the storage.
 	p.migrated = true
+	p.pending.Store(nil)
 	return encodeMigrationExport(&MigrationExport{SenderPub: senderPub, Ciphertext: ct}), nil
 }
 
@@ -1259,7 +1267,7 @@ func (p *Trusted) handleMigrateImport(env tee.Env, inner []byte) ([]byte, error)
 // in the payload, while V, kC and the admin sequence come from the
 // payload itself. Only the key blob is re-sealed (under this platform's
 // sealing key); the state blob and log continue unchanged, so the target
-// resumes the chain — and its compaction bookkeeping — where the origin
+// resumes the chain — and its checkpoint bookkeeping — where the origin
 // left off.
 func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, payload *migrationPayload) ([]byte, error) {
 	if p.deltaSvc == nil {
@@ -1272,18 +1280,14 @@ func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, pay
 	if err != nil {
 		return nil, fmt.Errorf("lcm: chain-mode migration: load state blob: %w", err)
 	}
-	basePlain, err := aead.Open(kp, baseBlob, []byte(adStateBlob))
+	base, seg, err := openStateBlob(kp, baseBlob)
 	if err != nil {
-		return nil, fmt.Errorf("lcm: chain-mode migration: state blob failed authentication: %w", err)
-	}
-	base, err := decodeTrustedState(basePlain)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: chain-mode migration: %w", err)
+		return nil, fmt.Errorf("lcm: chain-mode migration: state blob: %w", err)
 	}
 	if err := p.install(env, kp, base); err != nil {
 		return nil, err
 	}
-	if err := p.foldDeltaLog(env, baseBlob); err != nil {
+	if err := p.foldDeltaLog(env, base, seg, len(baseBlob), SegmentSlot); err != nil {
 		return nil, err
 	}
 	if p.chainPrev != payload.ChainPrev {

@@ -20,6 +20,9 @@ type rig struct {
 	enclave     *tee.Enclave
 	admin       *Admin
 	clients     map[uint32]*Client
+	// noCheckpoints plays a host whose checkpoint blob writes all fail:
+	// the bootstrap blob stays, and the chain runs on across segments.
+	noCheckpoints bool
 }
 
 func newRig(t *testing.T, clientIDs []uint32) *rig {
@@ -73,17 +76,77 @@ func (r *rig) do(clientID uint32, op []byte) (*Result, error) {
 }
 
 // persistBatch performs the honest host's persistence protocol for one
-// batch response: append the delta record, or store the full blob and
-// truncate the log at compaction points.
+// batch response: append the delta record to its segment, or store the
+// inline blob and drop the segments below it. After a cut it seals and
+// stores the checkpoint at once — in the rig every record is durable as
+// soon as it is appended.
 func (r *rig) persistBatch(batch *BatchResult) error {
 	if len(batch.DeltaRecord) > 0 {
-		return r.storage.Append(SlotDeltaLog, batch.DeltaRecord)
+		if err := r.storage.Append(SegmentSlot(batch.Seg), batch.DeltaRecord); err != nil {
+			return err
+		}
+		if !batch.Cut || r.noCheckpoints {
+			return nil
+		}
+		blob, err := r.enclave.BackgroundCall(EncodeCheckpointCall(batch.Seg + 1))
+		if err != nil {
+			return err
+		}
+		return r.storeBlob(blob)
 	}
-	if err := r.storage.Store(SlotStateBlob, batch.StateBlob); err != nil {
+	return r.storeBlob(batch.StateBlob)
+}
+
+// call runs one already-encoded invoke through the enclave and returns
+// its result without persisting anything.
+func (r *rig) call(invoke []byte) *BatchResult {
+	r.t.Helper()
+	resp, err := r.enclave.Call(EncodeBatchCall([][]byte{invoke}))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	batch, err := DecodeBatchResult(resp)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return batch
+}
+
+// sealCheckpoint seals the checkpoint that starts segment seg.
+func (r *rig) sealCheckpoint(seg uint64) []byte {
+	r.t.Helper()
+	blob, err := r.enclave.BackgroundCall(EncodeCheckpointCall(seg))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return blob
+}
+
+// chainRecords counts the records recovery folds: those of the segment
+// the stored blob names and of every later one holding records.
+func (r *rig) chainRecords() int {
+	blob, err := r.storage.Load(SlotStateBlob)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	n := 0
+	for seg, _ := BlobSegment(blob); r.storage.LogLen(SegmentSlot(seg)) > 0; seg++ {
+		n += r.storage.LogLen(SegmentSlot(seg))
+	}
+	return n
+}
+
+// storeBlob stores a state blob and drops the log segments below the one
+// it names.
+func (r *rig) storeBlob(blob []byte) error {
+	if err := r.storage.Store(SlotStateBlob, blob); err != nil {
 		return err
 	}
-	if batch.Compact {
-		return r.storage.TruncateLog(SlotDeltaLog)
+	seg, _ := BlobSegment(blob)
+	for s := uint64(0); s < seg; s++ {
+		if err := r.storage.TruncateLog(SegmentSlot(s)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -141,15 +204,20 @@ func copySealedState(t *testing.T, dst, src stablestore.Store) {
 	if err := dst.Store(SlotStateBlob, blob); err != nil {
 		t.Fatalf("store state blob: %v", err)
 	}
-	log, err := src.LoadLog(SlotDeltaLog)
-	if err != nil {
-		t.Fatalf("copy delta log: %v", err)
-	}
-	if err := dst.TruncateLog(SlotDeltaLog); err != nil {
-		t.Fatalf("clear target log: %v", err)
-	}
-	if err := dst.AppendGroup(SlotDeltaLog, log); err != nil {
-		t.Fatalf("store delta log: %v", err)
+	for seg, _ := BlobSegment(blob); ; seg++ {
+		log, err := src.LoadLog(SegmentSlot(seg))
+		if err != nil {
+			t.Fatalf("copy delta log: %v", err)
+		}
+		if err := dst.TruncateLog(SegmentSlot(seg)); err != nil {
+			t.Fatalf("clear target log: %v", err)
+		}
+		if len(log) == 0 {
+			return
+		}
+		if err := dst.AppendGroup(SegmentSlot(seg), log); err != nil {
+			t.Fatalf("store delta log: %v", err)
+		}
 	}
 }
 
@@ -568,7 +636,7 @@ func TestMigrationPreservesSessionsAndState(t *testing.T) {
 	// Honest target host: append the delta record (the import persisted
 	// the full blob; batches continue the chain from it).
 	if len(batch.DeltaRecord) > 0 {
-		if err := targetStorage.Append(SlotDeltaLog, batch.DeltaRecord); err != nil {
+		if err := targetStorage.Append(SegmentSlot(batch.Seg), batch.DeltaRecord); err != nil {
 			t.Fatal(err)
 		}
 	} else if err := targetStorage.Store(SlotStateBlob, batch.StateBlob); err != nil {

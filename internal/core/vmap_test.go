@@ -211,6 +211,7 @@ func goldenTrustedState() *trustedState {
 		KC:       make([]byte, 16),
 		V:        v,
 		Snapshot: []byte("service-snapshot"),
+		Head:     [32]byte{0: 0xc7, 31: 0x5e},
 	}
 }
 

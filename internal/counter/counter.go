@@ -61,6 +61,7 @@ package counter
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -176,6 +177,7 @@ var (
 	_ service.Resharder      = (*Bank)(nil)
 	_ service.SnapshotReader = (*Bank)(nil)
 	_ service.EpochAdvancer  = (*Bank)(nil)
+	_ service.Freezer        = (*Bank)(nil)
 )
 
 // setAccount assigns an account balance, recording its pre-image for
@@ -508,6 +510,11 @@ func (b *Bank) Snapshot() ([]byte, error) {
 	clear(b.dirtyTx)
 	clear(b.deletedTx)
 	return w.Bytes(), nil
+}
+
+// Freeze implements service.Freezer: balances and records are values.
+func (b *Bank) Freeze() func() ([]byte, error) {
+	return (&Bank{accounts: maps.Clone(b.accounts), txs: maps.Clone(b.txs)}).Snapshot
 }
 
 // Restore implements service.Service.

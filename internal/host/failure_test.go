@@ -543,42 +543,57 @@ func TestTransientAppendFailureKeepsChainConsistent(t *testing.T) {
 	}
 }
 
-// An honest crash can leave a zero-filled tail behind the last complete
-// delta record (the file was extended before the data reached it). The
-// restart fold must read the zeros as a torn tail and keep serving, not
-// halt on them as a record that failed authentication.
+// An honest crash can leave the newest log segment's last frame entirely
+// zero-filled (the segment's size reached the disk before the frame did).
+// The restart fold must read the zeros as a torn tail of that segment —
+// after a checkpoint, a segment other than the first — and keep serving
+// the state before it, not halt on them as a record that failed
+// authentication.
 func TestZeroFilledLogTailRestartsWithoutHalt(t *testing.T) {
 	dir := t.TempDir()
 	store, err := stablestore.NewFileStore(dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newShardStack(t, store, 1, []uint32{1}, false)
+	s, _ := checkpointStack(t, store, false)
 	c := s.session(1)
-	for i := 1; i <= 3; i++ {
-		if _, err := c.Do(kvs.Put("k", fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log, err := os.OpenFile(filepath.Join(dir, core.SlotDeltaLog+".log"), os.O_WRONLY|os.O_APPEND, 0)
+	putN(t, c, 0, core.CompactMinRecords+3) // cuts after record 16; 3 in segment 1
+	s.server.instanceAt(0).checkpoints.Wait()
+	path := filepath.Join(dir, core.SegmentSlot(1)+".log")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := log.Write(make([]byte, 4096)); err != nil {
+	last, end := 0, 0 // the start and end of the last complete frame
+	for end+8 <= len(raw) {
+		n := int(binary.BigEndian.Uint32(raw[end:]))
+		if n == 0 || n > len(raw)-end-8 {
+			break
+		}
+		last, end = end, end+8+n
+	}
+	log, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteAt(make([]byte, end-last), int64(last)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.server.Enclave(0).Restart(); err != nil {
-		t.Fatalf("restart over a zero-filled log tail: %v", err)
+		t.Fatalf("restart over a zero-filled last frame: %v", err)
 	}
-	res, err := c.Do(kvs.Get("k"))
+	res, err := s.session(2).Do(kvs.Get(fmt.Sprintf("key%d", core.CompactMinRecords+1)))
 	if err != nil {
 		t.Fatalf("get after restart: %v", err)
 	}
-	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v3" {
-		t.Fatalf("value after restart = %q, want v3", kv.Value)
+	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != fmt.Sprintf("v%d", core.CompactMinRecords+1) {
+		t.Fatalf("value after restart = %q, want the second-to-last put", kv.Value)
+	}
+	if st := status(t, s.server); st.Seq != core.CompactMinRecords+3 {
+		t.Fatalf("seq after restart = %d, want %d: the zeroed frame's put is lost, the get is new", st.Seq, core.CompactMinRecords+3)
 	}
 }
 

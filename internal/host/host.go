@@ -43,7 +43,7 @@
 package host
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -301,6 +301,9 @@ type instance struct {
 
 	qmu     sync.Mutex // guards leading
 	leading bool       // a goroutine leads the ecall stage (see lead)
+
+	fence       blobFence      // orders checkpoint blobs after inline ones (see checkpoint.go)
+	checkpoints sync.WaitGroup // checkpoint goroutines in flight
 
 	// Replication state (nil/zero when unreplicated or a fork instance):
 	// the shard's replica set, the enclave epoch the heal check last ran
@@ -567,12 +570,10 @@ func (s *Server) instanceBarrierECall(inst *instance, payload []byte) ([]byte, e
 		// enclave's chain ahead of the disk (see epoch.go).
 		return s.epochSealLocked(inst)
 	}
-	resp, err := inst.enclave.Call(payload)
-	// A barrier ecall may have persisted a fresh state blob inside the
-	// enclave (provisioning, admin ops, compaction during import) — chain
-	// events the committer never sees. Re-anchor the replica set on it.
-	s.resyncBaseLocked(inst)
-	return resp, err
+	if !bytes.Equal(payload, core.EncodeStatusCall()) {
+		inst.fence.advance() // it may store an inline blob (bootstrap, admin, migration)
+	}
+	return inst.enclave.Call(payload)
 }
 
 // Enclave returns enclave instance idx. Instances 0..Shards()-1 are the
@@ -1003,6 +1004,10 @@ func (s *Server) commitLocked(inst *instance, batch []request, result *core.Batc
 	if wait {
 		req.ack = make(chan error, 1)
 	}
+	if gen := inst.fence.gen.Load(); result.Cut {
+		inst.checkpoints.Add(1) // before the cut's reply can go out
+		defer s.spawn(func() { s.checkpoint(inst, epoch, gen, result) })
+	}
 	return inst.cm.submit(req)
 }
 
@@ -1021,10 +1026,9 @@ type commitReq struct {
 type commitKind int
 
 const (
-	commitNone    commitKind = iota // flush barrier, or a result with nothing to persist
-	commitDelta                     // one delta record: appended
-	commitSeal                      // a full-seal blob: stored
-	commitCompact                   // a compaction blob: stored, then the log truncated
+	commitNone  commitKind = iota // flush barrier, or a result with nothing to persist
+	commitDelta                   // one delta record: appended to its segment
+	commitSeal                    // an inline blob: stored, then the segments below it dropped
 )
 
 func (r commitReq) kind() commitKind {
@@ -1035,18 +1039,17 @@ func (r commitReq) kind() commitKind {
 		return commitDelta
 	case len(r.result.StateBlob) == 0:
 		return commitNone
-	case r.result.Compact:
-		return commitCompact
 	}
 	return commitSeal
 }
 
 // committer is the only code in the host that makes sealed results
-// durable. It commits the results of one enclave instance's batches,
-// beacon ticks, epoch seals and churn ecalls: consecutive delta records
-// are appended as one group under a single fsync (Store.AppendGroup),
-// consecutive full-seal blobs collapse to one store of the last
-// (subsuming) blob, and compaction blobs act as barriers. Replies are
+// durable, apart from checkpoint blobs (see checkpoint.go). It commits
+// the results of one enclave instance's batches, beacon ticks, epoch
+// seals and churn ecalls: consecutive delta records of one segment are
+// appended as one group under a single fsync (Store.AppendGroup), and
+// consecutive inline blobs collapse to one store of the last
+// (subsuming) blob. Replies are
 // released only after the covering write returns, and any persistence
 // failure is treated as a crash — the enclave restarts, queued results
 // from the failed epoch are discarded, and clients converge via retries.
@@ -1069,11 +1072,12 @@ type committer struct {
 
 	failEpoch uint64 // results sealed in epochs <= failEpoch are dropped
 
+	durEpoch, durSeq uint64 // the last released result's epoch and sequence number; guarded by mu
+
 	statMu   sync.Mutex
 	groups   int
 	records  int
 	maxGroup int
-	groupCap int // last policy cap, for stats
 }
 
 func (c *committer) run() {
@@ -1158,13 +1162,14 @@ func (c *committer) process(pending []commitReq) {
 			i++
 			continue
 		}
-		// A run of delta records commits under one fsync; a run of
-		// full-seal blobs commits as one store of its last blob, since
-		// each later blob subsumes every earlier one's effects.
+		// A run of delta records of one segment commits under one fsync;
+		// a run of inline blobs commits as one store of its last blob,
+		// since each later blob subsumes every earlier one's effects.
 		kind := req.kind()
 		j := i + 1
 		if kind == commitDelta || kind == commitSeal {
-			for j < len(pending) && pending[j].kind() == kind && pending[j].epoch > c.failEpoch {
+			for j < len(pending) && pending[j].kind() == kind && pending[j].epoch > c.failEpoch &&
+				(kind == commitSeal || pending[j].result.Seg == req.result.Seg) {
 				j++
 			}
 		}
@@ -1183,7 +1188,7 @@ func (c *committer) process(pending []commitReq) {
 			for k, r := range group {
 				records[k] = r.result.DeltaRecord
 			}
-			switch err := c.inst.appendReplicated(records); {
+			switch err := c.inst.appendReplicated(req.result.Seg, records, group[len(group)-1].result.Cut); {
 			case err == nil:
 				c.recordGroup(len(group), time.Since(start))
 				c.release(group)
@@ -1201,21 +1206,12 @@ func (c *committer) process(pending []commitReq) {
 				c.fail(group, err)
 			}
 		default:
-			blob := group[len(group)-1].result.StateBlob
-			err := c.inst.store.Store(c.srv.cfg.StateSlot, blob)
-			if err == nil && kind == commitCompact {
-				err = c.inst.store.TruncateLog(core.SlotDeltaLog)
-			}
-			if err != nil {
+			last := group[len(group)-1].result
+			if err := c.inst.storeInline(c.srv.cfg.StateSlot, last.StateBlob, last.Seg); err != nil {
 				c.fail(group, err)
 				continue
 			}
-			c.rebase(blob)
-			if kind == commitSeal {
-				// A compaction is a one-off re-seal, not a group: it stays
-				// out of the sizing policy.
-				c.recordGroup(len(group), time.Since(start))
-			}
+			c.recordGroup(len(group), time.Since(start))
 			c.release(group)
 		}
 	}
@@ -1247,34 +1243,34 @@ func (c *committer) fail(group []commitReq, err error) {
 // the enclave), else nil. If the local append is lost while the peers took
 // the group, the restarted enclave heals the suffix back from them — peers
 // running ahead is exactly the recoverable direction.
-func (inst *instance) appendReplicated(records [][]byte) error {
+func (inst *instance) appendReplicated(seg uint64, records [][]byte, cut bool) error {
+	if cut { // the next segment may hold records a rolled-back, healed chain left
+		if err := inst.store.TruncateLog(core.SegmentSlot(seg + 1)); err != nil {
+			return err
+		}
+	}
 	quorum := make(chan error, 1)
 	if inst.rs != nil {
 		go func() { quorum <- inst.rs.ReplicateGroup(records) }()
 	} else {
 		quorum <- nil
 	}
-	err := inst.store.AppendGroup(core.SlotDeltaLog, records)
+	err := inst.store.AppendGroup(core.SegmentSlot(seg), records)
 	if qerr := <-quorum; err == nil {
 		err = qerr
 	}
 	return err
 }
 
-// rebase re-anchors the replica set on a freshly stored state blob (a
-// compaction or full-seal write subsumes the mirrored delta records) —
-// the same anchor resyncBaseLocked would load back from the store.
-func (c *committer) rebase(blob []byte) {
-	if c.inst.rs != nil {
-		c.inst.rs.ResetBase(sha256.Sum256(blob))
-	}
-}
-
 // release answers a group that is durable (and replicated), after
 // confirming that to the enclave — before any reply in the group goes
 // out: read-your-writes (see read.go).
 func (c *committer) release(group []commitReq) {
-	c.srv.advanceDurable(c.inst, group[len(group)-1].result.Seq)
+	last := group[len(group)-1]
+	c.srv.advanceDurable(c.inst, last.result.Seq)
+	c.mu.Lock()
+	c.durEpoch, c.durSeq = last.epoch, last.result.Seq
+	c.mu.Unlock()
 	c.confirmBeacons(group)
 	for _, req := range group {
 		c.answer(req)
@@ -1308,7 +1304,6 @@ func (c *committer) recordGroup(n int, d time.Duration) {
 	if n > c.maxGroup {
 		c.maxGroup = n
 	}
-	c.groupCap = c.policy.limit
 	c.statMu.Unlock()
 }
 
@@ -1317,16 +1312,6 @@ func (c *committer) stats() (groups, records, maxGroup int) {
 	c.statMu.Lock()
 	defer c.statMu.Unlock()
 	return c.groups, c.records, c.maxGroup
-}
-
-// capNow returns the committer's current adaptive group cap.
-func (c *committer) capNow() int {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	if c.groupCap == 0 {
-		return commitGroupInitial
-	}
-	return c.groupCap
 }
 
 // GroupCommitStats reports the deployment-wide group-commit activity,
@@ -1441,9 +1426,9 @@ func (s *Server) Shutdown() {
 // AttackRollback restarts the given shard's primary enclave after
 // instructing the rollback store to serve that shard's state from n
 // persisted writes ago. Under delta-log persistence the per-batch writes
-// are log appends, so the attack truncates the last n delta records; with
-// full-state sealing (or when the log is too short) it falls back to
-// pinning a stale state-blob version. It requires the configured Store to
+// are log appends, so the attack truncates the newest log segment holding
+// records by up to n records; with full-state sealing (or an empty
+// segment) it falls back to pinning a stale state-blob version. It requires the configured Store to
 // be a *stablestore.RollbackStore. Only the attacked shard is affected —
 // the other shards' chains stay live, which is exactly the locality the
 // per-shard detection tests assert.
@@ -1455,9 +1440,16 @@ func (s *Server) AttackRollback(shard, n int) error {
 	if shards := s.Shards(); shard < 0 || shard >= shards {
 		return fmt.Errorf("host: shard %d out of range (%d shards)", shard, shards)
 	}
-	logSlot := s.ShardSlot(shard, core.SlotDeltaLog)
+	cur, err := s.chainSync(s.instanceAt(shard), nil) // the segment records go to
+	if err != nil {
+		return fmt.Errorf("host: rollback attack: %w", err)
+	}
+	for cur.Seg > 0 && rs.LogLen(s.ShardSlot(shard, core.SegmentSlot(cur.Seg))) == 0 {
+		cur.Seg-- // a cut opened an empty one
+	}
+	logSlot := s.ShardSlot(shard, core.SegmentSlot(cur.Seg))
 	blobSlot := s.ShardSlot(shard, core.SlotStateBlob)
-	if !rs.RollbackLogBy(logSlot, n) && !rs.RollbackBy(blobSlot, n) {
+	if k := min(n, rs.LogLen(logSlot)); !(k > 0 && rs.RollbackLogBy(logSlot, k)) && !rs.RollbackBy(blobSlot, n) {
 		return fmt.Errorf("host: no state version %d writes back on shard %d", n, shard)
 	}
 	enclave := s.Enclave(shard)
@@ -1526,6 +1518,7 @@ func (s *Server) AttackClone(shard int) (int, error) {
 		src.pm.Lock()
 		defer src.pm.Unlock()
 		src.cm.flush()
+		src.fence.advance()
 		keyBlob, err := src.store.Load(core.SlotKeyBlob)
 		if err != nil {
 			return fmt.Errorf("host: clone attack: source key blob: %w", err)

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -116,20 +115,30 @@ func (s *Server) healLocked(inst *instance) {
 		}
 	}
 	// Reseed the set from the verified chain so lagging (or reset) peers
-	// converge on the enclave's view. The host's log stands in for it only
-	// when it is exactly that long: a shorter view (a rollback pin still
-	// in force) would rebuild every peer down to the stale head and destroy
-	// the copies the next heal needs.
-	blob, err := inst.store.Load(s.cfg.StateSlot)
-	if err != nil {
-		return
-	}
+	// converge on the enclave's view. The host's segments stand in for it
+	// only when they are exactly that long: a shorter view (a rollback pin
+	// still in force) would rebuild every peer down to the stale head and
+	// destroy the copies the next heal needs.
 	if chain == nil {
-		if chain, err = inst.store.LoadLog(core.SlotDeltaLog); err != nil || len(chain) != cur.ChainLen {
+		if chain = loadChain(inst.store, cur.BaseSeg, cur.Seg); len(chain) != cur.ChainLen {
 			return
 		}
 	}
-	inst.rs.Reseed(sha256.Sum256(blob), chain)
+	inst.rs.Reseed(cur.Base, chain)
+}
+
+// loadChain concatenates log segments from through to, or returns nil
+// when one cannot be read.
+func loadChain(store stablestore.Store, from, to uint64) [][]byte {
+	var chain [][]byte
+	for seg := from; seg <= to; seg++ {
+		records, err := store.LoadLog(core.SegmentSlot(seg))
+		if err != nil {
+			return nil
+		}
+		chain = append(chain, records...)
+	}
+	return chain
 }
 
 func (s *Server) chainSync(inst *instance, suffix [][]byte) (*core.ChainSyncResult, error) {
@@ -140,45 +149,32 @@ func (s *Server) chainSync(inst *instance, suffix [][]byte) (*core.ChainSyncResu
 	return core.DecodeChainSyncResult(resp)
 }
 
-// rewriteHealedLog replaces the local delta log with exactly the chain
-// the enclave now holds — the local prefix it folded at recovery plus the
-// peer suffix it folded just now — and returns that chain, or nil when
-// the host's view of the log does not match the enclave's. A blind append
-// would duplicate records whenever the stale local view hid a longer
-// on-disk log; the rewrite is idempotent, and a crash inside it loses
-// nothing — every record is held by a quorum of peers and the next
-// restart re-heals.
+// rewriteHealedLog makes the local segments hold exactly the chain the
+// enclave now holds — the records it folded at recovery plus the peer
+// suffix it folded just now, rewritten into its current segment — and
+// returns that chain, or nil when the host's view does not match. A blind
+// append would duplicate records a stale local view hid; the rewrite is
+// idempotent, and a crash inside it loses nothing — a quorum of peers
+// holds every record and the next restart re-heals.
 func (s *Server) rewriteHealedLog(inst *instance, cur *core.ChainSyncResult, suffix [][]byte) [][]byte {
-	local, err := inst.store.LoadLog(core.SlotDeltaLog)
+	var below [][]byte
+	if cur.Seg > cur.BaseSeg {
+		below = loadChain(inst.store, cur.BaseSeg, cur.Seg-1)
+	}
+	slot := core.SegmentSlot(cur.Seg)
+	local, err := inst.store.LoadLog(slot)
 	if err != nil {
 		return nil
 	}
-	keep := cur.ChainLen - len(suffix)
+	keep := cur.ChainLen - len(suffix) - len(below)
 	if keep < 0 || keep > len(local) {
 		return nil // view mismatch: leave the log alone, memory is healed
 	}
 	healed := append(append([][]byte(nil), local[:keep]...), suffix...)
-	if err := inst.store.TruncateLog(core.SlotDeltaLog); err == nil {
-		_ = inst.store.AppendGroup(core.SlotDeltaLog, healed)
+	if err := inst.store.TruncateLog(slot); err == nil {
+		_ = inst.store.AppendGroup(slot, healed)
 	}
-	return healed
-}
-
-// resyncBaseLocked re-anchors the replica set after a barrier ecall that
-// may have persisted a fresh state blob inside the enclave (provisioning,
-// admin ops, migration import) — chain events the committer never sees.
-// Called with the instance's persist lock held.
-func (s *Server) resyncBaseLocked(inst *instance) {
-	if inst.rs == nil {
-		return
-	}
-	blob, err := inst.store.Load(s.cfg.StateSlot)
-	if err != nil {
-		return
-	}
-	if h := sha256.Sum256(blob); h != inst.rs.Base() {
-		inst.rs.ResetBase(h)
-	}
+	return append(below, healed...)
 }
 
 // healsCount reads the instance's heal counter behind its persist lock.

@@ -411,6 +411,12 @@ func replicaCrashFuzz(t *testing.T, seed int64) {
 			recoverPending(fc, attempts[i])
 		}
 
+		// Checkpoints are stored in the background: let them land before
+		// the disturbance reads the storage.
+		for shard := 0; shard < shards; shard++ {
+			st.server.instanceAt(shard).checkpoints.Wait()
+		}
+
 		// One disturbance per round, never more than a minority of any
 		// shard's replica set (1 of 3 copies).
 		shard := rng.Intn(shards)

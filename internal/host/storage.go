@@ -9,7 +9,7 @@ import (
 )
 
 // CopyStorage copies the persistence objects a chain-mode migration needs
-// — the sealed state blob and the delta log — from one host's stable
+// — the sealed state blob and its log segments — from one host's stable
 // storage to another's. It is the host-side half of Sec. 4.6.2 when the
 // origin and target do not share storage: the origin's host ships the
 // files, the enclaves ship only kP, V and the chain head over the secure
@@ -27,10 +27,10 @@ import (
 // origin's platform key, useless to the target, which re-seals kP under
 // its own platform after the import.
 //
-// The destination's delta log is truncated first, so a retry after a
+// Each destination segment is truncated first, so a retry after a
 // partial copy cannot splice two copies together.
 //
-// The delta log streams slot-by-slot in bounded chunks
+// The segments stream slot-by-slot in bounded chunks
 // (stablestore.ScanLog): at no point is more than copyChunkRecords
 // records or ~copyChunkBytes of log resident, so a multi-gigabyte chain
 // copies in constant memory. Reshard staging (Server.Reshard) reuses
@@ -44,13 +44,23 @@ func CopyStorage(src, dst stablestore.Store) error {
 	if err != nil {
 		return fmt.Errorf("host: copy storage: load state blob: %w", err)
 	}
+	seg, ok := core.BlobSegment(blob)
+	if !ok {
+		return errors.New("host: copy storage: state blob of unknown version")
+	}
 	if err := dst.Store(core.SlotStateBlob, blob); err != nil {
 		return fmt.Errorf("host: copy storage: store state blob: %w", err)
 	}
-	if err := dst.TruncateLog(core.SlotDeltaLog); err != nil {
-		return fmt.Errorf("host: copy storage: truncate destination log: %w", err)
+	for n := 1; n > 0; seg++ {
+		slot := core.SegmentSlot(seg)
+		if err := dst.TruncateLog(slot); err != nil {
+			return fmt.Errorf("host: copy storage: truncate destination log: %w", err)
+		}
+		if n, err = copyLogStreaming(src, dst, slot); err != nil {
+			return err
+		}
 	}
-	return copyLogStreaming(src, dst, core.SlotDeltaLog)
+	return nil
 }
 
 // Chunking bounds for the streaming log copy: a chunk flushes to the
@@ -61,8 +71,9 @@ const (
 	copyChunkBytes   = 1 << 20
 )
 
-// copyLogStreaming appends src's log slot to dst's in bounded chunks.
-func copyLogStreaming(src, dst stablestore.Store, slot string) error {
+// copyLogStreaming appends src's log slot to dst's in bounded chunks and
+// returns how many records it copied.
+func copyLogStreaming(src, dst stablestore.Store, slot string) (int, error) {
 	var (
 		chunk      [][]byte
 		chunkBytes int
@@ -77,18 +88,20 @@ func copyLogStreaming(src, dst stablestore.Store, slot string) error {
 		chunk, chunkBytes = chunk[:0], 0
 		return nil
 	}
+	n := 0
 	err := stablestore.ScanLog(src, slot, func(record []byte) error {
 		// ScanLog implementations may reuse nothing — records are fresh
 		// copies — so the chunk can retain them directly.
 		chunk = append(chunk, record)
 		chunkBytes += len(record)
+		n++
 		if len(chunk) >= copyChunkRecords || chunkBytes >= copyChunkBytes {
 			return flush()
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("host: copy storage: scan delta log: %w", err)
+		return n, fmt.Errorf("host: copy storage: scan delta log: %w", err)
 	}
-	return flush()
+	return n, flush()
 }

@@ -13,6 +13,7 @@ package kvs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -81,6 +82,7 @@ var (
 	_ service.Scanner        = (*Store)(nil)
 	_ service.Resharder      = (*Store)(nil)
 	_ service.SnapshotReader = (*Store)(nil)
+	_ service.Freezer        = (*Store)(nil)
 )
 
 // New returns an empty store.
@@ -270,14 +272,19 @@ func (s *Store) MergeScans(op []byte, parts [][]byte) ([]byte, error) {
 		}
 	}
 
+	return encodeScanResult(merged), nil
+}
+
+// encodeScanResult is the inverse of DecodeScanResult.
+func encodeScanResult(entries []ScanEntry) []byte {
 	w := wire.NewWriter(64)
 	w.U8(statusOK)
-	w.U32(uint32(len(merged)))
-	for _, e := range merged {
+	w.U32(uint32(len(entries)))
+	for _, e := range entries {
 		w.Var([]byte(e.Key))
 		w.Var([]byte(e.Value))
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // Len returns the number of stored objects.
@@ -306,6 +313,11 @@ func (s *Store) Snapshot() ([]byte, error) {
 	// empty (the DeltaService contract).
 	clear(s.dirty)
 	return w.Bytes(), nil
+}
+
+// Freeze implements service.Freezer: values are immutable strings.
+func (s *Store) Freeze() func() ([]byte, error) {
+	return (&Store{data: maps.Clone(s.data)}).Snapshot
 }
 
 // Restore implements service.Service.
@@ -643,11 +655,11 @@ func DecodeScanResult(b []byte) ([]ScanEntry, error) {
 	if status := r.U8(); r.Err() == nil && status != statusOK {
 		return nil, fmt.Errorf("kvs: scan status %d", status)
 	}
-	n := r.U32()
+	n := r.Count(8) // an entry is two length-prefixed strings
 	out := make([]ScanEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		k := r.Var()
-		v := r.Var()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := r.VarView()
+		v := r.VarView()
 		out = append(out, ScanEntry{Key: string(k), Value: string(v)})
 	}
 	if err := r.Done(); err != nil {

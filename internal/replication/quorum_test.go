@@ -37,7 +37,7 @@ func TestSetQuorumReleasesBeforeStraggler(t *testing.T) {
 	fast, slow := newGatedStore(), newGatedStore()
 	set, _ := setRigOver(t, 2, []stablestore.Store{fast, slow}) // 3 copies, quorum 2 → 1 peer ack
 	base := sha256.Sum256([]byte("base"))
-	set.ResetBase(base)
+	set.Rebase(base)
 	if err := set.ReplicateGroup([][]byte{[]byte("r1")}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSetQuorumReleasesBeforeStraggler(t *testing.T) {
 func TestSetQuorumUnreachableFailsEarly(t *testing.T) {
 	dead, slow := newGatedStore(), newGatedStore()
 	set, peers := setRigOver(t, 3, []stablestore.Store{dead, slow})
-	set.ResetBase(sha256.Sum256([]byte("base")))
+	set.Rebase(sha256.Sum256([]byte("base")))
 	if err := set.ReplicateGroup([][]byte{[]byte("r1")}); err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ const (
 	// sealing key, so a restarted replica re-enters the set without
 	// re-provisioning.
 	SlotKey = "lcm-replica-key"
-	// SlotBase holds the hash of the primary's base state blob (the chain
-	// anchor below the mirrored suffix), sealed under kR.
+	// SlotBase holds the chain anchor below the mirrored suffix (the Head
+	// of the primary's last stored checkpoint), sealed under kR.
 	SlotBase = "lcm-replica-base"
 	// SlotMirror is the append-only mirror of the primary's sealed delta
 	// records, stored as received — the replica cannot (and need not) open
@@ -365,8 +365,8 @@ func (r *replica) handleSuffix(env tee.Env, body []byte) ([]byte, error) {
 	return r.sealAck(w.Bytes())
 }
 
-// EncodeResetCall seals a mirror reset to a new chain anchor (after the
-// primary compacted its chain into a fresh base blob).
+// EncodeResetCall seals a mirror reset to a new chain anchor (after a
+// checkpoint of the primary's chain was stored).
 func EncodeResetCall(kr aead.Key, newBase [32]byte) ([]byte, error) {
 	w := wire.NewWriter(32)
 	w.Bytes32(newBase)

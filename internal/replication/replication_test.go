@@ -272,7 +272,7 @@ func setRigOver(t *testing.T, quorum int, stores []stablestore.Store) (*Set, []*
 func TestSetQuorumAndSuffix(t *testing.T) {
 	set, peers, _ := setRig(t, 2, 2) // 3 copies total, quorum 2 → 1 peer ack
 	base := sha256.Sum256([]byte("base"))
-	set.ResetBase(base)
+	set.Rebase(base)
 
 	g1 := [][]byte{[]byte("r1"), []byte("r2")}
 	if err := set.ReplicateGroup(g1); err != nil {
@@ -304,7 +304,7 @@ func TestSetQuorumAndSuffix(t *testing.T) {
 func TestSetResyncsRolledBackPeer(t *testing.T) {
 	set, peers, backing := setRig(t, 1, 2) // the single peer must ack
 	base := sha256.Sum256([]byte("base"))
-	set.ResetBase(base)
+	set.Rebase(base)
 	if err := set.ReplicateGroup([][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSetResyncsRolledBackPeer(t *testing.T) {
 func TestSetReseedConverges(t *testing.T) {
 	set, _, _ := setRig(t, 2, 1)
 	base := sha256.Sum256([]byte("old-base"))
-	set.ResetBase(base)
+	set.Rebase(base)
 	if err := set.ReplicateGroup([][]byte{[]byte("old")}); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ type peer struct {
 
 // Set is the host-side handle for one primary's replica set. It owns the
 // replica-set key kR, tracks the primary's chain window since its last
-// base blob, and fans appends out to the peers. All methods are
+// stored checkpoint, and fans appends out to the peers. All methods are
 // serialised by mu: the committer is the only writer during normal
 // operation, and healing runs under the same per-instance persistence
 // lock. ReplicateGroup alone returns before it lets go of mu — it hands
@@ -123,29 +123,34 @@ func (s *Set) Head() [32]byte {
 	return s.head
 }
 
-// Base returns the current chain anchor (hash of the primary's base state
-// blob).
-func (s *Set) Base() [32]byte {
+// Rebase re-anchors the set at head, the chain position a stored state
+// blob of the primary covers, keeping the window's records after it (a
+// head outside the window empties it), and rebuilds every reachable
+// peer's mirror. A missed rebuild surfaces as ErrOutOfSync on the next
+// append and is repaired by resync.
+func (s *Set) Rebase(head [32]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.base
-}
-
-// ResetBase re-anchors the set at a fresh base blob hash (after the
-// primary sealed a full snapshot) and resets every reachable peer's
-// mirror. Peer failures are tolerated: a missed reset surfaces as
-// ErrOutOfSync on the next append and is repaired by resync.
-func (s *Set) ResetBase(base [32]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.base = base
-	s.head = base
-	s.window = nil
+	if head == s.base {
+		return
+	}
+	keep := 0
+	for i := len(s.window) - 1; i >= 0; i-- {
+		if sha256.Sum256(s.window[i]) == head {
+			keep = len(s.window) - 1 - i
+			break
+		}
+	}
+	if keep == 0 {
+		s.head = head
+	}
+	s.base = head
+	s.window = append([][]byte(nil), s.window[len(s.window)-keep:]...)
 	for _, p := range s.peers {
 		if p.skip > 0 {
 			continue
 		}
-		if err := s.resetPeer(p, base); err != nil {
+		if err := s.syncPeer(p); err != nil {
 			s.notePeerFailure(p)
 		} else {
 			p.fails = 0

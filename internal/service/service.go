@@ -50,7 +50,7 @@ type Service interface {
 //
 // Downstream, delta support is what the rest of the persistence pipeline
 // keys on: the host group-commits delta records under shared fsyncs, the
-// enclave sizes compaction from the observed snapshot/delta ratio, and
+// enclave sizes checkpoints from the observed snapshot/delta ratio, and
 // migration exports carry the delta chain instead of a snapshot (see
 // internal/core/state.go for the full protocol).
 type DeltaService interface {
@@ -139,6 +139,15 @@ type Resharder interface {
 	// merge is a plain union; an overlap indicates corrupt fragments and
 	// must be reported as an error.
 	MergeState(fragments [][]byte) error
+}
+
+// Freezer is an optional extension for services whose state can be
+// frozen cheaply for a background checkpoint (see internal/core). Freeze
+// returns a function that serializes the state as of the call, as
+// Snapshot would, and is safe to run concurrently with later calls; it
+// leaves the delta tracking alone. Both bundled services clone a map.
+type Freezer interface {
+	Freeze() func() ([]byte, error)
 }
 
 // SnapshotReader is an optional extension for services that can serve

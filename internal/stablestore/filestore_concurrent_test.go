@@ -248,3 +248,26 @@ func TestFileStoreConcurrentScanCallback(t *testing.T) {
 		}
 	}
 }
+
+// A truncated log leaves no slot-table entry behind: a deployment opens a
+// new log segment per checkpoint, and the table must not grow with them.
+func TestFileStoreTruncateRetiresSlot(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 100; i++ {
+		slot := fmt.Sprintf("lcm-deltalog.%d", i)
+		if err := fs.Append(slot, seqRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.TruncateLog(slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if n := len(fs.slots); n != 0 {
+		t.Fatalf("%d slot entries after every log was truncated, want 0", n)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"lcm/internal/latency"
 )
@@ -36,7 +37,7 @@ var ErrNotFound = errors.New("stablestore: slot not found")
 // Beyond the original whole-blob slots, stores expose append-only log
 // slots: ordered sequences of records that the enclave's incremental
 // persistence appends sealed delta records to (one per batch) and
-// truncates at compaction. Log slots and blob slots share a namespace but
+// truncates once a checkpoint covers them. Log slots and blob slots share a namespace but
 // are distinct objects: storing a blob under a name does not disturb the
 // log of the same name. Whether appends fsync follows the store's
 // SyncWrites configuration, exactly like blob writes.
@@ -284,8 +285,8 @@ func (s *MemStore) Slots() []string {
 // slot it removes, so an append racing a TruncateLog or DeleteNamespace of
 // its own slot either lands before the unlink or reopens the file — never
 // a write to a closed handle. No lock is held across a ScanLog callback.
-// Table entries are never dropped (a racing call may hold one), only
-// their handles.
+// TruncateLog retires its slot's entry (log segments are short-lived
+// slots); a call that raced it for the entry takes a fresh one.
 type FileStore struct {
 	dir   string
 	sync  bool
@@ -297,6 +298,7 @@ type FileStore struct {
 // fileSlot is one slot's lock and, once appended to, its open log handle.
 type fileSlot struct {
 	mu   sync.Mutex
+	dead atomic.Bool // retired by TruncateLog
 	log  *os.File
 	off  int64 // end of the complete frames: where the next append writes
 	size int64 // the file's length: off plus the zero tail
@@ -322,15 +324,19 @@ func NewFileStore(dir string, syncWrites bool, model *latency.Model) (*FileStore
 
 // lock returns slot's entry with its mutex held; the caller unlocks it.
 func (s *FileStore) lock(slot string) *fileSlot {
-	s.mu.Lock()
-	sl, ok := s.slots[slot]
-	if !ok {
-		sl = &fileSlot{}
-		s.slots[slot] = sl
+	for {
+		s.mu.Lock()
+		sl, ok := s.slots[slot]
+		if !ok || sl.dead.Load() {
+			sl = &fileSlot{}
+			s.slots[slot] = sl
+		}
+		s.mu.Unlock()
+		if sl.mu.Lock(); !sl.dead.Load() {
+			return sl
+		}
+		sl.mu.Unlock()
 	}
-	s.mu.Unlock()
-	sl.mu.Lock()
-	return sl
 }
 
 // slotStem maps a slot name to its file stem. Slot names are
@@ -629,9 +635,15 @@ func (sl *fileSlot) closeLog() {
 // TruncateLog implements Store.
 func (s *FileStore) TruncateLog(slot string) error {
 	sl := s.lock(slot)
-	defer sl.mu.Unlock()
 	sl.closeLog()
 	err := os.Remove(s.logPath(slot))
+	sl.dead.Store(true)
+	sl.mu.Unlock()
+	s.mu.Lock()
+	if s.slots[slot] == sl {
+		delete(s.slots, slot)
+	}
+	s.mu.Unlock()
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -881,7 +893,7 @@ func (s *RollbackStore) LoadLog(slot string) ([][]byte, error) {
 	return s.inner.LoadLog(slot)
 }
 
-// TruncateLog implements Store (the honest compaction path). When
+// TruncateLog implements Store (the honest segment drop). When
 // DropWrites is active the truncation is swallowed like any other write,
 // leaving mirror and inner store consistent.
 func (s *RollbackStore) TruncateLog(slot string) error {

@@ -82,8 +82,7 @@ type HostServices interface {
 	// LoadLog returns the records of a log slot in append order — if the
 	// host is honest. A never-written slot yields an empty log.
 	LoadLog(slot string) ([][]byte, error)
-	// TruncateLog discards a log slot (used after compaction re-seals a
-	// full snapshot).
+	// TruncateLog discards a log slot (a segment a newer blob covers).
 	TruncateLog(slot string) error
 }
 
@@ -154,6 +153,14 @@ type ReadProgram interface {
 	// HandleRead serves one read-only ecall. Returning a HaltError (or
 	// wrapping one) permanently halts the enclave, exactly as from Call.
 	HandleRead(payload []byte) ([]byte, error)
+}
+
+// BackgroundProgram is implemented by programs with work the host runs
+// beside the serialized Call stream like a read (an LCM checkpoint's
+// seal), with the same synchronization duty and halt rule as HandleRead.
+type BackgroundProgram interface {
+	Program
+	HandleBackground(payload []byte) ([]byte, error)
 }
 
 // HaltError signals a protocol violation that must permanently halt the
@@ -571,13 +578,23 @@ func (e *Enclave) Call(payload []byte) ([]byte, error) {
 // ReadProgram.
 var ErrNoReadProgram = errors.New("tee: program does not serve concurrent reads")
 
+// ErrNoBackgroundProgram reports BackgroundCall on any other program.
+var ErrNoBackgroundProgram = errors.New("tee: program does not serve background calls")
+
 // ReadCall performs one read-only ecall. Unlike Call it does NOT hold the
 // enclave lock while the program runs: any number of ReadCalls proceed
 // concurrently with each other and with the serialized Call stream, which
 // is the whole point — the program's HandleRead must be safe for that.
 // The transition latency and EPC paging are charged like any other ecall.
 // A HaltError from the program permanently halts the enclave.
-func (e *Enclave) ReadCall(payload []byte) ([]byte, error) {
+func (e *Enclave) ReadCall(payload []byte) ([]byte, error) { return e.concurrentCall(payload, false) }
+
+// BackgroundCall performs one background ecall, exactly like ReadCall.
+func (e *Enclave) BackgroundCall(payload []byte) ([]byte, error) {
+	return e.concurrentCall(payload, true)
+}
+
+func (e *Enclave) concurrentCall(payload []byte, background bool) ([]byte, error) {
 	e.mu.Lock()
 	if e.halted {
 		e.mu.Unlock()
@@ -587,20 +604,28 @@ func (e *Enclave) ReadCall(payload []byte) ([]byte, error) {
 		e.mu.Unlock()
 		return nil, ErrEnclaveStopped
 	}
-	rp, ok := e.program.(ReadProgram)
+	handle, missing := (func([]byte) ([]byte, error))(nil), ErrNoReadProgram
+	if rp, ok := e.program.(ReadProgram); ok && !background {
+		handle = rp.HandleRead
+	}
+	if bp, ok := e.program.(BackgroundProgram); ok && background {
+		handle = bp.HandleBackground
+	} else if background {
+		missing = ErrNoBackgroundProgram
+	}
 	paging := e.pagingFactor()
 	e.mu.Unlock()
-	if !ok {
-		return nil, ErrNoReadProgram
+	if handle == nil {
+		return nil, missing
 	}
-	// Latency charges happen outside the lock so concurrent reads overlap
+	// Latency charges happen outside the lock so concurrent calls overlap
 	// their transition costs instead of convoying on e.mu.
 	e.platform.model.WaitECall()
 	e.platform.model.WaitECallBytes(len(payload))
 	if paging > 0 {
 		e.platform.model.WaitPaging(paging)
 	}
-	resp, err := rp.HandleRead(payload)
+	resp, err := handle(payload)
 	if err != nil {
 		var halt *HaltError
 		if errors.As(err, &halt) {
