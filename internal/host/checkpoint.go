@@ -11,10 +11,10 @@ import (
 	"lcm/internal/tee"
 )
 
-// blobFence orders an instance's state-blob writes. An inline blob (by the
-// committer, or the enclave in a barrier ecall) advances gen; a checkpoint
-// is stored only if gen did not move since its cut and it names a later
-// segment. mu is held across each write; a cut reads gen without it.
+// blobFence orders an instance's state-blob writes. An inline blob and a
+// host-initiated restart (instance.restart) advance gen; a checkpoint is
+// stored only if gen did not move since its cut and it names a later
+// segment. mu is held across each write and drop; a cut reads gen unlocked.
 type blobFence struct {
 	mu  sync.Mutex
 	gen atomic.Uint64
@@ -28,6 +28,9 @@ func (f *blobFence) advance() {
 	f.gen.Add(1)
 	f.mu.Unlock()
 }
+
+// restart lets a checkpoint write past its checks finish before Init reads storage.
+func (inst *instance) restart() error { inst.fence.advance(); return inst.enclave.Restart() }
 
 // storeInline stores an inline blob naming segment seg, clearing a new
 // one first (see appendReplicated).

@@ -266,6 +266,81 @@ func TestCheckpointRestartInFlightDropsBlob(t *testing.T) {
 	checkKeys(t, c, 0, core.CompactMinRecords)
 }
 
+// appendFaultStore fails one append group to slot once armed, closing
+// failed when it does.
+type appendFaultStore struct {
+	*stablestore.MemStore
+	slot   string
+	armed  atomic.Bool
+	failed chan struct{}
+}
+
+func (s *appendFaultStore) AppendGroup(slot string, records [][]byte) error {
+	if slot == s.slot && s.armed.CompareAndSwap(true, false) {
+		close(s.failed)
+		return errors.New("injected append fault")
+	}
+	return s.MemStore.AppendGroup(slot, records)
+}
+
+// A restart after a failed append waits for a checkpoint write past its
+// checks: the blob and its segment drop finish before Init reads storage,
+// so the restarted epoch appends to the segment the new blob names, and a
+// second restart recovers every acknowledged put.
+func TestCheckpointStoreInFlightOrdersRestart(t *testing.T) {
+	for _, groupCommit := range []bool{false, true} {
+		t.Run(fmt.Sprintf("groupCommit=%v", groupCommit), func(t *testing.T) {
+			faulty := &appendFaultStore{MemStore: stablestore.NewMemStore(), slot: core.SegmentSlot(1), failed: make(chan struct{})}
+			s, store := checkpointStack(t, faulty, groupCommit)
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			store.set(func() error {
+				once.Do(func() { close(entered) })
+				<-release
+				return nil
+			}, nil)
+			c := s.session(1)
+			const n = core.CompactMinRecords
+			putN(t, c, 0, n) // the last put cuts; its blob write blocks
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no checkpoint blob write started")
+			}
+			epoch := s.server.Enclave(0).Epoch()
+			faulty.armed.Store(true)
+			done := make(chan error, 1)
+			go func() { // its append to segment 1 fails
+				_, err := c.Do(kvs.Put(fmt.Sprintf("key%d", n), fmt.Sprintf("v%d", n)))
+				done <- err
+			}()
+			select {
+			case <-faulty.failed:
+			case <-time.After(5 * time.Second):
+				close(release)
+				t.Fatal("no append to segment 1 was attempted")
+			}
+			// Leave a restart that does not wait for the blob write time to run.
+			for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline) && s.server.Enclave(0).Epoch() == epoch; {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			if err := <-done; err == nil {
+				t.Fatalf("put key%d acknowledged although its append failed", n)
+			}
+			if _, err := c.Recover(0); err != nil { // resends the put
+				t.Fatalf("recover key%d: %v", n, err)
+			}
+			s.server.instanceAt(0).checkpoints.Wait()
+			putN(t, c, n+1, n+4)
+			if err := s.server.Enclave(0).Restart(); err != nil {
+				t.Fatalf("second restart: %v", err)
+			}
+			checkKeys(t, c, 0, n+4)
+		})
+	}
+}
+
 // A stored checkpoint with a stale or missing segment after it is a
 // truncated suffix: the restarted enclave comes up behind the clients,
 // and the first client whose context is ahead detects the rollback.

@@ -996,7 +996,7 @@ var errRestartedDuringCall = errors.New("host: enclave restarted during ecall; r
 // clients converge via retries.
 func (s *Server) commitLocked(inst *instance, batch []request, result *core.BatchResult, epoch uint64, wait bool) error {
 	if inst.enclave.Epoch() != epoch {
-		_ = inst.enclave.Restart()
+		_ = inst.restart()
 		failBatch(batch, errRestartedDuringCall)
 		return errRestartedDuringCall
 	}
@@ -1227,7 +1227,7 @@ var errStaleEpoch = errors.New("host: batch result discarded after enclave resta
 // enclave.
 func (c *committer) fail(group []commitReq, err error) {
 	c.failEpoch = c.inst.enclave.Epoch()
-	_ = c.inst.enclave.Restart()
+	_ = c.inst.restart()
 	for _, r := range group {
 		c.reject(r, fmt.Errorf("host: persist state: %w", err))
 	}
@@ -1440,7 +1440,8 @@ func (s *Server) AttackRollback(shard, n int) error {
 	if shards := s.Shards(); shard < 0 || shard >= shards {
 		return fmt.Errorf("host: shard %d out of range (%d shards)", shard, shards)
 	}
-	cur, err := s.chainSync(s.instanceAt(shard), nil) // the segment records go to
+	inst := s.instanceAt(shard)
+	cur, err := s.chainSync(inst, nil) // the segment records go to
 	if err != nil {
 		return fmt.Errorf("host: rollback attack: %w", err)
 	}
@@ -1452,9 +1453,8 @@ func (s *Server) AttackRollback(shard, n int) error {
 	if k := min(n, rs.LogLen(logSlot)); !(k > 0 && rs.RollbackLogBy(logSlot, k)) && !rs.RollbackBy(blobSlot, n) {
 		return fmt.Errorf("host: no state version %d writes back on shard %d", n, shard)
 	}
-	enclave := s.Enclave(shard)
-	if err := enclave.Restart(); err != nil {
-		return fmt.Errorf("host: restart %s with stale state: %w", enclave.Label(), err)
+	if err := inst.restart(); err != nil {
+		return fmt.Errorf("host: restart %s with stale state: %w", inst.enclave.Label(), err)
 	}
 	return nil
 }

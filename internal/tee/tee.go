@@ -607,8 +607,7 @@ func (e *Enclave) concurrentCall(payload []byte, background bool) ([]byte, error
 	handle, missing := (func([]byte) ([]byte, error))(nil), ErrNoReadProgram
 	if rp, ok := e.program.(ReadProgram); ok && !background {
 		handle = rp.HandleRead
-	}
-	if bp, ok := e.program.(BackgroundProgram); ok && background {
+	} else if bp, ok := e.program.(BackgroundProgram); ok && background {
 		handle = bp.HandleBackground
 	} else if background {
 		missing = ErrNoBackgroundProgram
