@@ -191,6 +191,17 @@ func SealInPlace(k Key, buf, associated []byte) ([]byte, error) {
 // produced by Seal with the same key and associated data. A failed
 // authentication returns ErrAuth.
 func Open(k Key, ciphertext, associated []byte) ([]byte, error) {
+	return open(nil, k, ciphertext, associated)
+}
+
+// OpenInPlace is Open decrypting into the ciphertext's own storage, which
+// the caller must own: the plaintext aliases ciphertext[NonceSize:], and
+// after a failed open its contents are undefined.
+func OpenInPlace(k Key, ciphertext, associated []byte) ([]byte, error) {
+	return open(ciphertext[min(len(ciphertext), NonceSize):][:0], k, ciphertext, associated)
+}
+
+func open(dst []byte, k Key, ciphertext, associated []byte) ([]byte, error) {
 	gcm, err := cachedGCM(k)
 	if err != nil {
 		return nil, err
@@ -199,7 +210,7 @@ func Open(k Key, ciphertext, associated []byte) ([]byte, error) {
 		return nil, ErrCiphertextShort
 	}
 	nonce, body := ciphertext[:NonceSize], ciphertext[NonceSize:]
-	plaintext, err := gcm.Open(nil, nonce, body, associated)
+	plaintext, err := gcm.Open(dst, nonce, body, associated)
 	if err != nil {
 		return nil, ErrAuth
 	}

@@ -78,6 +78,38 @@ func TestSealInPlace(t *testing.T) {
 	}
 }
 
+// OpenInPlace returns what Open returns, in the ciphertext's storage and
+// without allocating, and rejects what Open rejects.
+func TestOpenInPlace(t *testing.T) {
+	k, _ := NewKey()
+	plaintext := bytes.Repeat([]byte("record"), 100)
+	ad := []byte("log")
+	ct, err := Seal(k, plaintext, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenInPlace(k, bytes.Clone(ct), ad)
+	if err != nil || !bytes.Equal(got, plaintext) {
+		t.Fatalf("OpenInPlace = %v, round trip equal %v", err, bytes.Equal(got, plaintext))
+	}
+	buf := bytes.Clone(ct)
+	if got, _ := OpenInPlace(k, buf, ad); &got[0] != &buf[NonceSize] {
+		t.Fatal("plaintext is not in the ciphertext's storage")
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		copy(buf, ct)
+		if _, err := OpenInPlace(k, buf, ad); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("OpenInPlace allocated %.1f times, want 0", allocs)
+	}
+	ct[len(ct)-1] ^= 1
+	if _, err := OpenInPlace(k, ct, ad); err != ErrAuth {
+		t.Fatalf("tampered OpenInPlace = %v, want ErrAuth", err)
+	}
+}
+
 func TestOpenRejectsTamperedCiphertext(t *testing.T) {
 	k, _ := NewKey()
 	ct, err := Seal(k, []byte("state blob"), []byte("ad"))

@@ -154,7 +154,7 @@ func TestPreVersionStateBlobFailsWithErrStateVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, _, err := openStateBlob(r.admin.kp, blob)
+	state, _, err := openStateBlob(r.admin.kp, blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -301,7 +301,7 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 			return nil, err
 		}
 		res.StateBlob, res.Seg = blob, p.seg
-	} else if err := p.sealResult(&res, p.t, vmap{}, nil, false); err != nil {
+	} else if err := p.sealResult(&res, &deltaRecord{FromT: p.t}); err != nil {
 		return nil, err
 	}
 	return encodeBatchResult(&res), nil
@@ -378,7 +378,9 @@ func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 			removed = append(removed, id)
 		}
 		sortU32(removed)
-		if err := p.sealResult(&res, p.t, touched, removed, false); err != nil {
+		// Joined entries have no earlier (T, H): they carry their anchors.
+		rec := deltaRecord{FromT: p.t, Entries: touched, Anchors: true, Removed: removed}
+		if err := p.sealResult(&res, &rec); err != nil {
 			return nil, err
 		}
 	}

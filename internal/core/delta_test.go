@@ -11,11 +11,18 @@ import (
 	"lcm/internal/kvs"
 	"lcm/internal/stablestore"
 	"lcm/internal/tee"
+	"lcm/internal/wire"
 )
 
 // newRigWith builds a rig like newRig but lets the test tune the trusted
 // configuration (compaction thresholds, full-seal mode).
 func newRigWith(t *testing.T, clientIDs []uint32, tune func(*TrustedConfig)) *rig {
+	t.Helper()
+	return newRigOver(t, stablestore.NewMemStore(), clientIDs, tune)
+}
+
+// newRigOver is newRigWith over the given store.
+func newRigOver(t *testing.T, store stablestore.Store, clientIDs []uint32, tune func(*TrustedConfig)) *rig {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-delta")
@@ -23,7 +30,7 @@ func newRigWith(t *testing.T, clientIDs []uint32, tune func(*TrustedConfig)) *ri
 		t.Fatal(err)
 	}
 	attestation.Register(platform)
-	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
+	storage := stablestore.NewRollbackStore(store)
 	cfg := TrustedConfig{
 		ServiceName: "kvs",
 		NewService:  kvs.Factory(),
@@ -56,7 +63,8 @@ func newRigWith(t *testing.T, clientIDs []uint32, tune func(*TrustedConfig)) *ri
 }
 
 // goldenDeltaRecord is the record the golden round-trip test encodes; the
-// decoder's fuzz target starts from it too.
+// decoder's fuzz target starts from it too. Every optional field is
+// present.
 func goldenDeltaRecord() *deltaRecord {
 	return &deltaRecord{
 		FromT:    7,
@@ -67,8 +75,20 @@ func goldenDeltaRecord() *deltaRecord {
 			2: {TA: 5, T: 8, LastReply: []byte("reply-2")},
 			1: {TA: 7, T: 9, LastReply: []byte("reply-1")},
 		},
-		Delta: []byte("service-delta"),
+		Anchors:    true,
+		Delta:      []byte("service-delta"),
+		BeaconSeq:  4,
+		BeaconTick: 5,
+		Removed:    []uint32{3, 6},
+		GroupEpoch: 2,
+		QFloor:     8,
 	}
+}
+
+func (d *deltaRecord) encode() []byte {
+	w := wire.NewWriter(d.encodedSize())
+	d.encodeTo(w)
+	return w.Bytes()
 }
 
 func TestDeltaRecordRoundtrip(t *testing.T) {
@@ -78,14 +98,15 @@ func TestDeltaRecordRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.FromT != rec.FromT || got.ToT != rec.ToT || got.AdminSeq != rec.AdminSeq || got.Prev != rec.Prev {
-		t.Fatalf("header mismatch: %+v", got)
+	gotFields, wantFields := *got, *rec
+	gotFields.Entries, wantFields.Entries = nil, nil
+	if fmt.Sprintf("%+v", gotFields) != fmt.Sprintf("%+v", wantFields) || len(got.Entries) != 2 {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, rec)
 	}
-	if len(got.Entries) != 2 || got.Entries[1].T != 9 || string(got.Entries[2].LastReply) != "reply-2" {
-		t.Fatalf("entries mismatch: %+v", got.Entries)
-	}
-	if !bytes.Equal(got.Delta, rec.Delta) {
-		t.Fatalf("delta mismatch")
+	for id, e := range rec.Entries {
+		if g := got.Entries[id]; g.TA != e.TA || g.T != e.T || !bytes.Equal(g.LastReply, e.LastReply) {
+			t.Fatalf("entry %d = %+v, want %+v", id, g, e)
+		}
 	}
 	if _, err := decodeDeltaRecord(enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated record decoded")

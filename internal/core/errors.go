@@ -82,6 +82,10 @@ var (
 	// before blobs carried one; recovery halts with it.
 	ErrStateVersion = errors.New("lcm: state blob version unknown")
 
+	// ErrRecordVersion reports a delta record of another format version (a
+	// record from before the version byte reads as 0); recovery halts.
+	ErrRecordVersion = errors.New("lcm: delta record version unknown")
+
 	// ErrNoCheckpoint reports a checkpoint-seal call for a checkpoint a
 	// later cut, a fresh blob or a restart superseded.
 	ErrNoCheckpoint = errors.New("lcm: no checkpoint pending")

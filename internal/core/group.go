@@ -56,22 +56,6 @@ func newVMap(clients []uint32) vmap {
 	return v
 }
 
-// argmax returns the entry with the highest operation sequence number,
-// implementing Alg. 2's (·, t, h) ← V[argmax(V)] used during recovery.
-// For an empty history it returns (0, h0).
-func (v vmap) argmax() (uint64, hashchain.Value) {
-	var (
-		bestT uint64
-		bestH = hashchain.Initial()
-	)
-	for _, e := range v {
-		if e.T > bestT {
-			bestT, bestH = e.T, e.H
-		}
-	}
-	return bestT, bestH
-}
-
 // majorityStable implements majority-stable(V) from Sec. 4.5: the largest
 // acknowledged sequence number a such that more than n/2 clients have
 // acknowledged operations with sequence numbers ≥ a. Every operation with

@@ -109,20 +109,13 @@ func (p *Trusted) handleChainSync(env tee.Env, records [][]byte) ([]byte, error)
 	res := &ChainSyncResult{}
 	if p.deltaSvc != nil {
 		for _, sealed := range records {
-			plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
-			if err != nil {
-				break // not our history: decline the rest of the offer
-			}
-			rec, err := decodeDeltaRecord(plain)
-			if err != nil {
+			// A record that is not ours or not on our head (stale, replayed)
+			// declines the rest of the offer; one that is, folds strictly.
+			refused, err := p.foldRecord(sealed, aead.Open)
+			if refused != "" {
 				break
 			}
-			if rec.Prev != p.chainPrev {
-				break // does not chain onto our head (stale or replayed)
-			}
-			// From here on the record is our own sealed history; the
-			// strict foldDeltaLog consistency rules apply.
-			if err := p.applyRecord(rec, sealed); err != nil {
+			if err != nil {
 				return nil, err
 			}
 			res.Folded++
@@ -182,7 +175,7 @@ func (p *Trusted) handleRecover(env tee.Env, senderPub, ct []byte) ([]byte, erro
 	if err != nil {
 		return nil, fmt.Errorf("lcm: load state blob: %w", err)
 	}
-	state, seg, err := openStateBlob(kp, blobstate)
+	state, seg, err := openStateBlob(kp, blobstate, func() ([]byte, error) { return env.Host().Load(SlotStateBlob) })
 	if err != nil {
 		// Wrong key, foreign or malformed blob: refuse, do not halt —
 		// the enclave adopted nothing yet.

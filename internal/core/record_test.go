@@ -1,0 +1,199 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"lcm/internal/aead"
+	"lcm/internal/kvs"
+	"lcm/internal/stablestore"
+	"lcm/internal/tee"
+)
+
+// recordFields breaks a record's sealed size down by field, in layout
+// order; the parts sum to the sealed size.
+func recordFields(rec *deltaRecord) [][2]any {
+	fields := [][2]any{{"aead nonce+tag", aead.Overhead}, {"version+flags", 2}, {"FromT ToT AdminSeq Prev", 56}, {"entry count", 4}}
+	for _, id := range rec.Entries.clientIDs() {
+		e := rec.Entries[id]
+		fields = append(fields, [2]any{fmt.Sprintf("entry %d id+T+H", id), 4 + 8 + 32})
+		if rec.Anchors {
+			fields = append(fields, [2]any{fmt.Sprintf("entry %d TA+HA", id), anchorSize})
+		}
+		fields = append(fields, [2]any{fmt.Sprintf("entry %d LastReply", id), 4 + len(e.LastReply)})
+	}
+	for _, opt := range []struct {
+		name string
+		size int
+		on   bool
+	}{
+		{"ServiceDelta", 4 + len(rec.Delta), len(rec.Delta) > 0},
+		{"BeaconSeq BeaconTick", 16, rec.BeaconSeq > 0},
+		{"Removed", 4 + 4*len(rec.Removed), len(rec.Removed) > 0},
+		{"GroupEpoch", 8, rec.GroupEpoch > 0},
+		{"QFloor", 8, rec.QFloor > 0},
+	} {
+		if opt.on {
+			fields = append(fields, [2]any{opt.name, opt.size})
+		}
+	}
+	return fields
+}
+
+// lastRecord opens the newest record of segment seg.
+func (r *rig) lastRecord(seg uint64) (*deltaRecord, int) {
+	r.t.Helper()
+	log, err := r.storage.LoadLog(SegmentSlot(seg))
+	if err != nil || len(log) == 0 {
+		r.t.Fatalf("segment %d: %d records (%v)", seg, len(log), err)
+	}
+	sealed := log[len(log)-1]
+	plain, err := aead.Open(r.admin.kp, sealed, []byte(adDeltaLog))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	rec, err := decodeDeltaRecord(plain)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return rec, len(sealed)
+}
+
+// The sealed size of a one-op record is pinned: a put of bench/'s 40-byte
+// key and 100-byte value, and a get, each from the second of two clients
+// in steady state. A failure prints what every field costs.
+func TestDeltaRecordByteBudget(t *testing.T) {
+	r := newRig(t, []uint32{1, 2})
+	key, value := strings.Repeat("k", 40), strings.Repeat("v", 100)
+	for i := 0; i < 3; i++ {
+		r.mustPut(1, key, value)
+		r.mustPut(2, key, value)
+	}
+	for _, tc := range []struct {
+		name string
+		op   []byte
+		want int
+	}{
+		{"put", kvs.Put(key, value), 429},
+		{"get", kvs.Get(key), 372},
+	} {
+		r.mustDo(1, tc.op)
+		r.mustDo(2, tc.op)
+		rec, size := r.lastRecord(0)
+		var b strings.Builder
+		sum := 0
+		for _, f := range recordFields(rec) {
+			fmt.Fprintf(&b, "\n  %-24s %4d B", f[0], f[1])
+			sum += f[1].(int)
+		}
+		if sum != size {
+			t.Fatalf("%s: the breakdown sums to %d B, the record is %d B:%s", tc.name, sum, size, b.String())
+		}
+		if size != tc.want {
+			t.Errorf("one-op %s record is %d B, want %d:%s", tc.name, size, tc.want, b.String())
+		}
+	}
+}
+
+// Every combination of the optional fields round trips; a flag the
+// format does not define, or a flagged field holding its absent value,
+// does not decode.
+func TestDeltaRecordPresenceFlags(t *testing.T) {
+	golden := goldenDeltaRecord()
+	for flags := 0; flags < recQFloor<<1; flags++ {
+		rec := withFlags(golden, byte(flags))
+		enc := rec.encode()
+		if enc[1] != byte(flags) {
+			t.Fatalf("flags %07b encoded as %07b", flags, enc[1])
+		}
+		got, err := decodeDeltaRecord(enc)
+		if err != nil {
+			t.Fatalf("flags %07b: %v", flags, err)
+		}
+		if !bytes.Equal(got.encode(), enc) {
+			t.Fatalf("flags %07b: round trip changed the record", flags)
+		}
+	}
+	enc := golden.encode()
+	enc[1] |= recQFloor << 1
+	if _, err := decodeDeltaRecord(enc); err == nil {
+		t.Fatal("an undefined flag decoded")
+	}
+	empty := withFlags(golden, recAnchors|recEpoch)
+	empty.GroupEpoch = 0
+	enc = empty.encode()
+	enc[1] |= recEpoch
+	if _, err := decodeDeltaRecord(append(enc, make([]byte, 8)...)); err == nil {
+		t.Fatal("a flagged zero epoch decoded")
+	}
+}
+
+// A record in the committed version-1 format (before records carried a
+// version byte: its first byte is FromT's high byte, 0) fails with
+// ErrRecordVersion, and a restart over a log holding one halts with that
+// cause — not as a record that failed authentication or was malformed.
+func TestVersion1RecordFailsWithErrRecordVersion(t *testing.T) {
+	v1, err := os.ReadFile("testdata/delta-record-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeDeltaRecord(v1); !errors.Is(err, ErrRecordVersion) {
+		t.Fatalf("decode of a version-1 record = %v, want ErrRecordVersion", err)
+	}
+	r := newRig(t, []uint32{1, 2})
+	r.mustPut(1, "a", "1")
+	sealed, err := aead.Seal(r.admin.kp, v1, []byte(adDeltaLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.storage.Append(SlotDeltaLog, sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
+		t.Fatalf("restart over a version-1 record = %v, want a halt", err)
+	}
+	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrRecordVersion) {
+		t.Fatalf("halt = %v, want ErrRecordVersion", err)
+	}
+}
+
+// A restart over a log segment written before log files carried a header
+// (the committed fixture) reports stablestore.ErrLogVersion; the segment
+// is not read as an empty log, which clients would report as a rollback.
+func TestUnversionedSegmentFailsRestartWithErrLogVersion(t *testing.T) {
+	dir := t.TempDir()
+	store, err := stablestore.NewFileStore(dir, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRigOver(t, store, []uint32{1, 2}, nil)
+	r.mustPut(1, "a", "1")
+	r.enclave.Stop()
+	old, err := os.ReadFile("../stablestore/testdata/segment-unversioned.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, SlotDeltaLog+".log"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := stablestore.NewFileStore(dir, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enclave := r.platform.NewEnclave(NewTrustedFactory(TrustedConfig{
+		ServiceName: "kvs",
+		NewService:  kvs.Factory(),
+		Attestation: r.attestation,
+	}), reopened)
+	if err := enclave.Start(); !errors.Is(err, stablestore.ErrLogVersion) {
+		t.Fatalf("start over an unversioned segment = %v, want ErrLogVersion", err)
+	}
+	if enclave.HaltedErr() != nil {
+		t.Fatalf("start halted (%v); the old segment is a format error, not an attack", enclave.HaltedErr())
+	}
+}

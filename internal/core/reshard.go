@@ -1038,7 +1038,7 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 	if err != nil {
 		return nil, fmt.Errorf("staged state blob: %w", err)
 	}
-	state, seg, err := openStateBlob(kp, blob)
+	state, seg, err := openStateBlob(kp, blob, func() ([]byte, error) { return env.Host().Load(ReshardSrcSlot(piece.Src, SlotStateBlob)) })
 	if err != nil {
 		return nil, fmt.Errorf("staged state blob: %w", err)
 	}

@@ -21,29 +21,48 @@ package core
 //
 // # Delta record layout
 //
-// Each record's plaintext is:
+// Each record's plaintext (version 2) is:
 //
+//	U8       version      recordVersion
+//	U8       flags        which optional fields [..] follow
 //	U64      FromT        t before the batch (chain continuity check)
 //	U64      ToT          t after the batch
 //	U64      AdminSeq     must equal the base blob's (admin ops re-seal)
 //	Bytes32  Prev         SHA-256 of the predecessor ciphertext
 //	U32      n            number of touched V entries
-//	n ×      U32 id, U64 TA, Bytes32 HA, U64 T, Bytes32 H, Var LastReply
-//	Var      ServiceDelta service.DeltaService.Delta() output
-//	U64      BeaconSeq    beacon ordinal (0 for ordinary batch records)
-//	U64      BeaconTick   platform counter tick the beacon reserved
-//	U32      m            number of removed (tombstoned) member ids
-//	m ×      U32 id       members this record removed from the group
-//	U64      GroupEpoch   membership epoch at seal time (group.go)
-//	U64      QFloor       monotone stability floor at seal time
-//	U64      SeqT         authoritative t after the batch
-//	Bytes32  SeqH         authoritative h after the batch
+//	n ×      U32 id, [U64 TA, Bytes32 HA], U64 T, Bytes32 H, Var LastReply
+//	[Var     ServiceDelta]  service.DeltaService.Delta() output
+//	[U64     BeaconSeq, U64 BeaconTick]
+//	[U32 m, m × U32 id]     members this record removed from the group
+//	[U64     GroupEpoch]    membership epoch (group.go)
+//	[U64     QFloor]        monotone stability floor
 //
-// and is sealed with AEAD under kP with associated data adDeltaLog.
-// Heartbeat beacon records (trusted.go) are ordinary delta records with an
-// empty batch (FromT == ToT, no entries, no delta) and BeaconSeq > 0; they
-// ride the same chain, so a clone committing beacons forks the chain like
-// any other divergent writer.
+// and is sealed with AEAD under kP with associated data adDeltaLog. An
+// optional field is written only when the fold (applyRecord) cannot
+// derive it; absent, the fold supplies it:
+//
+//   - (TA, HA), per record: absent when every entry is an op that ran.
+//     The fold takes the (T, H) its entry held before, which is exactly
+//     what handleInvoke's context assert (V[i] = (∗, tc, hc)) moved there.
+//     Churn joins (no earlier entry) and retries (unchanged entry) carry
+//     them.
+//   - ServiceDelta: absent when the service changed nothing (a get).
+//   - The beacon pair: absent outside beacon records; the removal list:
+//     absent when empty.
+//   - GroupEpoch and QFloor: absent while they equal what the chain held
+//     (chainEpoch, chainQFloor); the fold keeps its own.
+//
+// The head (t, h) after the record is not written: when an op ran, its
+// client's entry names ToT and the fold takes that entry's (T, H); a
+// record in which none ran (FromT == ToT: beacon, epoch, churn, retries)
+// leaves the head where it was. Heartbeat beacon records (trusted.go) ride
+// the same chain, so a clone committing beacons forks it like any other
+// divergent writer.
+//
+// Old data fails with a named error, and there is no in-place migration:
+// a record of another version (version 1 has no version byte; its first
+// byte, FromT's high byte, reads as 0) with ErrRecordVersion, and a log
+// segment without stablestore.LogHeader with stablestore.ErrLogVersion.
 //
 // # Chaining and checkpoints
 //
@@ -167,18 +186,21 @@ func sealStateBlob(kp aead.Key, s *trustedState, seg uint64) ([]byte, error) {
 	return buf[:stateHeaderSize+len(ct)], err
 }
 
-// openStateBlob authenticates and decodes a state blob and returns the
-// segment it names. An unknown version, or a headerless blob (one that
-// opens under the bare label), fails with ErrStateVersion.
-func openStateBlob(kp aead.Key, blob []byte) (*trustedState, uint64, error) {
+// openStateBlob authenticates and decodes a loaded state blob in place
+// and returns the segment it names. An unknown version, or a headerless
+// blob (one that opens under the bare label), fails with ErrStateVersion;
+// a failed open leaves blob undefined, so that probe opens a reload.
+func openStateBlob(kp aead.Key, blob []byte, reload func() ([]byte, error)) (*trustedState, uint64, error) {
 	seg, ok := BlobSegment(blob)
 	if !ok {
 		return nil, 0, ErrStateVersion
 	}
-	plain, err := aead.Open(kp, blob[stateHeaderSize:], append([]byte(adStateBlob), blob[:stateHeaderSize]...))
+	plain, err := aead.OpenInPlace(kp, blob[stateHeaderSize:], append([]byte(adStateBlob), blob[:stateHeaderSize]...))
 	if err != nil {
-		if _, lerr := aead.Open(kp, blob, []byte(adStateBlob)); lerr == nil {
-			return nil, 0, ErrStateVersion // headerless, its nonce began with the version byte
+		if fresh, lerr := reload(); lerr == nil {
+			if _, lerr := aead.Open(kp, fresh, []byte(adStateBlob)); lerr == nil {
+				return nil, 0, ErrStateVersion // headerless, its nonce began with the version byte
+			}
 		}
 		return nil, 0, err
 	}
@@ -189,9 +211,9 @@ func openStateBlob(kp aead.Key, blob []byte) (*trustedState, uint64, error) {
 // trustedState is the plaintext of the sealed state blob: the protocol
 // state V, the communication key kC, the admin sequence number and the
 // service snapshot. Alg. 2's init recovers (t, h) as V[argmax(V)]; since
-// membership removals can delete the entry holding the head, newer blobs
-// additionally carry the authoritative (SeqT, SeqH) pair in the
-// tail-appended group section.
+// membership removals can delete the entry holding the head, the blob
+// carries that pair as (SeqT, SeqH) in the group section, and recovery
+// installs it.
 type trustedState struct {
 	AdminSeq uint64
 	Gen      uint64 // reshard generation this context belongs to
@@ -229,17 +251,24 @@ func (s *trustedState) encodedSize() int {
 	return size
 }
 
-// vEntryMinSize is an encoded V entry's size with an empty LastReply.
-const vEntryMinSize = 4 + 8 + 8 + 2*hashchain.Size + 4
+// vEntryMinSize is an encoded V entry's size with an empty LastReply;
+// anchorSize is the part that is its (TA, HA).
+const (
+	vEntryMinSize = 4 + 8 + 8 + 2*hashchain.Size + 4
+	anchorSize    = 8 + hashchain.Size
+)
 
-// encodeVMap writes v count-prefixed, in ascending id order.
-func encodeVMap(w *wire.Writer, v vmap) {
+// encodeVMap writes v count-prefixed, in ascending id order, each entry's
+// (TA, HA) only when anchors is set.
+func encodeVMap(w *wire.Writer, v vmap, anchors bool) {
 	w.U32(uint32(len(v)))
 	for _, id := range v.clientIDs() {
 		e := v[id]
 		w.U32(id)
-		w.U64(e.TA)
-		w.Bytes32(e.HA)
+		if anchors {
+			w.U64(e.TA)
+			w.Bytes32(e.HA)
+		}
 		w.U64(e.T)
 		w.Bytes32(e.H)
 		w.Var(e.LastReply)
@@ -248,8 +277,8 @@ func encodeVMap(w *wire.Writer, v vmap) {
 
 // decodeVMap reads what encodeVMap writes. Any other entry order, or a
 // repeated id, is malformed, so every V that decodes has one encoding.
-func decodeVMap(r *wire.Reader) vmap {
-	n := r.Count(vEntryMinSize)
+func decodeVMap(r *wire.Reader, anchors bool) vmap {
+	n := r.Count(vEntryMinSize - anchorSize)
 	v := make(vmap, n)
 	for i, prev := 0, int64(-1); i < n; i++ {
 		id := r.U32()
@@ -257,7 +286,11 @@ func decodeVMap(r *wire.Reader) vmap {
 			r.Fail(errors.New("V entries not in ascending id order"))
 		}
 		prev = int64(id)
-		e := &ventry{TA: r.U64(), HA: r.Bytes32(), T: r.U64(), H: r.Bytes32()}
+		e := &ventry{}
+		if anchors {
+			e.TA, e.HA = r.U64(), r.Bytes32()
+		}
+		e.T, e.H = r.U64(), r.Bytes32()
 		if e.LastReply = r.Var(); len(e.LastReply) == 0 {
 			e.LastReply = nil
 		}
@@ -270,7 +303,7 @@ func (s *trustedState) encodeTo(w *wire.Writer) {
 	w.U64(s.AdminSeq)
 	w.U64(s.Gen)
 	w.Var(s.KC)
-	encodeVMap(w, s.V)
+	encodeVMap(w, s.V, true)
 	w.Var(s.Snapshot)
 	w.U64(s.BeaconSeq)
 	w.U64(s.BeaconTick)
@@ -295,7 +328,7 @@ func (s *trustedState) encode() []byte {
 
 func decodeTrustedState(b []byte) (*trustedState, error) {
 	r := wire.NewReader(b)
-	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var(), V: decodeVMap(r)}
+	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var(), V: decodeVMap(r, true)}
 	s.Snapshot = r.VarView() // aliases b; Restore copies what it keeps
 	s.BeaconSeq = r.U64()
 	s.BeaconTick = r.U64()
@@ -321,31 +354,51 @@ func decodeTrustedState(b []byte) (*trustedState, error) {
 
 // deltaRecord is the plaintext of one sealed delta-log record: the batch's
 // sequence range, the V entries it touched, and the service delta, chained
-// to the predecessor ciphertext via Prev (see the package docs above).
+// to the predecessor ciphertext via Prev (see the package docs above). An
+// optional field is absent when zero, empty or false.
 type deltaRecord struct {
 	FromT    uint64
 	ToT      uint64
 	AdminSeq uint64
 	Prev     [32]byte
 	Entries  vmap
+	Anchors  bool // the entries carry their (TA, HA)
 	Delta    []byte
 	// BeaconSeq > 0 marks a heartbeat beacon record; BeaconTick is the
 	// platform counter tick it reserved. Both zero on batch records.
 	BeaconSeq  uint64
 	BeaconTick uint64
-	// Group section (see group.go): tombstoned member ids removed by this
-	// record, the membership epoch and stability floor at seal time, and
-	// the authoritative sequence head (argmax over Entries undershoots
-	// when a removal deleted the entry holding the head).
+	// Group section (see group.go): member ids this record removed, and
+	// the membership epoch and stability floor where they rose.
 	Removed    []uint32
 	GroupEpoch uint64
 	QFloor     uint64
-	SeqT       uint64
-	SeqH       hashchain.Value
 }
 
+// Delta record version and presence flags (bit i: flags()'s i-th field).
+const recordVersion = 2
+
+const (
+	recAnchors = 1 << iota
+	recDelta
+	recBeacon
+	recRemoved
+	recEpoch
+	recQFloor
+)
+
+func (d *deltaRecord) flags() (f byte) {
+	for i, on := range [...]bool{d.Anchors, len(d.Delta) > 0, d.BeaconSeq > 0, len(d.Removed) > 0, d.GroupEpoch > 0, d.QFloor > 0} {
+		if on {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// encodedSize bounds the encoding's size: every optional field counted.
 func (d *deltaRecord) encodedSize() int {
-	size := 8 + 8 + 8 + 32 + 4 + 4 + 16 + len(d.Delta) + 32 + hashchain.Size + 4*len(d.Removed)
+	size := 2 + 8 + 8 + 8 + 32 + 4 + 4 + len(d.Delta) + 16 + 4 + 4*len(d.Removed) + 16
 	for _, e := range d.Entries {
 		size += vEntryMinSize + len(e.LastReply)
 	}
@@ -353,53 +406,68 @@ func (d *deltaRecord) encodedSize() int {
 }
 
 func (d *deltaRecord) encodeTo(w *wire.Writer) {
+	flags := d.flags()
+	w.U8(recordVersion)
+	w.U8(flags)
 	w.U64(d.FromT)
 	w.U64(d.ToT)
 	w.U64(d.AdminSeq)
 	w.Bytes32(d.Prev)
-	encodeVMap(w, d.Entries)
-	w.Var(d.Delta)
-	w.U64(d.BeaconSeq)
-	w.U64(d.BeaconTick)
-	w.U32(uint32(len(d.Removed)))
-	for _, id := range d.Removed {
-		w.U32(id)
+	encodeVMap(w, d.Entries, d.Anchors)
+	if flags&recDelta != 0 {
+		w.Var(d.Delta)
 	}
-	w.U64(d.GroupEpoch)
-	w.U64(d.QFloor)
-	w.U64(d.SeqT)
-	w.Bytes32(d.SeqH)
+	if flags&recBeacon != 0 {
+		w.U64(d.BeaconSeq)
+		w.U64(d.BeaconTick)
+	}
+	if flags&recRemoved != 0 {
+		w.U32(uint32(len(d.Removed)))
+		for _, id := range d.Removed {
+			w.U32(id)
+		}
+	}
+	if flags&recEpoch != 0 {
+		w.U64(d.GroupEpoch)
+	}
+	if flags&recQFloor != 0 {
+		w.U64(d.QFloor)
+	}
 }
 
-func (d *deltaRecord) encode() []byte {
-	w := wire.NewWriter(d.encodedSize())
-	d.encodeTo(w)
-	return w.Bytes()
-}
-
+// decodeDeltaRecord reads what encodeTo writes. Another version fails
+// with ErrRecordVersion; an unknown flag, or a flagged field holding the
+// value its absence means, is malformed, so every record that decodes has
+// one encoding.
 func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 	r := wire.NewReader(b)
-	d := &deltaRecord{
-		FromT:    r.U64(),
-		ToT:      r.U64(),
-		AdminSeq: r.U64(),
-		Prev:     r.Bytes32(),
-		Entries:  decodeVMap(r),
+	if v := r.U8(); r.Err() == nil && v != recordVersion {
+		return nil, fmt.Errorf("%w: %d", ErrRecordVersion, v)
 	}
-	d.Delta = r.Var()
-	d.BeaconSeq = r.U64()
-	d.BeaconTick = r.U64()
-	nr := r.Count(4)
-	if nr > 0 {
-		d.Removed = make([]uint32, nr)
-		for i := 0; i < nr; i++ {
+	flags := r.U8()
+	d := &deltaRecord{FromT: r.U64(), ToT: r.U64(), AdminSeq: r.U64(), Prev: r.Bytes32(), Anchors: flags&recAnchors != 0}
+	d.Entries = decodeVMap(r, d.Anchors)
+	if flags&recDelta != 0 {
+		d.Delta = r.Var()
+	}
+	if flags&recBeacon != 0 {
+		d.BeaconSeq, d.BeaconTick = r.U64(), r.U64()
+	}
+	if flags&recRemoved != 0 {
+		d.Removed = make([]uint32, r.Count(4))
+		for i := range d.Removed {
 			d.Removed[i] = r.U32()
 		}
 	}
-	d.GroupEpoch = r.U64()
-	d.QFloor = r.U64()
-	d.SeqT = r.U64()
-	d.SeqH = r.Bytes32()
+	if flags&recEpoch != 0 {
+		d.GroupEpoch = r.U64()
+	}
+	if flags&recQFloor != 0 {
+		d.QFloor = r.U64()
+	}
+	if r.Err() == nil && d.flags() != flags {
+		r.Fail(errors.New("delta record flags unknown or absent-valued fields"))
+	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lcm: decode delta record: %w", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"testing"
 )
 
@@ -52,18 +53,52 @@ func FuzzDecodeTrustedState(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDeltaRecord: the same three oracles for a delta-log record.
+// withFlags returns golden with exactly the optional fields whose
+// presence bits are set in flags.
+func withFlags(golden *deltaRecord, flags byte) *deltaRecord {
+	d := *golden
+	if flags&recAnchors == 0 {
+		d.Anchors = false
+	}
+	if flags&recDelta == 0 {
+		d.Delta = nil
+	}
+	if flags&recBeacon == 0 {
+		d.BeaconSeq, d.BeaconTick = 0, 0
+	}
+	if flags&recRemoved == 0 {
+		d.Removed = nil
+	}
+	if flags&recEpoch == 0 {
+		d.GroupEpoch = 0
+	}
+	if flags&recQFloor == 0 {
+		d.QFloor = 0
+	}
+	return &d
+}
+
+// FuzzDecodeDeltaRecord: the same three oracles for a delta-log record,
+// seeded with every combination of the optional fields and with the
+// committed version-1 record.
 func FuzzDecodeDeltaRecord(f *testing.F) {
-	golden := goldenDeltaRecord().encode()
-	entriesCount := 8 + 8 + 8 + 32                     // FromT, ToT, AdminSeq, Prev
-	removedCount := len(golden) - (4 + 8 + 8 + 8 + 32) // before GroupEpoch, QFloor, SeqT, SeqH
-	f.Add(golden)
-	f.Add(golden[:len(golden)-1])
-	f.Add((&deltaRecord{Removed: []uint32{4, 2}}).encode())
+	golden := goldenDeltaRecord()
+	for flags := 0; flags < recQFloor<<1; flags++ {
+		f.Add(withFlags(golden, byte(flags)).encode())
+	}
+	enc := golden.encode()
+	entriesCount := 2 + 8 + 8 + 8 + 32             // version, flags, FromT, ToT, AdminSeq, Prev
+	removedCount := len(enc) - (4 + 4 + 4 + 8 + 8) // before the ids, GroupEpoch, QFloor
+	f.Add(enc[:len(enc)-1])
 	f.Add(make([]byte, 40))
-	f.Add(withCount(golden, entriesCount, 1<<24))
-	f.Add(withCount(golden, entriesCount, 0xFFFFFFFF))
-	f.Add(withCount(golden, removedCount, 1<<30))
+	f.Add(withCount(enc, entriesCount, 1<<24))
+	f.Add(withCount(enc, entriesCount, 0xFFFFFFFF))
+	f.Add(withCount(enc, removedCount, 1<<30))
+	v1, err := os.ReadFile("testdata/delta-record-v1.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var (
 			d   *deltaRecord

@@ -66,10 +66,13 @@ type Trusted struct {
 	resh      *reshardState
 	resharded bool
 
-	// Delta-chain state (see state.go): the chain head, the records and
-	// sealed bytes since the last cut or blob, the segment records go to,
-	// and the segment and Head of the last blob sealed or recovered from.
+	// Delta-chain state (see state.go): the chain head and the group fields
+	// a fold ends with there, the records and sealed bytes since the last
+	// cut or blob, the segment records go to, and the segment and Head of
+	// the last blob sealed or recovered from.
 	chainPrev    [32]byte
+	chainEpoch   uint64
+	chainQFloor  uint64
 	chainLen     int
 	chainBytes   int
 	seg, baseSeg uint64
@@ -236,7 +239,7 @@ func (p *Trusted) Init(env tee.Env) error {
 	if err != nil {
 		return fmt.Errorf("lcm: load state blob: %w", err)
 	}
-	state, seg, err := openStateBlob(kp, blobstate)
+	state, seg, err := openStateBlob(kp, blobstate, func() ([]byte, error) { return env.Host().Load(SlotStateBlob) })
 	switch {
 	case errors.Is(err, ErrStateVersion):
 		return tee.Halt("state blob version unknown", err)
@@ -272,18 +275,10 @@ func (p *Trusted) foldDeltaLog(env tee.Env, base *trustedState, seg uint64, blob
 			return tee.Halt("delta log present but service cannot apply deltas", nil)
 		}
 		for _, sealed := range records {
-			plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
-			if err != nil {
-				return tee.Halt("delta record failed authentication", err)
-			}
-			rec, err := decodeDeltaRecord(plain)
-			if err != nil {
-				return tee.Halt("delta record malformed", err)
-			}
-			if rec.Prev != p.chainPrev {
-				return tee.Halt("delta log chain broken", nil)
-			}
-			if err := p.applyRecord(rec, sealed); err != nil {
+			// LoadLog's records are ours to open in place.
+			if refused, err := p.foldRecord(sealed, aead.OpenInPlace); refused != "" {
+				return tee.Halt(refused, err)
+			} else if err != nil {
 				return err
 			}
 		}
@@ -294,15 +289,48 @@ func (p *Trusted) foldDeltaLog(env tee.Env, base *trustedState, seg uint64, blob
 	return nil
 }
 
-// applyRecord folds an authenticated record that links onto the head.
-func (p *Trusted) applyRecord(rec *deltaRecord, sealed []byte) error {
+// foldRecord opens a sealed record with open and folds it. One that does
+// not open, decode or link onto the head is refused, with the reason
+// recovery halts on; one that links folds under applyRecord's halts.
+func (p *Trusted) foldRecord(sealed []byte, open func(k aead.Key, ct, ad []byte) ([]byte, error)) (refused string, err error) {
+	sum, size := blobHash(sealed), len(sealed) // before an in-place open
+	plain, err := open(p.kp, sealed, []byte(adDeltaLog))
+	if err != nil {
+		return "delta record failed authentication", err
+	}
+	rec, err := decodeDeltaRecord(plain)
+	switch {
+	case errors.Is(err, ErrRecordVersion):
+		return "delta record version unknown", err
+	case err != nil:
+		return "delta record malformed", err
+	case rec.Prev != p.chainPrev:
+		return "delta log chain broken", nil
+	}
+	return "", p.applyRecord(rec, sum, size)
+}
+
+// applyRecord folds a record that links onto the head, whose ciphertext
+// hashes to sum, supplying each absent optional field (state.go's rules).
+func (p *Trusted) applyRecord(rec *deltaRecord, sum [32]byte, size int) error {
 	if rec.FromT != p.t || rec.ToT < rec.FromT {
 		return tee.Halt("delta record sequence discontinuity", nil)
 	}
 	if rec.AdminSeq != p.adminSeq {
 		return tee.Halt("delta record admin sequence mismatch", nil)
 	}
+	t, h := p.t, p.h // moved only by an entry naming ToT
 	for id, e := range rec.Entries {
+		if !rec.Anchors {
+			prev, ok := p.g.v[id]
+			if !ok {
+				return tee.Halt("delta record entry has no anchor in V", nil)
+			}
+			e.TA, e.HA = prev.T, prev.H
+		}
+		if e.T == rec.ToT {
+			t, h = e.T, e.H
+		}
 		p.g.v[id] = e
 	}
 	p.g.applyTombstones(rec.Removed)
@@ -316,15 +344,10 @@ func (p *Trusted) applyRecord(rec *deltaRecord, sealed []byte) error {
 	if err := p.deltaSvc.ApplyDelta(rec.Delta); err != nil {
 		return tee.Halt("service delta malformed", err)
 	}
-	p.t, p.h = p.g.v.argmax()
-	if rec.SeqT > p.t {
-		// A removal in this record may have deleted the entry holding
-		// the head; the record carries the authoritative (t, h).
-		p.t, p.h = rec.SeqT, rec.SeqH
-	}
-	if p.t != rec.ToT {
+	if t != rec.ToT {
 		return tee.Halt("delta record does not reach its declared sequence", nil)
 	}
+	p.t, p.h = t, h
 	if rec.BeaconSeq > 0 {
 		// A beacon record: resume the counter-reservation protocol at
 		// the tick it reserved. beaconOpen stays false — whether the
@@ -332,9 +355,10 @@ func (p *Trusted) applyRecord(rec *deltaRecord, sealed []byte) error {
 		// {tick, tick−1} tolerance absorbs.
 		p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
 	}
-	p.chainPrev = blobHash(sealed)
+	p.chainPrev = sum
+	p.chainEpoch, p.chainQFloor = p.g.epoch, p.g.qFloor
 	p.chainLen++
-	p.chainBytes += len(sealed)
+	p.chainBytes += size
 	return nil
 }
 
@@ -357,12 +381,10 @@ func (p *Trusted) install(env tee.Env, kp aead.Key, state *trustedState) error {
 	p.gen = state.Gen
 	p.beaconSeq = state.BeaconSeq
 	p.beaconTick = state.BeaconTick
-	p.t, p.h = p.g.v.argmax() // (·, t, h) ← V[argmax(V)]
-	if state.SeqT > p.t {
-		// Evictions/leaves may have removed the entry that held the head;
-		// newer blobs carry the authoritative (t, h) explicitly.
-		p.t, p.h = state.SeqT, state.SeqH
-	}
+	p.chainEpoch, p.chainQFloor = state.GroupEpoch, state.QFloor
+	// Alg. 2's (·, t, h) ← V[argmax(V)], sealed as is: a leave or an
+	// eviction may have removed the entry that held the head.
+	p.t, p.h = state.SeqT, state.SeqH
 	p.durableT = p.t // the installed state came from stable storage
 	p.chargeFootprint(env)
 	return nil
@@ -618,20 +640,23 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 		// resolve them against the handoff after the move.
 		return nil, ErrResharding
 	}
-	fromT := p.t
+	rec := deltaRecord{FromT: p.t}
 	replies := make([][]byte, 0, len(invokes))
-	var touched map[uint32]*ventry
 	if p.deltaActive() {
-		touched = make(map[uint32]*ventry, len(invokes))
+		rec.Entries = make(vmap, len(invokes))
 	}
 	for _, ct := range invokes {
+		t := p.t
 		reply, id, err := p.handleInvoke(ct)
 		if err != nil {
 			return nil, err
 		}
 		replies = append(replies, reply)
-		if touched != nil {
-			touched[id] = p.g.v[id]
+		if rec.Entries != nil {
+			// The fold derives (TA, HA) of an op that ran, not of a retry
+			// or of a client's second op.
+			rec.Anchors = rec.Anchors || p.t == t || rec.Entries[id] != nil
+			rec.Entries[id] = p.g.v[id]
 		}
 	}
 	p.chargeFootprint(env)
@@ -642,25 +667,26 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 		p.snapReader.EndBatch(p.t)
 	}
 	res := BatchResult{Replies: replies, Seq: p.t}
-	if err := p.sealResult(&res, fromT, touched, nil, false); err != nil {
+	if err := p.sealResult(&res, &rec); err != nil {
 		return nil, err
 	}
 	return encodeBatchResult(&res), nil
 }
 
 // sealResult seals a result's persistence record: a full state blob in
-// full-seal mode, else a delta record, then cuts if the chain is due.
-func (p *Trusted) sealResult(res *BatchResult, fromT uint64, touched vmap, removed []uint32, beacon bool) error {
+// full-seal mode, else the delta record rec (the caller sets FromT and
+// what it touched), then cuts if the chain is due.
+func (p *Trusted) sealResult(res *BatchResult, rec *deltaRecord) error {
 	if !p.deltaActive() {
 		blob, err := p.sealState()
 		res.StateBlob, res.Seg = blob, p.seg
 		return err
 	}
-	rec, err := p.sealDeltaRecord(fromT, touched, removed, beacon)
+	sealed, err := p.sealDeltaRecord(rec)
 	if err != nil {
 		return err
 	}
-	res.DeltaRecord, res.Seg = rec, p.seg
+	res.DeltaRecord, res.Seg = sealed, p.seg
 	if res.Cut = p.shouldCut(); res.Cut {
 		p.cut()
 	}
@@ -740,32 +766,23 @@ func (p *Trusted) sealCheckpoint(seg uint64) ([]byte, error) {
 	return blob, nil
 }
 
-// sealDeltaRecord seals this batch's delta record and advances the chain.
-// removed lists membership tombstones (churn leaves) the record carries. A
+// sealDeltaRecord completes rec, seals it and advances the chain; the
+// group epoch and q floor go in where they moved past the chain's. A
 // beacon record is an empty batch's record that also carries the beacon
 // fields: it advances the chain exactly like a batch record, so a clone
 // committing beacons of its own forks the chain like any other divergent
 // writer.
-func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, removed []uint32, beacon bool) ([]byte, error) {
+func (p *Trusted) sealDeltaRecord(rec *deltaRecord) ([]byte, error) {
 	delta, err := p.deltaSvc.Delta()
 	if err != nil {
 		return nil, fmt.Errorf("lcm: service delta: %w", err)
 	}
-	rec := deltaRecord{
-		FromT:      fromT,
-		ToT:        p.t,
-		AdminSeq:   p.adminSeq,
-		Prev:       p.chainPrev,
-		Entries:    touched,
-		Delta:      delta,
-		Removed:    removed,
-		GroupEpoch: p.g.epoch,
-		QFloor:     p.g.qFloor,
-		SeqT:       p.t,
-		SeqH:       p.h,
+	rec.ToT, rec.AdminSeq, rec.Prev, rec.Delta = p.t, p.adminSeq, p.chainPrev, delta
+	if p.g.epoch != p.chainEpoch {
+		rec.GroupEpoch = p.g.epoch
 	}
-	if beacon {
-		rec.BeaconSeq, rec.BeaconTick = p.beaconSeq, p.beaconTick
+	if p.g.qFloor != p.chainQFloor {
+		rec.QFloor = p.g.qFloor
 	}
 	// Encoded behind nonce headroom, with room for the tag, and sealed in
 	// place (aead.SealInPlace): written once, no buffer of its own.
@@ -777,6 +794,7 @@ func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, remo
 		return nil, fmt.Errorf("lcm: seal delta record: %w", err)
 	}
 	p.chainPrev = blobHash(sealed)
+	p.chainEpoch, p.chainQFloor = p.g.epoch, p.g.qFloor
 	p.chainLen++
 	p.chainBytes += len(sealed)
 	return sealed, nil
@@ -835,7 +853,7 @@ func (p *Trusted) handleBeacon(env tee.Env) ([]byte, error) {
 	p.beaconOpen = true
 	// In full-seal mode the beacon fields travel in the state blob.
 	res := BatchResult{Seq: p.t, Beacon: true}
-	if err := p.sealResult(&res, p.t, vmap{}, nil, true); err != nil {
+	if err := p.sealResult(&res, &deltaRecord{FromT: p.t, BeaconSeq: p.beaconSeq, BeaconTick: p.beaconTick}); err != nil {
 		return nil, err
 	}
 	return encodeBatchResult(&res), nil
@@ -967,6 +985,7 @@ func (p *Trusted) sealState() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal state: %w", err)
 	}
+	p.chainEpoch, p.chainQFloor = state.GroupEpoch, state.QFloor
 	p.chainLen, p.chainBytes = 0, 0
 	p.snapBytes.Store(int64(len(blob)))
 	return blob, nil
@@ -1280,7 +1299,7 @@ func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, pay
 	if err != nil {
 		return nil, fmt.Errorf("lcm: chain-mode migration: load state blob: %w", err)
 	}
-	base, seg, err := openStateBlob(kp, baseBlob)
+	base, seg, err := openStateBlob(kp, baseBlob, func() ([]byte, error) { return env.Host().Load(SlotStateBlob) })
 	if err != nil {
 		return nil, fmt.Errorf("lcm: chain-mode migration: state blob: %w", err)
 	}
@@ -1314,10 +1333,7 @@ func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, pay
 	p.kc = kc
 	p.g = p.freshGroup(nil)
 	p.g.adoptState(state)
-	p.t, p.h = p.g.v.argmax()
-	if state.SeqT > p.t {
-		p.t, p.h = state.SeqT, state.SeqH
-	}
+	p.t, p.h = state.SeqT, state.SeqH
 	if len(payload.Pending) > 0 {
 		if err := p.deltaSvc.ApplyDelta(payload.Pending); err != nil {
 			return nil, tee.Halt("migration pending delta malformed", err)

@@ -158,23 +158,6 @@ func TestQuickMajorityStableMonotonic(t *testing.T) {
 	}
 }
 
-func TestArgmax(t *testing.T) {
-	v := newVMap([]uint32{1, 2, 3})
-	seq, h := v.argmax()
-	if seq != 0 || !h.IsInitial() {
-		t.Fatalf("argmax of fresh V = (%d, %v)", seq, h)
-	}
-	h2 := hashchain.Extend(hashchain.Initial(), []byte("a"), 2, 2)
-	v[1].T = 1
-	v[1].H = hashchain.Extend(hashchain.Initial(), []byte("x"), 1, 1)
-	v[2].T = 2
-	v[2].H = h2
-	seq, h = v.argmax()
-	if seq != 2 || h != h2 {
-		t.Fatalf("argmax = (%d, %v), want (2, %v)", seq, h, h2)
-	}
-}
-
 func TestVMapCloneIsDeep(t *testing.T) {
 	v := newVMap([]uint32{1})
 	v[1].T = 5

@@ -564,7 +564,7 @@ func TestZeroFilledLogTailRestartsWithoutHalt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, end := 0, 0 // the start and end of the last complete frame
+	last, end := 0, len(stablestore.LogHeader) // the start and end of the last complete frame
 	for end+8 <= len(raw) {
 		n := int(binary.BigEndian.Uint32(raw[end:]))
 		if n == 0 || n > len(raw)-end-8 {
@@ -620,9 +620,9 @@ func TestTornLogFrameRestartsWithoutHalt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk the [u32 length | u32 CRC-32C | payload] frames to the end of
-	// the last one.
-	end := 0
+	// Walk the [u32 length | u32 CRC-32C | payload] frames behind the
+	// file's header to the end of the last one.
+	end := len(stablestore.LogHeader)
 	for end+8 <= len(raw) {
 		n := int(binary.BigEndian.Uint32(raw[end:]))
 		if n == 0 || n > len(raw)-end-8 {

@@ -45,13 +45,13 @@ func TestDeltaCapturesOnlyDirtyKeys(t *testing.T) {
 		t.Fatalf("footprints diverged: %d vs %d", live.Footprint(), replica.Footprint())
 	}
 
-	// With nothing dirty the delta is empty (a four-byte zero count).
+	// With nothing dirty the delta is nil, and applying it is a no-op.
 	d = deltaOf(t, live)
 	if err := replica.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	if len(d) != 4 {
-		t.Fatalf("idle delta = %d bytes, want 4", len(d))
+	if d != nil {
+		t.Fatalf("idle delta = %d bytes, want nil", len(d))
 	}
 }
 
@@ -75,8 +75,8 @@ func TestSnapshotResetsDirtyTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot captured the change; the next delta must be empty.
-	if d := deltaOf(t, live); len(d) != 4 {
-		t.Fatalf("delta after snapshot = %d bytes, want 4", len(d))
+	if d := deltaOf(t, live); d != nil {
+		t.Fatalf("delta after snapshot = %d bytes, want nil", len(d))
 	}
 }
 

@@ -167,7 +167,7 @@ func (s *Store) Apply(op []byte) ([]byte, error) {
 }
 
 func (s *Store) scan(prefix string, limit int) []byte {
-	keys := make([]string, 0, len(s.data))
+	var keys []string // the matches only, not the keyspace
 	for k := range s.data {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
 			keys = append(keys, k)
@@ -346,9 +346,12 @@ func (s *Store) Restore(snapshot []byte) error {
 
 // Delta implements service.DeltaService: it serializes the entries touched
 // since the last Delta or Snapshot (sorted, so identical change sets encode
-// identically) and resets the dirty set. A key that was written and then
-// deleted within the window encodes as a delete.
+// identically) and resets the dirty set; no change is nil. A key written
+// and then deleted within the window encodes as a delete.
 func (s *Store) Delta() ([]byte, error) {
+	if len(s.dirty) == 0 {
+		return nil, nil
+	}
 	keys := make([]string, 0, len(s.dirty))
 	for k := range s.dirty {
 		keys = append(keys, k)
@@ -374,6 +377,9 @@ func (s *Store) Delta() ([]byte, error) {
 // like Apply's: a healed chain suffix is a mutation like any other from
 // the snapshot overlay's point of view.
 func (s *Store) ApplyDelta(delta []byte) error {
+	if len(delta) == 0 {
+		return nil // Delta's "no change"
+	}
 	r := wire.NewReader(delta)
 	n := r.Count(5)
 	for i := 0; i < n; i++ {

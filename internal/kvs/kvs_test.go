@@ -2,8 +2,10 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +158,36 @@ func TestScan(t *testing.T) {
 	entries, _ = DecodeScanResult(raw)
 	if len(entries) != 2 {
 		t.Fatalf("limited scan returned %d entries, want 2", len(entries))
+	}
+}
+
+// A scan allocates for its hits, not for the keyspace: the same 11 hits
+// cost the same bytes from 1 000 keys and from 20 000.
+func TestScanAllocatesForHitsNotKeyspace(t *testing.T) {
+	scanBytes := func(keys int) uint64 {
+		s := New()
+		for i := 0; i < keys; i++ {
+			prefix := "other"
+			if i%(keys/11) == 0 && i/(keys/11) < 11 {
+				prefix = "hit"
+			}
+			mustApply(t, s, Put(fmt.Sprintf("%s%06d", prefix, i), "v"))
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			raw, err := s.Apply(Scan("hit", 50))
+			if err != nil || raw[0] != statusOK || binary.BigEndian.Uint32(raw[1:]) != 11 {
+				t.Fatalf("scan over %d keys = %x, %v; want 11 hits", keys, raw[:min(len(raw), 5)], err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, big := scanBytes(1000), scanBytes(20000)
+	if big > small+small/2 {
+		t.Fatalf("a scan allocated %d B over 20 000 keys, %d B over 1 000, for the same 11 hits", big, small)
 	}
 }
 

@@ -3,10 +3,31 @@ package stablestore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"runtime"
 	"testing"
 )
+
+// splitFrames cuts an in-memory frame stream into records and returns the
+// length of the complete frames.
+func splitFrames(raw []byte) (records [][]byte, end int64) {
+	end, _ = scanFrames(bytes.NewReader(raw), int64(len(raw)), func(rec []byte) error {
+		records = append(records, rec)
+		return nil
+	})
+	return records, end
+}
+
+// splitLog cuts an in-memory log file into records and returns the end of
+// its complete frames.
+func splitLog(raw []byte) (records [][]byte, end int64, err error) {
+	_, end, err = scanLog(bytes.NewReader(raw), int64(len(raw)), func(rec []byte) error {
+		records = append(records, rec)
+		return nil
+	})
+	return records, end, err
+}
 
 // frameStream frames records into one log stream.
 func frameStream(records ...string) []byte {
@@ -75,32 +96,56 @@ func TestLogFramesZeroTailIsTorn(t *testing.T) {
 }
 
 // FuzzSplitLogFrames: no panic; the bytes allocated are bounded by the
-// input's length, whatever its headers announce; every record is
+// input's length, whatever its headers announce; a file that is neither
+// empty nor headed by LogHeader fails with ErrLogVersion; every record is
 // non-empty and re-frames to the prefix the splitter reports, and the rest
 // is a torn tail (short header, zero length, a length past the end, or a
-// checksum mismatch).
+// checksum mismatch). Every seed is added with and without the header.
 func FuzzSplitLogFrames(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(frameStream("a", "bc"))
-	f.Add(append(frameStream("rec"), make([]byte, 16)...))
-	f.Add(append(frameStream("rec"), 0, 0, 0, 99, 1, 2, 3, 4, 'x'))
-	f.Add(binary.BigEndian.AppendUint64(nil, 0xFFFFFFF0_00000000))
 	zeroed := frameStream("rec", "zeroed")
 	clear(zeroed[len(zeroed)-len("zeroed"):])
-	f.Add(zeroed)
-	f.Add(append(frameStream("rec"), "garbage behind a valid frame"...))
-	f.Add(append(frameStream("rec"), make([]byte, logExtent)...))
+	for _, frames := range [][]byte{
+		{},
+		frameStream("a", "bc"),
+		append(frameStream("rec"), make([]byte, 16)...),
+		append(frameStream("rec"), 0, 0, 0, 99, 1, 2, 3, 4, 'x'),
+		binary.BigEndian.AppendUint64(nil, 0xFFFFFFF0_00000000),
+		zeroed,
+		append(frameStream("rec"), "garbage behind a valid frame"...),
+		append(frameStream("rec"), make([]byte, logExtent)...),
+	} {
+		f.Add(frames)
+		f.Add(append([]byte(LogHeader), frames...))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var (
+			records [][]byte
+			end     int64
+			err     error
+		)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		records, end := splitFrames(raw)
+		records, end, err = splitLog(raw)
 		runtime.ReadMemStats(&after)
 		// The result slice: ≤ len/9 records, one 24-byte header each,
 		// doubled by append's growth.
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(12*len(raw)+64<<10); alloc > bound {
 			t.Fatalf("split of %d bytes allocated %d bytes, bound %d", len(raw), alloc, bound)
 		}
-		var reframed []byte
+		headed := bytes.HasPrefix(raw, []byte(LogHeader))
+		if err != nil {
+			if headed || !errors.Is(err, ErrLogVersion) {
+				t.Fatalf("split of a %d-byte file (headed %v): %v", len(raw), headed, err)
+			}
+			return
+		}
+		if !headed {
+			if len(records) != 0 || end != 0 {
+				t.Fatalf("a file without its header split into %d records", len(records))
+			}
+			return
+		}
+		reframed := []byte(LogHeader)
 		for i, rec := range records {
 			if len(rec) == 0 {
 				t.Fatalf("record %d is empty", i)

@@ -2,6 +2,7 @@ package stablestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,22 +105,31 @@ func TestFileStoreScanLogDropsTornTail(t *testing.T) {
 
 // FuzzFileStoreScanLog writes an arbitrary byte string as a log file.
 // Oracles: no panic; ScanLog streams exactly the records LoadLog (that
-// is, splitFrames) returns, and openLog cuts the file back to exactly
+// is, splitLog) returns, and openLog cuts the file back to exactly
 // those records' frames — the three readers agree on every torn-tail
-// rule; flipping a byte inside a returned record's payload ends the
-// stream at that record; and the scan allocates in proportion to the
-// file, not to the lengths its headers claim.
+// rule, and all three refuse a file in another format with
+// ErrLogVersion; flipping a byte inside a returned record's payload ends
+// the stream at that record; and the scan allocates in proportion to the
+// file, not to the lengths its headers claim. Every seed is added with
+// and without the header.
 func FuzzFileStoreScanLog(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(frameStream("a", "bc"))
-	f.Add(append(frameStream("a"), 0, 0, 0, 99, 1, 2, 3, 4, 'x', 'y'))
-	f.Add(append(frameStream("a"), appendFrame(make([]byte, frameHeader), []byte("b"))...))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xF0, 1, 2, 3, 4, 'x', 'y'})
 	zeroed := frameStream("a", "zero-filled payload")
 	clear(zeroed[len(zeroed)-len("zero-filled payload"):])
-	f.Add(zeroed)
-	f.Add(append(frameStream("a", "bc"), "garbage behind a valid frame"...))
-	f.Add(append(frameStream("a", "bc"), make([]byte, logExtent)...))
+	for _, frames := range [][]byte{
+		{},
+		frameStream("a", "bc"),
+		append(frameStream("a"), 0, 0, 0, 99, 1, 2, 3, 4, 'x', 'y'),
+		append(frameStream("a"), appendFrame(make([]byte, frameHeader), []byte("b"))...),
+		{0xFF, 0xFF, 0xFF, 0xF0, 1, 2, 3, 4, 'x', 'y'},
+		zeroed,
+		append(frameStream("a", "bc"), "garbage behind a valid frame"...),
+		append(frameStream("a", "bc"), make([]byte, logExtent)...),
+	} {
+		f.Add(frames)
+		f.Add(append([]byte(LogHeader), frames...))
+	}
+	f.Add([]byte(LogHeader[:3]))
+	f.Add(make([]byte, 5))
 	dir := f.TempDir()
 	s, err := NewFileStore(dir, false, nil)
 	if err != nil {
@@ -133,40 +143,47 @@ func FuzzFileStoreScanLog(f *testing.F) {
 		var scanned [][]byte
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := ScanLog(s, "log", func(record []byte) error {
+		scanErr := ScanLog(s, "log", func(record []byte) error {
 			scanned = append(scanned, record)
 			return nil
 		})
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("ScanLog: %v", err)
-		}
 		// The 64 KiB read buffer, the records and the slice of them.
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(12*len(raw)+256<<10); alloc > bound {
 			t.Fatalf("scan of a %d-byte log allocated %d bytes, bound %d", len(raw), alloc, bound)
 		}
-		loaded, err := s.LoadLog("log")
-		if err != nil {
-			t.Fatalf("LoadLog: %v", err)
+		loaded, loadErr := s.LoadLog("log")
+		sl := s.lock("log")
+		openErr := s.openLog(sl, "log")
+		off := sl.off
+		sl.closeLog()
+		sl.mu.Unlock()
+		start, _, versionErr := scanLog(bytes.NewReader(raw), int64(len(raw)), func([]byte) error { return nil })
+		if versionErr != nil {
+			for name, err := range map[string]error{"ScanLog": scanErr, "LoadLog": loadErr, "openLog": openErr} {
+				if !errors.Is(err, ErrLogVersion) {
+					t.Fatalf("%s over a headerless file = %v, want ErrLogVersion", name, err)
+				}
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+				t.Fatalf("openLog changed a file in another format (%v)", err)
+			}
+			return
+		}
+		for name, err := range map[string]error{"ScanLog": scanErr, "LoadLog": loadErr, "openLog": openErr} {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 		if len(scanned) != len(loaded) {
 			t.Fatalf("ScanLog saw %d records, LoadLog %d", len(scanned), len(loaded))
 		}
-		var framed int64
+		framed := max(start, int64(len(LogHeader))) // an empty file is rewritten as a bare header
 		for i := range loaded {
 			if !bytes.Equal(scanned[i], loaded[i]) {
 				t.Fatalf("record %d: ScanLog %q, LoadLog %q", i, scanned[i], loaded[i])
 			}
 			framed += frameHeader + int64(len(loaded[i]))
-		}
-
-		sl := s.lock("log")
-		err = s.openLog(sl, "log")
-		off := sl.off
-		sl.closeLog()
-		sl.mu.Unlock()
-		if err != nil {
-			t.Fatalf("openLog: %v", err)
 		}
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -176,14 +193,15 @@ func FuzzFileStoreScanLog(f *testing.F) {
 			t.Fatalf("openLog cut the log to %d bytes, append offset %d; the records LoadLog returns span %d", fi.Size(), off, framed)
 		}
 
-		var start int64
 		for i, rec := range loaded {
-			start += frameHeader
 			flipped := bytes.Clone(raw[:framed])
-			flipped[start+int64(len(raw)%len(rec))] ^= 0xFF
-			start += int64(len(rec))
-			if got, end := splitFrames(flipped); len(got) != i || end != start-frameHeader-int64(len(rec)) {
-				t.Fatalf("a byte flipped in record %d: split = %d records ending at %d", i, len(got), end)
+			recStart := start
+			for _, prev := range loaded[:i] {
+				recStart += frameHeader + int64(len(prev))
+			}
+			flipped[recStart+frameHeader+int64(len(raw)%len(rec))] ^= 0xFF
+			if got, end, err := splitLog(flipped); err != nil || len(got) != i || end != recStart {
+				t.Fatalf("a byte flipped in record %d: split = %d records ending at %d (%v)", i, len(got), end, err)
 			}
 			if i != len(raw)%len(loaded) {
 				continue

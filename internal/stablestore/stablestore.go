@@ -31,6 +31,10 @@ import (
 // ErrNotFound reports that a slot has never been stored.
 var ErrNotFound = errors.New("stablestore: slot not found")
 
+// ErrLogVersion reports a log file of another format, such as one without
+// LogHeader: reading or appending to it fails (no in-place upgrade).
+var ErrLogVersion = errors.New("stablestore: log file format version unknown")
+
 // Store is the load/store interface of the system model. Implementations
 // must be safe for concurrent use.
 //
@@ -45,7 +49,8 @@ type Store interface {
 	// Store durably records blob under slot, replacing any previous value.
 	Store(slot string, blob []byte) error
 	// Load returns the blob most recently stored under slot, or
-	// ErrNotFound if the slot was never written.
+	// ErrNotFound if the slot was never written. The returned buffer is
+	// the caller's to overwrite (the enclave opens sealed blobs in place).
 	Load(slot string) ([]byte, error)
 	// Append adds one record to the log slot, creating it if necessary.
 	Append(slot string, record []byte) error
@@ -58,7 +63,7 @@ type Store interface {
 	AppendGroup(slot string, records [][]byte) error
 	// LoadLog returns every record of the log slot in append order. A slot
 	// that was never appended to (or was truncated) yields an empty log,
-	// not an error.
+	// not an error. The records belong to the caller, like Load's blob.
 	LoadLog(slot string) ([][]byte, error)
 	// TruncateLog discards every record of the log slot.
 	TruncateLog(slot string) error
@@ -412,13 +417,19 @@ func (s *FileStore) Load(slot string) ([]byte, error) {
 	return blob, nil
 }
 
-// Log framing: a log is a stream of [u32 length | u32 CRC-32C of the
-// payload | payload] frames, big-endian, written by the untrusted host
-// (the CRC is no MAC: the enclave authenticates each record). The stream
-// ends at its first torn frame, by construction unacknowledged work: a
-// zero length (sealed records are never empty; a log's tail is zeros), a
-// length past the bytes left, or a payload that fails its checksum.
+// Log framing: a log file starts with LogHeader, then a stream of
+// [u32 length | u32 CRC-32C of the payload | payload] frames, big-endian,
+// written by the untrusted host (the CRC is no MAC: the enclave
+// authenticates each record). The stream ends at its first torn frame, by
+// construction unacknowledged work: a zero length (sealed records are
+// never empty; a log's tail is zeros), a length past the bytes left, or a
+// payload that fails its checksum. A file whose first bytes are zeros or
+// part of the header holds no record (a torn creation); any other
+// headerless file fails with ErrLogVersion.
 const frameHeader = 8
+
+// LogHeader opens every log file: a magic and the format version (1).
+const LogHeader = "lcm-log\x01"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -461,14 +472,24 @@ func scanFrames(r io.Reader, size int64, fn func(record []byte) error) (end int6
 	return end, err
 }
 
-// splitFrames cuts an in-memory frame stream into records and returns the
-// length of the complete frames.
-func splitFrames(raw []byte) (records [][]byte, end int64) {
-	end, _ = scanFrames(bytes.NewReader(raw), int64(len(raw)), func(rec []byte) error {
-		records = append(records, rec)
-		return nil
-	})
-	return records, end
+// scanLog checks the header of the size-byte log file r and calls fn with
+// each record behind it up to the first torn frame. It returns where the
+// frames start and end; start is -1 for a file that holds no record.
+func scanLog(r io.Reader, size int64, fn func(record []byte) error) (start, end int64, err error) {
+	head := make([]byte, min(size, int64(len(LogHeader))))
+	n, err := io.ReadFull(r, head) // a file that shrank reads as what is left
+	if head = head[:n]; err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, 0, err
+	}
+	switch {
+	case len(head) < len(LogHeader) && strings.HasPrefix(LogHeader, string(head)), bytes.Count(head, []byte{0}) == len(head):
+		return -1, 0, nil
+	case string(head) != LogHeader:
+		return 0, 0, ErrLogVersion
+	}
+	start = int64(len(head))
+	end, err = scanFrames(r, size-start, fn)
+	return start, start + end, err
 }
 
 // Append implements Store. The record's frame is written in a single
@@ -539,19 +560,25 @@ func (s *FileStore) appendFramed(slot string, framed []byte) error {
 // would bury every later record inside that frame, so the next restart
 // would cut off acknowledged records (a false rollback). The file is
 // therefore cut back to its complete frames first, zero tail included;
-// the next append re-extends it. A newly created log's directory entry is
-// made durable in sync mode.
+// the next append re-extends it; a file that holds no record, to a bare
+// header. A newly created log's directory entry is made durable in sync
+// mode. A file in another format is left alone.
 func (s *FileStore) openLog(sl *fileSlot, slot string) error {
 	f, err := os.OpenFile(s.logPath(slot), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("stablestore: open log: %w", err)
 	}
-	var end int64
+	var start, end int64
 	fi, err := f.Stat()
 	if err == nil {
-		end, err = scanFrames(bufio.NewReader(f), fi.Size(), func([]byte) error { return nil })
+		start, end, err = scanLog(bufio.NewReader(f), fi.Size(), func([]byte) error { return nil })
 	}
-	if err == nil && end < fi.Size() {
+	if err == nil && start < 0 {
+		if err = f.Truncate(0); err == nil {
+			_, err = f.WriteAt([]byte(LogHeader), 0)
+		}
+		end = int64(len(LogHeader))
+	} else if err == nil && end < fi.Size() {
 		err = f.Truncate(end)
 	}
 	if err == nil && fi.Size() == 0 {
@@ -584,7 +611,13 @@ func (s *FileStore) LoadLog(slot string) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stablestore: read log: %w", err)
 	}
-	records, _ := splitFrames(raw)
+	var records [][]byte
+	if _, _, err = scanLog(bytes.NewReader(raw), int64(len(raw)), func(rec []byte) error {
+		records = append(records, rec)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("stablestore: log %s: %w", slot, err)
+	}
 	return records, nil
 }
 
@@ -620,7 +653,9 @@ func (s *FileStore) ScanLog(slot string, fn func(record []byte) error) error {
 		return fmt.Errorf("stablestore: scan log: %w", err)
 	}
 	defer f.Close()
-	_, err = scanFrames(bufio.NewReaderSize(io.LimitReader(f, end), 64<<10), end, fn)
+	if _, _, err = scanLog(bufio.NewReaderSize(io.LimitReader(f, end), 64<<10), end, fn); errors.Is(err, ErrLogVersion) {
+		err = fmt.Errorf("stablestore: log %s: %w", slot, err)
+	}
 	return err
 }
 

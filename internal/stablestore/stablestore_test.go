@@ -492,7 +492,7 @@ func TestFileStoreTornFrameInsideFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := []string{"record-0", "record-1", "record-2 with a payload of some length"}
-	var end int64
+	end := int64(len(LogHeader))
 	for _, rec := range records {
 		if err := fs.Append("log", []byte(rec)); err != nil {
 			t.Fatal(err)

@@ -64,7 +64,7 @@ func (m Measurement) String() string { return hex.EncodeToString(m[:8]) }
 type HostServices interface {
 	// Load returns the blob most recently stored under slot — if the host
 	// is honest. It must return stablestore.ErrNotFound when nothing was
-	// ever stored.
+	// ever stored. The returned buffer is the program's to overwrite.
 	Load(slot string) ([]byte, error)
 	// Store persists a blob under slot — if the host is honest.
 	Store(slot string, blob []byte) error
@@ -80,7 +80,8 @@ type HostServices interface {
 	// honest host, never a security assumption.
 	AppendGroup(slot string, records [][]byte) error
 	// LoadLog returns the records of a log slot in append order — if the
-	// host is honest. A never-written slot yields an empty log.
+	// host is honest. A never-written slot yields an empty log. The
+	// records are the program's, like Load's blob.
 	LoadLog(slot string) ([][]byte, error)
 	// TruncateLog discards a log slot (a segment a newer blob covers).
 	TruncateLog(slot string) error
