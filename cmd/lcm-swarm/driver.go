@@ -89,7 +89,9 @@ func startServer(o *options, bin, addr string, logW io.Writer) (*serverProc, err
 		cmd: cmd, waitCh: make(chan error, 1), ready: make(chan struct{}),
 		cloneInjected: make(chan int, 1), cloneDetected: make(chan int, 1),
 	}
+	scanned := make(chan struct{})
 	go func() {
+		defer close(scanned)
 		sc := bufio.NewScanner(stdout)
 		sc.Buffer(make([]byte, 64*1024), 1024*1024)
 		readySignalled := false
@@ -123,7 +125,8 @@ func startServer(o *options, bin, addr string, logW io.Writer) (*serverProc, err
 			}
 		}
 	}()
-	go func() { p.waitCh <- cmd.Wait() }()
+	// os/exec: Wait closes the pipe, so it runs once the reads are done.
+	go func() { <-scanned; p.waitCh <- cmd.Wait() }()
 	select {
 	case <-p.ready:
 		return p, nil
@@ -182,7 +185,9 @@ func startWorker(o *options, self, addr, keyHex, sealPub string, index int, logW
 		return nil, err
 	}
 	w := &workerProc{index: index, cmd: cmd, statCh: make(chan *benchrun.WorkerStats, 1), waitCh: make(chan error, 1)}
+	scanned := make(chan struct{})
 	go func() {
+		defer close(scanned)
 		sc := bufio.NewScanner(stdout)
 		sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 		for sc.Scan() {
@@ -197,7 +202,8 @@ func startWorker(o *options, self, addr, keyHex, sealPub string, index int, logW
 			fmt.Fprintf(logW, "[worker %d] %s\n", index, line)
 		}
 	}()
-	go func() { w.waitCh <- cmd.Wait() }()
+	// The stats line is in statCh before waitCh reports the exit.
+	go func() { <-scanned; w.waitCh <- cmd.Wait() }()
 	return w, nil
 }
 

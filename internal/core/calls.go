@@ -382,9 +382,9 @@ func EncodeMigrateImportCall(m *MigrationExport) []byte {
 }
 
 // EncodeEnableReadsCall arms the concurrent snapshot-read path. The host
-// must send it before serving a freshly started (or recovered) instance;
-// batches executed afterwards tag their undo overlays so snapshot readers
-// can resolve the durable view (see read.go).
+// sends it through the persistence barrier before an instance's first
+// snapshot read (at start, or lazily after a restart); from then on the
+// service records undo pre-images for snapshot readers (see read.go).
 func EncodeEnableReadsCall() []byte {
 	return []byte{callEnableReads}
 }

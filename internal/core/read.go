@@ -128,11 +128,11 @@ func (p *Trusted) syncReadStateLocked() {
 }
 
 // handleEnableReads arms the snapshot-read path for this instance. Until
-// the host sends it, batches do not tag overlay generations (so a
-// deployment that never reads pays nothing), and reads are refused. The
-// host must arm before serving: the call clears any overlay residue from
-// recovery replay, so the current — by construction durable — state
-// becomes the first snapshot.
+// the host sends it, reads are refused and the service records no
+// pre-image: its overlay arms at this call's EndBatch, so a deployment
+// that never reads pays nothing. The host arms through the persistence
+// barrier, so the current state is durable and becomes the first
+// snapshot, and the generation closed here is empty.
 func (p *Trusted) handleEnableReads() ([]byte, error) {
 	if p.snapReader == nil {
 		return nil, ErrReadsUnsupported

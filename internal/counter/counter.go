@@ -162,9 +162,10 @@ type Bank struct {
 
 	// mu orders mutations against concurrent snapshot readers
 	// (service.SnapshotReader); every mutation goes through setAccount /
-	// setTx, which record undo-overlay pre-images under the write lock.
-	// The writer's own plain reads need no lock — mutations happen only
-	// on the writer's goroutine, and readers never write.
+	// setTx, which record undo-overlay pre-images under the write lock
+	// (once EndBatch has armed the overlays). The writer's own plain
+	// reads need no lock — mutations happen only on the writer's
+	// goroutine, and readers never write.
 	mu          sync.RWMutex
 	acctOverlay service.Overlay[int64]
 	txOverlay   service.Overlay[txRecord]

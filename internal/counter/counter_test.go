@@ -505,3 +505,52 @@ func TestSnapshotReadEscrowTotalAcrossPrune(t *testing.T) {
 		t.Fatalf("snapshot escrow total after durable prune = %d, want 0", got)
 	}
 }
+
+// TestRestoreOverwriteOverlay restores a snapshot, then overwrites every
+// account and escrow record. A bank whose snapshot reads were never armed
+// keeps no pre-image of what it overwrote; an armed one (Restore keeps it
+// armed) keeps one per written item until AdvanceDurable retires them.
+func TestRestoreOverwriteOverlay(t *testing.T) {
+	const n = 8
+	src := New()
+	for i := 0; i < n; i++ {
+		mustApply(t, src, Inc(fmt.Sprintf("acct-%d", i), 100))
+		mustApply(t, src, Prepare(fmt.Sprintf("p-%d", i), fmt.Sprintf("acct-%d", i), 10))
+	}
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := func(b *Bank) (accts, txs int) {
+		b.acctOverlay.Pinned(func(string, int64, bool) bool { accts++; return true })
+		b.txOverlay.Pinned(func(string, txRecord, bool) bool { txs++; return true })
+		return accts, txs
+	}
+	for _, armed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("armed=%v", armed), func(t *testing.T) {
+			b := New()
+			if armed {
+				b.EndBatch(0)
+			}
+			if err := b.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				mustApply(t, b, Inc(fmt.Sprintf("acct-%d", i), 1))
+				mustApply(t, b, Settle(fmt.Sprintf("p-%d", i), fmt.Sprintf("acct-%d", i)))
+			}
+			want := 0
+			if armed {
+				want = n
+			}
+			if a, x := pinned(b); a != want || x != want {
+				t.Fatalf("pre-images after overwrite: %d accounts, %d records; want %d each", a, x, want)
+			}
+			b.EndBatch(1)
+			b.AdvanceDurable(1)
+			if a, x := pinned(b); a != 0 || x != 0 {
+				t.Fatalf("pre-images after AdvanceDurable: %d accounts, %d records; want none", a, x)
+			}
+		})
+	}
+}

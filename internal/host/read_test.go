@@ -444,3 +444,112 @@ func TestSnapshotReadParkedHoldsUpOnlyItsConnection(t *testing.T) {
 		t.Fatalf("parked read: %v", err)
 	}
 }
+
+// appendGateStore parks the next log append, once gate.armed is set,
+// before it reaches the store: its batch has executed, nothing of it is
+// durable.
+type appendGateStore struct {
+	*stablestore.MemStore
+	gate *readGate
+}
+
+func (s *appendGateStore) park() {
+	if s.gate.armed.CompareAndSwap(true, false) {
+		s.gate.entered <- struct{}{}
+		<-s.gate.proceed
+	}
+}
+
+func (s *appendGateStore) Append(slot string, record []byte) error {
+	s.park()
+	return s.MemStore.Append(slot, record)
+}
+
+func (s *appendGateStore) AppendGroup(slot string, records [][]byte) error {
+	s.park()
+	return s.MemStore.AppendGroup(slot, records)
+}
+
+// A restart leaves snapshot reads un-armed, and the service records no
+// pre-image for the writes that follow. The first read re-arms through
+// the persistence barrier and must see every acknowledged write; after
+// that, a read racing a put whose batch has executed but is not yet
+// durable returns the durable value.
+func TestSnapshotReadLazyRearmAfterRestart(t *testing.T) {
+	gate := &readGate{entered: make(chan struct{}), proceed: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gate.proceed) })
+	defer release()
+	store := &appendGateStore{MemStore: stablestore.NewMemStore(), gate: gate}
+	s := newServiceShardStack(t, store, 1, []uint32{1, 2}, true, "kvs", kvs.Factory(),
+		func(c *Config) { c.SnapshotReads = true })
+	reader, writer := s.session(1), s.session(2)
+	const n = 12
+	key := func(i int) string { return fmt.Sprintf("key-%02d", i) }
+	for i := 0; i < n/2; i++ {
+		if _, err := writer.Do(kvs.Put(key(i), "v1")); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if _, err := reader.DoRead(kvs.Get(key(0))); err != nil {
+		t.Fatalf("read before restart: %v", err)
+	}
+
+	if err := s.server.instanceAt(0).restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	var last uint64
+	for i := 0; i < n; i++ {
+		res, err := writer.Do(kvs.Put(key(i), "v2"))
+		if err != nil {
+			t.Fatalf("put %d after restart: %v", i, err)
+		}
+		last = res.Seq
+	}
+
+	res, err := reader.DoRead(kvs.Scan("key-", 0))
+	if err != nil {
+		t.Fatalf("first read after restart: %v", err)
+	}
+	if res.Seq < last {
+		t.Fatalf("re-armed snapshot at %d, before the last acknowledged write %d", res.Seq, last)
+	}
+	entries, err := kvs.DecodeScanResult(res.Value)
+	if err != nil || len(entries) != n {
+		t.Fatalf("scan after re-arm = %d entries, %v; want %d", len(entries), err, n)
+	}
+	for _, e := range entries {
+		if string(e.Value) != "v2" {
+			t.Fatalf("%s = %q after re-arm, want v2", e.Key, e.Value)
+		}
+	}
+
+	gate.armed.Store(true)
+	put := make(chan error, 1)
+	go func() {
+		_, err := writer.Do(kvs.Put(key(0), "v3"))
+		put <- err
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the put never reached the log")
+	}
+	res, err = reader.DoRead(kvs.Get(key(0)))
+	if err != nil {
+		t.Fatalf("read racing the put: %v", err)
+	}
+	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v2" {
+		t.Fatalf("read racing the put = %q, want the durable v2", kv.Value)
+	}
+	release()
+	if err := <-put; err != nil {
+		t.Fatalf("gated put: %v", err)
+	}
+	res, err = reader.DoRead(kvs.Get(key(0)))
+	if err != nil {
+		t.Fatalf("read after the put: %v", err)
+	}
+	if kv, _ := kvs.DecodeResult(res.Value); string(kv.Value) != "v3" {
+		t.Fatalf("read after the put = %q, want v3", kv.Value)
+	}
+}

@@ -70,7 +70,8 @@ type Store struct {
 	// write lock — and per mutation, not per batch, so readers
 	// interleave with a long batch. The writer's own plain reads
 	// (GET/SCAN in Apply, Delta, Snapshot) need no lock: all mutations
-	// happen on the writer's goroutine, and readers never write.
+	// happen on the writer's goroutine, and readers never write. The
+	// overlay records pre-images only once EndBatch has armed it.
 	mu      sync.RWMutex
 	overlay service.Overlay[string]
 }

@@ -397,3 +397,89 @@ func TestShardKeys(t *testing.T) {
 		t.Fatalf("empty op must be unshardable, got %v", keys)
 	}
 }
+
+// restoredStore returns a store restored from a snapshot of n entries
+// "key-<i>" → value; armed arms its overlay first, as on a live instance
+// that serves snapshot reads.
+func restoredStore(t *testing.T, n int, value string, armed bool) *Store {
+	t.Helper()
+	src := New()
+	for i := 0; i < n; i++ {
+		mustApply(t, src, Put(fmt.Sprintf("key-%d", i), value))
+	}
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	if armed {
+		s.EndBatch(0)
+	}
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRestoreOverwriteOverlay: after a restore, a store whose snapshot
+// reads were never armed keeps no pre-image of the keys it overwrites; an
+// armed one (Restore keeps it armed) keeps one per written key, holding
+// the restored value, until AdvanceDurable retires them.
+func TestRestoreOverwriteOverlay(t *testing.T) {
+	const n = 16
+	for _, armed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("armed=%v", armed), func(t *testing.T) {
+			s := restoredStore(t, n, "old", armed)
+			for i := 0; i < n; i++ {
+				mustApply(t, s, Put(fmt.Sprintf("key-%d", i), "new"))
+			}
+			pinned := make(map[string]string)
+			s.overlay.Pinned(func(k, v string, _ bool) bool { pinned[k] = v; return true })
+			want := 0
+			if armed {
+				want = n
+			}
+			if len(pinned) != want {
+				t.Fatalf("%d pre-images after overwrite, want %d", len(pinned), want)
+			}
+			for k, v := range pinned {
+				if v != "old" {
+					t.Fatalf("pre-image of %s = %q, want the restored value", k, v)
+				}
+			}
+			s.EndBatch(1)
+			s.AdvanceDurable(1)
+			s.overlay.Pinned(func(k, _ string, _ bool) bool {
+				t.Fatalf("pre-image of %s survived AdvanceDurable", k)
+				return false
+			})
+		})
+	}
+}
+
+// TestRestoreOverwriteHeap: overwriting every key of a restored store whose
+// reads are not armed must not keep the restored values alive. Pinning a
+// pre-image per key would double the heap.
+func TestRestoreOverwriteHeap(t *testing.T) {
+	const n, size = 2000, 1024
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	s := restoredStore(t, n, string(bytes.Repeat([]byte{'a'}, size)), false)
+	before := heap()
+	value := string(bytes.Repeat([]byte{'b'}, size))
+	for i := 0; i < n; i++ {
+		mustApply(t, s, Put(fmt.Sprintf("key-%d", i), value))
+	}
+	after := heap()
+	runtime.KeepAlive(s)
+	if after > before+before/4 {
+		t.Fatalf("heap grew %d → %d bytes (%.2fx) after one overwrite pass; want < 1.25x",
+			before, after, float64(after)/float64(before))
+	}
+	t.Logf("heap %d → %d bytes (%.2fx)", before, after, float64(after)/float64(before))
+}

@@ -159,9 +159,10 @@ type Freezer interface {
 // (and therefore whose reply) is still pending — so a crash can never
 // roll back state a read has already observed.
 //
-// The write path drives the snapshot: the trusted context calls EndBatch
-// after each executed batch (closing that batch's undo generation) and
-// AdvanceDurable once the host reports the batch's record persisted.
+// The write path drives the snapshot: once reads are armed, the trusted
+// context calls EndBatch after each executed batch (closing that batch's
+// undo generation) and AdvanceDurable once the host reports the batch's
+// record persisted; no pre-image is needed before the first EndBatch.
 // Implementations must make SnapshotRead safe for use concurrent with
 // Apply/EndBatch/AdvanceDurable; all four are expected to synchronize on
 // one internal lock (Apply taking it per mutation, not per batch, so
@@ -224,9 +225,16 @@ type EpochAdvancer interface {
 // pending generation touched k, so its value was unchanged between S and
 // that batch); if none does, the live value is current. Close ends a
 // generation, Advance(S) discards generations at or below S.
+//
+// A zero Overlay is un-armed: Record keeps nothing until the first Close.
+// The trusted context closes generations only once reads are armed, and
+// the arming Close finds every earlier write durable, so a service that
+// serves no snapshot read holds no pre-image. Reset keeps the overlay
+// armed: Restore may replace the state of an instance that serves reads.
 type Overlay[V any] struct {
-	gens []overlayGen[V]
-	cur  map[string]overlayPre[V]
+	gens  []overlayGen[V]
+	cur   map[string]overlayPre[V]
+	armed bool
 }
 
 type overlayPre[V any] struct {
@@ -242,8 +250,12 @@ type overlayGen[V any] struct {
 // Record notes item key's pre-image in the current generation: the value
 // it had (and whether it existed) before the current batch's first
 // mutation of it. Later Records of the same key in one generation are
-// ignored — the first already holds the batch-entry value.
+// ignored — the first already holds the batch-entry value. Before the
+// first Close it is a no-op.
 func (o *Overlay[V]) Record(key string, val V, existed bool) {
+	if !o.armed {
+		return
+	}
 	if o.cur == nil {
 		o.cur = make(map[string]overlayPre[V])
 	}
@@ -253,10 +265,11 @@ func (o *Overlay[V]) Record(key string, val V, existed bool) {
 	o.cur[key] = overlayPre[V]{val: val, existed: existed}
 }
 
-// Close ends the current generation at sequence seq. Empty generations
-// are dropped (Advance works on sequence numbers, not generation counts,
-// so gaps are harmless).
+// Close ends the current generation at sequence seq and arms the
+// overlay. Empty generations are dropped (Advance works on sequence
+// numbers, not generation counts, so gaps are harmless).
 func (o *Overlay[V]) Close(seq uint64) {
+	o.armed = true
 	if len(o.cur) == 0 {
 		return
 	}
@@ -324,7 +337,7 @@ func (o *Overlay[V]) Pinned(f func(key string, val V, existed bool) bool) {
 }
 
 // Reset discards all tracking — for Restore, which replaces the state
-// wholesale.
+// wholesale. An armed overlay stays armed.
 func (o *Overlay[V]) Reset() {
 	o.gens = nil
 	o.cur = nil

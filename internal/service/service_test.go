@@ -22,6 +22,7 @@ func (s stubSharder) ShardKeys(op []byte) []string {
 // batch would return the live, non-durable value (a dirty read).
 func TestOverlayPinsOpenGeneration(t *testing.T) {
 	var o Overlay[string]
+	o.Close(0) // arm: a zero Overlay records nothing
 
 	// Mid-batch: the batch overwrote k (pre-image v1) and created n.
 	o.Record("k", "v1", true)
@@ -68,6 +69,71 @@ func TestOverlayPinsOpenGeneration(t *testing.T) {
 		t.Fatalf("Pinned reported %q after all generations advanced", k)
 		return false
 	})
+}
+
+// overlayHolds reports whether o pins anything: a Resolve of key, or any
+// item Pinned visits.
+func overlayHolds(o *Overlay[string], key string) bool {
+	if _, _, pin := o.Resolve(key); pin {
+		return true
+	}
+	held := false
+	o.Pinned(func(string, string, bool) bool { held = true; return false })
+	return held
+}
+
+// TestOverlayUnarmedRecordsNothing: a zero Overlay is un-armed, and its
+// Record keeps no pre-image — a service whose reads are never armed holds
+// no copy of what it overwrites.
+func TestOverlayUnarmedRecordsNothing(t *testing.T) {
+	var o Overlay[string]
+	o.Record("k", "v1", true)
+	o.Record("n", "", false)
+	if overlayHolds(&o, "k") || overlayHolds(&o, "n") {
+		t.Fatal("un-armed overlay holds a pre-image")
+	}
+	o.Advance(1)
+	if overlayHolds(&o, "k") {
+		t.Fatal("Advance armed the overlay")
+	}
+}
+
+// TestOverlayFirstCloseArms: the first Close arms the overlay (and, with
+// nothing recorded, closes an empty generation); Records after it pin.
+func TestOverlayFirstCloseArms(t *testing.T) {
+	var o Overlay[string]
+	o.Record("k", "v0", true)
+	o.Close(3)
+	if overlayHolds(&o, "k") {
+		t.Fatal("a Record before arming survived the arming Close")
+	}
+	o.Record("k", "v1", true)
+	if v, ex, pin := o.Resolve("k"); !pin || !ex || v != "v1" {
+		t.Fatalf("Resolve(k) after arming = %q, %v, %v; want v1 pinned", v, ex, pin)
+	}
+	o.Close(4)
+	o.Advance(4)
+	if overlayHolds(&o, "k") {
+		t.Fatal("pre-image survived Advance past its generation")
+	}
+}
+
+// TestOverlayResetKeepsArmed: Restore resets the overlay of a live
+// instance that may already serve reads, so Reset must drop the
+// generations but keep recording.
+func TestOverlayResetKeepsArmed(t *testing.T) {
+	var o Overlay[string]
+	o.Close(0)
+	o.Record("k", "v1", true)
+	o.Close(1)
+	o.Reset()
+	if overlayHolds(&o, "k") {
+		t.Fatal("Reset kept a generation")
+	}
+	o.Record("k", "v2", true)
+	if v, _, pin := o.Resolve("k"); !pin || v != "v2" {
+		t.Fatalf("Resolve(k) after Reset = %q pinned=%v; want v2 pinned", v, pin)
+	}
 }
 
 func TestShardIndexStableAndInRange(t *testing.T) {
