@@ -137,13 +137,14 @@ func TestRunMemorySmoke(t *testing.T) {
 		}
 	}
 	// ...and the last point must be past the EPC with visibly higher
-	// latency (the Sec. 6.2 knee).
+	// latency (the Sec. 6.2 knee), as the latency model charged it: the
+	// charge is fixed by the ops, where the wall clock is not.
 	last := points[len(points)-1]
 	if !last.PastEPC {
 		t.Fatalf("sweep never crossed the EPC limit: %+v", last)
 	}
-	if last.LatencyGain < 1.2 {
-		t.Fatalf("latency gain past EPC = %.2fx, want visible paging penalty", last.LatencyGain)
+	if last.ChargedGain < 1.2 {
+		t.Fatalf("charged latency gain past EPC = %.2fx, want visible paging penalty", last.ChargedGain)
 	}
 }
 

@@ -19,6 +19,7 @@ type MemoryPoint struct {
 	MeanPut     time.Duration
 	PastEPC     bool
 	LatencyGain float64 // mean GET latency relative to the first point
+	ChargedGain float64 // the same ratio of what the latency model charged
 }
 
 // MemoryConfig tunes the enclave-memory experiment. The paper inserts up
@@ -103,23 +104,23 @@ func RunMemory(cfg MemoryConfig, out func(string)) ([]MemoryPoint, error) {
 
 	var points []MemoryPoint
 	inserted := 0
-	var baseGet time.Duration
+	var baseGet, baseCharged time.Duration
 	for _, step := range cfg.Steps {
 		for ; inserted < step; inserted++ {
 			if _, err := enclave.Call(kvs.Put(key(inserted), value)); err != nil {
 				return nil, fmt.Errorf("insert %d: %w", inserted, err)
 			}
 		}
-		meanGet, err := probe(enclave, func(i int) []byte { return kvs.Get(key(i % step)) }, cfg.ProbeOps)
+		meanGet, chargedGet, err := probe(enclave, model, func(i int) []byte { return kvs.Get(key(i % step)) }, cfg.ProbeOps)
 		if err != nil {
 			return nil, err
 		}
-		meanPut, err := probe(enclave, func(i int) []byte { return kvs.Put(key(i%step), value) }, cfg.ProbeOps)
+		meanPut, _, err := probe(enclave, model, func(i int) []byte { return kvs.Put(key(i%step), value) }, cfg.ProbeOps)
 		if err != nil {
 			return nil, err
 		}
 		if baseGet == 0 {
-			baseGet = meanGet
+			baseGet, baseCharged = meanGet, chargedGet
 		}
 		p := MemoryPoint{
 			Objects:     step,
@@ -128,6 +129,7 @@ func RunMemory(cfg MemoryConfig, out func(string)) ([]MemoryPoint, error) {
 			MeanPut:     meanPut,
 			PastEPC:     enclave.ResidentBytes() > cfg.EPCLimitBytes,
 			LatencyGain: float64(meanGet) / float64(baseGet),
+			ChargedGain: float64(chargedGet) / float64(baseCharged),
 		}
 		points = append(points, p)
 		if out != nil {
@@ -139,14 +141,16 @@ func RunMemory(cfg MemoryConfig, out func(string)) ([]MemoryPoint, error) {
 	return points, nil
 }
 
-func probe(enclave *tee.Enclave, op func(i int) []byte, n int) (time.Duration, error) {
-	start := time.Now()
+// probe runs n calls and returns their mean wall time and the mean
+// latency the model charged for them.
+func probe(enclave *tee.Enclave, model *latency.Model, op func(i int) []byte, n int) (wall, charged time.Duration, err error) {
+	start, charged0 := time.Now(), model.Charged()
 	for i := 0; i < n; i++ {
 		if _, err := enclave.Call(op(i)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return time.Since(start) / time.Duration(n), nil
+	return time.Since(start) / time.Duration(n), (model.Charged() - charged0) / time.Duration(n), nil
 }
 
 // MsgSizeRow is one row of the Sec. 6.3 protocol-message-overhead table.

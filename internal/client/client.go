@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -51,7 +52,9 @@ var ErrSessionClosed = errors.New("client: session closed")
 
 // Config tunes a session.
 type Config struct {
-	// Timeout bounds the wait for each reply; 0 means no timeout.
+	// Timeout bounds the wait for each reply's first byte; 0 means no
+	// timeout. Once a reply has begun to arrive it is read whole (only
+	// transport.TCPOptions.ReadTimeout bounds the rest).
 	Timeout time.Duration
 	// Retries is how many times a timed-out operation is re-sent with
 	// the retry marker before giving up.
@@ -123,47 +126,22 @@ type Observation struct {
 	Chain hashchain.Value
 }
 
-// link owns one connection's receive loop, shared by the session types.
+// link is one connection shared by the session types. Replies are read on
+// the calling goroutine: the session is sequential (Sec. 4.1), so the
+// caller waiting for a reply is the only reader.
 type link struct {
-	conn transport.Conn
+	conn transport.TimedConn
 
 	// sendMu serialises writers: the session's calling goroutine and the
 	// background heartbeat tick share the connection's send side.
 	sendMu sync.Mutex
 
-	recvCh    chan recvResult
 	closeOnce sync.Once
 	closed    chan struct{}
-	readerWG  sync.WaitGroup
-}
-
-type recvResult struct {
-	frame []byte
-	err   error
 }
 
 func newLink(conn transport.Conn) *link {
-	l := &link{
-		conn:   conn,
-		recvCh: make(chan recvResult, 1),
-		closed: make(chan struct{}),
-	}
-	l.readerWG.Add(1)
-	go func() {
-		defer l.readerWG.Done()
-		for {
-			frame, err := conn.Recv()
-			select {
-			case l.recvCh <- recvResult{frame: frame, err: err}:
-			case <-l.closed:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return l
+	return &link{conn: transport.Timed(conn), closed: make(chan struct{})}
 }
 
 // send transmits one frame, serialised against concurrent senders (the
@@ -174,32 +152,27 @@ func (l *link) send(frame []byte) error {
 	return l.conn.Send(frame)
 }
 
-// await blocks for the next frame, a timeout, or closure.
+// await receives the next frame. timeout bounds the wait for its first
+// byte; when it expires the stream is intact and await reports ErrTimeout.
 func (l *link) await(timeout time.Duration) ([]byte, error) {
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
+	frame, err := l.conn.RecvWithin(timeout)
+	switch {
+	case err == nil:
+		return frame, nil
+	case errors.Is(err, transport.ErrDeadline) && !errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, ErrTimeout
 	}
 	select {
-	case res := <-l.recvCh:
-		if res.err != nil {
-			return nil, fmt.Errorf("client: recv: %w", res.err)
-		}
-		return res.frame, nil
-	case <-timeoutCh:
-		return nil, ErrTimeout
 	case <-l.closed:
 		return nil, ErrSessionClosed
+	default:
+		return nil, fmt.Errorf("client: recv: %w", err)
 	}
 }
 
 func (l *link) close() error {
 	l.closeOnce.Do(func() { close(l.closed) })
-	err := l.conn.Close()
-	l.readerWG.Wait()
-	return err
+	return l.conn.Close()
 }
 
 // ---- Unified session core ----
@@ -343,6 +316,37 @@ func (s *session) recoverOn(i int) (*core.Result, error) {
 	return s.roundTrip(i, op, invoke)
 }
 
+// awaitReply awaits the next reply payload, skipping heartbeat acks (a
+// host's empty OK; sealed replies are never empty) and verbatim duplicates
+// of replies already verified (the benign residue of duplicated frames or
+// re-answered retries on an at-least-once link). On a timeout it sends the
+// frame resend builds, up to Config.Retries times per request; *attempts
+// counts them. A nil resend never retries.
+func (s *session) awaitReply(attempts *int, resend func() ([]byte, error)) ([]byte, error) {
+	for {
+		frame, err := s.link.await(s.cfg.Timeout)
+		if errors.Is(err, ErrTimeout) && resend != nil && *attempts < s.cfg.Retries {
+			*attempts++
+			retry, err := resend()
+			if err != nil {
+				return nil, err
+			}
+			if err := s.link.send(retry); err != nil {
+				return nil, fmt.Errorf("client: send retry: %w", err)
+			}
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		// A server error frame (e.g. a halted enclave) surfaces here.
+		reply, err := wire.DecodeResponse(frame)
+		if err != nil || (len(reply) > 0 && !s.staleDuplicate(reply)) {
+			return reply, err
+		}
+	}
+}
+
 // roundTrip sends one INVOKE for context i and runs the timeout/retry
 // loop against its protocol context. op is the service operation the
 // INVOKE carries, reported to the observer on success.
@@ -352,50 +356,20 @@ func (s *session) roundTrip(i int, op []byte, invoke []byte) (*core.Result, erro
 		return nil, fmt.Errorf("client: send invoke: %w", err)
 	}
 	attempts := 0
-	for {
-		frame, err := s.link.await(s.cfg.Timeout)
-		if errors.Is(err, ErrTimeout) {
-			if attempts >= s.cfg.Retries {
-				return nil, ErrTimeout
-			}
-			attempts++
-			retry, rerr := proto.RetryMessage()
-			if rerr != nil {
-				return nil, rerr
-			}
-			if serr := s.link.send(wire.EncodeShardFrame(wire.FrameInvoke, shard, uint32(s.cfg.Gen), retry)); serr != nil {
-				return nil, fmt.Errorf("client: send retry: %w", serr)
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		reply, err := wire.DecodeResponse(frame)
-		if err != nil {
-			// The server reported an error (e.g. a halted enclave).
-			return nil, err
-		}
-		if len(reply) == 0 {
-			// A concurrent heartbeat's empty OK ack; a sealed reply is
-			// never empty. Keep awaiting this operation's reply.
-			continue
-		}
-		if s.staleDuplicate(reply) {
-			// A re-delivery of a reply this session already verified —
-			// the benign residue of a duplicated frame or a re-answered
-			// retry on an at-least-once link. Keep awaiting the current
-			// operation's reply.
-			continue
-		}
-		res, err := proto.ProcessReply(reply)
-		if err != nil {
-			return nil, err
-		}
-		s.rememberReply(reply)
-		s.observe(i, op, res)
-		return res, nil
+	reply, err := s.awaitReply(&attempts, func() ([]byte, error) {
+		retry, err := proto.RetryMessage()
+		return wire.EncodeShardFrame(wire.FrameInvoke, shard, uint32(s.cfg.Gen), retry), err
+	})
+	if err != nil {
+		return nil, err
 	}
+	res, err := proto.ProcessReply(reply)
+	if err != nil {
+		return nil, err
+	}
+	s.rememberReply(reply)
+	s.observe(i, op, res)
+	return res, nil
 }
 
 // readOn executes a read-only op on context i over the snapshot-read path
@@ -407,45 +381,22 @@ func (s *session) readOn(i int, op []byte) (*core.Result, error) {
 		return nil, err
 	}
 	proto, shard := s.protos[i], s.wireShard(i)
-	invoke, err := proto.ReadInvoke(op)
+	readFrame := func() ([]byte, error) {
+		invoke, err := proto.ReadInvoke(op)
+		return wire.EncodeShardFrame(wire.FrameReadInvoke, shard, uint32(s.cfg.Gen), invoke), err
+	}
+	frame, err := readFrame()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.link.send(wire.EncodeShardFrame(wire.FrameReadInvoke, shard, uint32(s.cfg.Gen), invoke)); err != nil {
+	if err := s.link.send(frame); err != nil {
 		return nil, fmt.Errorf("client: send read invoke: %w", err)
 	}
 	attempts := 0
 	for {
-		frame, err := s.link.await(s.cfg.Timeout)
-		if errors.Is(err, ErrTimeout) {
-			if attempts >= s.cfg.Retries {
-				return nil, ErrTimeout
-			}
-			attempts++
-			if invoke, err = proto.ReadInvoke(op); err != nil {
-				return nil, err
-			}
-			if serr := s.link.send(wire.EncodeShardFrame(wire.FrameReadInvoke, shard, uint32(s.cfg.Gen), invoke)); serr != nil {
-				return nil, fmt.Errorf("client: send read retry: %w", serr)
-			}
-			continue
-		}
+		reply, err := s.awaitReply(&attempts, readFrame)
 		if err != nil {
 			return nil, err
-		}
-		reply, err := wire.DecodeResponse(frame)
-		if err != nil {
-			return nil, err
-		}
-		if len(reply) == 0 {
-			// A concurrent heartbeat's empty OK ack, not this read's
-			// answer (sealed read replies are never empty).
-			continue
-		}
-		if s.staleDuplicate(reply) {
-			// A duplicated write reply left over on an at-least-once
-			// link; not this read's answer.
-			continue
 		}
 		res, err := proto.ProcessReadReply(reply)
 		if errors.Is(err, core.ErrStaleReadReply) {
@@ -480,22 +431,12 @@ func (s *session) DeploymentStatus() (*core.DeploymentStatus, error) {
 	if err := s.link.send(wire.EncodeFrame(wire.FrameStatus, nil)); err != nil {
 		return nil, fmt.Errorf("client: send status: %w", err)
 	}
-	for {
-		frame, err := s.link.await(s.cfg.Timeout)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := wire.DecodeResponse(frame)
-		if err != nil {
-			return nil, err
-		}
-		if len(resp) == 0 {
-			// A concurrent heartbeat's empty OK ack; a status response
-			// always carries the encoded counters.
-			continue
-		}
-		return core.DecodeDeploymentStatus(resp)
+	var attempts int
+	resp, err := s.awaitReply(&attempts, nil)
+	if err != nil {
+		return nil, err
 	}
+	return core.DecodeDeploymentStatus(resp)
 }
 
 // ---- Churn: join, leave, heartbeat ----
@@ -510,11 +451,17 @@ func (s *session) churnOn(i int, kind byte) (*core.ChurnAck, error) {
 		return nil, err
 	}
 	id, shard := s.protos[i].ID(), s.wireShard(i)
-	msg, err := core.SealChurnMsg(s.kcs[i], kind, id)
+	// Joins and leaves are idempotent at the enclave, so a timed-out
+	// request is simply re-sealed under a fresh nonce and re-sent.
+	churnFrame := func() ([]byte, error) {
+		msg, err := core.SealChurnMsg(s.kcs[i], kind, id)
+		return wire.EncodeShardFrame(wire.FrameChurn, shard, uint32(s.cfg.Gen), msg), err
+	}
+	frame, err := churnFrame()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.link.send(wire.EncodeShardFrame(wire.FrameChurn, shard, uint32(s.cfg.Gen), msg)); err != nil {
+	if err := s.link.send(frame); err != nil {
 		return nil, fmt.Errorf("client: send churn: %w", err)
 	}
 	if kind == core.ChurnHeartbeat {
@@ -523,48 +470,18 @@ func (s *session) churnOn(i int, kind byte) (*core.ChurnAck, error) {
 		return nil, nil
 	}
 	attempts := 0
-	for {
-		frame, err := s.link.await(s.cfg.Timeout)
-		if errors.Is(err, ErrTimeout) {
-			if attempts >= s.cfg.Retries {
-				return nil, ErrTimeout
-			}
-			attempts++
-			// Joins and leaves are idempotent at the enclave, so a
-			// timed-out request is simply re-sealed under a fresh nonce
-			// and re-sent.
-			if msg, err = core.SealChurnMsg(s.kcs[i], kind, id); err != nil {
-				return nil, err
-			}
-			if serr := s.link.send(wire.EncodeShardFrame(wire.FrameChurn, shard, uint32(s.cfg.Gen), msg)); serr != nil {
-				return nil, fmt.Errorf("client: send churn retry: %w", serr)
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		reply, err := wire.DecodeResponse(frame)
-		if err != nil {
-			return nil, err
-		}
-		if len(reply) == 0 {
-			// A concurrent heartbeat's empty OK ack; churn acks are
-			// sealed and never empty.
-			continue
-		}
-		if s.staleDuplicate(reply) {
-			continue
-		}
-		ack, err := core.OpenChurnAck(s.kcs[i], reply, kind, id)
-		if err != nil {
-			return nil, err
-		}
-		if !ack.OK {
-			return ack, fmt.Errorf("client: churn request refused by shard %d", shard)
-		}
-		return ack, nil
+	reply, err := s.awaitReply(&attempts, churnFrame)
+	if err != nil {
+		return nil, err
 	}
+	ack, err := core.OpenChurnAck(s.kcs[i], reply, kind, id)
+	if err != nil {
+		return nil, err
+	}
+	if !ack.OK {
+		return ack, fmt.Errorf("client: churn request refused by shard %d", shard)
+	}
+	return ack, nil
 }
 
 // heartbeatAll seals and sends one heartbeat per shard context. Errors
@@ -594,18 +511,13 @@ func (s *session) startHeartbeats() {
 			case <-s.link.closed:
 				return
 			}
-			for i := range s.protos {
-				msg, err := core.SealChurnMsg(s.kcs[i], core.ChurnHeartbeat, s.protos[i].ID())
-				if err != nil {
-					continue
-				}
-				_ = s.link.send(wire.EncodeShardFrame(wire.FrameChurn, s.wireShard(i), uint32(s.cfg.Gen), msg))
-			}
+			_ = s.heartbeatAll()
 		}
 	}()
 }
 
-// Close shuts the session down and releases the reader goroutine.
+// Close shuts the session down: it closes the connection, which unblocks
+// a pending operation with ErrSessionClosed, and stops the heartbeat tick.
 func (s *session) Close() error { return s.link.close() }
 
 // ---- Single-context view ----

@@ -17,7 +17,7 @@ import (
 // session: it decrypts invokes, applies scripted behaviours (drop, delay,
 // error) and produces protocol-correct replies.
 type stubServer struct {
-	t    *testing.T
+	t    testing.TB
 	conn transport.Conn
 	kc   aead.Key
 
@@ -27,18 +27,56 @@ type stubServer struct {
 	dropNext  int  // drop the next n replies
 	errorNext bool // answer the next invoke with an error frame
 	history   [][]byte
-	staleNext int // re-send this many ops' stale reply copies before the next reply
+	staleNext int    // re-send this many ops' stale reply copies before the next reply
+	holdNext  bool   // hold the next reply back until the following invoke
+	held      []byte // the held reply frame
+	retries   int    // invokes that carried the retry marker
+	onInvoke  func() // called as each invoke arrives, before its reply
+	beats     int    // heartbeats answered
+	beatsTo   int    // close beatsIn once beats reaches this count
+	beatsIn   chan struct{}
 
 	wg sync.WaitGroup
 }
 
-func newStubPair(t *testing.T) (*stubServer, transport.Conn) {
+func newStubPair(t testing.TB) (*stubServer, transport.Conn) {
 	t.Helper()
+	clientConn, serverConn := transport.Pipe()
+	return startStub(t, clientConn, serverConn), clientConn
+}
+
+// newTCPStubPair is newStubPair over a loopback TCP connection.
+func newTCPStubPair(t testing.TB) (*stubServer, transport.Conn) {
+	t.Helper()
+	l, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			c = nil
+		}
+		accepted <- c
+	}()
+	clientConn, err := transport.DialTCP(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverConn := <-accepted
+	if serverConn == nil {
+		t.Fatal("accept failed")
+	}
+	return startStub(t, clientConn, serverConn), clientConn
+}
+
+func startStub(t testing.TB, clientConn, serverConn transport.Conn) *stubServer {
 	kc, err := aead.NewKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := transport.Pipe()
 	s := &stubServer{t: t, conn: serverConn, kc: kc}
 	s.wg.Add(1)
 	go s.loop()
@@ -47,7 +85,7 @@ func newStubPair(t *testing.T) (*stubServer, transport.Conn) {
 		clientConn.Close()
 		s.wg.Wait()
 	})
-	return s, clientConn
+	return s
 }
 
 func (s *stubServer) loop() {
@@ -75,6 +113,15 @@ func (s *stubServer) loop() {
 				continue
 			}
 			s.handleInvoke(ct)
+		case wire.FrameChurn:
+			// Heartbeats are fire-and-forget: the host answers each with an
+			// empty OK frame, as the real one does.
+			_ = s.conn.Send(wire.OKFrame(nil))
+			s.mu.Lock()
+			if s.beats++; s.beats == s.beatsTo {
+				close(s.beatsIn)
+			}
+			s.mu.Unlock()
 		}
 	}
 }
@@ -91,6 +138,17 @@ func (s *stubServer) handleInvoke(ct []byte) {
 	if err != nil {
 		_ = s.conn.Send(wire.ErrorFrame(err))
 		return
+	}
+	if s.onInvoke != nil {
+		s.onInvoke()
+	}
+	if inv.Retry {
+		s.retries++
+	}
+	if s.held != nil {
+		// The held reply goes out late, ahead of the answer to this invoke.
+		_ = s.conn.Send(s.held)
+		s.held = nil
 	}
 	if s.errorNext {
 		s.errorNext = false
@@ -126,6 +184,10 @@ func (s *stubServer) handleInvoke(ct []byte) {
 	}
 	s.staleNext = 0
 	s.history = append(s.history, frame)
+	if s.holdNext {
+		s.holdNext, s.held = false, frame
+		return
+	}
 	_ = s.conn.Send(frame)
 }
 

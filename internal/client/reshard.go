@@ -52,7 +52,7 @@ var ErrNoReshard = errors.New("client: no completed reshard to adopt")
 func (s *ShardedSession) FetchReshardInfo() (*core.ReshardInfo, error) {
 	w := wire.NewWriter(8)
 	w.U64(s.cfg.Gen + 1)
-	if err := s.link.conn.Send(wire.EncodeFrame(wire.FrameReshardInfo, w.Bytes())); err != nil {
+	if err := s.link.send(wire.EncodeFrame(wire.FrameReshardInfo, w.Bytes())); err != nil {
 		return nil, fmt.Errorf("client: send reshard info request: %w", err)
 	}
 	frame, err := s.link.await(s.cfg.Timeout)
@@ -254,7 +254,7 @@ func (s *ShardedSession) ackReshardAdopted() {
 	w := wire.NewWriter(12)
 	w.U64(s.cfg.Gen)
 	w.U32(s.ID())
-	if err := s.link.conn.Send(wire.EncodeFrame(wire.FrameReshardAdopted, w.Bytes())); err != nil {
+	if err := s.link.send(wire.EncodeFrame(wire.FrameReshardAdopted, w.Bytes())); err != nil {
 		return
 	}
 	_, _ = s.link.await(s.cfg.Timeout)

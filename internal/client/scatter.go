@@ -142,61 +142,42 @@ func (s *ShardedSession) Scan(op []byte) (*ScanResult, error) {
 // multi-shard frame and returns the per-shard response frames, applying
 // the timeout/retry loop to the whole fan-out.
 func (s *ShardedSession) multiRoundTrip(invokes [][]byte) ([][]byte, error) {
-	send := func(payloads [][]byte) error {
+	encode := func(payloads [][]byte) []byte {
 		parts := make([]wire.ShardPart, len(payloads))
 		for shard, inv := range payloads {
 			parts[shard] = wire.ShardPart{Shard: shard, Payload: inv}
 		}
-		return s.link.conn.Send(wire.EncodeMultiShardFrame(uint32(s.cfg.Gen), parts))
+		return wire.EncodeMultiShardFrame(uint32(s.cfg.Gen), parts)
 	}
-	if err := send(invokes); err != nil {
+	if err := s.link.send(encode(invokes)); err != nil {
 		return nil, fmt.Errorf("client: send multi-invoke: %w", err)
 	}
 	attempts := 0
-	for {
-		frame, err := s.link.await(s.cfg.Timeout)
-		if errors.Is(err, ErrTimeout) {
-			if attempts >= s.cfg.Retries {
-				return nil, ErrTimeout
+	// A server error here rejected the whole frame (it never reached any
+	// shard); every context still has its op pending.
+	payload, err := s.awaitReply(&attempts, func() ([]byte, error) {
+		retries := make([][]byte, len(s.protos))
+		for shard, p := range s.protos {
+			retry, err := p.RetryMessage()
+			if err != nil {
+				return nil, &ShardError{Shard: shard, Err: err}
 			}
-			attempts++
-			retries := make([][]byte, len(s.protos))
-			for shard, p := range s.protos {
-				retry, rerr := p.RetryMessage()
-				if rerr != nil {
-					return nil, &ShardError{Shard: shard, Err: rerr}
-				}
-				retries[shard] = retry
-			}
-			if serr := send(retries); serr != nil {
-				return nil, fmt.Errorf("client: send multi-invoke retry: %w", serr)
-			}
-			continue
+			retries[shard] = retry
 		}
-		if err != nil {
-			return nil, err
-		}
-		payload, err := wire.DecodeResponse(frame)
-		if err != nil {
-			// The server rejected the whole frame (it never reached any
-			// shard); every context still has its op pending.
-			return nil, err
-		}
-		if s.staleDuplicate(payload) {
-			// Leftover duplicate of an earlier response on an
-			// at-least-once link; keep awaiting this fan-out's response.
-			continue
-		}
-		frames, err := wire.DecodeMultiResponse(payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(frames) != len(s.protos) {
-			return nil, fmt.Errorf("client: multi-response covers %d shards, want %d", len(frames), len(s.protos))
-		}
-		s.rememberReply(payload)
-		return frames, nil
+		return encode(retries), nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	frames, err := wire.DecodeMultiResponse(payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(frames) != len(s.protos) {
+		return nil, fmt.Errorf("client: multi-response covers %d shards, want %d", len(frames), len(s.protos))
+	}
+	s.rememberReply(payload)
+	return frames, nil
 }
 
 // ---- Cross-shard transfers (two-phase escrow) ----

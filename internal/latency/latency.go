@@ -10,6 +10,7 @@
 package latency
 
 import (
+	"sync/atomic"
 	"time"
 )
 
@@ -65,6 +66,17 @@ type Model struct {
 	PageIn       time.Duration // EPC paging unit cost (see tee.EPCModel)
 	NetRTT       time.Duration // client↔server round trip (network + TLS tier)
 	ServerOp     time.Duration // per-request cost in a non-enclave server's single-threaded core
+
+	charged atomic.Int64 // scaled nanoseconds charged so far (Charged)
+}
+
+// Charged returns the total scaled latency the model has charged: what
+// the operations cost under the model, however long the waits took.
+func (m *Model) Charged() time.Duration {
+	if m == nil {
+		return 0
+	}
+	return time.Duration(m.charged.Load())
 }
 
 // Default returns the full-fidelity model.
@@ -92,16 +104,14 @@ func Scaled(s float64) *Model {
 // None returns a model that injects no latency at all.
 func None() *Model { return &Model{} }
 
-// scaled applies the scale factor to d.
-func (m *Model) scaled(d time.Duration) time.Duration {
-	if m == nil || d <= 0 {
+// charge applies the scale factor to d and adds the result to Charged.
+func (m *Model) charge(d time.Duration) time.Duration {
+	if m == nil || d <= 0 || m.Scale <= 0 {
 		return 0
 	}
-	s := m.Scale
-	if s == 0 {
-		return 0
-	}
-	return time.Duration(float64(d) * s)
+	d = time.Duration(float64(d) * m.Scale)
+	m.charged.Add(int64(d))
+	return d
 }
 
 // spin busy-waits for exactly d — used for costs that must be charged
@@ -119,7 +129,7 @@ func spin(d time.Duration) {
 // exists to inject; under SleepAll every duration sleeps instead (see the
 // field's doc for the trade-off).
 func (m *Model) Wait(d time.Duration) {
-	d = m.scaled(d)
+	d = m.charge(d)
 	if d <= 0 {
 		return
 	}
@@ -196,7 +206,7 @@ func (m *Model) WaitServerOp() {
 	if m == nil {
 		return
 	}
-	if d := m.scaled(m.ServerOp); d > 0 {
+	if d := m.charge(m.ServerOp); d > 0 {
 		if m.SleepAll {
 			time.Sleep(d)
 			return
@@ -213,7 +223,7 @@ func (m *Model) WaitRTT() {
 	if m == nil {
 		return
 	}
-	d := m.scaled(m.NetRTT)
+	d := m.charge(m.NetRTT)
 	if d > 0 {
 		time.Sleep(d)
 	}

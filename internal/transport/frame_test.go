@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // A frame leaves in one vectored write whose header and iovec buffers
@@ -61,11 +62,15 @@ func (c streamConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c streamConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 func (c streamConn) Close() error                { return nil }
 
+// SetReadDeadline is a no-op: the streams never block.
+func (c streamConn) SetReadDeadline(time.Time) error { return nil }
+
 // FuzzTCPRecv feeds an arbitrary byte stream to tcpConn.Recv. Oracles:
 // no panic; the bytes Recv allocates are bounded by the stream's length
 // (plus one receive chunk), whatever its headers announce; the frames it
 // returns re-frame to a prefix of the stream, the rest is a torn or
-// oversized frame; and Send→Recv returns every frame intact.
+// oversized frame; RecvWithin yields exactly Recv's frames and final
+// error; and Send→Recv returns every frame intact.
 func FuzzTCPRecv(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(tornFrame)
@@ -77,15 +82,31 @@ func FuzzTCPRecv(f *testing.F) {
 		recv := &tcpConn{nc: streamConn{r: bytes.NewReader(stream)}}
 		frames := make([][]byte, 0, len(stream)/4+1)
 		var before, after runtime.MemStats
+		var end error
 		runtime.ReadMemStats(&before)
 		for {
 			msg, err := recv.Recv()
 			if err != nil {
+				end = err
 				break
 			}
 			frames = append(frames, msg)
 		}
 		runtime.ReadMemStats(&after)
+
+		within := &tcpConn{nc: streamConn{r: bytes.NewReader(stream)}}
+		for i := 0; ; i++ {
+			msg, err := within.RecvWithin(time.Hour)
+			if i == len(frames) {
+				if err == nil || err.Error() != end.Error() {
+					t.Fatalf("RecvWithin after %d frames = %v; Recv ended with %v", i, err, end)
+				}
+				break
+			}
+			if err != nil || !bytes.Equal(msg, frames[i]) {
+				t.Fatalf("RecvWithin frame %d = %q, %v; Recv gave %q", i, msg, err, frames[i])
+			}
+		}
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*len(stream)+recvChunk+64<<10); alloc > bound {
 			t.Fatalf("Recv over %d bytes allocated %d bytes, bound %d", len(stream), alloc, bound)
 		}

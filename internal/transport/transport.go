@@ -22,10 +22,10 @@ import (
 // ErrClosed reports use of a closed connection or listener.
 var ErrClosed = errors.New("transport: closed")
 
-// ErrDeadline reports that a Send or Recv exceeded the connection's
-// configured I/O timeout. The connection is not necessarily broken — the
-// peer may merely be slow — but the frame in flight is torn, so callers
-// should treat the connection as unusable and redial.
+// ErrDeadline reports that a wait or an I/O timeout expired. A receive
+// that expires before a frame's first byte leaves the stream intact and
+// the connection usable. One that expires mid-frame (it also wraps
+// io.ErrUnexpectedEOF), or any Send, tears the frame: redial.
 var ErrDeadline = errors.New("transport: i/o deadline exceeded")
 
 // MaxFrame bounds a single message (16 MiB); larger frames indicate
@@ -39,6 +39,15 @@ type Conn interface {
 	Send(msg []byte) error
 	Recv() ([]byte, error)
 	Close() error
+}
+
+// TimedConn is a Conn whose receive can bound its wait for a frame. TCP
+// and Pipe conns are TimedConns; Timed adapts any other Conn.
+type TimedConn interface {
+	Conn
+	// RecvWithin is Recv failing with ErrDeadline, stream intact, if no
+	// frame begins to arrive within wait. RecvWithin(0) is Recv.
+	RecvWithin(wait time.Duration) ([]byte, error)
 }
 
 // Listener accepts inbound connections.
@@ -95,10 +104,15 @@ func (c *pipeConn) Send(msg []byte) error {
 }
 
 // Recv implements Conn.
-func (c *pipeConn) Recv() ([]byte, error) {
+func (c *pipeConn) Recv() ([]byte, error) { return c.RecvWithin(0) }
+
+// RecvWithin implements TimedConn.
+func (c *pipeConn) RecvWithin(wait time.Duration) ([]byte, error) {
 	select {
 	case msg := <-c.recv:
 		return msg, nil
+	case <-expiry(wait):
+		return nil, ErrDeadline
 	case <-c.closed:
 		// Drain anything already queued before reporting closure.
 		select {
@@ -121,6 +135,77 @@ func (c *pipeConn) Recv() ([]byte, error) {
 func (c *pipeConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	return nil
+}
+
+// expiry fires once wait has passed; a zero wait never fires.
+func expiry(wait time.Duration) <-chan time.Time {
+	if wait <= 0 {
+		return nil
+	}
+	return time.After(wait)
+}
+
+// timedConn is Timed's adapter: a reader goroutine receives one frame
+// ahead of the caller into a one-slot channel.
+type timedConn struct {
+	Conn
+	frames    chan timedFrame
+	closeOnce sync.Once
+	closed    chan struct{}
+	done      chan struct{} // closed when the reader goroutine ends
+}
+
+type timedFrame struct {
+	msg []byte
+	err error
+}
+
+// Timed returns c if it is a TimedConn. Otherwise it wraps c in a reader
+// goroutine that stops at c's first receive error or at Close, which
+// closes c and waits for it.
+func Timed(c Conn) TimedConn {
+	if tc, ok := c.(TimedConn); ok {
+		return tc
+	}
+	t := &timedConn{Conn: c, frames: make(chan timedFrame, 1), closed: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(t.done)
+		for {
+			msg, err := c.Recv()
+			select {
+			case t.frames <- timedFrame{msg, err}:
+			case <-t.closed:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return t
+}
+
+// Recv implements Conn.
+func (t *timedConn) Recv() ([]byte, error) { return t.RecvWithin(0) }
+
+// RecvWithin implements TimedConn.
+func (t *timedConn) RecvWithin(wait time.Duration) ([]byte, error) {
+	select {
+	case f := <-t.frames:
+		return f.msg, f.err
+	case <-expiry(wait):
+		return nil, ErrDeadline
+	case <-t.closed:
+		return nil, ErrClosed
+	}
+}
+
+// Close implements Conn.
+func (t *timedConn) Close() error {
+	t.closeOnce.Do(func() { close(t.closed) })
+	err := t.Conn.Close()
+	<-t.done
+	return err
 }
 
 // InmemNetwork is a named in-memory network: servers Listen, clients Dial.
@@ -209,8 +294,9 @@ func (l *inmemListener) Addr() string { return l.name }
 type TCPOptions struct {
 	// DialTimeout bounds connection establishment (0 = no limit).
 	DialTimeout time.Duration
-	// ReadTimeout bounds each Recv (0 = no limit). A Recv that exceeds it
-	// fails with ErrDeadline mid-frame, so only enable it on connections
+	// ReadTimeout bounds each Recv (0 = no limit), and RecvWithin's frame
+	// once its first byte has arrived. A Recv that exceeds it mid-frame
+	// fails with a torn ErrDeadline, so only enable it on connections
 	// whose protocol guarantees traffic within the window; dead-peer
 	// detection on idle connections belongs to KeepAlive instead.
 	ReadTimeout time.Duration
@@ -298,19 +384,37 @@ func (c *tcpConn) Send(msg []byte) error {
 	return nil
 }
 
-// Recv implements Conn. The body buffer grows with the bytes that have
-// arrived, at most recvChunk ahead of them.
-func (c *tcpConn) Recv() ([]byte, error) {
+// Recv implements Conn.
+func (c *tcpConn) Recv() ([]byte, error) { return c.RecvWithin(0) }
+
+// RecvWithin implements TimedConn: wait bounds only the arrival of the
+// frame's first byte (and ReadTimeout, if shorter). The body buffer grows
+// with the bytes that have arrived, at most recvChunk ahead of them.
+func (c *tcpConn) RecvWithin(wait time.Duration) ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
+	var frameBy time.Time // ReadTimeout's bound on the whole frame
 	if t := c.opts.ReadTimeout; t > 0 {
-		c.nc.SetReadDeadline(time.Now().Add(t))
+		frameBy = time.Now().Add(t)
 	}
-	if _, err := io.ReadFull(c.nc, c.rhdr[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	waiting := wait > 0 && (frameBy.IsZero() || wait < c.opts.ReadTimeout)
+	if waiting {
+		c.nc.SetReadDeadline(time.Now().Add(wait))
+	} else if !frameBy.IsZero() {
+		c.nc.SetReadDeadline(frameBy)
+	}
+	got, err := io.ReadAtLeast(c.nc, c.rhdr[:], 1)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
 			return nil, err
 		}
-		return nil, wrapIO("read header", err)
+		return nil, wrapIO("read header", err) // nothing consumed
+	}
+	if waiting {
+		c.nc.SetReadDeadline(frameBy)
+	}
+	if _, err := io.ReadFull(c.nc, c.rhdr[got:]); err != nil {
+		return nil, torn("read header", err)
 	}
 	size := binary.BigEndian.Uint32(c.rhdr[:])
 	if size > MaxFrame {
@@ -325,13 +429,18 @@ func (c *tcpConn) Recv() ([]byte, error) {
 		got, err := io.ReadFull(c.nc, msg[len(msg):min(n, cap(msg))])
 		msg = msg[:len(msg)+got]
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, io.ErrUnexpectedEOF // the header promised more
-			}
-			return nil, wrapIO("read body", err)
+			return nil, torn("read body", err)
 		}
 	}
 	return msg, nil
+}
+
+// torn reports an error that cut a begun frame short, as io.ErrUnexpectedEOF.
+func torn(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return io.ErrUnexpectedEOF // the header promised more
+	}
+	return fmt.Errorf("%w (%w)", wrapIO(what, err), io.ErrUnexpectedEOF)
 }
 
 // Close implements Conn.
@@ -397,7 +506,7 @@ type TamperPolicy struct {
 // TamperConn wraps a Conn and applies a malicious server's message games
 // on the Send path.
 type TamperConn struct {
-	inner     Conn
+	inner     TimedConn
 	policy    TamperPolicy
 	mu        sync.Mutex
 	offered   int // all messages offered to Send (DropEvery's clock)
@@ -410,7 +519,7 @@ var _ Conn = (*TamperConn)(nil)
 
 // NewTamperConn wraps inner with the policy.
 func NewTamperConn(inner Conn, policy TamperPolicy) *TamperConn {
-	return &TamperConn{inner: inner, policy: policy}
+	return &TamperConn{inner: Timed(inner), policy: policy}
 }
 
 // Send implements Conn, applying the tampering policy in drop → swap →
@@ -452,6 +561,11 @@ func (c *TamperConn) deliver(msg []byte) error {
 
 // Recv implements Conn.
 func (c *TamperConn) Recv() ([]byte, error) { return c.inner.Recv() }
+
+// RecvWithin implements TimedConn.
+func (c *TamperConn) RecvWithin(wait time.Duration) ([]byte, error) {
+	return c.inner.RecvWithin(wait)
+}
 
 // Close implements Conn. A message still held by the swap stage is
 // flushed first, so a stream ending on an odd count loses nothing.

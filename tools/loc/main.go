@@ -3,11 +3,17 @@
 // (bench/) and tools (tools/), and with -base the change against another
 // git revision of the tree.
 //
-//	go run ./tools/loc [-base <git-ref>] [root]
+//	go run ./tools/loc [-base <git-ref>] [-check] [root]
 //
 // A test is any _test.go file; serving code is every other Go file
 // outside bench/ and tools/. Lines are counted like wc -l, and testdata
 // and hidden directories (.git, .bench_build) are skipped.
+//
+// With -check the ledger is a gate: the command fails when the serving
+// total exceeds the ceiling committed in tools/loc/ceiling, and reports
+// when the total has fallen ceilingSlack or more lines below it, so the
+// ceiling can be lowered. A change that must grow the serving code
+// raises the ceiling in its own diff.
 package main
 
 import (
@@ -21,10 +27,19 @@ import (
 	"os"
 	"os/exec"
 	"path"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing/fstest"
 )
+
+// ceilingFile holds the -check gate's ceiling, relative to the root.
+const ceilingFile = "tools/loc/ceiling"
+
+// ceilingSlack is how far below the ceiling the serving total may fall
+// before -check reports that the ceiling should come down.
+const ceilingSlack = 100
 
 // Line categories, in column order.
 const (
@@ -42,6 +57,7 @@ type ledger map[string]*[nCategories]int
 
 func main() {
 	base := flag.String("base", "", "git revision to report the change against")
+	gate := flag.Bool("check", false, "fail if serving lines exceed the ceiling in "+ceilingFile)
 	flag.Parse()
 	root := "."
 	if flag.NArg() > 0 {
@@ -64,6 +80,57 @@ func main() {
 		}
 	}
 	fmt.Print(render(now, then))
+	if *gate {
+		ceiling, err := readCeiling(root)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "loc:", err)
+			os.Exit(1)
+		}
+		msg, ok := check(now.total()[serving], ceiling)
+		fmt.Println(msg)
+		if !ok {
+			os.Exit(1)
+		}
+	}
+}
+
+// readCeiling reads the committed serving-line ceiling.
+func readCeiling(root string) (int, error) {
+	data, err := os.ReadFile(filepath.Join(root, ceilingFile))
+	if err != nil {
+		return 0, err
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(string(data)))
+	if err != nil {
+		return 0, fmt.Errorf("%s: %v", ceilingFile, err)
+	}
+	return n, nil
+}
+
+// check gates a serving total against the ceiling: it fails above the
+// ceiling and asks for a lower ceiling once the total is ceilingSlack or
+// more below it.
+func check(servingLines, ceiling int) (string, bool) {
+	switch {
+	case servingLines > ceiling:
+		return fmt.Sprintf("FAIL: %d serving lines exceed the ceiling of %d in %s by %d; delete lines or raise the ceiling in the same change",
+			servingLines, ceiling, ceilingFile, servingLines-ceiling), false
+	case servingLines <= ceiling-ceilingSlack:
+		return fmt.Sprintf("ok: %d serving lines, %d below the ceiling of %d; lower %s to %d",
+			servingLines, ceiling-servingLines, ceiling, ceilingFile, servingLines), true
+	}
+	return fmt.Sprintf("ok: %d serving lines, ceiling %d", servingLines, ceiling), true
+}
+
+// total sums the ledger over every package.
+func (l ledger) total() [nCategories]int {
+	var t [nCategories]int
+	for _, n := range l {
+		for c := range n {
+			t[c] += n[c]
+		}
+	}
+	return t
 }
 
 // category classifies a Go file by its slash-separated path.
@@ -160,7 +227,6 @@ func render(now, then ledger) string {
 		fmt.Fprintf(&b, " %16s", c)
 	}
 	b.WriteString("\n")
-	var total, totalThen [nCategories]int
 	row := func(name string, n, t *[nCategories]int) {
 		fmt.Fprintf(&b, "%-32s", name)
 		for c := range n {
@@ -180,12 +246,9 @@ func render(now, then ledger) string {
 		if t == nil {
 			t = new([nCategories]int)
 		}
-		for c := range n {
-			total[c] += n[c]
-			totalThen[c] += t[c]
-		}
 		row(pkg, n, t)
 	}
+	total, totalThen := now.total(), then.total()
 	row("total", &total, &totalThen)
 	return b.String()
 }

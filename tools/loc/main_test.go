@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -129,4 +130,54 @@ func TestGitTreeReadsRevision(t *testing.T) {
 	if _, err := gitTree(root, "no-such-ref"); err == nil {
 		t.Fatal("an unknown revision read")
 	}
+}
+
+func TestCheckGatesOnCeiling(t *testing.T) {
+	for _, c := range []struct {
+		lines, ceiling int
+		ok             bool
+		lower          bool // the message asks for a lower ceiling
+	}{
+		{lines: 1000, ceiling: 1000, ok: true},
+		{lines: 1001, ceiling: 1000, ok: false},
+		{lines: 901, ceiling: 1000, ok: true},
+		{lines: 900, ceiling: 1000, ok: true, lower: true},
+	} {
+		msg, ok := check(c.lines, c.ceiling)
+		if ok != c.ok || strings.Contains(msg, "lower") != c.lower {
+			t.Errorf("check(%d, %d) = %q, %v", c.lines, c.ceiling, msg, ok)
+		}
+	}
+	if total := mustCount(t, fixture()).total(); total != [nCategories]int{32, 16, 30, 8} {
+		t.Errorf("total = %v", total)
+	}
+}
+
+func TestReadCeiling(t *testing.T) {
+	root := t.TempDir()
+	if _, err := readCeiling(root); err == nil {
+		t.Fatal("a missing ceiling file read")
+	}
+	path := filepath.Join(root, ceilingFile)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for data, want := range map[string]int{"26000\n": 26000, "x\n": -1} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readCeiling(root)
+		if (err != nil) != (want < 0) || (err == nil && got != want) {
+			t.Errorf("readCeiling of %q = %d, %v", data, got, err)
+		}
+	}
+}
+
+func mustCount(t *testing.T, fsys fs.FS) ledger {
+	t.Helper()
+	l, err := count(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
