@@ -118,13 +118,13 @@ func TestNativeAOFSyncWritesAreSlower(t *testing.T) {
 		conn, _ := net.Dial("native")
 		s := NewNativeSession(conn, key)
 		defer s.Close()
-		start := time.Now()
+		before := model.Charged() // the model's charge, not the wall clock
 		for i := 0; i < 10; i++ {
 			if err := s.Put("k", "v"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return time.Since(start)
+		return model.Charged() - before
 	}
 
 	async := run(false, "async.aof")
@@ -188,7 +188,6 @@ func TestRedisGroupCommitScales(t *testing.T) {
 	})
 
 	const clients, writes = 8, 10
-	start := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
@@ -210,11 +209,11 @@ func TestRedisGroupCommitScales(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	// Without group commit: 80 writes × 5ms = 400ms serialized. With it,
-	// concurrent writers share rounds; expect well under half.
-	if elapsed > 300*time.Millisecond {
-		t.Fatalf("group commit did not batch fsyncs: %v for %d writes", elapsed, clients*writes)
+	// The model charges 5ms per fsync round: 400ms if every one of the 80
+	// writes syncs alone. Concurrent writers share rounds.
+	if charged := model.Charged(); charged > 300*time.Millisecond {
+		t.Fatalf("group commit did not batch fsyncs: %v charged (%d rounds) for %d writes",
+			charged, charged/model.SyncWrite, clients*writes)
 	}
 }
 
@@ -345,16 +344,14 @@ func TestSGXTMCThroughputCappedByCounter(t *testing.T) {
 	s := NewSGXSession(conn, key)
 	defer s.Close()
 
-	start := time.Now()
 	const ops = 8
 	for i := 0; i < ops; i++ {
 		if err := s.Put("k", "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start)
-	if elapsed < ops*10*time.Millisecond {
-		t.Fatalf("%d ops took %v; each must pay the 10ms TMC increment", ops, elapsed)
+	if charged := model.Charged(); charged != ops*10*time.Millisecond {
+		t.Fatalf("%d ops were charged %v; each must pay the 10ms TMC increment", ops, charged)
 	}
 	if counter.Increments() != ops {
 		t.Fatalf("counter incremented %d times, want %d", counter.Increments(), ops)

@@ -219,15 +219,15 @@ func TestRunSyncWritesAblationSmoke(t *testing.T) {
 		}
 		byName[p.Name] = p
 	}
+	// Counted, not timed: at batch 1 per-batch fsync covers one record
+	// per fsync, and group commit must cover at least 1.5 (the full-
+	// fidelity run shows ≥3x the throughput).
 	group, perBatch := byName["lcm-sync-delta-group"], byName["lcm-sync-delta-fsync"]
-	if group.AvgGroup <= 1 {
-		t.Fatalf("committer never coalesced: avg group = %.2f", group.AvgGroup)
+	if perBatch.AvgGroup != 1 {
+		t.Fatalf("per-batch fsync covered %.2f records per fsync, want 1", perBatch.AvgGroup)
 	}
-	// The full-fidelity run shows ≥3x; at smoke scale the real fsync cost
-	// narrows the gap, so assert a conservative margin.
-	if group.Throughput < 1.5*perBatch.Throughput {
-		t.Fatalf("group commit %f ops/s not meaningfully faster than per-batch fsync %f ops/s",
-			group.Throughput, perBatch.Throughput)
+	if group.AvgGroup < 1.5 {
+		t.Fatalf("group commit covered %.2f records per fsync, want ≥ 1.5", group.AvgGroup)
 	}
 }
 
@@ -323,11 +323,11 @@ func TestRunBatchGroupSweepSmoke(t *testing.T) {
 		}
 		byName[p.Name] = p
 	}
-	// At batch 1 the committer is the only fsync amortizer, so the group
-	// arm must win clearly (the full-scale margin is >=3x; smoke scale
-	// narrows it).
-	if g, p := byName["lcm-batch1-group"], byName["lcm-batch1-sync"]; g.Throughput < 1.2*p.Throughput {
-		t.Fatalf("group commit at batch 1 (%f) not faster than plain sync (%f)", g.Throughput, p.Throughput)
+	// At batch 1 the committer is the only fsync amortizer: counted, the
+	// group arm covers at least 1.2 records per fsync where plain sync
+	// covers one (the full-scale throughput margin is >=3x).
+	if g, p := byName["lcm-batch1-group"], byName["lcm-batch1-sync"]; p.AvgGroup != 1 || g.AvgGroup < 1.2 {
+		t.Fatalf("records per fsync at batch 1: group commit %.2f (want ≥ 1.2), plain sync %.2f (want 1)", g.AvgGroup, p.AvgGroup)
 	}
 }
 
@@ -413,10 +413,9 @@ func TestScaleZeroChargesNothing(t *testing.T) {
 		t.Fatalf("MemoryConfig{}.fill().Scale = %v, want 0", s)
 	}
 	m := RunConfig{}.fill().model()
-	start := time.Now()
 	m.WaitTMC() // 60 ms at scale 1
 	m.WaitSyncWrite()
-	if d := time.Since(start); d > 10*time.Millisecond {
+	if d := m.Charged(); d != 0 {
 		t.Fatalf("a Scale 0 model charged %v for a counter increment and an fsync", d)
 	}
 }

@@ -35,10 +35,10 @@ func TestCheckpointOldBlobNewerSegmentsRecovers(t *testing.T) {
 	}
 }
 
-// Segments that are swapped, or records reordered inside one, fail the
-// chain link and halt recovery. Beacon records keep every other check
-// satisfied (each starts and ends at the same sequence number), so the
-// link is the only thing that can catch them.
+// Segments that are swapped, or records reordered inside one, put a
+// record where it was not sealed and halt recovery. Beacon records start
+// and end at the same sequence number, so only Prev in the associated
+// data can tell them apart.
 func TestCheckpointSplicedOrSwappedSegmentsHalt(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -61,15 +61,7 @@ func TestCheckpointSplicedOrSwappedSegmentsHalt(t *testing.T) {
 			r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.cutRecords = tc.cutRecords })
 			r.noCheckpoints = true
 			for i := 0; i < 3; i++ {
-				resp, err := r.enclave.Call(EncodeBeaconCall())
-				if err != nil {
-					t.Fatal(err)
-				}
-				batch, err := DecodeBatchResult(resp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.persistBatch(batch); err != nil {
+				if err := r.beacon(); err != nil {
 					t.Fatal(err)
 				}
 			}

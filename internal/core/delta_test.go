@@ -67,10 +67,8 @@ func newRigOver(t *testing.T, store stablestore.Store, clientIDs []uint32, tune 
 // present.
 func goldenDeltaRecord() *deltaRecord {
 	return &deltaRecord{
-		FromT:    7,
-		ToT:      9,
-		AdminSeq: 3,
-		Prev:     blobHash([]byte("previous")),
+		FromT: 7,
+		ToT:   9,
 		Entries: map[uint32]*ventry{
 			2: {TA: 5, T: 8, LastReply: []byte("reply-2")},
 			1: {TA: 7, T: 9, LastReply: []byte("reply-1")},
@@ -98,8 +96,9 @@ func TestDeltaRecordRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	// FromT is in the associated data, not in the encoding.
 	gotFields, wantFields := *got, *rec
-	gotFields.Entries, wantFields.Entries = nil, nil
+	gotFields.Entries, wantFields.Entries, wantFields.FromT = nil, nil, 0
 	if fmt.Sprintf("%+v", gotFields) != fmt.Sprintf("%+v", wantFields) || len(got.Entries) != 2 {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, rec)
 	}
@@ -339,6 +338,63 @@ func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
 	kv, _ := tr.mustGet(1, "k")
 	if string(kv.Value) != "v5" {
 		t.Fatalf("migrated+compacted value = %q", kv.Value)
+	}
+}
+
+// beacon commits one heartbeat beacon as the host does: the record is
+// persisted, then the reserved counter tick confirmed.
+func (r *rig) beacon() error {
+	resp, err := r.enclave.Call(EncodeBeaconCall())
+	if err != nil {
+		return err
+	}
+	batch, err := DecodeBatchResult(resp)
+	if err == nil {
+		err = r.persistBatch(batch)
+	}
+	if err == nil {
+		_, err = r.enclave.Call(EncodeBeaconConfirmCall())
+	}
+	return err
+}
+
+// A chain-mode migration target seals the beacon tick it rebases on its
+// own platform's counter: restarted before its first beacon, it folds that
+// tick, not the origin's, and its next beacon is not a clone verdict.
+func TestChainMigrationSealsRebasedBeaconTick(t *testing.T) {
+	r := newRig(t, []uint32{1})
+	r.mustPut(1, "k", "v1")
+	for i := 0; i < 3; i++ {
+		if err := r.beacon(); err != nil {
+			t.Fatalf("origin beacon %d: %v", i, err)
+		}
+	}
+	target, err := tee.NewPlatform("plat-migrate-beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.attestation.Register(target)
+	tr := &rig{t: t, storage: stablestore.NewRollbackStore(stablestore.NewMemStore()), clients: r.clients}
+	tr.enclave = target.NewEnclave(NewTrustedFactory(TrustedConfig{
+		ServiceName: "kvs",
+		NewService:  kvs.Factory(),
+		Attestation: r.attestation,
+	}), tr.storage)
+	if err := tr.enclave.Start(); err != nil {
+		t.Fatal(err)
+	}
+	copySealedState(t, tr.storage, r.storage)
+	if err := Migrate(r.enclave.Call, tr.enclave.Call); err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	if err := tr.enclave.Restart(); err != nil {
+		t.Fatalf("target restart: %v", err)
+	}
+	if err := tr.beacon(); err != nil {
+		t.Fatalf("first beacon after migration and restart: %v", err)
+	}
+	if kv, _ := tr.mustGet(1, "k"); string(kv.Value) != "v1" {
+		t.Fatalf("migrated value = %q", kv.Value)
 	}
 }
 

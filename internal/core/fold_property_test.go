@@ -28,8 +28,9 @@ func (foldEnv) ChargeMemory(int64)       {}
 
 // foldStored folds a deployment's stored blob and chain in a scratch
 // context, with the install and foldDeltaLog that recovery, chain-mode
-// migration and reshard import run.
-func foldStored(storage stablestore.Store, kp aead.Key) (*Trusted, error) {
+// migration and reshard import run; move, if set, first changes the
+// blob's state.
+func foldStored(storage stablestore.Store, kp aead.Key, move func(*trustedState)) (*Trusted, error) {
 	blob, err := storage.Load(SlotStateBlob)
 	if err != nil {
 		return nil, err
@@ -37,6 +38,9 @@ func foldStored(storage stablestore.Store, kp aead.Key) (*Trusted, error) {
 	state, seg, err := openStateBlob(kp, blob, func() ([]byte, error) { return storage.Load(SlotStateBlob) })
 	if err != nil {
 		return nil, err
+	}
+	if move != nil {
+		move(state)
 	}
 	p := &Trusted{newService: kvs.Factory(), svc: kvs.New()}
 	p.deltaSvc = p.svc.(service.DeltaService)
@@ -414,14 +418,6 @@ func (f *foldRig) migrate() {
 	}
 	f.platform, f.storage, f.enclave = target, storage, enclave
 	f.reads = false
-	// The import rebases the beacon tick on this platform's counter but
-	// seals nothing: until a beacon record carries the new tick, a
-	// restart folds the origin's and the next beacon halts as a clone.
-	// Beacon at once (a known limit; ROADMAP's follow-ups).
-	f.callPersist(EncodeBeaconCall())
-	if _, err := f.enclave.Call(EncodeBeaconConfirmCall()); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // copyStored copies the stored blob and segments up to last to dst, as
@@ -524,7 +520,7 @@ func TestQuickFoldMatchesLiveState(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			history = append(history, f.step())
 			ran[strings.Fields(history[i])[0]]++
-			folded, err := foldStored(f.storage, f.admin.StateKey())
+			folded, err := foldStored(f.storage, f.admin.StateKey(), nil)
 			if err == nil {
 				err = sameState(f.live, folded)
 			}

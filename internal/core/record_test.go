@@ -18,7 +18,7 @@ import (
 // recordFields breaks a record's sealed size down by field, in layout
 // order; the parts sum to the sealed size.
 func recordFields(rec *deltaRecord) [][2]any {
-	fields := [][2]any{{"aead nonce+tag", aead.Overhead}, {"version+flags", 2}, {"FromT ToT AdminSeq Prev", 56}, {"entry count", 4}}
+	fields := [][2]any{{"aead nonce+tag", aead.Overhead}, {"version+flags", 2}, {"ToT", 8}, {"entry count", 4}}
 	for _, id := range rec.Entries.clientIDs() {
 		e := rec.Entries[id]
 		fields = append(fields, [2]any{fmt.Sprintf("entry %d id+T+H", id), 4 + 8 + 32})
@@ -45,23 +45,41 @@ func recordFields(rec *deltaRecord) [][2]any {
 	return fields
 }
 
-// lastRecord opens the newest record of segment seg.
+// lastRecord opens the newest record of segment seg, walking the stored
+// chain from the blob to reach its chain position.
 func (r *rig) lastRecord(seg uint64) (*deltaRecord, int) {
 	r.t.Helper()
-	log, err := r.storage.LoadLog(SegmentSlot(seg))
-	if err != nil || len(log) == 0 {
-		r.t.Fatalf("segment %d: %d records (%v)", seg, len(log), err)
-	}
-	sealed := log[len(log)-1]
-	plain, err := aead.Open(r.admin.kp, sealed, []byte(adDeltaLog))
+	blob, err := r.storage.Load(SlotStateBlob)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	rec, err := decodeDeltaRecord(plain)
+	base, from, err := openStateBlob(r.admin.kp, blob, func() ([]byte, error) { return r.storage.Load(SlotStateBlob) })
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	return rec, len(sealed)
+	var ad recordAD
+	prev, t := base.Head, base.SeqT
+	for ; from <= seg; from++ {
+		log, err := r.storage.LoadLog(SegmentSlot(from))
+		if err != nil || (from == seg && len(log) == 0) {
+			r.t.Fatalf("segment %d: %d records (%v)", from, len(log), err)
+		}
+		for i, sealed := range log {
+			plain, err := aead.Open(r.admin.kp, sealed, ad.at(prev, t, base.AdminSeq))
+			if err != nil {
+				r.t.Fatalf("segment %d record %d: %v", from, i, err)
+			}
+			rec, err := decodeDeltaRecord(plain)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			if from == seg && i == len(log)-1 {
+				return rec, len(sealed)
+			}
+			prev, t = blobHash(sealed), rec.ToT
+		}
+	}
+	panic("unreachable")
 }
 
 // The sealed size of a one-op record is pinned: a put of bench/'s 40-byte
@@ -79,8 +97,8 @@ func TestDeltaRecordByteBudget(t *testing.T) {
 		op   []byte
 		want int
 	}{
-		{"put", kvs.Put(key, value), 429},
-		{"get", kvs.Get(key), 372},
+		{"put", kvs.Put(key, value), 381},
+		{"get", kvs.Get(key), 324},
 	} {
 		r.mustDo(1, tc.op)
 		r.mustDo(2, tc.op)
@@ -159,6 +177,65 @@ func TestVersion1RecordFailsWithErrRecordVersion(t *testing.T) {
 	}
 	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrRecordVersion) {
 		t.Fatalf("halt = %v, want ErrRecordVersion", err)
+	}
+}
+
+// A record in the committed version-2 format (FromT, AdminSeq and Prev in
+// the plaintext, sealed under the bare label) fails the same way: its
+// decode reports ErrRecordVersion, and a restart over a log holding one
+// halts with that cause, not as a record that failed authentication.
+func TestVersion2RecordFailsWithErrRecordVersion(t *testing.T) {
+	v2, err := os.ReadFile("testdata/delta-record-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeDeltaRecord(v2); !errors.Is(err, ErrRecordVersion) {
+		t.Fatalf("decode of a version-2 record = %v, want ErrRecordVersion", err)
+	}
+	r := newRig(t, []uint32{1, 2})
+	r.mustPut(1, "a", "1")
+	sealed, err := aead.Seal(r.admin.kp, v2, []byte(adDeltaLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.storage.Append(SlotDeltaLog, sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
+		t.Fatalf("restart over a version-2 record = %v, want a halt", err)
+	}
+	var halt *tee.HaltError
+	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrRecordVersion) || !errors.As(err, &halt) || halt.Reason != "delta record version unknown" {
+		t.Fatalf("halt = %v, want ErrRecordVersion", err)
+	}
+}
+
+// Every part of a record's chain position is sealed into its associated
+// data: the stored chain, folded from a base whose head (Prev), sequence
+// number (FromT) or admin sequence number is off, halts on its first
+// record as one that failed authentication. Unmoved, it folds.
+func TestRecordADBindsChainPosition(t *testing.T) {
+	r := newRig(t, []uint32{1, 2})
+	r.mustPut(1, "a", "1")
+	r.mustPut(2, "b", "2")
+	if _, err := foldStored(r.storage, r.admin.kp, nil); err != nil {
+		t.Fatalf("fold at the sealed position: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		move func(*trustedState)
+	}{
+		{"Prev", func(s *trustedState) { s.Head[0] ^= 1 }},
+		{"FromT", func(s *trustedState) { s.SeqT++ }},
+		{"AdminSeq", func(s *trustedState) { s.AdminSeq++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := foldStored(r.storage, r.admin.kp, tc.move)
+			var halt *tee.HaltError
+			if !errors.As(err, &halt) || halt.Reason != "delta record failed authentication" || !errors.Is(err, aead.ErrAuth) {
+				t.Fatalf("fold at a wrong %s = %v, want a halt on authentication", tc.name, err)
+			}
+		})
 	}
 }
 

@@ -21,14 +21,11 @@ package core
 //
 // # Delta record layout
 //
-// Each record's plaintext (version 2) is:
+// Each record's plaintext (version 3) is:
 //
 //	U8       version      recordVersion
 //	U8       flags        which optional fields [..] follow
-//	U64      FromT        t before the batch (chain continuity check)
 //	U64      ToT          t after the batch
-//	U64      AdminSeq     must equal the base blob's (admin ops re-seal)
-//	Bytes32  Prev         SHA-256 of the predecessor ciphertext
 //	U32      n            number of touched V entries
 //	n ×      U32 id, [U64 TA, Bytes32 HA], U64 T, Bytes32 H, Var LastReply
 //	[Var     ServiceDelta]  service.DeltaService.Delta() output
@@ -37,8 +34,17 @@ package core
 //	[U64     GroupEpoch]    membership epoch (group.go)
 //	[U64     QFloor]        monotone stability floor
 //
-// and is sealed with AEAD under kP with associated data adDeltaLog. An
-// optional field is written only when the fold (applyRecord) cannot
+// sealed under kP with its chain position as associated data (recordAD),
+// adDeltaLog ‖ Bytes32 Prev ‖ U64 FromT ‖ U64 AdminSeq. Prev is the SHA-256
+// of the predecessor ciphertext (or the blob's Head), FromT is t before
+// the batch. None of the three is written: the fold builds the associated
+// data from its own (chainPrev, t, adminSeq), so a record opens only at
+// the exact position it was sealed for. A record spliced in, replayed,
+// reordered or from before an admin re-seal fails authentication, and
+// recovery halts; version 2 wrote the three and compared them after
+// opening.
+//
+// An optional field is written only when the fold (applyRecord) cannot
 // derive it; absent, the fold supplies it:
 //
 //   - (TA, HA), per record: absent when every entry is an op that ran.
@@ -59,57 +65,26 @@ package core
 // the same chain, so a clone committing beacons forks it like any other
 // divergent writer.
 //
-// Old data fails with a named error, and there is no in-place migration:
-// a record of another version (version 1 has no version byte; its first
-// byte, FromT's high byte, reads as 0) with ErrRecordVersion, and a log
-// segment without stablestore.LogHeader with stablestore.ErrLogVersion.
+// Old data fails by name, with no in-place migration: a record sealed
+// under the bare adDeltaLog label (versions 1, 2) with ErrRecordVersion,
+// a log segment without stablestore.LogHeader with its ErrLogVersion.
 //
 // # Chaining and checkpoints
 //
-// Prev binds every record to the exact ciphertext that precedes it, or
-// to the blob's Head. The chain runs across segments in segment order and
-// never restarts. The batch that takes the chain's sealed bytes past
-// CompactRatio times the last snapshot's size (within CompactMinRecords
-// and CompactMaxRecords records) appends its record, then cuts: it
-// freezes V, the group and beacon state, the head h_S at its sequence S
-// and a view of the service (service.Freezer, or Snapshot), and later
-// records go to the next segment. The host seals the frozen state off
-// the request path, stores it once S is durable, and drops the segments
-// below it. Recovery folds the blob's segment and every later one that
-// holds records; the cut record closed the segment before, so none of
-// them holds a record at or before S. Inline seals write the blob at
-// once, with the current head, in a new segment unless the current one
-// is empty. The rollback argument, row by row:
-//
-//   - Old blob + a longer log is the full chain: every later segment
-//     links. A crash before the blob write, or a failed one, leaves this.
-//   - New blob + a stale or missing post-S segment is a truncated suffix.
-//     Clients whose contexts are ahead of the folded V detect it.
-//   - Spliced, swapped or reordered segments break a link: halt.
-//   - A crash between the blob write and the drop leaves segments below
-//     the blob's, which recovery never reads; a crash during an append
-//     leaves a torn tail, which is a truncated suffix of unacknowledged
-//     records.
-//
-// # Group commit (host side)
-//
-// The enclave's per-batch output is one sealed delta record; making it
-// durable is the host's job, and under fsync-per-write storage that cost
-// dominates. The host's group-commit pipeline (internal/host) therefore
-// decouples the ecall loop from persistence: batch results queue at a
-// committer which appends every queued record in one Store.AppendGroup
-// call — a single write and a single fsync for the whole group — while
-// the next ecall already runs. Replies are still released only after the
-// group's fsync returns, so the crash-tolerance contract (a reply seen by
-// a client implies its record is durable) is unchanged; the enclave may
-// merely run ahead of the disk by the in-flight window, which a crash
-// converts into ordinary unacknowledged work. A failed group is handled
-// like a crash: the host restarts the enclave so the chain re-folds from
-// the on-disk segments, and the affected clients converge through the
-// Sec. 4.6.1 retry protocol. Non-batch ecalls (status, admin, migration)
-// act as barriers — the host flushes the committer first — so every
-// administrative view of the storage is consistent with acknowledged
-// batches.
+// The chain runs across segments in segment order and never restarts.
+// The batch that takes the chain's sealed bytes past CompactRatio times
+// the last snapshot's size (within CompactMinRecords and
+// CompactMaxRecords records) appends its record, then cuts: it freezes V,
+// the group and beacon state, the head h_S at its sequence S and a view
+// of the service (service.Freezer, or Snapshot), and later records go to
+// the next segment. The host seals the frozen state off the request path,
+// stores it once S is durable, and drops the segments below it. Recovery
+// folds the blob's segment and every later one that holds records; the
+// cut record closed the segment before, so none of them holds a record at
+// or before S. Inline seals write the blob at once, with the current
+// head, in a new segment unless the current one is empty. Making records
+// durable (group commit) is the host's job. docs/ARCHITECTURE.md §2 gives
+// both, and the rollback argument row by row.
 
 import (
 	"crypto/sha256"
@@ -149,6 +124,17 @@ const (
 // blobHash condenses a sealed delta record (ciphertext) for chain
 // binding.
 func blobHash(blob []byte) [32]byte { return sha256.Sum256(blob) }
+
+// recordAD is a delta record's associated data (see the layout above).
+type recordAD [len(adDeltaLog) + 32 + 8 + 8]byte
+
+// at fills ad with the chain position (prev, fromT, adminSeq).
+func (ad *recordAD) at(prev [32]byte, fromT, adminSeq uint64) []byte {
+	copy(ad[copy(ad[:], adDeltaLog):], prev[:])
+	binary.BigEndian.PutUint64(ad[len(adDeltaLog)+32:], fromT)
+	binary.BigEndian.PutUint64(ad[len(adDeltaLog)+40:], adminSeq)
+	return ad[:]
+}
 
 // SegmentSlot names log segment seg; segment 0 is SlotDeltaLog.
 func SegmentSlot(seg uint64) string {
@@ -352,18 +338,16 @@ func decodeTrustedState(b []byte) (*trustedState, error) {
 	return s, nil
 }
 
-// deltaRecord is the plaintext of one sealed delta-log record: the batch's
-// sequence range, the V entries it touched, and the service delta, chained
-// to the predecessor ciphertext via Prev (see the package docs above). An
+// deltaRecord is one delta-log record: the batch's sequence range, the V
+// entries it touched, and the service delta (see the package docs above).
+// FromT is sealed into the associated data (recordAD), not encoded. An
 // optional field is absent when zero, empty or false.
 type deltaRecord struct {
-	FromT    uint64
-	ToT      uint64
-	AdminSeq uint64
-	Prev     [32]byte
-	Entries  vmap
-	Anchors  bool // the entries carry their (TA, HA)
-	Delta    []byte
+	FromT   uint64
+	ToT     uint64
+	Entries vmap
+	Anchors bool // the entries carry their (TA, HA)
+	Delta   []byte
 	// BeaconSeq > 0 marks a heartbeat beacon record; BeaconTick is the
 	// platform counter tick it reserved. Both zero on batch records.
 	BeaconSeq  uint64
@@ -376,7 +360,7 @@ type deltaRecord struct {
 }
 
 // Delta record version and presence flags (bit i: flags()'s i-th field).
-const recordVersion = 2
+const recordVersion = 3
 
 const (
 	recAnchors = 1 << iota
@@ -398,7 +382,7 @@ func (d *deltaRecord) flags() (f byte) {
 
 // encodedSize bounds the encoding's size: every optional field counted.
 func (d *deltaRecord) encodedSize() int {
-	size := 2 + 8 + 8 + 8 + 32 + 4 + 4 + len(d.Delta) + 16 + 4 + 4*len(d.Removed) + 16
+	size := 2 + 8 + 4 + 4 + len(d.Delta) + 16 + 4 + 4*len(d.Removed) + 16
 	for _, e := range d.Entries {
 		size += vEntryMinSize + len(e.LastReply)
 	}
@@ -409,10 +393,7 @@ func (d *deltaRecord) encodeTo(w *wire.Writer) {
 	flags := d.flags()
 	w.U8(recordVersion)
 	w.U8(flags)
-	w.U64(d.FromT)
 	w.U64(d.ToT)
-	w.U64(d.AdminSeq)
-	w.Bytes32(d.Prev)
 	encodeVMap(w, d.Entries, d.Anchors)
 	if flags&recDelta != 0 {
 		w.Var(d.Delta)
@@ -445,7 +426,7 @@ func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 		return nil, fmt.Errorf("%w: %d", ErrRecordVersion, v)
 	}
 	flags := r.U8()
-	d := &deltaRecord{FromT: r.U64(), ToT: r.U64(), AdminSeq: r.U64(), Prev: r.Bytes32(), Anchors: flags&recAnchors != 0}
+	d := &deltaRecord{ToT: r.U64(), Anchors: flags&recAnchors != 0}
 	d.Entries = decodeVMap(r, d.Anchors)
 	if flags&recDelta != 0 {
 		d.Delta = r.Var()

@@ -79,26 +79,28 @@ func withFlags(golden *deltaRecord, flags byte) *deltaRecord {
 }
 
 // FuzzDecodeDeltaRecord: the same three oracles for a delta-log record,
-// seeded with every combination of the optional fields and with the
-// committed version-1 record.
+// seeded with every combination of the optional fields (version 3) and
+// with the committed version-1 and version-2 records.
 func FuzzDecodeDeltaRecord(f *testing.F) {
 	golden := goldenDeltaRecord()
 	for flags := 0; flags < recQFloor<<1; flags++ {
 		f.Add(withFlags(golden, byte(flags)).encode())
 	}
 	enc := golden.encode()
-	entriesCount := 2 + 8 + 8 + 8 + 32             // version, flags, FromT, ToT, AdminSeq, Prev
+	entriesCount := 2 + 8                          // version, flags, ToT
 	removedCount := len(enc) - (4 + 4 + 4 + 8 + 8) // before the ids, GroupEpoch, QFloor
 	f.Add(enc[:len(enc)-1])
 	f.Add(make([]byte, 40))
 	f.Add(withCount(enc, entriesCount, 1<<24))
 	f.Add(withCount(enc, entriesCount, 0xFFFFFFFF))
 	f.Add(withCount(enc, removedCount, 1<<30))
-	v1, err := os.ReadFile("testdata/delta-record-v1.bin")
-	if err != nil {
-		f.Fatal(err)
+	for _, old := range []string{"testdata/delta-record-v1.bin", "testdata/delta-record-v2.bin"} {
+		b, err := os.ReadFile(old)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
-	f.Add(v1)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var (
 			d   *deltaRecord

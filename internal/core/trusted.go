@@ -81,6 +81,7 @@ type Trusted struct {
 	snapBytes    atomic.Int64               // size of the last sealed snapshot
 	compactions  uint64
 	lastCompactT uint64
+	ad           recordAD // a record's associated data is built here
 
 	// Heartbeat-beacon state (clone detection — see handleBeacon): the
 	// count of beacon records this context has committed, the platform
@@ -274,9 +275,12 @@ func (p *Trusted) foldDeltaLog(env tee.Env, base *trustedState, seg uint64, blob
 		if p.deltaSvc == nil {
 			return tee.Halt("delta log present but service cannot apply deltas", nil)
 		}
-		for _, sealed := range records {
+		for i, sealed := range records {
 			// LoadLog's records are ours to open in place.
 			if refused, err := p.foldRecord(sealed, aead.OpenInPlace); refused != "" {
+				if errors.Is(err, aead.ErrAuth) && p.oldRecord(env, slot(seg), i) {
+					refused, err = "delta record version unknown", fmt.Errorf("%w: sealed before version %d", ErrRecordVersion, recordVersion)
+				}
 				return tee.Halt(refused, err)
 			} else if err != nil {
 				return err
@@ -289,12 +293,12 @@ func (p *Trusted) foldDeltaLog(env tee.Env, base *trustedState, seg uint64, blob
 	return nil
 }
 
-// foldRecord opens a sealed record with open and folds it. One that does
-// not open, decode or link onto the head is refused, with the reason
-// recovery halts on; one that links folds under applyRecord's halts.
+// foldRecord opens a sealed record with open at the head's chain position
+// and folds it. One that does not open there or decode is refused, with
+// the reason recovery halts on; one that opens folds under applyRecord's.
 func (p *Trusted) foldRecord(sealed []byte, open func(k aead.Key, ct, ad []byte) ([]byte, error)) (refused string, err error) {
 	sum, size := blobHash(sealed), len(sealed) // before an in-place open
-	plain, err := open(p.kp, sealed, []byte(adDeltaLog))
+	plain, err := open(p.kp, sealed, p.ad.at(p.chainPrev, p.t, p.adminSeq))
 	if err != nil {
 		return "delta record failed authentication", err
 	}
@@ -304,20 +308,25 @@ func (p *Trusted) foldRecord(sealed []byte, open func(k aead.Key, ct, ad []byte)
 		return "delta record version unknown", err
 	case err != nil:
 		return "delta record malformed", err
-	case rec.Prev != p.chainPrev:
-		return "delta log chain broken", nil
 	}
 	return "", p.applyRecord(rec, sum, size)
 }
 
-// applyRecord folds a record that links onto the head, whose ciphertext
+// oldRecord reports whether record i of slot opens under the bare label
+// of versions 1 and 2, in a reload: a failed in-place open leaves no copy.
+func (p *Trusted) oldRecord(env tee.Env, slot string, i int) bool {
+	records, err := env.Host().LoadLog(slot)
+	if err == nil && i < len(records) {
+		_, err = aead.OpenInPlace(p.kp, records[i], []byte(adDeltaLog))
+	}
+	return err == nil && i < len(records)
+}
+
+// applyRecord folds a record that opened at the head, whose ciphertext
 // hashes to sum, supplying each absent optional field (state.go's rules).
 func (p *Trusted) applyRecord(rec *deltaRecord, sum [32]byte, size int) error {
-	if rec.FromT != p.t || rec.ToT < rec.FromT {
-		return tee.Halt("delta record sequence discontinuity", nil)
-	}
-	if rec.AdminSeq != p.adminSeq {
-		return tee.Halt("delta record admin sequence mismatch", nil)
+	if rec.ToT < p.t {
+		return tee.Halt("delta record sequence runs backwards", nil)
 	}
 	t, h := p.t, p.h // moved only by an entry naming ToT
 	for id, e := range rec.Entries {
@@ -777,7 +786,7 @@ func (p *Trusted) sealDeltaRecord(rec *deltaRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lcm: service delta: %w", err)
 	}
-	rec.ToT, rec.AdminSeq, rec.Prev, rec.Delta = p.t, p.adminSeq, p.chainPrev, delta
+	rec.ToT, rec.Delta = p.t, delta
 	if p.g.epoch != p.chainEpoch {
 		rec.GroupEpoch = p.g.epoch
 	}
@@ -789,7 +798,7 @@ func (p *Trusted) sealDeltaRecord(rec *deltaRecord) ([]byte, error) {
 	w := wire.NewWriter(aead.Overhead + rec.encodedSize())
 	w.Pad(aead.NonceSize)
 	rec.encodeTo(w)
-	sealed, err := aead.SealInPlace(p.kp, w.Bytes(), []byte(adDeltaLog))
+	sealed, err := aead.SealInPlace(p.kp, w.Bytes(), p.ad.at(p.chainPrev, rec.FromT, p.adminSeq))
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal delta record: %w", err)
 	}
@@ -1341,9 +1350,19 @@ func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, pay
 	}
 	// The payload's beacon ordinal is authoritative (≥ anything the fold
 	// reconstructed); the counter tick rebases on this platform, exactly
-	// as in the snapshot-mode import.
+	// as in the snapshot-mode import, and is sealed before the key blob
+	// commits the import (no counter of kP moves before a first beacon).
 	p.beaconSeq = state.BeaconSeq
 	p.beaconTick = env.CounterRead(p.counterID())
+	if p.beaconSeq > 0 {
+		sealed, err := p.sealDeltaRecord(&deltaRecord{FromT: p.t, BeaconSeq: p.beaconSeq, BeaconTick: p.beaconTick})
+		if err == nil {
+			err = env.Host().Append(SegmentSlot(p.seg), sealed)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lcm: chain-mode migration: seal beacon tick: %w", err)
+		}
+	}
 	p.chargeFootprint(env)
 	// Re-seal only kP under this platform's sealing key; the sealed state
 	// and delta log stay as-is and the chain continues from them.

@@ -505,7 +505,7 @@ func (e *Enclave) Start() error {
 		if errors.As(err, &halt) {
 			e.halted = true
 			e.haltErr = err
-			return ErrEnclaveHalted
+			return fmt.Errorf("%w: %v", ErrEnclaveHalted, err)
 		}
 		return fmt.Errorf("tee: program init: %w", err)
 	}
