@@ -1,15 +1,15 @@
 // Command lcm-bench regenerates the paper's evaluation (Sec. 6): every
-// figure and in-text measurement, against the simulated TEE substrate.
+// figure and in-text measurement, against the simulated TEE substrate,
+// plus the three protocol-shape ablations bench/ cannot express (live
+// reshard pause, clone-detection latency, membership scale).
 //
 // Usage:
 //
-//	lcm-bench -experiment fig4|fig5|fig6|memory|msgsize|tmc|ablation|sealablation|syncablation|shardablation|scanablation|batchgroup|reshardablation|replication|readablation|cloneablation|membership|ci|all \
+//	lcm-bench -experiment fig4|fig5|fig6|memory|msgsize|tmc|reshardablation|cloneablation|membership|all \
 //	          [-duration 2s] [-scale 1.0] [-records 1000] [-seed 42] \
 //	          [-latencymodel spin|sleep] [-jsonOut path]
 //
-// The "ci" experiment runs the sealing and sync-writes ablation smokes and
-// — together with -jsonOut — emits the measured points as a JSON artifact,
-// so the per-PR perf trajectory is tracked by the CI pipeline.
+// -jsonOut writes the ablations' measured points as JSON.
 //
 // The paper measures each data point over 30 s; the default window here is
 // 2 s so a full figure regenerates in minutes. Use -duration 30s for a
@@ -19,9 +19,9 @@
 //
 // -latencymodel sleep makes every injected charge a timer sleep instead of
 // a sub-100µs busy-wait: charged enclave time then overlaps across shard
-// instances regardless of the host's core count, so shard scaling is
-// measurable at small object sizes even on a single-core CI runner (at the
-// cost of per-charge timing precision).
+// instances regardless of the host's core count, so the reshard
+// ablation's shard scaling is measurable even on a single-core CI runner
+// (at the cost of per-charge timing precision).
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 
 func run() error {
 	var (
-		experiment = flag.String("experiment", "all", "fig4|fig5|fig6|memory|msgsize|tmc|ablation|sealablation|syncablation|shardablation|scanablation|batchgroup|reshardablation|replication|readablation|cloneablation|membership|ci|all")
+		experiment = flag.String("experiment", "all", "fig4|fig5|fig6|memory|msgsize|tmc|reshardablation|cloneablation|membership|all")
 		duration   = flag.Duration("duration", 2*time.Second, "measurement window per data point (paper: 30s)")
 		scale      = flag.Float64("scale", 1.0, "latency model scale factor (1.0 = full fidelity, 0 = off)")
 		records    = flag.Int("records", 1000, "object count (paper: 1000)")
@@ -122,53 +122,6 @@ func run() error {
 			}
 			fmt.Println("paper: TMC ≈ 12 ops/s constant; LCM with batching 96x - 2063x faster")
 			fmt.Println()
-		case "ablation":
-			points, err := benchrun.RunBatchAblation(cfg, nil)
-			if err != nil {
-				return err
-			}
-			measured["batchAblation"] = points
-			fmt.Println()
-		case "sealablation":
-			points, err := benchrun.RunSealAblation(cfg, nil)
-			if err != nil {
-				return err
-			}
-			measured["sealAblation"] = points
-			fmt.Println("delta-log persistence seals O(batch) bytes per ecall; full-seal grows with the store")
-			fmt.Println()
-		case "syncablation":
-			points, err := benchrun.RunSyncWritesAblation(cfg, nil)
-			if err != nil {
-				return err
-			}
-			measured["syncWritesAblation"] = points
-			fmt.Println("group commit shares one fsync across concurrent batches; per-batch fsync stays flat")
-			fmt.Println()
-		case "shardablation":
-			points, err := benchrun.RunShardAblation(cfg, nil, nil)
-			if err != nil {
-				return err
-			}
-			measured["shardAblation"] = points
-			fmt.Println("sharding multiplies the single-threaded enclave: N instances ≈ N× aggregate throughput")
-			fmt.Println()
-		case "scanablation":
-			points, err := benchrun.RunScanAblation(cfg, nil, nil)
-			if err != nil {
-				return err
-			}
-			measured["scanAblation"] = points
-			fmt.Println("scans pay the fan-out across all shards; escrow transfers scale with the shard count")
-			fmt.Println()
-		case "batchgroup":
-			points, err := benchrun.RunBatchGroupSweep(cfg, nil)
-			if err != nil {
-				return err
-			}
-			measured["batchGroupSweep"] = points
-			fmt.Println("batching and group commit amortize the same fsync; deep batches subsume the committer")
-			fmt.Println()
 		case "reshardablation":
 			points, err := benchrun.RunReshardAblation(cfg, 2, 4, 8)
 			if err != nil {
@@ -176,22 +129,6 @@ func run() error {
 			}
 			measured["reshardAblation"] = points
 			fmt.Println("a live reshard pauses for the freeze window; throughput recovers on the wider deployment")
-			fmt.Println()
-		case "readablation":
-			points, err := benchrun.RunReadAblation(cfg, nil)
-			if err != nil {
-				return err
-			}
-			measured["readAblation"] = points
-			fmt.Println("snapshot reads bypass the serialized write loop and its fsyncs; writes keep full durability")
-			fmt.Println()
-		case "replication":
-			points, err := benchrun.RunReplicationAblation(cfg, nil, nil, true)
-			if err != nil {
-				return err
-			}
-			measured["replicationAblation"] = points
-			fmt.Println("quorum>=2 pays one extra serialized fsync per commit group — the steady price of healing rollback instead of halting")
 			fmt.Println()
 		case "cloneablation":
 			points, err := benchrun.RunCloneAblation(cfg, nil)
@@ -213,59 +150,6 @@ func run() error {
 			measured["membershipAblation"] = points
 			fmt.Println("witness committees keep stability latency and handoff bytes flat in the registered group size")
 			fmt.Println()
-		case "ci":
-			// The CI gate: the persistence ablations plus a small shard
-			// point, at smoke size (a fixed small keyspace; -duration and
-			// -scale still apply), with the points recorded for the
-			// BENCH_ci.json artifact.
-			ciCfg := cfg
-			ciCfg.Records = 200
-			seal, err := benchrun.RunSealAblation(ciCfg, []int{200})
-			if err != nil {
-				return err
-			}
-			measured["sealAblation"] = seal
-			sync, err := benchrun.RunSyncWritesAblation(ciCfg, []int{8})
-			if err != nil {
-				return err
-			}
-			measured["syncWritesAblation"] = sync
-			shard, err := benchrun.RunShardAblation(ciCfg, []int{1, 2}, []int{8})
-			if err != nil {
-				return err
-			}
-			measured["shardAblation"] = shard
-			scan, err := benchrun.RunScanAblation(ciCfg, []int{1, 2}, []int{4})
-			if err != nil {
-				return err
-			}
-			measured["scanAblation"] = scan
-			reshard, err := benchrun.RunReshardAblation(ciCfg, 2, 4, 4)
-			if err != nil {
-				return err
-			}
-			measured["reshardAblation"] = reshard
-			repl, err := benchrun.RunReplicationAblation(ciCfg, []int{2}, []int{8}, false)
-			if err != nil {
-				return err
-			}
-			measured["replicationAblation"] = repl
-			read, err := benchrun.RunReadAblation(ciCfg, []int{8})
-			if err != nil {
-				return err
-			}
-			measured["readAblation"] = read
-			clone, err := benchrun.RunCloneAblation(ciCfg, []time.Duration{benchrun.DefaultBeaconInterval, 100 * time.Millisecond})
-			if err != nil {
-				return err
-			}
-			measured["cloneAblation"] = clone
-			membership, err := benchrun.RunMembershipAblation(ciCfg, []int{2048, 16384})
-			if err != nil {
-				return err
-			}
-			measured["membershipAblation"] = membership
-			fmt.Println()
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -274,7 +158,7 @@ func run() error {
 
 	runAll := func() error {
 		if *experiment == "all" {
-			for _, name := range []string{"msgsize", "fig4", "fig5", "fig6", "memory", "tmc", "ablation", "sealablation", "syncablation", "shardablation", "batchgroup", "reshardablation", "replication", "readablation", "cloneablation", "membership"} {
+			for _, name := range []string{"msgsize", "fig4", "fig5", "fig6", "memory", "tmc", "reshardablation", "cloneablation", "membership"} {
 				if err := runOne(name); err != nil {
 					return err
 				}

@@ -163,17 +163,9 @@ func TestRunMsgSize(t *testing.T) {
 	}
 }
 
-func TestRunBatchAblationSmoke(t *testing.T) {
-	cfg := quickCfg(t)
-	points, err := RunBatchAblation(cfg, []int{1, 8})
-	if err != nil {
-		t.Fatalf("RunBatchAblation: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-}
-
+// The Sec. 6.5 gap, as the latency model charged it: every SGX+TMC op
+// pays a counter increment, and LCM with batching pays a small fraction
+// of one. The charge is fixed by the ops, where throughput is not.
 func TestRunTMCSmoke(t *testing.T) {
 	cfg := quickCfg(t)
 	cfg.Clients = []int{1}
@@ -182,68 +174,20 @@ func TestRunTMCSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunTMC: %v", err)
 	}
-	var tmcThr, lcmThr float64
+	bySys := map[System]Point{}
 	for _, p := range points {
-		switch p.System {
-		case SysSGXTMC:
-			tmcThr = p.Throughput
-		case SysLCMBatch:
-			lcmThr = p.Throughput
+		if p.Errors > 0 || p.Ops == 0 {
+			t.Fatalf("%s: %d ops, %d errors", p.System, p.Ops, p.Errors)
 		}
+		bySys[p.System] = p
 	}
-	// Even at 0.05 scale (3ms TMC increments) the counter-bound system
-	// must be far slower than LCM with batching.
-	if tmcThr <= 0 || lcmThr <= 0 {
-		t.Fatalf("throughputs: tmc=%f lcm=%f", tmcThr, lcmThr)
+	t.Logf("charged per op: SGX+TMC %v, LCM with batching %v", bySys[SysSGXTMC].ChargedPerOp, bySys[SysLCMBatch].ChargedPerOp)
+	increment := time.Duration(cfg.Scale * float64(latency.DefaultTMCIncrement))
+	if got := bySys[SysSGXTMC].ChargedPerOp; got < increment {
+		t.Fatalf("SGX+TMC charged %v per op, want ≥ one counter increment (%v)", got, increment)
 	}
-	if lcmThr < 2*tmcThr {
-		t.Fatalf("LCM (%f) not meaningfully faster than TMC (%f)", lcmThr, tmcThr)
-	}
-}
-
-func TestRunSyncWritesAblationSmoke(t *testing.T) {
-	cfg := quickCfg(t)
-	cfg.Scale = 0.2 // keep the fsync latency visible so grouping matters
-	cfg.Duration = 400 * time.Millisecond
-	points, err := RunSyncWritesAblation(cfg, []int{8})
-	if err != nil {
-		t.Fatalf("RunSyncWritesAblation: %v", err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3 arms", len(points))
-	}
-	byName := map[string]AblationPoint{}
-	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Fatalf("%s produced no throughput", p.Name)
-		}
-		byName[p.Name] = p
-	}
-	// Counted, not timed: at batch 1 per-batch fsync covers one record
-	// per fsync, and group commit must cover at least 1.5 (the full-
-	// fidelity run shows ≥3x the throughput).
-	group, perBatch := byName["lcm-sync-delta-group"], byName["lcm-sync-delta-fsync"]
-	if perBatch.AvgGroup != 1 {
-		t.Fatalf("per-batch fsync covered %.2f records per fsync, want 1", perBatch.AvgGroup)
-	}
-	if group.AvgGroup < 1.5 {
-		t.Fatalf("group commit covered %.2f records per fsync, want ≥ 1.5", group.AvgGroup)
-	}
-}
-
-func TestRunSealAblationSmoke(t *testing.T) {
-	cfg := quickCfg(t)
-	points, err := RunSealAblation(cfg, []int{200})
-	if err != nil {
-		t.Fatalf("RunSealAblation: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2 (full + delta)", len(points))
-	}
-	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Fatalf("%s produced no throughput", p.Name)
-		}
+	if got := bySys[SysLCMBatch].ChargedPerOp; got <= 0 || got >= increment/2 {
+		t.Fatalf("LCM with batching charged %v per op, want in (0, %v)", got, increment/2)
 	}
 }
 
@@ -289,48 +233,6 @@ func TestDeployShardedLCM(t *testing.T) {
 	}
 }
 
-func TestRunShardAblationSmoke(t *testing.T) {
-	cfg := quickCfg(t)
-	points, err := RunShardAblation(cfg, []int{1, 2}, []int{4})
-	if err != nil {
-		t.Fatalf("RunShardAblation: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
-	}
-	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Fatalf("%s produced no throughput", p.Name)
-		}
-	}
-}
-
-func TestRunBatchGroupSweepSmoke(t *testing.T) {
-	cfg := quickCfg(t)
-	cfg.Scale = 0.2 // keep the fsync latency visible so the arms differ
-	cfg.Duration = 300 * time.Millisecond
-	points, err := RunBatchGroupSweep(cfg, []int{1, 8})
-	if err != nil {
-		t.Fatalf("RunBatchGroupSweep: %v", err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("points = %d, want 4 (2 batches x 2 arms)", len(points))
-	}
-	byName := map[string]AblationPoint{}
-	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Fatalf("%s produced no throughput", p.Name)
-		}
-		byName[p.Name] = p
-	}
-	// At batch 1 the committer is the only fsync amortizer: counted, the
-	// group arm covers at least 1.2 records per fsync where plain sync
-	// covers one (the full-scale throughput margin is >=3x).
-	if g, p := byName["lcm-batch1-group"], byName["lcm-batch1-sync"]; p.AvgGroup != 1 || g.AvgGroup < 1.2 {
-		t.Fatalf("records per fsync at batch 1: group commit %.2f (want ≥ 1.2), plain sync %.2f (want 1)", g.AvgGroup, p.AvgGroup)
-	}
-}
-
 func TestRunReshardAblationSmoke(t *testing.T) {
 	cfg := quickCfg(t)
 	cfg.Duration = 300 * time.Millisecond
@@ -356,53 +258,24 @@ func TestRunReshardAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestRunReplicationAblationSmoke(t *testing.T) {
+func TestRunCloneAblationSmoke(t *testing.T) {
 	cfg := quickCfg(t)
-	points, err := RunReplicationAblation(cfg, []int{2}, []int{4}, false)
+	points, err := RunCloneAblation(cfg, []time.Duration{50 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("RunReplicationAblation: %v", err)
+		t.Fatalf("RunCloneAblation: %v", err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2 (off + q2)", len(points))
+	if len(points) != 3 {
+		t.Fatalf("points = %d, want 3 (beacons off, beacons on, detection)", len(points))
 	}
 	byName := map[string]AblationPoint{}
 	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Fatalf("%s produced no throughput", p.Name)
-		}
 		byName[p.Name] = p
 	}
-	if _, ok := byName["lcm-repl-off"]; !ok {
-		t.Fatal("missing unreplicated arm")
+	if byName["lcm-beacon-off"].Throughput <= 0 || byName["lcm-beacon"].Throughput <= 0 {
+		t.Fatalf("no throughput: %+v", points)
 	}
-	if _, ok := byName["lcm-repl-q2"]; !ok {
-		t.Fatal("missing quorum-2 arm")
-	}
-}
-
-func TestDeployReplicatedLCM(t *testing.T) {
-	dep, err := Deploy(SysLCM, Options{
-		Model:    latency.Scaled(0.01),
-		Dir:      t.TempDir(),
-		Clients:  4,
-		Replicas: 2,
-		Quorum:   2,
-	})
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	defer dep.Close()
-	s, err := dep.NewSession()
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	defer s.Close()
-	if err := s.Put("k", "v"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	v, found, err := s.Get("k")
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("Get = %q %v %v", v, found, err)
+	if byName["lcm-clone-detect"].MeanLat <= 0 {
+		t.Fatal("no detection latency recorded")
 	}
 }
 

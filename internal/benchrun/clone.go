@@ -28,7 +28,7 @@ const DefaultBeaconInterval = 3 * time.Second
 //   - the wall-clock latency from injecting a cloning attack
 //     (host.Server.AttackClone) to one twin halting with a clone
 //     verdict, recorded as a latency-only point (Throughput 0, like the
-//     reshard pause points, so benchdiff reports it without gating).
+//     reshard pause points).
 //
 // Shorter intervals detect faster and cost more; the sweep locates the
 // knee.
@@ -39,7 +39,7 @@ func RunCloneAblation(cfg RunConfig, intervals []time.Duration) ([]AblationPoint
 	}
 	fmt.Fprintln(cfg.Out, "# Ablation — clone-detection beacon interval (8 clients, batching, async writes)")
 
-	base, err := measureOptions(SysLCMBatch, 8, 100, false, 0, cfg, nil, nil)
+	base, err := measure(SysLCMBatch, 8, 100, false, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("beacons off: %w", err)
 	}
@@ -51,9 +51,9 @@ func RunCloneAblation(cfg RunConfig, intervals []time.Duration) ([]AblationPoint
 		"lcm-beacon-off", base.Throughput, base.MeanLat.Round(time.Microsecond))
 
 	for _, iv := range intervals {
-		p, err := measureOptions(SysLCMBatch, 8, 100, false, 0, cfg, func(o *Options) {
+		p, err := measure(SysLCMBatch, 8, 100, false, cfg, func(o *Options) {
 			o.BeaconInterval = iv
-		}, nil)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("beacon %v: %w", iv, err)
 		}

@@ -80,30 +80,22 @@ type Point struct {
 	P99Lat     time.Duration
 	Ops        int
 	Errors     int
+	// ChargedPerOp is what the latency model charged over the window,
+	// per completed op: fixed by the ops the deployment ran, where the
+	// wall clock is not.
+	ChargedPerOp time.Duration
 }
 
 // measure deploys sys, loads the keyspace, runs the YCSB-A window and
-// tears the deployment down.
-func measure(sys System, clients int, valueSize int, syncWrites bool, cfg RunConfig) (Point, error) {
-	return measureWith(sys, clients, valueSize, syncWrites, 0, cfg)
-}
-
-func measureWith(sys System, clients, valueSize int, syncWrites bool, batch int, cfg RunConfig) (Point, error) {
-	return measureOptions(sys, clients, valueSize, syncWrites, batch, cfg, nil, nil)
-}
-
-// measureOptions is measureWith with two hooks for the ablations: tune
-// adjusts the deployment options before Deploy, and inspect (if non-nil)
-// observes the still-running deployment after the measurement window —
-// e.g. to read group-commit statistics before teardown.
-func measureOptions(sys System, clients, valueSize int, syncWrites bool, batch int, cfg RunConfig, tune func(*Options), inspect func(*Deployment)) (Point, error) {
+// tears the deployment down; tune, if non-nil, adjusts the deployment
+// options before Deploy.
+func measure(sys System, clients, valueSize int, syncWrites bool, cfg RunConfig, tune func(*Options)) (Point, error) {
 	opts := Options{
 		Model:      cfg.model(),
 		SyncWrites: syncWrites,
 		Dir:        cfg.Dir,
 		// One extra group slot for the load-phase session.
 		Clients: clients + 1,
-		Batch:   batch,
 	}
 	if tune != nil {
 		tune(&opts)
@@ -114,11 +106,7 @@ func measureOptions(sys System, clients, valueSize int, syncWrites bool, batch i
 	}
 	defer dep.Close()
 
-	workload := ycsb.WorkloadA
-	if opts.Workload != nil {
-		workload = opts.Workload
-	}
-	w := workload(cfg.Records, valueSize)
+	w := ycsb.WorkloadA(cfg.Records, valueSize)
 
 	// Load phase, without the RTT charge (the paper measures only the
 	// transaction phase). Enclave-hosted baselines load as one batch.
@@ -126,14 +114,12 @@ func measureOptions(sys System, clients, valueSize int, syncWrites bool, batch i
 		return Point{}, fmt.Errorf("load %s: %w", sys, err)
 	}
 
+	charged0 := opts.Model.Charged()
 	report, err := ycsb.Run(dep.NewDB, w, clients, cfg.Duration, cfg.Seed)
 	if err != nil {
 		return Point{}, fmt.Errorf("run %s: %w", sys, err)
 	}
-	if inspect != nil {
-		inspect(dep)
-	}
-	return Point{
+	p := Point{
 		System:     sys,
 		X:          clients,
 		Throughput: report.Throughput,
@@ -142,7 +128,11 @@ func measureOptions(sys System, clients, valueSize int, syncWrites bool, batch i
 		P99Lat:     report.P99Lat,
 		Ops:        report.Ops,
 		Errors:     report.Errors,
-	}, nil
+	}
+	if report.Ops > 0 {
+		p.ChargedPerOp = (opts.Model.Charged() - charged0) / time.Duration(report.Ops)
+	}
+	return p, nil
 }
 
 func loadDeployment(dep *Deployment, w *ycsb.Workload, seed int64) error {
@@ -187,7 +177,7 @@ func RunFig4(cfg RunConfig) ([]Point, error) {
 	var points []Point
 	for _, sys := range []System{SysSGXBatch, SysLCMBatch} {
 		for _, size := range cfg.Sizes {
-			p, err := measure(sys, 8, size, false, cfg)
+			p, err := measure(sys, 8, size, false, cfg, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -246,7 +236,7 @@ func runClientSweep(cfg RunConfig, syncWrites bool, systems []System) ([]Point, 
 	var points []Point
 	for _, sys := range systems {
 		for _, clients := range cfg.Clients {
-			p, err := measure(sys, clients, 100, syncWrites, cfg)
+			p, err := measure(sys, clients, 100, syncWrites, cfg, nil)
 			if err != nil {
 				return nil, err
 			}

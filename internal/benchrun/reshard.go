@@ -12,6 +12,13 @@ import (
 	"lcm/internal/kvs"
 )
 
+// reshardValueSize fixes the object size of the reshard ablation at
+// 1000 B: every operation then holds its single-threaded enclave for
+// ~275 µs of charged byte-processing (Fig. 4's regime), which dominates
+// the round trip, so the shard count — not the client side — sets the
+// throughput before and after the reshard.
+const reshardValueSize = 1000
+
 // RunReshardAblation measures what a live reshard costs a serving
 // deployment: clients drive single-key writes in a closed loop while the
 // host grows the deployment from oldShards to newShards mid-run. Three
@@ -22,9 +29,9 @@ import (
 //     swap) and the client-observed stall (last old-generation success →
 //     first new-generation success, which adds the refresh round trip),
 //   - post-reshard throughput, whose ratio to the pre number is the
-//     recovery: with the enclave as the bottleneck (1000 B objects, like
-//     the shard ablation) doubling the shard count should recover to
-//     *more* than 1× once clients re-spread.
+//     recovery: with the enclave as the bottleneck (reshardValueSize
+//     objects) doubling the shard count should recover to *more* than
+//     1× once clients re-spread.
 //
 // Every acknowledged write is re-read after the run through the new
 // generation; a lost write fails the ablation.
@@ -40,13 +47,12 @@ func RunReshardAblation(cfg RunConfig, oldShards, newShards, clients int) ([]Abl
 		clients = 8
 	}
 	fmt.Fprintf(cfg.Out, "# Ablation — live reshard %d→%d shards under %d clients (async writes, batch 1, %d B objects)\n",
-		oldShards, newShards, clients, shardAblationValueSize)
+		oldShards, newShards, clients, reshardValueSize)
 
 	dep, err := Deploy(SysLCM, Options{
 		Model:   cfg.model(),
 		Dir:     cfg.Dir,
 		Clients: clients,
-		Batch:   1,
 		Shards:  oldShards,
 	})
 	if err != nil {
@@ -72,7 +78,7 @@ func RunReshardAblation(cfg RunConfig, oldShards, newShards, clients int) ([]Abl
 		errMu      sync.Mutex
 		firstErr   error
 	)
-	value := string(make([]byte, shardAblationValueSize))
+	value := string(make([]byte, reshardValueSize))
 	fail := func(err error) {
 		errMu.Lock()
 		if firstErr == nil {

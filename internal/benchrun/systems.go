@@ -61,38 +61,11 @@ type Options struct {
 	// Clients is the number of sessions the deployment must support (the
 	// LCM group size).
 	Clients int
-	// Batch overrides the system's default batching depth when > 0
-	// (used by the batching ablation).
-	Batch int
-	// FullSeal makes LCM re-seal the full state every batch instead of
-	// appending sealed delta records — the paper's original persistence,
-	// kept as the comparison arm of the sealing ablation.
-	FullSeal bool
-	// GroupCommit enables the host's pipelined group-commit committer for
-	// LCM deployments: concurrent batches' delta records share one fsync.
-	// The sync-writes ablation compares this against per-batch fsync.
-	GroupCommit bool
 	// Shards partitions an LCM deployment into this many independent
 	// enclave instances (keyspace-sharded; see internal/host). 0 or 1
 	// deploys the classic single enclave. Sessions become sharded
 	// clients routing by key hash. Ignored by the non-LCM systems.
 	Shards int
-	// Replicas mirrors every shard's sealed delta chain onto this many
-	// peer enclave instances (enclave-to-enclave chain replication,
-	// host.Config.Replicas); 0 runs unreplicated. LCM only.
-	Replicas int
-	// Quorum is the number of durable copies — the primary's local fsync
-	// plus peer acks — required before a reply is released; 0 picks the
-	// host's majority default. Only meaningful with Replicas > 0.
-	Quorum int
-	// SnapshotReads turns on the host's snapshot-isolated read path
-	// (host.Config.SnapshotReads) AND routes the workload's reads through
-	// the sessions' DoRead instead of the serialized write loop. LCM only.
-	SnapshotReads bool
-	// Workload overrides the YCSB mix (default ycsb.WorkloadA, the
-	// paper's 50/50); the read ablation measures the read-heavy
-	// ycsb.WorkloadB.
-	Workload func(recordCount, valueSize int) *ycsb.Workload
 	// BeaconInterval turns on the host's chain-heartbeat beacon at this
 	// period (host.Config.BeaconInterval); 0 disables. The clone
 	// ablation sweeps it against throughput and detection latency. LCM
@@ -118,8 +91,7 @@ type Deployment struct {
 	keys    []aead.Key // per-shard kC (sharded LCM deployments)
 	shards  int
 	lcm     bool
-	snap    bool         // route session reads through DoRead
-	host    *host.Server // LCM deployments: for group-commit stats
+	host    *host.Server // LCM deployments: reshards, status, attacks
 	nextID  atomic.Uint32
 	cleanup []func()
 
@@ -148,15 +120,6 @@ func (d *Deployment) Close() {
 
 // System returns the deployed series.
 func (d *Deployment) System() System { return d.system }
-
-// GroupCommitStats reports the host's group-commit activity (zeros for
-// non-LCM deployments; one result per group when group commit is off).
-func (d *Deployment) GroupCommitStats() (groups, records, maxGroup int) {
-	if d.host == nil {
-		return 0, 0, 0
-	}
-	return d.host.GroupCommitStats()
-}
 
 // Reshard live-reshards an LCM deployment to newShards keyspace shards.
 // Connected sharded sessions observe refresh errors and must adopt the
@@ -199,25 +162,17 @@ func (db *rttDB) Update(key, value string) error {
 // client sessions.
 type lcmDoer interface {
 	Do(op []byte) (*core.Result, error)
-	DoRead(op []byte) (*core.Result, error)
 	Close() error
 }
 
 // lcmSession adapts an LCM client session (single or sharded) to
-// baseline.Session. With snapshotReads set, Gets go through the
-// session's DoRead — the host's concurrent read path — instead of the
-// serialized write loop.
+// baseline.Session.
 type lcmSession struct {
-	inner         lcmDoer
-	snapshotReads bool
+	inner lcmDoer
 }
 
 func (s *lcmSession) Get(key string) ([]byte, bool, error) {
-	do := s.inner.Do
-	if s.snapshotReads {
-		do = s.inner.DoRead
-	}
-	res, err := do(kvs.Get(key))
+	res, err := s.inner.Do(kvs.Get(key))
 	if err != nil {
 		return nil, false, err
 	}
@@ -295,9 +250,9 @@ func (d *Deployment) newSession() (baseline.Session, error) {
 	case SysLCM, SysLCMBatch:
 		id := d.nextID.Add(1)
 		if d.shards > 1 {
-			return &lcmSession{inner: client.NewSharded(conn, id, d.keys, kvs.New(), client.Config{}), snapshotReads: d.snap}, nil
+			return &lcmSession{inner: client.NewSharded(conn, id, d.keys, kvs.New(), client.Config{})}, nil
 		}
-		return &lcmSession{inner: client.New(conn, id, d.key, client.Config{}), snapshotReads: d.snap}, nil
+		return &lcmSession{inner: client.New(conn, id, d.key, client.Config{})}, nil
 	default:
 		return nil, fmt.Errorf("benchrun: unknown system %q", d.system)
 	}
@@ -380,9 +335,6 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 		if sys == SysSGXBatch {
 			batch = DefaultBatch
 		}
-		if opt.Batch > 0 {
-			batch = opt.Batch
-		}
 		srv, err := host.New(host.Config{
 			Platform:  platform,
 			Factory:   baseline.NewSGXFactory(key, counter),
@@ -423,9 +375,6 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 		if sys == SysLCMBatch {
 			batch = DefaultBatch
 		}
-		if opt.Batch > 0 {
-			batch = opt.Batch
-		}
 		shards := opt.Shards
 		if shards <= 0 {
 			shards = 1
@@ -436,16 +385,11 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 				ServiceName:   "kvs",
 				NewService:    kvs.Factory(),
 				Attestation:   attestation,
-				FullSeal:      opt.FullSeal,
 				CommitteeSize: opt.CommitteeSize,
 			}),
 			Store:          store,
 			Shards:         shards,
 			BatchSize:      batch,
-			GroupCommit:    opt.GroupCommit,
-			Replicas:       opt.Replicas,
-			Quorum:         opt.Quorum,
-			SnapshotReads:  opt.SnapshotReads,
 			BeaconInterval: opt.BeaconInterval,
 		})
 		if err != nil {
@@ -476,7 +420,6 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 		}
 		d.key = d.keys[0]
 		d.lcm = true
-		d.snap = opt.SnapshotReads
 
 	default:
 		return nil, fmt.Errorf("benchrun: unknown system %q", sys)

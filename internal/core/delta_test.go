@@ -398,6 +398,63 @@ func TestChainMigrationSealsRebasedBeaconTick(t *testing.T) {
 	}
 }
 
+// An admin-recovered context seals the beacon tick it rebases on its new
+// platform's counter, as a record or, in full-seal mode, in the state
+// blob: restarted before its first beacon, it folds that tick, not the old
+// platform's, and its next beacon is not a clone verdict.
+func TestRecoverSealsRebasedBeaconTick(t *testing.T) {
+	for _, fullSeal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fullSeal=%v", fullSeal), func(t *testing.T) {
+			r := newRigWith(t, []uint32{1}, func(c *TrustedConfig) { c.FullSeal = fullSeal })
+			r.mustPut(1, "k", "v1")
+			for i := 0; i < 3; i++ {
+				if err := r.beacon(); err != nil {
+					t.Fatalf("origin beacon %d: %v", i, err)
+				}
+			}
+			fresh, err := tee.NewPlatform("plat-recover-beacon")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.attestation.Register(fresh)
+			tr := &rig{t: t, storage: stablestore.NewRollbackStore(stablestore.NewMemStore()), clients: r.clients}
+			tr.enclave = fresh.NewEnclave(NewTrustedFactory(TrustedConfig{
+				ServiceName: "kvs",
+				NewService:  kvs.Factory(),
+				Attestation: r.attestation,
+				FullSeal:    fullSeal,
+			}), tr.storage)
+			if err := tr.enclave.Start(); err != nil {
+				t.Fatal(err)
+			}
+			copySealedState(t, tr.storage, r.storage)
+			if err := r.admin.Recover(tr.enclave.Call); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if fullSeal {
+				// Full-seal mode keeps its state in the blob alone.
+				blob, err := tr.storage.Load(SlotStateBlob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg, _ := BlobSegment(blob)
+				if log, _ := tr.storage.LoadLog(SegmentSlot(seg)); len(log) != 0 {
+					t.Fatalf("full-seal recovery appended %d delta record(s)", len(log))
+				}
+			}
+			if err := tr.enclave.Restart(); err != nil {
+				t.Fatalf("restart after recovery: %v", err)
+			}
+			if err := tr.beacon(); err != nil {
+				t.Fatalf("first beacon after recovery and restart: %v", err)
+			}
+			if kv, _ := tr.mustGet(1, "k"); string(kv.Value) != "v1" {
+				t.Fatalf("recovered value = %q", kv.Value)
+			}
+		})
+	}
+}
+
 // A host that serves the target a truncated copy of the chain is refused
 // at import: the fold does not reach the head the origin pinned in the
 // payload.

@@ -189,8 +189,12 @@ func (p *Trusted) handleRecover(env tee.Env, senderPub, ct []byte) ([]byte, erro
 	}
 	// Recovery typically lands on a replacement platform whose counter did
 	// not travel with the storage; rebase the beacon reservation on the
-	// local counter (admin-authorized, like the migration import rebase).
+	// local counter (admin-authorized, like the migration import rebase)
+	// and seal it before the key blob commits the recovery.
 	p.beaconTick = env.CounterRead(p.counterID())
+	if err := p.sealBeaconTick(env); err != nil {
+		return nil, fmt.Errorf("lcm: recover: seal beacon tick: %w", err)
+	}
 	sealedKey, err := p.sealKeyBlob()
 	if err != nil {
 		return nil, err

@@ -809,6 +809,27 @@ func (p *Trusted) sealDeltaRecord(rec *deltaRecord) ([]byte, error) {
 	return sealed, nil
 }
 
+// sealBeaconTick makes a beacon tick rebased on this platform's counter
+// durable once the chain has beaconed: in a sealed beacon record, or in a
+// fresh state blob in full-seal mode, where the blob carries the tick.
+func (p *Trusted) sealBeaconTick(env tee.Env) error {
+	if p.beaconSeq == 0 {
+		return nil
+	}
+	if !p.deltaActive() {
+		blob, err := p.sealState()
+		if err == nil {
+			err = env.Host().Store(SlotStateBlob, blob)
+		}
+		return err
+	}
+	sealed, err := p.sealDeltaRecord(&deltaRecord{FromT: p.t, BeaconSeq: p.beaconSeq, BeaconTick: p.beaconTick})
+	if err == nil {
+		err = env.Host().Append(SegmentSlot(p.seg), sealed)
+	}
+	return err
+}
+
 // counterID derives the platform-counter identity for this trusted
 // context from kP. Every instance holding the same protocol state — the
 // primary, a restarted epoch, a cloned enclave booted from copied sealed
@@ -1354,14 +1375,8 @@ func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, pay
 	// commits the import (no counter of kP moves before a first beacon).
 	p.beaconSeq = state.BeaconSeq
 	p.beaconTick = env.CounterRead(p.counterID())
-	if p.beaconSeq > 0 {
-		sealed, err := p.sealDeltaRecord(&deltaRecord{FromT: p.t, BeaconSeq: p.beaconSeq, BeaconTick: p.beaconTick})
-		if err == nil {
-			err = env.Host().Append(SegmentSlot(p.seg), sealed)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lcm: chain-mode migration: seal beacon tick: %w", err)
-		}
+	if err := p.sealBeaconTick(env); err != nil {
+		return nil, fmt.Errorf("lcm: chain-mode migration: seal beacon tick: %w", err)
 	}
 	p.chargeFootprint(env)
 	// Re-seal only kP under this platform's sealing key; the sealed state
