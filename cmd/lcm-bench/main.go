@@ -1,11 +1,11 @@
 // Command lcm-bench regenerates the paper's evaluation (Sec. 6): every
 // figure and in-text measurement, against the simulated TEE substrate,
-// plus the three protocol-shape ablations bench/ cannot express (live
-// reshard pause, clone-detection latency, membership scale).
+// plus the two protocol-shape ablations bench/ cannot express (live
+// reshard pause, clone-detection latency).
 //
 // Usage:
 //
-//	lcm-bench -experiment fig4|fig5|fig6|memory|msgsize|tmc|reshardablation|cloneablation|membership|all \
+//	lcm-bench -experiment fig4|fig5|fig6|memory|msgsize|tmc|reshardablation|cloneablation|all \
 //	          [-duration 2s] [-scale 1.0] [-records 1000] [-seed 42] \
 //	          [-latencymodel spin|sleep] [-jsonOut path]
 //
@@ -29,8 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"lcm/internal/benchrun"
@@ -45,14 +43,13 @@ func main() {
 
 func run() error {
 	var (
-		experiment = flag.String("experiment", "all", "fig4|fig5|fig6|memory|msgsize|tmc|reshardablation|cloneablation|membership|all")
+		experiment = flag.String("experiment", "all", "fig4|fig5|fig6|memory|msgsize|tmc|reshardablation|cloneablation|all")
 		duration   = flag.Duration("duration", 2*time.Second, "measurement window per data point (paper: 30s)")
 		scale      = flag.Float64("scale", 1.0, "latency model scale factor (1.0 = full fidelity, 0 = off)")
 		records    = flag.Int("records", 1000, "object count (paper: 1000)")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		latModel   = flag.String("latencymodel", "spin", "spin (precise, needs one core per enclave) | sleep (overlaps on any core count)")
 		jsonOut    = flag.String("jsonOut", "", "write measured ablation points as JSON to this path")
-		memSizes   = flag.String("membershipsizes", "", "comma-separated registered-group sizes for -experiment membership (default 1000,10000,100000)")
 	)
 	flag.Parse()
 	if *latModel != "spin" && *latModel != "sleep" {
@@ -138,18 +135,6 @@ func run() error {
 			measured["cloneAblation"] = points
 			fmt.Println("beacons buy bounded clone detection; at the default interval the heartbeat costs <3% throughput")
 			fmt.Println()
-		case "membership":
-			sizes, err := parseSizes(*memSizes)
-			if err != nil {
-				return err
-			}
-			points, err := benchrun.RunMembershipAblation(cfg, sizes)
-			if err != nil {
-				return err
-			}
-			measured["membershipAblation"] = points
-			fmt.Println("witness committees keep stability latency and handoff bytes flat in the registered group size")
-			fmt.Println()
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -158,7 +143,7 @@ func run() error {
 
 	runAll := func() error {
 		if *experiment == "all" {
-			for _, name := range []string{"msgsize", "fig4", "fig5", "fig6", "memory", "tmc", "reshardablation", "cloneablation", "membership"} {
+			for _, name := range []string{"msgsize", "fig4", "fig5", "fig6", "memory", "tmc", "reshardablation", "cloneablation"} {
 				if err := runOne(name); err != nil {
 					return err
 				}
@@ -188,23 +173,6 @@ func run() error {
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 	return nil
-}
-
-// parseSizes parses the -membershipsizes list; empty means the
-// experiment's defaults.
-func parseSizes(list string) ([]int, error) {
-	if list == "" {
-		return nil, nil
-	}
-	var sizes []int
-	for _, f := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -membershipsizes entry %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }
 
 func ratioBySize(points []benchrun.Point) (lo, hi float64) {

@@ -19,7 +19,7 @@
 //	lcm-client ... leave       retires it voluntarily (no key rotation)
 //	lcm-client -statekey <hex kP> members
 //	                           admin: prints the sealed group view
-//	                           (epoch, committees, members, current kC)
+//	                           (epoch, members, evictions, current kC)
 //
 // join and leave go through the client's own session — no admin round
 // trip; the joiner must hold the group's current kC (from the admin, out
@@ -273,8 +273,8 @@ func runRefresh(conn transport.Conn, id uint32, keys []aead.Key, svcName, stateP
 }
 
 // runMembers queries one shard's sealed group view with the admin state
-// key: membership epoch, committee layout, members, staged/past
-// evictions and the current communication key (to distribute to joiners).
+// key: membership epoch, members, past evictions and the current
+// communication key (to distribute to joiners).
 func runMembers(addr string, tcpOpts transport.TCPOptions, stateKeyHex string, shard int) error {
 	if stateKeyHex == "" {
 		return errors.New("members needs -statekey <hex kP> (the admin state key)")
@@ -297,8 +297,8 @@ func runMembers(addr string, tcpOpts transport.TCPOptions, stateKeyHex string, s
 	if err != nil {
 		return err
 	}
-	fmt.Printf("shard %d: epoch=%d members=%d committees=%d (k=%d) evictions=%d\n",
-		shard, info.GroupEpoch, len(info.Members), info.Committees, info.CommitteeSize, info.Evictions)
+	fmt.Printf("shard %d: epoch=%d members=%d evictions=%d\n",
+		shard, info.GroupEpoch, len(info.Members), info.Evictions)
 	fmt.Printf("members: %v\n", info.Members)
 	if len(info.Evicted) > 0 {
 		fmt.Printf("evicted: %v\n", info.Evicted)
@@ -339,8 +339,8 @@ func printStatus(sess *client.Session) error {
 			sh.Shard, st.Provisioned, st.Migrated, st.Epoch, st.Seq, st.Stable, st.NumClients, sh.Instances)
 		fmt.Printf("         delta=%v chain=%d records/%dB snapshot=%dB compactions=%d lastCompactT=%d\n",
 			st.DeltaActive, st.ChainLen, st.ChainBytes, st.SnapshotBytes, st.Compactions, st.LastCompactSeq)
-		fmt.Printf("         membership epoch=%d committees=%d k=%d active=%d evictions=%d\n",
-			st.GroupEpoch, st.Committees, st.CommitteeSize, st.ActiveClients, st.Evictions)
+		fmt.Printf("         membership epoch=%d active=%d evictions=%d\n",
+			st.GroupEpoch, st.ActiveClients, st.Evictions)
 		if sh.Replicas > 0 {
 			fmt.Printf("         replication copies=%d quorum=%d live=%d/%d heals=%d\n",
 				sh.Replicas, sh.Quorum, sh.ReplicasLive, sh.Replicas, sh.Heals)

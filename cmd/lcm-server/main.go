@@ -15,17 +15,17 @@
 //	lcm-server -addr 127.0.0.1:7000 -dir /tmp/lcm-data -batch 16 \
 //	           -clients 8 [-service kvs|bank] [-shards N] [-sync] \
 //	           [-replicas N [-quorum Q]] [-beaconinterval D] \
-//	           [-committeesize K] [-epochinterval D] [-evictafter E] \
+//	           [-epochinterval D] [-evictafter E] \
 //	           [-cloneshard I [-cloneafter D]] [-keepalive D] [-iotimeout D]
 //
 // -epochinterval arms the membership epoch ticker: every interval each
-// shard seals an epoch — batching staged evictions (rotating kC when any
-// fire) and resealing the witness-committee digests that stand in for
-// idle members' acknowledgments in large registered groups. -committeesize
-// sets the witness-committee size k; -evictafter evicts clients that have
-// produced no liveness signal (invoke, churn, heartbeat) for that many
-// epochs. Clients keep themselves off the eviction list with
-// SessionConfig.HeartbeatInterval or `lcm-client ... join`-era heartbeats.
+// shard seals an epoch, batching staged evictions (rotating kC when any
+// fire). -evictafter evicts clients that have produced no liveness
+// signal (invoke, churn, heartbeat) for that many epochs, so dead clients
+// leave V instead of holding back the majority that stability (Sec. 4.5)
+// counts over every registered client. Clients keep themselves off the
+// eviction list with SessionConfig.HeartbeatInterval or
+// `lcm-client ... join`-era heartbeats.
 //
 // -beaconinterval arms the chain-heartbeat beacon: every instance
 // periodically commits a self-attesting beacon record onto its sealed
@@ -130,7 +130,6 @@ func run() error {
 
 		beacon = flag.Duration("beaconinterval", 0, "chain-heartbeat beacon period per enclave instance (0 disables; arms clone detection via the platform counter)")
 
-		committeeSize = flag.Int("committeesize", 0, "witness-committee size k for large registered groups (0 = default)")
 		epochInterval = flag.Duration("epochinterval", 0, "membership epoch seal period (0 disables the ticker; epochs then advance only on admin request)")
 		evictAfter    = flag.Int("evictafter", 0, "evict clients silent for this many membership epochs (0 disables heartbeat-based eviction)")
 
@@ -184,7 +183,6 @@ func run() error {
 			ServiceName:      *svcName,
 			NewService:       factory,
 			Attestation:      attestation,
-			CommitteeSize:    *committeeSize,
 			EvictAfterEpochs: *evictAfter,
 		}),
 		Store:          store,
@@ -264,8 +262,8 @@ func run() error {
 		fmt.Printf("  beacons:   every %v per instance (clone detection armed; clients should set a freshness horizon > 2 intervals)\n", *beacon)
 	}
 	if *epochInterval > 0 {
-		fmt.Printf("  epochs:    sealed every %v per shard (committee size %d, eviction after %d silent epochs; 0 = defaults/disabled)\n",
-			*epochInterval, *committeeSize, *evictAfter)
+		fmt.Printf("  epochs:    sealed every %v per shard (eviction after %d silent epochs; 0 = disabled)\n",
+			*epochInterval, *evictAfter)
 	}
 
 	if *cloneShard >= 0 {

@@ -14,8 +14,4 @@ type AblationPoint struct {
 	// experiment records one.
 	P50Lat time.Duration `json:",omitempty"`
 	P99Lat time.Duration `json:",omitempty"`
-
-	// HandoffBytes is the sealed client-handoff size of a reshard
-	// (membership ablation only; such points carry Throughput 0).
-	HandoffBytes int `json:",omitempty"`
 }

@@ -71,15 +71,6 @@ type Options struct {
 	// ablation sweeps it against throughput and detection latency. LCM
 	// only.
 	BeaconInterval time.Duration
-	// Registered bootstraps the LCM group with this many registered
-	// client ids when it exceeds Clients. Only Clients sessions ever
-	// connect; the rest are idle registered members — the membership
-	// ablation's lever for separating registered-group size from the
-	// active set. LCM only.
-	Registered int
-	// CommitteeSize overrides the witness-committee size k
-	// (core.TrustedConfig.CommitteeSize); 0 keeps the default. LCM only.
-	CommitteeSize int
 }
 
 // Deployment is a running system under test.
@@ -382,10 +373,9 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 		srv, err := host.New(host.Config{
 			Platform: platform,
 			Factory: core.NewTrustedFactory(core.TrustedConfig{
-				ServiceName:   "kvs",
-				NewService:    kvs.Factory(),
-				Attestation:   attestation,
-				CommitteeSize: opt.CommitteeSize,
+				ServiceName: "kvs",
+				NewService:  kvs.Factory(),
+				Attestation: attestation,
 			}),
 			Store:          store,
 			Shards:         shards,
@@ -401,13 +391,8 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 		d.shards = shards
 
 		// Every shard is an independent LCM instance: its own admin
-		// bootstrap, its own kP/kC, the same client group. The membership
-		// ablation registers a larger group than will ever connect.
-		group := opt.Clients
-		if opt.Registered > group {
-			group = opt.Registered
-		}
-		ids := make([]uint32, group)
+		// bootstrap, its own kP/kC, the same client group.
+		ids := make([]uint32, opt.Clients)
 		for i := range ids {
 			ids[i] = uint32(i + 1)
 		}

@@ -140,17 +140,8 @@ func (s *ShardedSession) VerifyReshard(info *core.ReshardInfo) ([]aead.Key, []Re
 		}
 		entry, ok := handoff.Entry(s.ID())
 		if !ok {
-			if !handoff.OmitsIdle {
-				return nil, nil, fmt.Errorf("%w: shard %d handoff has no entry for client %d",
-					core.ErrViolationDetected, shard, s.ID())
-			}
-			// Committee-mode handoffs omit idle members (zero context), so
-			// absence is the source's assertion of a zero entry. The switch
-			// below checks it against this client's own context exactly like
-			// a present entry would be — a client that has invoked finds the
-			// zero assertion mismatching its non-zero context and detects
-			// the rollback.
-			entry = core.ReshardEntry{ID: s.ID()}
+			return nil, nil, fmt.Errorf("%w: shard %d handoff has no entry for client %d",
+				core.ErrViolationDetected, shard, s.ID())
 		}
 		st := s.protos[shard].State()
 		switch {

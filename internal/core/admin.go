@@ -201,25 +201,6 @@ func (a *Admin) sendAdminOp(call CallFunc, op *AdminOp) error {
 	return nil
 }
 
-// AddClient admits a new client to the group (Sec. 4.6.3). The admin then
-// shares kC with the new client out of band.
-//
-// Deprecated: AddClient is the classic admin-round-trip path, retained
-// for existing deployments; Join covers the same operation through the
-// churn-era API and scales to large groups.
-func (a *Admin) AddClient(call CallFunc, id uint32) error {
-	for _, existing := range a.clients {
-		if existing == id {
-			return fmt.Errorf("lcm: client %d already in group", id)
-		}
-	}
-	if err := a.sendAdminOp(call, &AdminOp{Kind: adminAddClient, ClientID: id}); err != nil {
-		return err
-	}
-	a.clients = append(a.clients, id)
-	return nil
-}
-
 // Join admits a client to the group through the churn-era admin path: a
 // V-entry upsert persisted as O(change), with no kC rotation (the joiner
 // receives the current kC from the admin out of band). Idempotent —
@@ -263,15 +244,8 @@ func (a *Admin) Evict(call CallFunc, id uint32) error {
 	return a.sendAdminOp(call, &AdminOp{Kind: adminEvictClient, ClientID: id})
 }
 
-// SetCommitteeSize retunes the witness-committee size k (see
-// internal/core group.go); 0 restores the configured default. The new
-// partition takes effect at the next epoch seal.
-func (a *Admin) SetCommitteeSize(call CallFunc, k uint32) error {
-	return a.sendAdminOp(call, &AdminOp{Kind: adminSetCommitteeSize, ClientID: k})
-}
-
 // Members fetches the trusted context's authoritative group view — the
-// membership, epoch, committee geometry and the current kC — and adopts
+// membership, epoch, evictions and the current kC — and adopts
 // it: client-originated churn and eviction-seal kC rotations happen
 // without the admin, so the local mirror goes stale and this is how it
 // catches up.
@@ -301,33 +275,6 @@ func (a *Admin) SealEpoch(call CallFunc) error {
 		return fmt.Errorf("lcm: epoch seal call: %w", err)
 	}
 	return nil
-}
-
-// RemoveClient evicts a client: a fresh communication key k'C is generated,
-// installed in T, and returned for distribution to the remaining clients
-// (Sec. 4.6.3). The removed client, not knowing k'C, is cut off.
-//
-// Deprecated: RemoveClient rotates kC synchronously and re-seals the
-// whole state per removal; Evict (staged, batched per epoch seal) is the
-// scalable replacement.
-func (a *Admin) RemoveClient(call CallFunc, id uint32) (aead.Key, error) {
-	newKC, err := aead.NewKey()
-	if err != nil {
-		return aead.Key{}, err
-	}
-	op := &AdminOp{Kind: adminRemoveClient, ClientID: id, NewKC: newKC.Bytes()}
-	if err := a.sendAdminOp(call, op); err != nil {
-		return aead.Key{}, err
-	}
-	kept := a.clients[:0]
-	for _, existing := range a.clients {
-		if existing != id {
-			kept = append(kept, existing)
-		}
-	}
-	a.clients = kept
-	a.kc = newKC
-	return newKC, nil
 }
 
 // Migrate orchestrates Sec. 4.6.2 from the host's perspective: the origin

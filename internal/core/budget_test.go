@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -168,6 +169,30 @@ func TestPreVersionStateBlobFailsWithErrStateVersion(t *testing.T) {
 	}
 	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
 		t.Fatalf("restart over a pre-version blob = %v, want a halt", err)
+	}
+	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrStateVersion) {
+		t.Fatalf("halt = %v, want ErrStateVersion", err)
+	}
+}
+
+// A state blob written by a version-1 build (the committed fixture; its
+// plaintext still carried a U32 after QFloor) fails with ErrStateVersion
+// when its header is read, and halts a restart over it with that cause.
+func TestVersion1StateBlobFailsWithErrStateVersion(t *testing.T) {
+	v1, err := os.ReadFile("testdata/state-blob-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openStateBlob(aead.Key{}, v1, nil); !errors.Is(err, ErrStateVersion) {
+		t.Fatalf("open of a version-1 blob = %v, want ErrStateVersion", err)
+	}
+	r := newRig(t, []uint32{1, 2})
+	r.mustPut(1, "a", "1")
+	if err := r.storage.Store(SlotStateBlob, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
+		t.Fatalf("restart over a version-1 blob = %v, want a halt", err)
 	}
 	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrStateVersion) {
 		t.Fatalf("halt = %v, want ErrStateVersion", err)

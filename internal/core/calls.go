@@ -52,14 +52,14 @@ const (
 	callBeaconConfirm
 	// callEpochSeal advances the membership epoch: the trusted context
 	// fences the new epoch number with the platform counter, applies staged
-	// and heartbeat-expired evictions (rotating kC when any fire), and
-	// recomputes the witness-committee digests (see group.go/churn.go).
+	// and heartbeat-expired evictions (rotating kC when any fire) (see
+	// group.go/churn.go).
 	callEpochSeal
 	// callChurn delivers a batch of client-originated membership messages
 	// (join/leave/heartbeat), each sealed under kC (see churn.go).
 	callChurn
 	// callGroupInfo returns the group's membership view sealed under kP —
-	// the admin's window onto epoch, committees, members and the current
+	// the admin's window onto epoch, evictions, members and the current
 	// kC (see churn.go).
 	callGroupInfo
 	// callCheckpoint seals a frozen checkpoint (see cut in trusted.go).
@@ -280,33 +280,27 @@ func decodeProvisionPayload(b []byte) (*provisionPayload, error) {
 	return p, nil
 }
 
-// Admin operation kinds (Sec. 4.6.3, extended with churn-era operations:
-// leave tombstones without rotating kC, evict stages a kC-cutting removal
-// for the next epoch seal, and set-committee-size retunes the witness
-// partition).
+// Admin operation kinds (Sec. 4.6.3): add admits a client, leave
+// tombstones one without rotating kC, and evict stages a kC-cutting
+// removal for the next epoch seal.
 const (
 	adminAddClient byte = iota + 1
-	adminRemoveClient
 	adminLeaveClient
 	adminEvictClient
-	adminSetCommitteeSize // committee size k rides in ClientID
 )
 
-// AdminOp is a group-membership change. Remove carries the fresh
-// communication key k'C that replaces kC for the remaining clients.
+// AdminOp is a group-membership change.
 type AdminOp struct {
 	Seq      uint64 // strictly increasing; replay protection
 	Kind     byte
 	ClientID uint32
-	NewKC    []byte // remove only
 }
 
 func (op *AdminOp) encode() []byte {
-	w := wire.NewWriter(32 + len(op.NewKC))
+	w := wire.NewWriter(13)
 	w.U64(op.Seq)
 	w.U8(op.Kind)
 	w.U32(op.ClientID)
-	w.Var(op.NewKC)
 	return w.Bytes()
 }
 
@@ -317,7 +311,6 @@ func decodeAdminOp(b []byte) (*AdminOp, error) {
 		Kind:     r.U8(),
 		ClientID: r.U32(),
 	}
-	op.NewKC = r.Var()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lcm: decode admin op: %w", err)
 	}
@@ -449,11 +442,9 @@ type Status struct {
 	BeaconSeq uint64
 
 	// Group observability (see group.go): the membership epoch, the
-	// witness-committee partition currently in force, the recently-active
-	// subset, and how many members epoch seals have evicted.
+	// clients that invoked in this or the previous epoch, and how many
+	// members epoch seals have evicted.
 	GroupEpoch    uint64
-	Committees    uint32
-	CommitteeSize uint32
 	ActiveClients uint32
 	Evictions     uint64
 }
@@ -477,8 +468,6 @@ func encodeStatus(s *Status) []byte {
 	w.U64(s.LastCompactSeq)
 	w.U64(s.BeaconSeq)
 	w.U64(s.GroupEpoch)
-	w.U32(s.Committees)
-	w.U32(s.CommitteeSize)
 	w.U32(s.ActiveClients)
 	w.U64(s.Evictions)
 	return w.Bytes()
@@ -620,8 +609,6 @@ func DecodeStatus(b []byte) (*Status, error) {
 	s.LastCompactSeq = r.U64()
 	s.BeaconSeq = r.U64()
 	s.GroupEpoch = r.U64()
-	s.Committees = r.U32()
-	s.CommitteeSize = r.U32()
 	s.ActiveClients = r.U32()
 	s.Evictions = r.U64()
 	if err := r.Done(); err != nil {

@@ -16,12 +16,12 @@
 //   - callEpochSeal: advances the membership epoch, fenced by a
 //     dedicated trusted-counter cell so epoch numbers survive rollback,
 //     applies the staged evictions as one batch (one kC rotation cuts
-//     off the whole batch — Sec. 4.6.3's rotation, amortized), reseals
-//     the per-committee digests, and gives an epoch-aware service its
-//     housekeeping hook (service.EpochAdvancer).
+//     off the whole batch — Sec. 4.6.3's rotation, amortized), and gives
+//     an epoch-aware service its housekeeping hook
+//     (service.EpochAdvancer).
 //
 //   - callGroupInfo: the admin's sealed window into the group — current
-//     membership, epoch, committee geometry, and the current kC (which
+//     membership, epoch, evictions, and the current kC (which
 //     rotates without the admin's involvement at eviction seals).
 //
 // Churn messages that fail authentication are DROPPED, not treated as
@@ -39,6 +39,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"lcm/internal/aead"
 	"lcm/internal/service"
@@ -169,20 +170,16 @@ func EncodeGroupInfoCall() []byte { return []byte{callGroupInfo} }
 
 // GroupInfo is the admin's view of the group, sealed under kP.
 type GroupInfo struct {
-	GroupEpoch    uint64
-	CommitteeSize uint32 // effective k
-	Committees    uint32
-	Evictions     uint64
-	Members       []uint32
-	Evicted       []uint32
-	KC            []byte // current communication key (rotates at eviction seals)
+	GroupEpoch uint64
+	Evictions  uint64
+	Members    []uint32
+	Evicted    []uint32
+	KC         []byte // current communication key (rotates at eviction seals)
 }
 
 func (gi *GroupInfo) encode() []byte {
-	w := wire.NewWriter(40 + 4*len(gi.Members) + 4*len(gi.Evicted) + len(gi.KC))
+	w := wire.NewWriter(32 + 4*len(gi.Members) + 4*len(gi.Evicted) + len(gi.KC))
 	w.U64(gi.GroupEpoch)
-	w.U32(gi.CommitteeSize)
-	w.U32(gi.Committees)
 	w.U64(gi.Evictions)
 	w.U32(uint32(len(gi.Members)))
 	for _, id := range gi.Members {
@@ -199,10 +196,8 @@ func (gi *GroupInfo) encode() []byte {
 func decodeGroupInfo(plain []byte) (*GroupInfo, error) {
 	r := wire.NewReader(plain)
 	gi := &GroupInfo{
-		GroupEpoch:    r.U64(),
-		CommitteeSize: r.U32(),
-		Committees:    r.U32(),
-		Evictions:     r.U64(),
+		GroupEpoch: r.U64(),
+		Evictions:  r.U64(),
 	}
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
@@ -246,8 +241,8 @@ func (p *Trusted) epochCounterID() string {
 // and rollbacks — a rolled-back context cannot reuse an epoch), applies
 // the staged and heartbeat-expired evictions as one batch, rotates kC
 // when anything was evicted (minted in-enclave; the admin learns it via
-// callGroupInfo), runs the service's epoch hook, and reseals the
-// committee digests. The result persists like a batch: a delta record in
+// callGroupInfo) and runs the service's epoch hook. The result persists
+// like a batch: a delta record in
 // the common case, a full seal when a rotation changed kC.
 func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 	if !p.provisioned() {
@@ -286,7 +281,7 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 		// state changes land in this seal's delta or snapshot.
 		ea.AdvanceEpoch(newEpoch)
 	}
-	p.g.sealEpoch(newEpoch)
+	p.g.epoch = newEpoch
 	p.chargeFootprint(env)
 	if p.readsArmed && p.snapReader != nil {
 		p.snapReader.EndBatch(p.t)
@@ -377,7 +372,7 @@ func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 		for id := range removedSet {
 			removed = append(removed, id)
 		}
-		sortU32(removed)
+		slices.Sort(removed)
 		// Joined entries have no earlier (T, H): they carry their anchors.
 		rec := deltaRecord{FromT: p.t, Entries: touched, Anchors: true, Removed: removed}
 		if err := p.sealResult(&res, &rec); err != nil {
@@ -393,13 +388,11 @@ func (p *Trusted) handleGroupInfo() ([]byte, error) {
 		return nil, ErrNotProvisioned
 	}
 	info := GroupInfo{
-		GroupEpoch:    p.g.epoch,
-		CommitteeSize: uint32(p.g.effectiveCommitteeSize()),
-		Committees:    uint32(p.g.numCommittees()),
-		Evictions:     p.g.evictions,
-		Members:       p.g.v.clientIDs(),
-		Evicted:       p.g.evictedIDs(),
-		KC:            p.kc.Bytes(),
+		GroupEpoch: p.g.epoch,
+		Evictions:  p.g.evictions,
+		Members:    p.g.v.clientIDs(),
+		Evicted:    p.g.evictedIDs(),
+		KC:         p.kc.Bytes(),
 	}
 	ct, err := aead.Seal(p.kp, info.encode(), []byte(adGroupInfo))
 	if err != nil {

@@ -122,9 +122,6 @@ func newFoldRig(t *testing.T, seed int64) *foldRig {
 		Attestation: attestation,
 		cutRecords:  3 + rng.Intn(12),
 	}}
-	if rng.Intn(2) == 0 { // committee mode: above two members
-		f.cfg.StabilityThreshold, f.cfg.CommitteeSize = 2, 2
-	}
 	if rng.Intn(2) == 0 {
 		f.cfg.EvictAfterEpochs = 2
 	}
@@ -508,10 +505,10 @@ func (f *foldRig) reshard() {
 // TestQuickFoldMatchesLiveState: for seeded schedules of puts, gets,
 // retries, churn joins and leaves, evictions, epoch seals, beacons,
 // snapshot reads, restarts, heals from a replica's suffix, chain-mode
-// migrations and reshards, in plain and committee mode, a fold of every record the
-// live enclave sealed ends in the live state. The fold derives every
-// field a record omits, so each omit rule is checked against the state
-// that rule stands for.
+// migrations and reshards, a fold of every record the live enclave
+// sealed ends in the live state. The fold derives every field a record
+// omits, so each omit rule is checked against the state that rule stands
+// for.
 func TestQuickFoldMatchesLiveState(t *testing.T) {
 	ran := map[string]int{}
 	for seed := int64(1); seed <= 24; seed++ {

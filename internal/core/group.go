@@ -1,26 +1,18 @@
-// Client-group abstraction: membership, witness committees and the
-// stability strategy.
+// Client-group abstraction: membership, epochs, churn and the stability
+// rule.
 //
-// The paper's protocol keeps one V entry per *registered* client and
-// quorums majority-stable(V) over the entire group (Sec. 4.5), which
-// makes registered-group size a hard scalability wall: every status
-// exchange and reshard handoff is O(registered clients) and one dead
-// client forever caps the quorum. Group generalizes this: below a
-// threshold it is exactly the paper's full-group rule; above it the
-// registered clients are partitioned into small witness committees
-// (deterministic assignment by client-id hash, re-sealed per epoch) and
-// stability is computed from the *active* witness set plus the sealed
-// per-committee epoch digests, so the steady-state cost is
-// O(committees + active set) regardless of how many clients are merely
-// registered.
+// The paper's protocol keeps one V entry per registered client and
+// computes majority-stable(V) over the entire group (Sec. 4.5, Def. 2).
+// That is the only stability rule: a forking host chooses which clients
+// each twin serves, so a rule that counted only the clients a twin sees
+// would let both branches of a fork become stable. Dead clients leave V
+// through heartbeat eviction, not through a weaker quorum.
 package core
 
 import (
-	"crypto/sha256"
-	"sort"
+	"slices"
 
 	"lcm/internal/hashchain"
-	"lcm/internal/wire"
 )
 
 // ventry is one client's entry in the protocol state V of Alg. 2. The
@@ -76,8 +68,8 @@ func (v vmap) majorityStable() uint64 {
 	for _, e := range v {
 		acks = append(acks, e.TA)
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	return acks[n/2]
+	slices.Sort(acks)
+	return acks[n-1-n/2]
 }
 
 // clientIDs returns the group membership in ascending order.
@@ -86,7 +78,7 @@ func (v vmap) clientIDs() []uint32 {
 	for id := range v {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -101,76 +93,27 @@ func (v vmap) clone() vmap {
 	return out
 }
 
-// Default committee parameters. A registered group at or below
-// DefaultStabilityThreshold uses the paper's exact full-group
-// majority-stable rule; above it the committee strategy takes over.
-const (
-	DefaultCommitteeSize      = 64
-	DefaultStabilityThreshold = 128
-)
-
-// CommitteeDigest is one committee's sealed epoch digest: it stands in
-// for its members' individual V entries in status frames and reshard
-// handoffs. AggStable is the committee-local majority-stable over the
-// member TAs at the moment the epoch was sealed; ContextHash binds the
-// digest to the exact member contexts it summarizes.
-type CommitteeDigest struct {
-	Committee   uint32
-	Epoch       uint64
-	AggStable   uint64
-	Members     uint32
-	ContextHash [32]byte
-}
-
-func (d *CommitteeDigest) encodeTo(w *wire.Writer) {
-	w.U32(d.Committee)
-	w.U64(d.Epoch)
-	w.U64(d.AggStable)
-	w.U32(d.Members)
-	w.Bytes32(d.ContextHash)
-}
-
-func decodeCommitteeDigest(r *wire.Reader) CommitteeDigest {
-	var d CommitteeDigest
-	d.Committee = r.U32()
-	d.Epoch = r.U64()
-	d.AggStable = r.U64()
-	d.Members = r.U32()
-	d.ContextHash = r.Bytes32()
-	return d
-}
-
 // Group owns everything about the registered client group that used to
 // be an implicit vmap threaded through the trusted context: membership
-// (V itself), committee assignment, the stability strategy, the
-// membership epoch, and churn bookkeeping (liveness, staged evictions,
-// eviction tombstones).
+// (V itself), the stability rule, the membership epoch, and churn
+// bookkeeping (liveness, staged evictions, eviction tombstones).
 //
 // The liveness maps (lastActive, lastSeen) are deliberately volatile:
 // after a restart they reset to the current epoch (graceEpoch), so a
-// recovering deployment never mass-evicts its group and never regresses
-// stability — the persisted qFloor carries the published floor across
-// the gap until active witnesses re-acknowledge.
+// recovering deployment never mass-evicts its group. The persisted
+// qFloor keeps the published stable value monotone across membership
+// changes.
 type Group struct {
 	v vmap
 
-	// Strategy configuration (from TrustedConfig; committeeSize may be
-	// overridden at runtime by Admin.SetCommitteeSize and is then
-	// persisted).
-	committeeSize int // runtime override; 0 → cfgCommittee
-	cfgCommittee  int // TrustedConfig.CommitteeSize; 0 → DefaultCommitteeSize
-	threshold     int // TrustedConfig.StabilityThreshold; 0 → DefaultStabilityThreshold
-	evictAfter    int // TrustedConfig.EvictAfterEpochs; 0 disables heartbeat eviction
+	evictAfter int // TrustedConfig.EvictAfterEpochs; 0 disables heartbeat eviction
 
 	epoch  uint64 // membership epoch, fenced by the trusted counter
 	qFloor uint64 // monotone floor on every published stable value
 
-	lastActive map[uint32]uint64 // clientID → epoch of last invoke (witness set)
+	lastActive map[uint32]uint64 // clientID → epoch of last invoke (Status.ActiveClients)
 	lastSeen   map[uint32]uint64 // clientID → epoch of last heartbeat/join/invoke
 	graceEpoch uint64            // epoch at install; clients unseen since count from here
-
-	digests     []CommitteeDigest // sealed at the last epoch boundary
-	digestFloor uint64            // min over digests of AggStable (cached)
 
 	evicted   map[uint32]struct{} // tombstones: ids cut off by eviction/leave
 	staged    map[uint32]struct{} // admin-staged evictions, applied at the next seal
@@ -199,143 +142,8 @@ func (g *Group) initMaps() {
 	}
 }
 
-// configure applies the TrustedConfig knobs (idempotent; called at
-// provision and at every state install).
-func (g *Group) configure(committeeSize, threshold, evictAfter int) {
-	g.cfgCommittee = committeeSize
-	g.threshold = threshold
-	g.evictAfter = evictAfter
-}
-
-func (g *Group) effectiveCommitteeSize() int {
-	if g.committeeSize > 0 {
-		return g.committeeSize
-	}
-	if g.cfgCommittee > 0 {
-		return g.cfgCommittee
-	}
-	return DefaultCommitteeSize
-}
-
-func (g *Group) effectiveThreshold() int {
-	if g.threshold > 0 {
-		return g.threshold
-	}
-	return DefaultStabilityThreshold
-}
-
-// committeeMode reports whether the registered group is large enough for
-// the committee strategy; at or below the threshold the paper's exact
-// full-group rule applies.
-func (g *Group) committeeMode() bool {
-	return len(g.v) > g.effectiveThreshold()
-}
-
-// numCommittees is ⌈n/k⌉ for the current membership.
-func (g *Group) numCommittees() int {
-	n := len(g.v)
-	if n == 0 {
-		return 0
-	}
-	k := g.effectiveCommitteeSize()
-	return (n + k - 1) / k
-}
-
-// committeeOf assigns a client to a committee with a stable hash
-// (FNV-1a over the big-endian id), mod the current committee count. The
-// assignment is deterministic given (membership size, committee size),
-// and is re-derived — "re-sealed" — at every epoch boundary when the
-// digests are recomputed.
-func committeeOf(id uint32, numCommittees int) uint32 {
-	if numCommittees <= 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for shift := 24; shift >= 0; shift -= 8 {
-		h ^= uint64(byte(id >> shift))
-		h *= prime64
-	}
-	return uint32(h % uint64(numCommittees))
-}
-
-// computeDigests derives the per-committee epoch digests from the
-// current V. One O(n) pass per epoch seal — never on the per-operation
-// path. The per-committee AggStable is the committee-local
-// majority-stable over member TAs; the digest floor (min over
-// committees) is therefore a sequence number that a majority of EVERY
-// committee — in particular, a majority of the whole registered group —
-// has acknowledged, so it is a sound global stability lower bound.
-// (Taking a majority of committee medians instead would NOT be sound:
-// majorities of some committees can cover a minority of the group.)
-func (g *Group) computeDigests(epoch uint64) []CommitteeDigest {
-	nc := g.numCommittees()
-	if nc == 0 {
-		return nil
-	}
-	members := make([][]uint32, nc)
-	for _, id := range g.v.clientIDs() {
-		c := committeeOf(id, nc)
-		members[c] = append(members[c], id)
-	}
-	digests := make([]CommitteeDigest, 0, nc)
-	for c, ids := range members {
-		d := CommitteeDigest{Committee: uint32(c), Epoch: epoch, Members: uint32(len(ids))}
-		if len(ids) == 0 {
-			digests = append(digests, d)
-			continue
-		}
-		acks := make([]uint64, 0, len(ids))
-		hash := sha256.New()
-		var buf [8]byte
-		for _, id := range ids {
-			e := g.v[id]
-			acks = append(acks, e.TA)
-			putU32(hash, &buf, id)
-			putU64(hash, &buf, e.TA)
-			putU64(hash, &buf, e.T)
-			hash.Write(e.H[:])
-		}
-		sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-		d.AggStable = acks[len(acks)/2]
-		hash.Sum(d.ContextHash[:0])
-		digests = append(digests, d)
-	}
-	return digests
-}
-
-type hashWriter interface{ Write([]byte) (int, error) }
-
-func putU32(h hashWriter, buf *[8]byte, v uint32) {
-	buf[0], buf[1], buf[2], buf[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-	h.Write(buf[:4])
-}
-
-func putU64(h hashWriter, buf *[8]byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (56 - 8*i))
-	}
-	h.Write(buf[:8])
-}
-
-// sealEpoch advances the membership epoch and recomputes the committee
-// digests (and the cached digest floor) from the current V.
-func (g *Group) sealEpoch(epoch uint64) {
-	g.epoch = epoch
-	g.digests = g.computeDigests(epoch)
-	g.digestFloor = 0
-	for i, d := range g.digests {
-		if i == 0 || d.AggStable < g.digestFloor {
-			g.digestFloor = d.AggStable
-		}
-	}
-}
-
-// noteActive records a completed invocation: the client joins the
-// current epoch's witness set (and is trivially alive).
+// noteActive records a completed invocation: the client counts as
+// active this epoch (and is trivially alive).
 func (g *Group) noteActive(id uint32) {
 	g.lastActive[id] = g.epoch
 	g.lastSeen[id] = g.epoch
@@ -346,52 +154,22 @@ func (g *Group) noteSeen(id uint32) {
 	g.lastSeen[id] = g.epoch
 }
 
-// activeMajority is the majority-stable over the clients that invoked in
-// the current or previous epoch — the live witness set. O(active), not
-// O(registered).
-func (g *Group) activeMajority() uint64 {
-	acks := make([]uint64, 0, len(g.lastActive))
-	for id, e := range g.lastActive {
-		if e+1 < g.epoch {
-			continue
-		}
-		if ent, ok := g.v[id]; ok {
-			acks = append(acks, ent.TA)
-		}
-	}
-	if len(acks) == 0 {
-		return 0
-	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	return acks[len(acks)/2]
-}
-
-// stableQ is the stability strategy. At or below the threshold it is the
-// paper's exact majority-stable(V). Above it, stability is witnessed by
-// the active set and floored by the committee digests:
-//
-//	q = max(majority-stable(active witnesses), min over committees of AggStable)
-//
-// In both modes the result is clamped up to the monotone qFloor — the
-// highest value ever published — so membership changes (evictions,
-// removals, restarts) can never make the advertised stable sequence
-// number regress, which clients would reject as a violation.
+// stable is the q a reply publishes: the paper's majority-stable(V)
+// (Sec. 4.5), clamped up to the monotone qFloor — the highest value ever
+// published — so membership changes (evictions, leaves, restarts) can
+// never make the advertised stable sequence number regress, which
+// clients would reject as a violation. It raises nothing; stableQ does.
 //
 // Every input is an acknowledged sequence number ≤ the current t, so the
 // invariant q ≤ t of every REPLY is preserved.
+func (g *Group) stable() uint64 {
+	return max(g.qFloor, g.v.majorityStable())
+}
+
+// stableQ is stable, raising qFloor to it. Only the write path calls it:
+// a batch's record seals the raised floor.
 func (g *Group) stableQ() uint64 {
-	var q uint64
-	if g.committeeMode() {
-		q = g.activeMajority()
-		if g.digestFloor > q {
-			q = g.digestFloor
-		}
-	} else {
-		q = g.v.majorityStable()
-	}
-	if q > g.qFloor {
-		g.qFloor = q
-	}
+	g.qFloor = g.stable()
 	return g.qFloor
 }
 
@@ -468,7 +246,7 @@ func (g *Group) expiredMembers(epoch uint64) []uint32 {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -491,7 +269,7 @@ func (g *Group) takeEvictions(epoch uint64) []uint32 {
 	for id := range candidates {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	removed := ids[:0]
 	for _, id := range ids {
 		if len(g.v) <= 1 {
@@ -505,15 +283,6 @@ func (g *Group) takeEvictions(epoch uint64) []uint32 {
 		removed = append(removed, id)
 	}
 	return removed
-}
-
-// remove deletes a member through the legacy admin path (no tombstone:
-// the id may be re-added by a later AddClient, as the original API
-// allowed).
-func (g *Group) remove(id uint32) {
-	delete(g.v, id)
-	delete(g.lastActive, id)
-	delete(g.lastSeen, id)
 }
 
 // applyTombstones folds delta-record removals (leaves/evictions) during
@@ -534,12 +303,12 @@ func (g *Group) evictedIDs() []uint32 {
 	for id := range g.evicted {
 		ids = append(ids, id)
 	}
-	sortU32(ids)
+	slices.Sort(ids)
 	return ids
 }
 
-// activeCount is the size of the current witness set (clients that
-// invoked in the current or previous epoch).
+// activeCount is the number of clients that invoked in the current or
+// previous epoch (an operator counter; it plays no part in stability).
 func (g *Group) activeCount() int {
 	n := 0
 	for _, e := range g.lastActive {
@@ -552,20 +321,14 @@ func (g *Group) activeCount() int {
 
 // adoptState restores the group's persisted fields from a sealed state
 // blob. The liveness maps stay empty: graceEpoch gives every member a
-// fresh grace period, and the monotone qFloor carries the published
-// stability floor until active witnesses re-acknowledge.
+// fresh grace period.
 func (g *Group) adoptState(state *trustedState) {
 	g.v = state.V
 	g.epoch = state.GroupEpoch
 	g.graceEpoch = state.GroupEpoch
 	g.qFloor = state.QFloor
-	g.committeeSize = int(state.CommitteeSize)
 	g.evictions = state.Evictions
 	for _, id := range state.Evicted {
 		g.evicted[id] = struct{}{}
 	}
-}
-
-func sortU32(ids []uint32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -1,163 +1,18 @@
 package core
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-// makeGroup builds a group of n clients (ids 1..n) with the given
-// stability threshold and committee size, all TAs zero.
-func makeGroup(n, committeeSize, threshold int) *Group {
+// makeGroup builds a group of n clients (ids 1..n), all TAs zero.
+func makeGroup(n int) *Group {
 	ids := make([]uint32, n)
 	for i := range ids {
 		ids[i] = uint32(i + 1)
 	}
-	g := newGroup(ids)
-	g.configure(committeeSize, threshold, 0)
-	return g
-}
-
-func TestCommitteeAssignmentDeterministicAndInRange(t *testing.T) {
-	const nc = 7
-	for id := uint32(0); id < 10000; id++ {
-		c := committeeOf(id, nc)
-		if c >= nc {
-			t.Fatalf("committeeOf(%d, %d) = %d out of range", id, nc, c)
-		}
-		if c2 := committeeOf(id, nc); c2 != c {
-			t.Fatalf("committeeOf(%d) not deterministic: %d vs %d", id, c, c2)
-		}
-	}
-	if committeeOf(42, 1) != 0 || committeeOf(42, 0) != 0 {
-		t.Fatal("degenerate committee counts must map to committee 0")
-	}
-	// The FNV spread should not collapse: over 10k sequential ids every
-	// one of 7 committees must receive a reasonable share (strictly this
-	// is a distribution smoke test, not a uniformity proof).
-	var counts [nc]int
-	for id := uint32(1); id <= 10000; id++ {
-		counts[committeeOf(id, nc)]++
-	}
-	for c, got := range counts {
-		if got < 10000/nc/2 {
-			t.Fatalf("committee %d got only %d of 10000 ids", c, got)
-		}
-	}
-}
-
-// TestDigestFloorSoundness checks the committee-digest stability rule on
-// the counterexample that breaks the tempting-but-wrong alternative.
-// With per-committee majority-stable values (medians of member TAs) of
-// {10, 10, 0}, a "majority of committee medians" rule would publish 10 —
-// yet the members backing those two medians can be a minority of the
-// whole group, so 10 is NOT majority-acknowledged. The implemented rule
-// (MIN over committees) publishes a value a majority of EVERY committee
-// acknowledged, which a fortiori a majority of the group acknowledged.
-func TestDigestFloorSoundness(t *testing.T) {
-	g := makeGroup(9, 3, 4) // 9 members, k=3 → 3 committees, committee mode
-	if !g.committeeMode() {
-		t.Fatal("expected committee mode")
-	}
-	nc := g.numCommittees()
-	if nc != 3 {
-		t.Fatalf("numCommittees = %d, want 3", nc)
-	}
-	// Hand out TAs so that a strict majority of each of the two SMALLEST
-	// committees acknowledges 10 while everyone else sits at 0. Their two
-	// committee medians are then 10, but the members behind them are a
-	// minority of the whole group.
-	members := make([][]uint32, nc)
-	for _, id := range g.v.clientIDs() {
-		c := committeeOf(id, nc)
-		members[c] = append(members[c], id)
-	}
-	order := []int{0, 1, 2}
-	sort.Slice(order, func(i, j int) bool { return len(members[order[i]]) < len(members[order[j]]) })
-	var tensGiven int
-	for _, c := range order[:2] {
-		maj := len(members[c])/2 + 1
-		for _, id := range members[c][:maj] {
-			g.v[id].TA = 10
-			tensGiven++
-		}
-	}
-	if tensGiven > len(g.v)/2 {
-		t.Fatalf("counterexample setup broken: %d of %d members at 10 is not a minority",
-			tensGiven, len(g.v))
-	}
-	g.sealEpoch(1)
-	full := g.v.majorityStable()
-	if full != 0 {
-		t.Fatalf("full-group majority-stable = %d, want 0 (10 is minority-held)", full)
-	}
-	// Two committee medians really are 10: a majority-of-medians rule
-	// would have published 10 — ahead of what the group acknowledged.
-	var tens int
-	for _, d := range g.digests {
-		if d.AggStable == 10 {
-			tens++
-		}
-	}
-	if tens != 2 {
-		t.Fatalf("counterexample not realized: digests %+v", g.digests)
-	}
-	if g.digestFloor != 0 {
-		t.Fatalf("digest floor = %d, want 0 (sound rule must not publish 10)", g.digestFloor)
-	}
-}
-
-// TestQuickDigestFloorSound is the property behind the committee
-// strategy: for ANY assignment of acknowledgements, the digest floor
-// (min over committees of the committee-local majority-stable) never
-// exceeds the paper's full-group majority-stable. Publishing it is
-// therefore always safe.
-func TestQuickDigestFloorSound(t *testing.T) {
-	check := func(seed int64, raw []uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(200)
-		k := 1 + rng.Intn(16)
-		g := makeGroup(n, k, 1) // threshold 1 → committee mode for all n ≥ 2
-		for _, id := range g.v.clientIDs() {
-			g.v[id].TA = uint64(rng.Intn(32))
-		}
-		g.sealEpoch(1)
-		return g.digestFloor <= g.v.majorityStable()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickCommitteeStabilityMatchesFullGroup: on the same schedule with
-// every registered client active, the committee-mode strategy publishes
-// exactly the paper's full-group majority-stable — the redesign changes
-// the cost model, not the published values.
-func TestQuickCommitteeStabilityMatchesFullGroup(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(150)
-		k := 1 + rng.Intn(16)
-		full := makeGroup(n, k, 0) // default threshold: full-group mode for n ≤ 128
-		comm := makeGroup(n, k, 1) // forced committee mode
-		for _, id := range full.v.clientIDs() {
-			ta := uint64(rng.Intn(64))
-			full.v[id].TA = ta
-			comm.v[id].TA = ta
-			comm.noteActive(id) // whole group is in the witness set
-		}
-		comm.sealEpoch(1)
-		want := full.v.majorityStable()
-		return comm.stableQ() == want
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	return newGroup(ids)
 }
 
 func TestGroupChurn(t *testing.T) {
-	g := makeGroup(3, 0, 0)
+	g := makeGroup(3)
 
 	// Join is idempotent; a fresh id extends the group.
 	if g.join(2) {
@@ -208,8 +63,8 @@ func TestGroupChurn(t *testing.T) {
 }
 
 func TestHeartbeatEviction(t *testing.T) {
-	g := makeGroup(3, 0, 0)
-	g.configure(0, 0, 2) // evict after 2 unseen epochs
+	g := makeGroup(3)
+	g.evictAfter = 2 // evict after 2 unseen epochs
 
 	// At epoch 1, client 1 invokes and client 2 heartbeats; client 3
 	// stays silent and counts from graceEpoch 0.
@@ -230,8 +85,8 @@ func TestHeartbeatEviction(t *testing.T) {
 
 	// A restart resets liveness to graceEpoch: nobody expires until the
 	// grace horizon passes, even though lastSeen is empty.
-	g2 := makeGroup(3, 0, 0)
-	g2.configure(0, 0, 2)
+	g2 := makeGroup(3)
+	g2.evictAfter = 2
 	g2.graceEpoch = 10
 	if got := g2.expiredMembers(12); len(got) != 0 {
 		t.Fatalf("grace period must hold at epoch 12, got %v", got)
@@ -244,7 +99,7 @@ func TestHeartbeatEviction(t *testing.T) {
 // TestQFloorMonotone: removing the highest acknowledger (eviction,
 // leave) must never regress the published stable value.
 func TestQFloorMonotone(t *testing.T) {
-	g := makeGroup(3, 0, 0)
+	g := makeGroup(3)
 	g.v[1].TA = 10
 	g.v[2].TA = 8
 	g.v[3].TA = 2
@@ -255,5 +110,18 @@ func TestQFloorMonotone(t *testing.T) {
 	g.leave(2)
 	if q2 := g.stableQ(); q2 < q1 {
 		t.Fatalf("stableQ regressed from %d to %d after leave", q1, q2)
+	}
+}
+
+// stable reports what a reply would publish without raising the floor:
+// only the write path, whose record seals the floor, may raise it.
+func TestStableDoesNotRaiseFloor(t *testing.T) {
+	g := makeGroup(3)
+	g.v[1].TA, g.v[2].TA = 5, 4
+	if q := g.stable(); q != 4 || g.qFloor != 0 {
+		t.Fatalf("stable = %d with floor %d, want 4 with floor 0", q, g.qFloor)
+	}
+	if q := g.stableQ(); q != 4 || g.qFloor != 4 {
+		t.Fatalf("stableQ = %d with floor %d, want 4 with floor 4", q, g.qFloor)
 	}
 }

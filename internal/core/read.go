@@ -40,7 +40,11 @@ import (
 //
 // readState is the reader-visible projection of the trusted context:
 // the communication key, each client's last (t, h) context, and the
-// durable snapshot's sequence and majority-stable numbers. The writer
+// durable snapshot's sequence and majority-stable numbers. The stable
+// number is the q floor sealed with the durable prefix, never one
+// computed from V: V already holds the acknowledgements of batches that
+// are not yet durable, and a restart that loses them would publish a
+// lower q to the next write than the read did. The writer
 // republishes it (a fresh map, never mutated in place) on every advance
 // and on every serialized state transition. mu also covers the service's
 // durable view: the writer moves the view and republishes seq in one
@@ -78,10 +82,23 @@ func (p *Trusted) syncReadState() {
 	p.syncReadStateLocked()
 }
 
+// seqQ is the q floor a batch's record sealed, under the batch's final
+// sequence number.
+type seqQ struct{ t, q uint64 }
+
+// allDurable records that everything executed is on stable storage, with
+// the q floor sealed last.
+func (p *Trusted) allDurable() {
+	p.durableT, p.durableQ, p.batchQ = p.t, p.g.qFloor, p.batchQ[:0]
+}
+
 // publishDurable moves the service's durable view to seq and republishes
 // the projection before any reader can run against the moved view.
 func (p *Trusted) publishDurable(seq uint64) {
 	p.durableT = seq
+	for len(p.batchQ) > 0 && p.batchQ[0].t <= seq {
+		p.durableQ, p.batchQ = p.batchQ[0].q, p.batchQ[1:]
+	}
 	p.rs.mu.Lock()
 	defer p.rs.mu.Unlock()
 	p.snapReader.AdvanceDurable(seq)
@@ -113,17 +130,10 @@ func (p *Trusted) syncReadStateLocked() {
 		if p.durableT > rs.seq {
 			rs.seq = p.durableT
 		}
-		// The stable number may run ahead of the durable snapshot (acks
-		// arrive with later batches); cap it so replies never claim
+		// Acks arrive with later batches, so the durable floor may run
+		// ahead of the durable snapshot; cap it so replies never claim
 		// stability beyond the snapshot they describe.
-		if q := p.g.stableQ(); q > rs.q {
-			if q > rs.seq {
-				q = rs.seq
-			}
-			if q > rs.q {
-				rs.q = q
-			}
-		}
+		rs.q = max(rs.q, min(p.durableQ, rs.seq))
 	}
 }
 
@@ -139,6 +149,7 @@ func (p *Trusted) handleEnableReads() ([]byte, error) {
 	}
 	p.readsArmed = true
 	p.snapReader.EndBatch(p.t)
+	p.allDurable()
 	p.publishDurable(p.t)
 	return []byte("ok"), nil
 }

@@ -327,16 +327,9 @@ type ReshardEntry struct {
 
 // ReshardHandoff is the plaintext of one source shard's handoff. Clients
 // open it with the source's kC and verify their own entry against their
-// stored context before adopting the new generation.
-//
-// When the source runs in committee mode (registered group larger than
-// the stability threshold, see group.go) it omits idle members — entries
-// with a zero context — and sets OmitsIdle, keeping the handoff
-// O(active + committees) instead of O(registered). A client whose own
-// context is zero accepts the absence of its entry (an idle client has
-// nothing a rollback could take from it); any client that has invoked
-// still finds — and verifies — its entry. Digests carries the source's
-// final committee digests for auditability of the omitted population.
+// stored context before adopting the new generation. It carries every
+// member of V, so its size is O(registered clients), as the paper's
+// migration handoff is.
 type ReshardHandoff struct {
 	Gen       uint64
 	OldShards int
@@ -346,12 +339,10 @@ type ReshardHandoff struct {
 	Head      hashchain.Value // the source's final h
 	Entries   []ReshardEntry  // ascending by ID
 	NewKCs    [][]byte        // lead (src 0) only: one kC per new shard
-	OmitsIdle bool
-	Digests   []CommitteeDigest
 }
 
 func (h *ReshardHandoff) encode() []byte {
-	size := 88 + len(h.Entries)*(8+16+2*hashchain.Size) + len(h.Digests)*56
+	size := 68 + len(h.Entries)*(8+16+2*hashchain.Size)
 	for _, e := range h.Entries {
 		size += len(e.LastReply)
 	}
@@ -377,11 +368,6 @@ func (h *ReshardHandoff) encode() []byte {
 	w.U32(uint32(len(h.NewKCs)))
 	for _, kc := range h.NewKCs {
 		w.Var(kc)
-	}
-	w.Bool(h.OmitsIdle)
-	w.U32(uint32(len(h.Digests)))
-	for i := range h.Digests {
-		h.Digests[i].encodeTo(w)
 	}
 	return w.Bytes()
 }
@@ -410,11 +396,6 @@ func decodeReshardHandoff(b []byte) (*ReshardHandoff, error) {
 	n = r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		h.NewKCs = append(h.NewKCs, r.Var())
-	}
-	h.OmitsIdle = r.Bool()
-	n = r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		h.Digests = append(h.Digests, decodeCommitteeDigest(r))
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lcm: decode reshard handoff: %w", err)
@@ -874,19 +855,8 @@ func (p *Trusted) handleReshardExport(env tee.Env) (_ []byte, err error) {
 		Gen: resh.gen, OldShards: resh.oldShards, NewShards: resh.newShards,
 		Src: resh.src, Seq: p.t, Head: p.h, NewKCs: resh.newKCs,
 	}
-	// In committee mode the handoff omits idle members (zero context) so
-	// its size tracks the active set, not the registered group; idle
-	// clients accept the absence (see ReshardHandoff). The final committee
-	// digests ride along for auditability.
-	if p.g.committeeMode() {
-		handoff.OmitsIdle = true
-		handoff.Digests = p.g.computeDigests(p.g.epoch)
-	}
 	for _, id := range p.g.v.clientIDs() {
 		e := p.g.v[id]
-		if handoff.OmitsIdle && e.TA == 0 && e.T == 0 {
-			continue
-		}
 		handoff.Entries = append(handoff.Entries, ReshardEntry{
 			ID: id, TA: e.TA, HA: e.HA, T: e.T, H: e.H,
 			LastReply: e.LastReply,

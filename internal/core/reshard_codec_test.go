@@ -3,24 +3,10 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"lcm/internal/hashchain"
 )
 
 func TestReshardHandoffCodecRoundTrip(t *testing.T) {
-	h := &ReshardHandoff{
-		Gen:       3,
-		OldShards: 2,
-		NewShards: 4,
-		Src:       1,
-		Seq:       77,
-		Head:      hashchain.Value{1, 2, 3},
-		Entries: []ReshardEntry{
-			{ID: 1, TA: 5, HA: hashchain.Value{4}, T: 6, H: hashchain.Value{5}, LastReply: []byte("sealed-reply-1")},
-			{ID: 2, TA: 7, HA: hashchain.Value{6}, T: 7, H: hashchain.Value{6}}, // no cached reply
-		},
-		NewKCs: [][]byte{{9, 9}, {8, 8}},
-	}
+	h := goldenReshardHandoff()
 	got, err := decodeReshardHandoff(h.encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)

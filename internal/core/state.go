@@ -18,6 +18,8 @@ package core
 // Seg without kP, and cannot change it. An unknown version, or a blob
 // from before the header, fails with ErrStateVersion. trustedState ends
 // with Head, the chain value the first record of segment Seg links to.
+// Version 2 dropped the U32 that version 1 carried after QFloor, so a
+// version-1 blob fails with ErrStateVersion.
 //
 // # Delta record layout
 //
@@ -146,7 +148,7 @@ func SegmentSlot(seg uint64) string {
 
 // State blob header (see the layout above).
 const (
-	stateVersion    = 1
+	stateVersion    = 2
 	stateHeaderSize = 1 + 8
 )
 
@@ -214,23 +216,21 @@ type trustedState struct {
 	BeaconSeq  uint64
 	BeaconTick uint64
 	// Group section (see group.go): the membership epoch, the monotone
-	// stability floor, the runtime committee-size override (0 = config
-	// default), the eviction tombstones and counter, and the authoritative
-	// sequence head.
-	GroupEpoch    uint64
-	QFloor        uint64
-	CommitteeSize uint32
-	Evicted       []uint32
-	Evictions     uint64
-	SeqT          uint64
-	SeqH          hashchain.Value
+	// stability floor, the eviction tombstones and counter, and the
+	// authoritative sequence head.
+	GroupEpoch uint64
+	QFloor     uint64
+	Evicted    []uint32
+	Evictions  uint64
+	SeqT       uint64
+	SeqH       hashchain.Value
 	// Head is the chain value the first record after this blob links to
 	// (the hash of the cut's record, or the head at an inline seal).
 	Head [32]byte
 }
 
 func (s *trustedState) encodedSize() int {
-	size := 56 + len(s.KC) + len(s.Snapshot) + 40 + hashchain.Size + 32 + 4*len(s.Evicted)
+	size := 56 + len(s.KC) + len(s.Snapshot) + 36 + hashchain.Size + 32 + 4*len(s.Evicted)
 	for _, e := range s.V {
 		size += vEntryMinSize + len(e.LastReply)
 	}
@@ -295,7 +295,6 @@ func (s *trustedState) encodeTo(w *wire.Writer) {
 	w.U64(s.BeaconTick)
 	w.U64(s.GroupEpoch)
 	w.U64(s.QFloor)
-	w.U32(s.CommitteeSize)
 	w.U32(uint32(len(s.Evicted)))
 	for _, id := range s.Evicted {
 		w.U32(id)
@@ -320,7 +319,6 @@ func decodeTrustedState(b []byte) (*trustedState, error) {
 	s.BeaconTick = r.U64()
 	s.GroupEpoch = r.U64()
 	s.QFloor = r.U64()
-	s.CommitteeSize = r.U32()
 	ne := r.Count(4)
 	if ne > 0 {
 		s.Evicted = make([]uint32, ne)

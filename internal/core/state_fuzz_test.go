@@ -33,6 +33,8 @@ func FuzzDecodeTrustedState(f *testing.F) {
 	f.Add(withCount(golden, vCount, 0xFFFFFFFF))               // the largest count
 	f.Add(withCount(golden, len(golden)-(4+8+8+32+32), 1<<30)) // evicted ids
 	f.Add(golden[:len(golden)-32])                             // the layout before Head
+	evicted := len(golden) - (4 + 8 + 8 + 32 + 32)
+	f.Add(append(append(bytes.Clone(golden[:evicted]), 0, 0, 0, 0), golden[evicted:]...)) // version 1's U32 after QFloor
 	cut := goldenTrustedState()
 	cut.Snapshot, cut.Evicted, cut.SeqT = nil, []uint32{2, 9}, 11 // a cut's frozen state
 	f.Add(cut.encode())

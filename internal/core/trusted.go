@@ -37,10 +37,7 @@ type Trusted struct {
 	compactRatio float64
 	cutRecords   int // tests: cut after this many records, whatever their size
 
-	// Group-strategy configuration (see group.go).
-	committeeSize      int
-	stabilityThreshold int
-	evictAfterEpochs   int
+	evictAfterEpochs int // see Group.expiredMembers
 
 	// Volatile state, rebuilt by init from the sealed blobs.
 	svc        service.Service
@@ -48,7 +45,7 @@ type Trusted struct {
 	snapReader service.SnapshotReader // non-nil iff svc supports snapshot reads
 	t          uint64                 // sequence number of the last executed operation
 	h          hashchain.Value        // hash-chain value after it
-	g          *Group                 // the client group (protocol state V + committees)
+	g          *Group                 // the client group (protocol state V)
 	adminSeq   uint64
 	ks         aead.Key // sealing key (from the TEE, each epoch)
 	kp         aead.Key // protocol-state encryption key
@@ -93,11 +90,14 @@ type Trusted struct {
 
 	// Concurrent snapshot-read state (see read.go): whether the host has
 	// armed the read path for this instance, the highest sequence number
-	// the host has confirmed durable, and the projection of the protocol
-	// state shared with concurrent HandleRead calls. rs is the ONLY field
-	// readers touch; everything else stays serialized.
+	// the host has confirmed durable, the q floor sealed with it and the
+	// floors of the batches executed past it, and the projection of the
+	// protocol state shared with concurrent HandleRead calls. rs is the
+	// ONLY field readers touch; everything else stays serialized.
 	readsArmed bool
 	durableT   uint64
+	durableQ   uint64
+	batchQ     []seqQ
 	rs         readState
 }
 
@@ -142,14 +142,6 @@ type TrustedConfig struct {
 	// sealed bytes since the last checkpoint exceed this multiple of the
 	// last full snapshot's size. 0 means DefaultCompactRatio.
 	CompactRatio float64
-	// CommitteeSize is the witness-committee size k for large groups; 0
-	// means DefaultCommitteeSize. Admin.SetCommitteeSize overrides it at
-	// runtime.
-	CommitteeSize int
-	// StabilityThreshold is the registered-group size above which the
-	// committee stability strategy replaces the paper's full-group
-	// majority-stable; 0 means DefaultStabilityThreshold.
-	StabilityThreshold int
 	// EvictAfterEpochs evicts clients with no liveness signal (invoke,
 	// heartbeat or join) for this many membership epochs, batched at the
 	// epoch seal; 0 disables heartbeat eviction.
@@ -167,24 +159,22 @@ func NewTrustedFactory(cfg TrustedConfig) tee.ProgramFactory {
 	}
 	return func() tee.Program {
 		return &Trusted{
-			serviceName:        cfg.ServiceName,
-			newService:         cfg.NewService,
-			attestation:        cfg.Attestation,
-			fullSeal:           cfg.FullSeal,
-			cutRecords:         cfg.cutRecords,
-			compactRatio:       compactRatio,
-			committeeSize:      cfg.CommitteeSize,
-			stabilityThreshold: cfg.StabilityThreshold,
-			evictAfterEpochs:   cfg.EvictAfterEpochs,
+			serviceName:      cfg.ServiceName,
+			newService:       cfg.NewService,
+			attestation:      cfg.Attestation,
+			fullSeal:         cfg.FullSeal,
+			cutRecords:       cfg.cutRecords,
+			compactRatio:     compactRatio,
+			evictAfterEpochs: cfg.EvictAfterEpochs,
 		}
 	}
 }
 
-// freshGroup builds an empty Group carrying this context's strategy
+// freshGroup builds an empty Group carrying this context's eviction
 // configuration.
 func (p *Trusted) freshGroup(clients []uint32) *Group {
 	g := newGroup(clients)
-	g.configure(p.committeeSize, p.stabilityThreshold, p.evictAfterEpochs)
+	g.evictAfter = p.evictAfterEpochs
 	return g
 }
 
@@ -288,7 +278,7 @@ func (p *Trusted) foldDeltaLog(env tee.Env, base *trustedState, seg uint64, blob
 		}
 		p.seg = seg
 	}
-	p.durableT = p.t // the folded chain came from stable storage
+	p.allDurable() // the folded chain came from stable storage
 	p.chargeFootprint(env)
 	return nil
 }
@@ -394,7 +384,7 @@ func (p *Trusted) install(env tee.Env, kp aead.Key, state *trustedState) error {
 	// Alg. 2's (·, t, h) ← V[argmax(V)], sealed as is: a leave or an
 	// eviction may have removed the entry that held the head.
 	p.t, p.h = state.SeqT, state.SeqH
-	p.durableT = p.t // the installed state came from stable storage
+	p.allDurable() // the installed state came from stable storage
 	p.chargeFootprint(env)
 	return nil
 }
@@ -487,7 +477,7 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			Migrated:       p.migrated || p.resharded,
 			Epoch:          env.Epoch(),
 			Seq:            p.t,
-			Stable:         p.g.stableQ(),
+			Stable:         p.g.stable(),
 			AdminSeq:       p.adminSeq,
 			NumClients:     len(p.g.v),
 			Gen:            p.gen,
@@ -500,8 +490,6 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			LastCompactSeq: p.lastCompactT,
 			BeaconSeq:      p.beaconSeq,
 			GroupEpoch:     p.g.epoch,
-			Committees:     uint32(p.g.numCommittees()),
-			CommitteeSize:  uint32(p.g.effectiveCommitteeSize()),
 			ActiveClients:  uint32(p.g.activeCount()),
 			Evictions:      p.g.evictions,
 		}), nil
@@ -672,8 +660,10 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	if p.readsArmed && p.snapReader != nil {
 		// Seal this batch's undo generation under its final sequence
 		// number; snapshot readers keep resolving through it until the
-		// host confirms the batch durable (callAdvanceDurable).
+		// host confirms the batch durable (callAdvanceDurable), and so does
+		// the q floor its record seals.
 		p.snapReader.EndBatch(p.t)
+		p.batchQ = append(p.batchQ, seqQ{t: p.t, q: p.g.qFloor})
 	}
 	res := BatchResult{Replies: replies, Seq: p.t}
 	if err := p.sealResult(&res, &rec); err != nil {
@@ -957,8 +947,7 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 	}
 	p.h = hashchain.Extend(p.h, inv.Op, p.t, inv.ClientID)
 
-	// V[i] ← (tc, t, h); q ← the group's stability strategy (exactly
-	// majority-stable(V) for small groups; see Group.stableQ).
+	// V[i] ← (tc, t, h); q ← majority-stable(V) (see Group.stableQ).
 	ent.TA, ent.HA = inv.TC, inv.HC
 	ent.T, ent.H = p.t, p.h
 	p.g.noteActive(inv.ClientID)
@@ -976,21 +965,20 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 // stateOf assembles the sealed-state plaintext, with Head the chain head.
 func (p *Trusted) stateOf(snapshot []byte) trustedState {
 	return trustedState{
-		AdminSeq:      p.adminSeq,
-		Gen:           p.gen,
-		KC:            p.kc.Bytes(),
-		V:             p.g.v,
-		Snapshot:      snapshot,
-		BeaconSeq:     p.beaconSeq,
-		BeaconTick:    p.beaconTick,
-		GroupEpoch:    p.g.epoch,
-		QFloor:        p.g.qFloor,
-		CommitteeSize: uint32(p.g.committeeSize),
-		Evicted:       p.g.evictedIDs(),
-		Evictions:     p.g.evictions,
-		SeqT:          p.t,
-		SeqH:          p.h,
-		Head:          p.chainPrev,
+		AdminSeq:   p.adminSeq,
+		Gen:        p.gen,
+		KC:         p.kc.Bytes(),
+		V:          p.g.v,
+		Snapshot:   snapshot,
+		BeaconSeq:  p.beaconSeq,
+		BeaconTick: p.beaconTick,
+		GroupEpoch: p.g.epoch,
+		QFloor:     p.g.qFloor,
+		Evicted:    p.g.evictedIDs(),
+		Evictions:  p.g.evictions,
+		SeqT:       p.t,
+		SeqH:       p.h,
+		Head:       p.chainPrev,
 	}
 }
 
@@ -1058,6 +1046,7 @@ func (p *Trusted) persist(env tee.Env) error {
 		// The synchronous store above made everything durable; release
 		// the whole undo overlay to the snapshot readers.
 		p.snapReader.EndBatch(p.t)
+		p.allDurable()
 		p.publishDurable(p.t)
 	}
 	return nil
@@ -1135,19 +1124,6 @@ func (p *Trusted) handleAdmin(env tee.Env, ct []byte) ([]byte, error) {
 		}
 		p.g.v[op.ClientID] = &ventry{}
 		delete(p.g.evicted, op.ClientID)
-	case adminRemoveClient:
-		if _, exists := p.g.v[op.ClientID]; !exists {
-			return nil, ErrUnknownClient
-		}
-		if len(p.g.v) == 1 {
-			return nil, errors.New("lcm: cannot remove the last client")
-		}
-		newKC, err := aead.KeyFromBytes(op.NewKC)
-		if err != nil {
-			return nil, fmt.Errorf("lcm: remove: new kC: %w", err)
-		}
-		p.g.remove(op.ClientID)
-		p.kc = newKC
 	case adminLeaveClient:
 		// Cooperative departure: no key rotation (the leaver holds kC
 		// legitimately), tombstoned so a later invoke fails benignly.
@@ -1163,10 +1139,6 @@ func (p *Trusted) handleAdmin(env tee.Env, ct []byte) ([]byte, error) {
 		if !p.g.stageEvict(op.ClientID) {
 			return nil, ErrUnknownClient
 		}
-	case adminSetCommitteeSize:
-		// The committee size k rides in the ClientID field; 0 restores
-		// the configured default.
-		p.g.committeeSize = int(op.ClientID)
 	default:
 		return nil, fmt.Errorf("lcm: unknown admin op %d", op.Kind)
 	}

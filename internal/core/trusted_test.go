@@ -726,19 +726,42 @@ func TestMigrationInitOnForeignPlatformAwaitsImport(t *testing.T) {
 	}
 }
 
-// Group membership (Sec. 4.6.3): adding a client extends V and the
-// stability quorum; removing one rotates kC so the evictee is cut off.
+// sealEpoch seals a membership epoch and persists its result like the
+// honest host, then has the admin adopt the group view (and any kC the
+// seal rotated).
+func (r *rig) sealEpoch() *GroupInfo {
+	r.t.Helper()
+	resp, err := r.enclave.Call(EncodeEpochSealCall())
+	if err != nil {
+		r.t.Fatalf("epoch seal: %v", err)
+	}
+	batch, err := DecodeBatchResult(resp)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.persistBatch(batch); err != nil {
+		r.t.Fatal(err)
+	}
+	info, err := r.admin.Members(r.enclave.Call)
+	if err != nil {
+		r.t.Fatalf("Members: %v", err)
+	}
+	return info
+}
+
+// Group membership (Sec. 4.6.3): a join extends V and the stability
+// quorum; an eviction takes effect at the epoch seal, which rotates kC so
+// the evictee is cut off.
 func TestMembershipAddAndRemove(t *testing.T) {
 	r := newRig(t, []uint32{1, 2})
 	r.mustPut(1, "k", "v")
 
-	// Add client 3.
-	if err := r.admin.AddClient(r.enclave.Call, 3); err != nil {
-		t.Fatalf("AddClient: %v", err)
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("Join: %v", err)
 	}
 	status, _ := QueryStatus(r.enclave.Call)
 	if status.NumClients != 3 {
-		t.Fatalf("NumClients = %d after add", status.NumClients)
+		t.Fatalf("NumClients = %d after join", status.NumClients)
 	}
 	c3 := NewClient(3, r.admin.CommunicationKey())
 	r.clients[3] = c3
@@ -746,19 +769,28 @@ func TestMembershipAddAndRemove(t *testing.T) {
 		t.Fatalf("new client op: %v", err)
 	}
 
-	// Duplicate add rejected.
-	if err := r.admin.AddClient(r.enclave.Call, 3); err == nil {
-		t.Fatal("duplicate AddClient accepted")
+	// A repeated join is a no-op.
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("repeated Join: %v", err)
+	}
+	if status, _ = QueryStatus(r.enclave.Call); status.NumClients != 3 {
+		t.Fatalf("NumClients = %d after a repeated join", status.NumClients)
 	}
 
-	// Remove client 2; kC rotates.
-	newKC, err := r.admin.RemoveClient(r.enclave.Call, 2)
-	if err != nil {
-		t.Fatalf("RemoveClient: %v", err)
+	// Evict client 2: staged until the seal, which rotates kC.
+	oldKC := r.admin.CommunicationKey()
+	if err := r.admin.Evict(r.enclave.Call, 2); err != nil {
+		t.Fatalf("Evict: %v", err)
 	}
-	status, _ = QueryStatus(r.enclave.Call)
-	if status.NumClients != 2 {
-		t.Fatalf("NumClients = %d after remove", status.NumClients)
+	if status, _ = QueryStatus(r.enclave.Call); status.NumClients != 3 {
+		t.Fatalf("NumClients = %d before the seal", status.NumClients)
+	}
+	info := r.sealEpoch()
+	if len(info.Members) != 2 || info.Evictions != 1 {
+		t.Fatalf("after the seal: members %v, evictions %d", info.Members, info.Evictions)
+	}
+	if r.admin.CommunicationKey() == oldKC {
+		t.Fatal("the eviction seal did not rotate kC")
 	}
 
 	// The evicted client's messages no longer authenticate: T halts on
@@ -769,7 +801,6 @@ func TestMembershipAddAndRemove(t *testing.T) {
 	if _, err := r.enclave.Call(EncodeBatchCall([][]byte{inv})); !errors.Is(err, tee.ErrEnclaveHalted) {
 		t.Fatalf("evicted client op = %v, want halt", err)
 	}
-	_ = newKC
 }
 
 // Remaining clients continue across a key rotation by resuming their
@@ -778,14 +809,14 @@ func TestMembershipKeyRotationContinuity(t *testing.T) {
 	r := newRig(t, []uint32{1, 2, 3})
 	r.mustPut(1, "k", "v1")
 
-	newKC, err := r.admin.RemoveClient(r.enclave.Call, 3)
-	if err != nil {
+	if err := r.admin.Evict(r.enclave.Call, 3); err != nil {
 		t.Fatal(err)
 	}
+	r.sealEpoch()
 	// Client 1 adopts k'C (distributed by the admin out of band) while
 	// keeping its tc/hc — the protocol context survives rotation.
 	c1 := r.clients[1]
-	c1rot := ResumeClient(c1.State(), newKC)
+	c1rot := ResumeClient(c1.State(), r.admin.CommunicationKey())
 	r.clients[1] = c1rot
 	inv, err := c1rot.Invoke(kvs.Get("k"))
 	if err != nil {
@@ -809,7 +840,7 @@ func TestAdminOpReplayRejected(t *testing.T) {
 		captured = append([]byte(nil), payload...)
 		return r.enclave.Call(payload)
 	}
-	if err := r.admin.AddClient(call, 2); err != nil {
+	if err := r.admin.Join(call, 2); err != nil {
 		t.Fatal(err)
 	}
 	// The malicious server replays the captured admin message.
@@ -818,10 +849,64 @@ func TestAdminOpReplayRejected(t *testing.T) {
 	}
 }
 
+// Admin.Join admits an absent client through one sealed admin op and is
+// a local no-op for a member; Admin.Leave tombstones a member without
+// rotating kC, after which the leaver's operations are refused without a
+// halt, and refuses a non-member.
+func TestAdminJoinLeave(t *testing.T) {
+	r := newRig(t, []uint32{1, 2})
+	kc := r.admin.CommunicationKey()
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	status, _ := QueryStatus(r.enclave.Call)
+	if status.NumClients != 3 || status.AdminSeq != 1 || len(r.admin.Clients()) != 3 {
+		t.Fatalf("after Join: %d clients, admin seq %d, admin view %v", status.NumClients, status.AdminSeq, r.admin.Clients())
+	}
+	noCall := func([]byte) ([]byte, error) { return nil, errors.New("unexpected call") }
+	if err := r.admin.Join(noCall, 3); err != nil {
+		t.Fatalf("Join of a member reached the enclave: %v", err)
+	}
+
+	r.clients[3] = NewClient(3, kc)
+	r.mustPut(3, "k", "v")
+	if err := r.admin.Leave(r.enclave.Call, 3); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	status, _ = QueryStatus(r.enclave.Call)
+	if status.NumClients != 2 || status.AdminSeq != 2 || len(r.admin.Clients()) != 2 {
+		t.Fatalf("after Leave: %d clients, admin seq %d, admin view %v", status.NumClients, status.AdminSeq, r.admin.Clients())
+	}
+	if r.admin.CommunicationKey() != kc {
+		t.Fatal("a leave rotated kC")
+	}
+	inv, err := r.clients[3].Invoke(kvs.Get("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.enclave.Call(EncodeBatchCall([][]byte{inv})); !errors.Is(err, ErrClientEvicted) {
+		t.Fatalf("op by the leaver = %v, want ErrClientEvicted", err)
+	}
+	if err := r.enclave.HaltedErr(); err != nil {
+		t.Fatalf("the leaver's op halted the enclave: %v", err)
+	}
+	if err := r.admin.Leave(r.enclave.Call, 9); !errors.Is(err, ErrUnknownClient) {
+		t.Fatalf("Leave of a non-member = %v, want ErrUnknownClient", err)
+	}
+	r.mustPut(1, "k", "after")
+}
+
+// The last client can neither leave nor be evicted.
 func TestRemoveLastClientRejected(t *testing.T) {
 	r := newRig(t, []uint32{1})
-	if _, err := r.admin.RemoveClient(r.enclave.Call, 1); err == nil {
-		t.Fatal("removing the last client succeeded")
+	if err := r.admin.Leave(r.enclave.Call, 1); err == nil {
+		t.Fatal("the last client left")
+	}
+	if err := r.admin.Evict(r.enclave.Call, 1); err != nil {
+		t.Fatal(err)
+	}
+	if info := r.sealEpoch(); len(info.Members) != 1 || info.Evictions != 0 {
+		t.Fatalf("after evicting the last client: members %v, evictions %d", info.Members, info.Evictions)
 	}
 }
 

@@ -10,68 +10,12 @@ import (
 	"lcm/internal/client"
 	"lcm/internal/core"
 	"lcm/internal/kvs"
-	"lcm/internal/stablestore"
-	"lcm/internal/tee"
 	"lcm/internal/transport"
 )
 
-// newChurnStack is newStack with the group-membership knobs exposed.
-func newChurnStack(t *testing.T, clientIDs []uint32, batch, committeeSize, threshold, evictAfter int) *stack {
-	t.Helper()
-	attestation := tee.NewAttestationService()
-	platform, err := tee.NewPlatform("plat-churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	attestation.Register(platform)
-	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	factory := core.NewTrustedFactory(core.TrustedConfig{
-		ServiceName:        "kvs",
-		NewService:         kvs.Factory(),
-		Attestation:        attestation,
-		CommitteeSize:      committeeSize,
-		StabilityThreshold: threshold,
-		EvictAfterEpochs:   evictAfter,
-	})
-	server, err := New(Config{
-		Platform:  platform,
-		Factory:   factory,
-		Store:     storage,
-		BatchSize: batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewInmemNetwork()
-	listener, err := net.Listen("lcm-server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go server.Serve(listener)
-	admin := core.NewAdmin(attestation, core.ProgramIdentity("kvs"))
-	if err := admin.Bootstrap(server.ECall, clientIDs); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	s := &stack{
-		t:           t,
-		net:         net,
-		server:      server,
-		storage:     storage,
-		attestation: attestation,
-		admin:       admin,
-		listener:    listener,
-	}
-	t.Cleanup(func() {
-		listener.Close()
-		server.Shutdown()
-	})
-	return s
-}
-
 // TestChurnFuzz drives a seeded schedule of joins, leaves, staged
-// evictions and epoch seals underneath live client traffic, with the
-// stability threshold forced low so the committee strategy is in force
-// throughout. The assertions are the protocol's safety net: no honest
+// evictions and epoch seals underneath live client traffic. The
+// assertions are the protocol's safety net: no honest
 // client ever reports a violation (no false positives), the published
 // stable sequence number never regresses across a membership change, and
 // evicted ids are cut off by the epoch seal's key rotation while every
@@ -85,7 +29,7 @@ func TestChurnFuzz(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint32(i + 1)
 	}
-	s := newChurnStack(t, ids, 2, 2 /* k */, 4 /* threshold */, 0)
+	s := newStack(t, ids, 2)
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 
 	cfg := client.Config{Timeout: 5 * time.Second, Retries: 1}
@@ -224,12 +168,12 @@ func randomMember(rng *rand.Rand, sessions map[uint32]*client.Session) uint32 {
 	return ids[rng.Intn(len(ids))]
 }
 
-// TestSwarmRegistered100k is the scale smoke behind the redesign: 10^5
-// registered clients with a 64-session active set. Bootstrap, traffic,
-// stability and an epoch seal must all work with the committee strategy
-// keeping the per-operation cost O(active + committees) — the test
-// completing in seconds IS the assertion that nothing on the hot path
-// walks the registered group.
+// TestSwarmRegistered100k is the scale smoke for a large registered
+// group: 10^5 registered clients with a 64-session active set. Bootstrap,
+// traffic and an epoch seal must all work, and stability follows Def. 2
+// (Sec. 4.5): the 64 active clients are a minority of V, so nothing they
+// do can become stable — q stays 0 until a majority of all registered
+// clients acknowledges (or heartbeat eviction shrinks V).
 func TestSwarmRegistered100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-member bootstrap is not a -short test")
@@ -242,7 +186,7 @@ func TestSwarmRegistered100k(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint32(i + 1)
 	}
-	s := newChurnStack(t, ids, 8, 0 /* default k */, 0 /* default threshold */, 0)
+	s := newStack(t, ids, 8)
 
 	sessions := make([]*client.Session, active)
 	for i := range sessions {
@@ -259,10 +203,8 @@ func TestSwarmRegistered100k(t *testing.T) {
 		}
 	})
 
-	// Two rounds of traffic teach the enclave the witness set's
-	// acknowledgements; the third round must then observe positive
-	// stability (the active majority, unthrottled by the 99936 idle
-	// registered members).
+	// Three rounds of traffic: from the second on, every active client
+	// acknowledges an earlier reply.
 	for round := 0; round < 3; round++ {
 		var wg sync.WaitGroup
 		errs := make(chan error, active)
@@ -285,24 +227,22 @@ func TestSwarmRegistered100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stable == 0 {
-		t.Fatal("stability stuck at zero: the idle registered majority is throttling the active set")
+	if res.Stable != 0 || sessions[0].LastStable() != 0 {
+		t.Fatalf("a minority of %d active clients out of %d made q = %d stable", active, registered, res.Stable)
 	}
 
 	st, err := core.QueryStatus(s.server.ECall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumClients != registered {
-		t.Fatalf("registered = %d, want %d", st.NumClients, registered)
+	if st.NumClients != registered || st.Stable != 0 {
+		t.Fatalf("registered = %d with q = %d, want %d with q = 0", st.NumClients, st.Stable, registered)
 	}
-	wantCommittees := uint32((registered + core.DefaultCommitteeSize - 1) / core.DefaultCommitteeSize)
-	if st.Committees != wantCommittees {
-		t.Fatalf("committees = %d, want %d", st.Committees, wantCommittees)
+	if st.ActiveClients != active {
+		t.Fatalf("active clients = %d, want %d", st.ActiveClients, active)
 	}
 
-	// One epoch seal over the full group: the O(n) digest recomputation
-	// runs off the hot path and the epoch advances.
+	// One epoch seal over the full group: the epoch advances.
 	if err := s.admin.SealEpoch(s.server.ECall); err != nil {
 		t.Fatalf("seal epoch: %v", err)
 	}
@@ -312,5 +252,122 @@ func TestSwarmRegistered100k(t *testing.T) {
 	}
 	if st.GroupEpoch == 0 {
 		t.Fatal("epoch did not advance")
+	}
+}
+
+// TestForkedMinoritiesNeverStable is Def. 2 (Sec. 4.5) end to end on a
+// large registered group: a forking host serves each twin a disjoint
+// minority of V, and neither twin may ever publish a stable sequence
+// number past the fork point. A stability rule that counts only the
+// clients a twin actually serves lets the host pick both witness sets,
+// so both branches would become "stable" — exactly what the majority of
+// all of V rules out.
+func TestForkedMinoritiesNeverStable(t *testing.T) {
+	const (
+		registered = 200
+		partition  = 10
+		prefixOps  = 1040 // drives t past 1 000 before the fork
+	)
+	ids := make([]uint32, registered)
+	for i := range ids {
+		ids[i] = uint32(i + 1)
+	}
+	s := newStack(t, ids, 8)
+
+	// The honest prefix: 2·partition clients, all on the primary.
+	sessions := make([]*client.Session, 2*partition)
+	for i := range sessions {
+		sessions[i] = s.session(uint32(i + 1))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(sessions))
+	for i, sess := range sessions {
+		wg.Add(1)
+		go func(i int, sess *client.Session) {
+			defer wg.Done()
+			for j := 0; j < prefixOps/len(sessions); j++ {
+				if _, err := sess.Do(kvs.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", j))); err != nil {
+					errs <- fmt.Errorf("prefix client %d: %w", i+1, err)
+					return
+				}
+			}
+		}(i, sess)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st, err := core.QueryStatus(s.server.ECall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forkT := st.Seq
+	if forkT < 1000 {
+		t.Fatalf("prefix reached t = %d, want ≥ 1000", forkT)
+	}
+
+	// Fork: the first partition keeps its connections on the primary; the
+	// second resumes on new connections, which the host routes to the twin.
+	forkIdx, err := s.server.AttackFork(0)
+	if err != nil {
+		t.Fatalf("AttackFork: %v", err)
+	}
+	for i := partition; i < len(sessions); i++ {
+		state := sessions[i].State()
+		sessions[i].Close()
+		conn, err := s.net.Dial("lcm-server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := client.Resume(conn, state, s.admin.CommunicationKey(),
+			client.Config{Timeout: 5 * time.Second, Retries: 1})
+		t.Cleanup(func() { sess.Close() })
+		sessions[i] = sess
+	}
+	twins := map[string]core.CallFunc{
+		"primary": s.server.ECall,
+		"fork": func(p []byte) ([]byte, error) {
+			return s.server.barrierECall(forkIdx, p)
+		},
+	}
+
+	// Each twin serves its partition across three epoch seals; no reply
+	// on either side may carry q past the fork point.
+	var maxQ [2]uint64
+	serve := func(round int) {
+		t.Helper()
+		for i, sess := range sessions {
+			for j := 0; j < 3; j++ {
+				res, err := sess.Do(kvs.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("r%d.%d", round, j)))
+				if err != nil {
+					t.Fatalf("round %d client %d: %v", round, i+1, err)
+				}
+				side := i / partition
+				maxQ[side] = max(maxQ[side], res.Stable)
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		serve(round)
+		for name, call := range twins {
+			if err := s.admin.SealEpoch(call); err != nil {
+				t.Fatalf("seal epoch on %s twin: %v", name, err)
+			}
+		}
+	}
+	serve(3)
+	for name, call := range twins {
+		st, err := core.QueryStatus(call)
+		if err != nil {
+			t.Fatalf("%s twin status: %v", name, err)
+		}
+		if st.GroupEpoch < 3 {
+			t.Fatalf("%s twin at epoch %d, want three seals", name, st.GroupEpoch)
+		}
+	}
+	if maxQ[0] > forkT || maxQ[1] > forkT {
+		t.Fatalf("fork at t = %d: primary published q = %d, fork published q = %d; "+
+			"a minority of V made a forked branch stable", forkT, maxQ[0], maxQ[1])
 	}
 }

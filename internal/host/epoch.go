@@ -12,8 +12,8 @@ import (
 // The trusted context's epoch-seal protocol (core.Trusted.handleEpochSeal)
 // is tick-driven by the host, exactly like the heartbeat beacon: every
 // Config.EpochInterval the instance's tick loop (see beacon.go) asks the
-// enclave to seal a membership epoch — batching staged evictions,
-// rotating kC when any fire, and resealing the witness-committee digests.
+// enclave to seal a membership epoch — batching staged evictions and
+// rotating kC when any fire.
 // The seal's result carries a sealed record (or a full state blob) that
 // must be durable before anything else touches the chain: an epoch seal
 // routed through a non-persisting path would leave the enclave's chain

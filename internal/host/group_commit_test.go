@@ -248,8 +248,8 @@ func TestGroupCommitAdminBarrier(t *testing.T) {
 
 	// Membership change mid-traffic: persists a fresh blob + truncation
 	// through the enclave, behind the committer flush barrier.
-	if err := admin.AddClient(server.ECall, 3); err != nil {
-		t.Fatalf("AddClient during traffic: %v", err)
+	if err := admin.Join(server.ECall, 3); err != nil {
+		t.Fatalf("Join during traffic: %v", err)
 	}
 	close(stopTraffic)
 	wg.Wait()

@@ -137,10 +137,9 @@ type Config struct {
 	// EpochInterval arms the membership epoch ticker: every interval each
 	// shard's enclave seals one membership epoch (see core/churn.go) —
 	// fencing the epoch number with the platform counter, batching staged
-	// and heartbeat-expired evictions behind one kC rotation, and
-	// resealing the witness-committee digests. The seal's sealed record
-	// commits through the committer behind the persistence barrier (see
-	// epoch.go).
+	// and heartbeat-expired evictions behind one kC rotation. The seal's
+	// sealed record commits through the committer behind the persistence
+	// barrier (see epoch.go).
 	// 0 disables the ticker; epochs then advance only when an admin sends
 	// an explicit epoch-seal ecall.
 	EpochInterval time.Duration

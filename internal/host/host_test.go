@@ -494,8 +494,8 @@ func TestRemoteAdminOverNetwork(t *testing.T) {
 	if err := admin.Bootstrap(call, []uint32{1}); err != nil {
 		t.Fatalf("remote Bootstrap: %v", err)
 	}
-	if err := admin.AddClient(call, 2); err != nil {
-		t.Fatalf("remote AddClient: %v", err)
+	if err := admin.Join(call, 2); err != nil {
+		t.Fatalf("remote Join: %v", err)
 	}
 	status, err := core.QueryStatus(call)
 	if err != nil || status.NumClients != 2 {

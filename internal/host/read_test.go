@@ -553,3 +553,93 @@ func TestSnapshotReadLazyRearmAfterRestart(t *testing.T) {
 		t.Fatalf("read after the put = %q, want v3", kv.Value)
 	}
 }
+
+// verdictStore parks every log append while armed and completes it with
+// the error the test sends (nil lets it through).
+type verdictStore struct {
+	*stablestore.MemStore
+	armed   atomic.Bool
+	entered chan struct{}
+	verdict chan error
+}
+
+func (s *verdictStore) AppendGroup(slot string, records [][]byte) error {
+	if s.armed.Load() {
+		s.entered <- struct{}{}
+		if err := <-s.verdict; err != nil {
+			return err
+		}
+	}
+	return s.MemStore.AppendGroup(slot, records)
+}
+
+// A snapshot read publishes q while a later batch has executed but is not
+// durable; that batch's append is then lost, and the enclave restarts
+// before the next record. The reader's next write must not see q below
+// what its read saw: a read's q may only count acknowledgements that are
+// on stable storage.
+func TestSnapshotReadStableSurvivesRestart(t *testing.T) {
+	store := &verdictStore{MemStore: stablestore.NewMemStore(),
+		entered: make(chan struct{}), verdict: make(chan error)}
+	s := newServiceShardStack(t, store, 1, []uint32{1, 2, 3}, true, "kvs", kvs.Factory(),
+		func(c *Config) { c.SnapshotReads = true })
+	reader, a, b := s.session(1), s.session(2), s.session(3)
+	for i, c := range []*client.ShardedSession{reader, a, b, a} { // t = 1..4
+		if _, err := c.Do(kvs.Put(fmt.Sprintf("k%d", i), "v")); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	awaitAppend := func(what string) {
+		t.Helper()
+		select {
+		case <-store.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never reached the log", what)
+		}
+	}
+
+	// t = 5 (b) parks at the log; t = 6 (a, acknowledging 4) executes
+	// behind it. With V's acknowledgements {0, 4, 3} the majority is 3,
+	// but only {0, 2, 3} — majority 2 — is durable.
+	store.armed.Store(true)
+	bDone, aDone := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := b.Do(kvs.Put("b", "v")); bDone <- err }()
+	awaitAppend("t = 5")
+	go func() { _, err := a.Do(kvs.Put("a", "v")); aDone <- err }()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err := s.server.Enclave(0).Call(core.EncodeStatusCall())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := core.DecodeStatus(resp); err == nil && st.Seq == 6 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("t = 6 never executed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	store.verdict <- nil // t = 5 is durable: the advance publishes it to readers
+	if err := <-bDone; err != nil {
+		t.Fatalf("put at t = 5: %v", err)
+	}
+	awaitAppend("t = 6")
+
+	read, err := reader.DoRead(kvs.Get("k0"))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	store.armed.Store(false)
+	store.verdict <- errors.New("injected append loss") // t = 6 is lost; the enclave restarts
+	if err := <-aDone; err == nil {
+		t.Fatal("the put whose append was lost succeeded")
+	}
+
+	res, err := reader.Do(kvs.Put("k0", "after"))
+	if err != nil {
+		t.Fatalf("write after the restart (read at seq %d saw q = %d): %v", read.Seq, read.Stable, err)
+	}
+	if res.Stable < read.Stable {
+		t.Fatalf("q regressed from %d (read) to %d (write)", read.Stable, res.Stable)
+	}
+}

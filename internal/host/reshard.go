@@ -25,12 +25,6 @@ type ReshardStats struct {
 	// reshard channel (empty unless ReshardWithAdmin was used). The host
 	// only relays it — the admin opens it with core.Admin.AdoptReshard.
 	AdminHandoff core.SealedPayload
-	// HandoffBytes is the total size of the sealed client handoffs the
-	// sources exported — what every client downloads and verifies on
-	// refresh. In committee mode the handoff omits idle members, so this
-	// stays O(active + committees) however large the registered group is
-	// (the membership ablation's flatness claim).
-	HandoffBytes int
 }
 
 // Reshard grows (or shrinks) the live deployment to newShards keyspace
@@ -213,10 +207,8 @@ func (s *Server) reshard(newShards int, adminChannel []byte) (*ReshardStats, err
 
 	// Swap: the new generation's instances become the shard primaries.
 	handoffs := make([][]byte, oldShards)
-	var handoffBytes int
 	for i, export := range exports {
 		handoffs[i] = export.Handoff
-		handoffBytes += len(export.Handoff)
 	}
 	info := &core.ReshardInfo{
 		Gen:       gen,
@@ -253,6 +245,5 @@ func (s *Server) reshard(newShards int, adminChannel []byte) (*ReshardStats, err
 		NewShards:    newShards,
 		Pause:        time.Since(start),
 		AdminHandoff: begin.AdminPayload,
-		HandoffBytes: handoffBytes,
 	}, nil
 }

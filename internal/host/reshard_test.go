@@ -613,8 +613,8 @@ func TestReshardAdminContinuity(t *testing.T) {
 	// Membership changes keep working: each adopted admin admits client 2
 	// on its shard of the new generation.
 	for j, adm := range admins {
-		if err := adm.AddClient(st.server.ShardCall(j), 2); err != nil {
-			t.Fatalf("AddClient on new shard %d: %v", j, err)
+		if err := adm.Join(st.server.ShardCall(j), 2); err != nil {
+			t.Fatalf("Join on new shard %d: %v", j, err)
 		}
 	}
 

@@ -152,7 +152,7 @@ type (
 	ReshardPending = client.ReshardPending
 
 	// GroupInfo is the admin's sealed view of the registered group:
-	// membership epoch, committee layout, members, staged/past evictions
+	// membership epoch, members, past evictions
 	// and the current communication key (Admin.Members).
 	GroupInfo = core.GroupInfo
 
