@@ -26,7 +26,6 @@ type Admin struct {
 	kp       aead.Key
 	kc       aead.Key
 	adminSeq uint64
-	clients  []uint32
 
 	// reshCh is the pending reshard channel: an ephemeral responder whose
 	// public key ReshardChannel sealed under kP, awaiting the lead's
@@ -51,11 +50,6 @@ func (a *Admin) CommunicationKey() aead.Key { return a.kc }
 // StateKey returns kP; the admin retains it for administrative messages
 // and for disaster recovery (migrating T when the origin is lost).
 func (a *Admin) StateKey() aead.Key { return a.kp }
-
-// Clients returns the current group membership as known to the admin.
-func (a *Admin) Clients() []uint32 {
-	return append([]uint32(nil), a.clients...)
-}
 
 // Attestation returns the attestation service this admin verifies quotes
 // against — operators registering a fresh recovery platform need it.
@@ -111,7 +105,6 @@ func (a *Admin) Bootstrap(call CallFunc, clients []uint32) error {
 	}
 	a.kp, a.kc = kp, kc
 	a.adminSeq = 0
-	a.clients = append([]uint32(nil), clients...)
 	return nil
 }
 
@@ -177,7 +170,6 @@ func (a *Admin) AdoptReshard(p SealedPayload) ([]*Admin, error) {
 			measurement: a.measurement,
 			kp:          kp,
 			kc:          kc,
-			clients:     append([]uint32(nil), h.Clients...),
 		}
 	}
 	a.reshCh = nil
@@ -202,20 +194,13 @@ func (a *Admin) sendAdminOp(call CallFunc, op *AdminOp) error {
 }
 
 // Join admits a client to the group through the churn-era admin path: a
-// V-entry upsert persisted as O(change), with no kC rotation (the joiner
-// receives the current kC from the admin out of band). Idempotent —
-// joining a present member succeeds without a wire round trip.
+// V-entry upsert, with no kC rotation (the joiner receives the current kC
+// from the admin out of band). The enclave persists the change with a
+// full seal. Idempotent: joining a present member succeeds. Join always
+// reaches the enclave, since only the enclave sees client-originated
+// churn.
 func (a *Admin) Join(call CallFunc, id uint32) error {
-	for _, existing := range a.clients {
-		if existing == id {
-			return nil
-		}
-	}
-	if err := a.sendAdminOp(call, &AdminOp{Kind: adminAddClient, ClientID: id}); err != nil {
-		return err
-	}
-	a.clients = append(a.clients, id)
-	return nil
+	return a.sendAdminOp(call, &AdminOp{Kind: adminAddClient, ClientID: id})
 }
 
 // Leave retires a client voluntarily: its V entry is tombstoned without
@@ -223,17 +208,7 @@ func (a *Admin) Join(call CallFunc, id uint32) error {
 // the rotation keeps leaves O(change) instead of O(group). The last
 // member cannot leave.
 func (a *Admin) Leave(call CallFunc, id uint32) error {
-	if err := a.sendAdminOp(call, &AdminOp{Kind: adminLeaveClient, ClientID: id}); err != nil {
-		return err
-	}
-	kept := a.clients[:0]
-	for _, existing := range a.clients {
-		if existing != id {
-			kept = append(kept, existing)
-		}
-	}
-	a.clients = kept
-	return nil
+	return a.sendAdminOp(call, &AdminOp{Kind: adminLeaveClient, ClientID: id})
 }
 
 // Evict stages a forcible removal for the next epoch seal. Staged
@@ -245,10 +220,9 @@ func (a *Admin) Evict(call CallFunc, id uint32) error {
 }
 
 // Members fetches the trusted context's authoritative group view — the
-// membership, epoch, evictions and the current kC — and adopts
-// it: client-originated churn and eviction-seal kC rotations happen
-// without the admin, so the local mirror goes stale and this is how it
-// catches up.
+// membership, epoch, evictions and the current kC — and adopts its kC:
+// eviction-seal kC rotations happen without the admin, so this is how it
+// learns the rotated key. The admin keeps no copy of V; this is the view.
 func (a *Admin) Members(call CallFunc) (*GroupInfo, error) {
 	if a.kp.IsZero() {
 		return nil, errors.New("lcm: admin has not bootstrapped")
@@ -262,7 +236,6 @@ func (a *Admin) Members(call CallFunc) (*GroupInfo, error) {
 		return nil, fmt.Errorf("lcm: group info kC: %w", err)
 	}
 	a.kc = kc
-	a.clients = append([]uint32(nil), info.Members...)
 	return info, nil
 }
 

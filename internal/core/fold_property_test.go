@@ -496,7 +496,11 @@ func (f *foldRig) reshard() {
 	}
 	f.admin, f.enclave, f.storage, f.live = admins[0], targets[0], stores[0], progs[0]
 	f.clients = map[uint32]*Client{}
-	for _, id := range admins[0].Clients() {
+	info, err := admins[0].Members(targets[0].Call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range info.Members {
 		f.clients[id] = NewClient(id, admins[0].CommunicationKey())
 	}
 	f.reads = false

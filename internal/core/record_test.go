@@ -210,6 +210,42 @@ func TestVersion2RecordFailsWithErrRecordVersion(t *testing.T) {
 	}
 }
 
+// A record in the committed version-3 format (sealed at its chain
+// position like version 4, but its bank delta had the layout before
+// service.Keyed) fails with ErrRecordVersion: its decode reports it, and a
+// restart over a log holding one, sealed at the head's position, halts
+// with that cause rather than folding a delta it would misread.
+func TestVersion3RecordFailsWithErrRecordVersion(t *testing.T) {
+	v3, err := os.ReadFile("testdata/delta-record-v3.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeDeltaRecord(v3); !errors.Is(err, ErrRecordVersion) {
+		t.Fatalf("decode of a version-3 record = %v, want ErrRecordVersion", err)
+	}
+	r := newRig(t, []uint32{1, 2})
+	r.mustPut(1, "a", "1")
+	head, err := foldStored(r.storage, r.admin.kp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ad recordAD
+	sealed, err := aead.Seal(r.admin.kp, v3, ad.at(head.chainPrev, head.t, head.adminSeq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.storage.Append(SegmentSlot(head.seg), sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
+		t.Fatalf("restart over a version-3 record = %v, want a halt", err)
+	}
+	var halt *tee.HaltError
+	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrRecordVersion) || !errors.As(err, &halt) || halt.Reason != "delta record version unknown" {
+		t.Fatalf("halt = %v, want ErrRecordVersion", err)
+	}
+}
+
 // Every part of a record's chain position is sealed into its associated
 // data: the stored chain, folded from a base whose head (Prev), sequence
 // number (FromT) or admin sequence number is off, halts on its first

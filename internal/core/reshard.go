@@ -514,29 +514,24 @@ func decodeReshardTargetPayload(b []byte) (*reshardTargetPayload, error) {
 }
 
 // reshardAdminHandoff is what the lead seals to the admin's reshard
-// channel at BEGIN: the new generation's per-shard protocol keys and the
-// client group, so the admin can keep performing membership changes
-// (Sec. 4.6.3) after the move without re-bootstrapping.
+// channel at BEGIN: the new generation's per-shard protocol keys, so the
+// admin can keep performing membership changes (Sec. 4.6.3) after the
+// move without re-bootstrapping. The group is the enclaves' (Members).
 type reshardAdminHandoff struct {
 	Gen       uint64
 	NewShards int
-	Clients   []uint32
 	KPs       [][]byte // one per new shard
 	KCs       [][]byte // one per new shard
 }
 
 func (h *reshardAdminHandoff) encode() []byte {
-	size := 24 + 4*len(h.Clients)
+	size := 16
 	for i := range h.KPs {
 		size += 8 + len(h.KPs[i]) + len(h.KCs[i])
 	}
 	w := wire.NewWriter(size)
 	w.U64(h.Gen)
 	w.U32(uint32(h.NewShards))
-	w.U32(uint32(len(h.Clients)))
-	for _, id := range h.Clients {
-		w.U32(id)
-	}
 	w.U32(uint32(len(h.KPs)))
 	for i := range h.KPs {
 		w.Var(h.KPs[i])
@@ -552,10 +547,6 @@ func decodeReshardAdminHandoff(b []byte) (*reshardAdminHandoff, error) {
 		NewShards: int(r.U32()),
 	}
 	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		h.Clients = append(h.Clients, r.U32())
-	}
-	n = r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		h.KPs = append(h.KPs, r.Var())
 		h.KCs = append(h.KCs, r.Var())
@@ -750,8 +741,7 @@ func (p *Trusted) handleReshardBegin(env tee.Env, newShards int, targetQuotes, p
 			return nil, fmt.Errorf("lcm: reshard admin channel failed authentication: %w", err)
 		}
 		handoff := reshardAdminHandoff{
-			Gen: gen, NewShards: newShards, Clients: clients,
-			KPs: newKPs, KCs: newKCs,
+			Gen: gen, NewShards: newShards, KPs: newKPs, KCs: newKCs,
 		}
 		senderPub, ct, err := securechannel.Seal(adminPub, handoff.encode())
 		if err != nil {

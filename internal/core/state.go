@@ -23,7 +23,7 @@ package core
 //
 // # Delta record layout
 //
-// Each record's plaintext (version 3) is:
+// Each record's plaintext (version 4) is:
 //
 //	U8       version      recordVersion
 //	U8       flags        which optional fields [..] follow
@@ -68,8 +68,10 @@ package core
 // divergent writer.
 //
 // Old data fails by name, with no in-place migration: a record sealed
-// under the bare adDeltaLog label (versions 1, 2) with ErrRecordVersion,
-// a log segment without stablestore.LogHeader with its ErrLogVersion.
+// under the bare adDeltaLog label (versions 1, 2) or of version 3 (whose
+// bank delta, internal/counter's, had another layout) with
+// ErrRecordVersion, a log segment without stablestore.LogHeader with its
+// ErrLogVersion.
 //
 // # Chaining and checkpoints
 //
@@ -358,7 +360,7 @@ type deltaRecord struct {
 }
 
 // Delta record version and presence flags (bit i: flags()'s i-th field).
-const recordVersion = 3
+const recordVersion = 4
 
 const (
 	recAnchors = 1 << iota

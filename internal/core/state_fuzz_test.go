@@ -81,8 +81,8 @@ func withFlags(golden *deltaRecord, flags byte) *deltaRecord {
 }
 
 // FuzzDecodeDeltaRecord: the same three oracles for a delta-log record,
-// seeded with every combination of the optional fields (version 3) and
-// with the committed version-1 and version-2 records.
+// seeded with every combination of the optional fields (version 4) and
+// with the committed version-1, version-2 and version-3 records.
 func FuzzDecodeDeltaRecord(f *testing.F) {
 	golden := goldenDeltaRecord()
 	for flags := 0; flags < recQFloor<<1; flags++ {
@@ -96,7 +96,7 @@ func FuzzDecodeDeltaRecord(f *testing.F) {
 	f.Add(withCount(enc, entriesCount, 1<<24))
 	f.Add(withCount(enc, entriesCount, 0xFFFFFFFF))
 	f.Add(withCount(enc, removedCount, 1<<30))
-	for _, old := range []string{"testdata/delta-record-v1.bin", "testdata/delta-record-v2.bin"} {
+	for _, old := range []string{"testdata/delta-record-v1.bin", "testdata/delta-record-v2.bin", "testdata/delta-record-v3.bin"} {
 		b, err := os.ReadFile(old)
 		if err != nil {
 			f.Fatal(err)

@@ -1119,11 +1119,7 @@ func (p *Trusted) handleAdmin(env tee.Env, ct []byte) ([]byte, error) {
 	}
 	switch op.Kind {
 	case adminAddClient:
-		if _, exists := p.g.v[op.ClientID]; exists {
-			return nil, fmt.Errorf("lcm: client %d already in group", op.ClientID)
-		}
-		p.g.v[op.ClientID] = &ventry{}
-		delete(p.g.evicted, op.ClientID)
+		p.g.join(op.ClientID) // idempotent, as churn's join
 	case adminLeaveClient:
 		// Cooperative departure: no key rotation (the leaver holds kC
 		// legitimately), tombstoned so a later invoke fails benignly.

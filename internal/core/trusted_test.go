@@ -849,8 +849,8 @@ func TestAdminOpReplayRejected(t *testing.T) {
 	}
 }
 
-// Admin.Join admits an absent client through one sealed admin op and is
-// a local no-op for a member; Admin.Leave tombstones a member without
+// Admin.Join admits an absent client through one sealed admin op and
+// accepts a member as a no-op change; Admin.Leave tombstones a member without
 // rotating kC, after which the leaver's operations are refused without a
 // halt, and refuses a non-member.
 func TestAdminJoinLeave(t *testing.T) {
@@ -860,12 +860,18 @@ func TestAdminJoinLeave(t *testing.T) {
 		t.Fatalf("Join: %v", err)
 	}
 	status, _ := QueryStatus(r.enclave.Call)
-	if status.NumClients != 3 || status.AdminSeq != 1 || len(r.admin.Clients()) != 3 {
-		t.Fatalf("after Join: %d clients, admin seq %d, admin view %v", status.NumClients, status.AdminSeq, r.admin.Clients())
+	info, err := r.admin.Members(r.enclave.Call)
+	if err != nil {
+		t.Fatal(err)
 	}
-	noCall := func([]byte) ([]byte, error) { return nil, errors.New("unexpected call") }
-	if err := r.admin.Join(noCall, 3); err != nil {
-		t.Fatalf("Join of a member reached the enclave: %v", err)
+	if status.NumClients != 3 || status.AdminSeq != 1 || len(info.Members) != 3 {
+		t.Fatalf("after Join: %d clients, admin seq %d, members %v", status.NumClients, status.AdminSeq, info.Members)
+	}
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("Join of a member: %v", err)
+	}
+	if status, _ = QueryStatus(r.enclave.Call); status.NumClients != 3 || status.AdminSeq != 2 {
+		t.Fatalf("after a second Join: %d clients, admin seq %d", status.NumClients, status.AdminSeq)
 	}
 
 	r.clients[3] = NewClient(3, kc)
@@ -874,8 +880,11 @@ func TestAdminJoinLeave(t *testing.T) {
 		t.Fatalf("Leave: %v", err)
 	}
 	status, _ = QueryStatus(r.enclave.Call)
-	if status.NumClients != 2 || status.AdminSeq != 2 || len(r.admin.Clients()) != 2 {
-		t.Fatalf("after Leave: %d clients, admin seq %d, admin view %v", status.NumClients, status.AdminSeq, r.admin.Clients())
+	if info, err = r.admin.Members(r.enclave.Call); err != nil {
+		t.Fatal(err)
+	}
+	if status.NumClients != 2 || status.AdminSeq != 3 || len(info.Members) != 2 {
+		t.Fatalf("after Leave: %d clients, admin seq %d, members %v", status.NumClients, status.AdminSeq, info.Members)
 	}
 	if r.admin.CommunicationKey() != kc {
 		t.Fatal("a leave rotated kC")
@@ -894,6 +903,40 @@ func TestAdminJoinLeave(t *testing.T) {
 		t.Fatalf("Leave of a non-member = %v, want ErrUnknownClient", err)
 	}
 	r.mustPut(1, "k", "after")
+}
+
+// A client that left through churn is re-admitted by Admin.Join: the
+// admin has no view of client-originated leaves, so Join always reaches
+// the enclave, and the enclave's add accepts a member as churn does.
+func TestAdminJoinAfterChurnLeave(t *testing.T) {
+	r := newRig(t, []uint32{1, 2, 3})
+	r.mustPut(3, "k", "v")
+	msg, err := SealChurnMsg(r.admin.CommunicationKey(), ChurnLeave, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := r.enclave.Call(EncodeChurnCall([][]byte{msg}))
+	if err != nil {
+		t.Fatalf("churn leave: %v", err)
+	}
+	batch, err := DecodeBatchResult(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.persistBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := QueryStatus(r.enclave.Call); status.NumClients != 2 {
+		t.Fatalf("after the churn leave: %d clients, want 2", status.NumClients)
+	}
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("Join after a churn leave: %v", err)
+	}
+	if status, _ := QueryStatus(r.enclave.Call); status.NumClients != 3 || status.AdminSeq != 1 {
+		t.Fatalf("after Join: %d clients, admin seq %d; want 3 clients, admin seq 1", status.NumClients, status.AdminSeq)
+	}
+	r.clients[3] = NewClient(3, r.admin.CommunicationKey())
+	r.mustPut(3, "k", "again")
 }
 
 // The last client can neither leave nor be evicted.

@@ -61,9 +61,6 @@ package counter
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"sort"
-	"sync"
 
 	"lcm/internal/service"
 	"lcm/internal/wire"
@@ -142,33 +139,15 @@ func dstKey(id string) string { return "dst/" + id }
 // ErrMalformedOp reports an operation that does not decode.
 var ErrMalformedOp = errors.New("counter: malformed operation")
 
-// Bank is the counter service. It implements service.Service and
-// service.DeltaService: every mutation marks the touched accounts dirty,
-// and Delta serializes just those balances — so under LCM the bank's
-// per-batch sealed record grows with the batch, not with the number of
-// accounts (the same O(batch) persistence the kvs workload enjoys).
+// Bank is the counter service: its operation processor over two
+// service.Keyed maps, the account balances and the transaction records.
+// Every mutation marks what it touched dirty, and Delta serializes just
+// those entries — so under LCM the bank's per-batch sealed record grows
+// with the batch, not with the number of accounts (the same O(batch)
+// persistence the kvs workload enjoys).
 type Bank struct {
-	accounts map[string]int64
-	dirty    map[string]struct{}
-	txs      map[string]txRecord
-	dirtyTx  map[string]struct{}
-	// deletedTx collects transaction records pruned since the last Delta
-	// or Snapshot, so the deletions replay deterministically from the
-	// sealed record (a delta carries them as tombstone keys).
-	deletedTx map[string]struct{}
-	// epoch is the latest membership epoch AdvanceEpoch saw; purely
-	// informational (stamping uses the epoch passed in).
-	epoch uint64
-
-	// mu orders mutations against concurrent snapshot readers
-	// (service.SnapshotReader); every mutation goes through setAccount /
-	// setTx, which record undo-overlay pre-images under the write lock
-	// (once EndBatch has armed the overlays). The writer's own plain
-	// reads need no lock — mutations happen only on the writer's
-	// goroutine, and readers never write.
-	mu          sync.RWMutex
-	acctOverlay service.Overlay[int64]
-	txOverlay   service.Overlay[txRecord]
+	accounts *service.Keyed[int64]
+	txs      *service.Keyed[txRecord]
 }
 
 var (
@@ -181,45 +160,46 @@ var (
 	_ service.Freezer        = (*Bank)(nil)
 )
 
-// setAccount assigns an account balance, recording its pre-image for
-// pending snapshot readers. Callers mark the dirty set themselves (a
-// healed delta must not re-dirty).
-func (b *Bank) setAccount(name string, v int64) {
-	b.mu.Lock()
-	old, ok := b.accounts[name]
-	b.acctOverlay.Record(name, old, ok)
-	b.accounts[name] = v
-	b.mu.Unlock()
-}
-
-// setTx assigns a transaction record, recording its pre-image.
-func (b *Bank) setTx(key string, rec txRecord) {
-	b.mu.Lock()
-	old, ok := b.txs[key]
-	b.txOverlay.Record(key, old, ok)
-	b.txs[key] = rec
-	b.mu.Unlock()
-}
-
-// deleteTx removes a transaction record, recording its pre-image so
-// pending snapshot readers still observe it at the durable snapshot.
-func (b *Bank) deleteTx(key string) {
-	b.mu.Lock()
-	old, ok := b.txs[key]
-	b.txOverlay.Record(key, old, ok)
-	delete(b.txs, key)
-	b.mu.Unlock()
-}
+// balanceCodec and txCodec encode an account balance and a transaction
+// record, and charge each entry its key, its fields and 48 bytes of map
+// structure.
+var (
+	balanceCodec = service.Codec[int64]{
+		Size:      func(int64) int { return 8 },
+		Put:       func(w *wire.Writer, v int64) { w.U64(uint64(v)) },
+		Get:       func(r *wire.Reader) int64 { return int64(r.U64()) },
+		Footprint: func(name string, _ int64) int64 { return int64(len(name)) + 8 + 48 },
+	}
+	txCodec = service.Codec[txRecord]{
+		Size: func(rec txRecord) int { return 1 + 4 + len(rec.Account) + 16 },
+		Put: func(w *wire.Writer, rec txRecord) {
+			w.U8(rec.State)
+			w.Var([]byte(rec.Account))
+			w.U64(uint64(rec.Amount))
+			w.U64(rec.Epoch)
+		},
+		Get: func(r *wire.Reader) txRecord {
+			rec := txRecord{State: r.U8(), Account: string(r.VarView())}
+			rec.Amount = int64(r.U64())
+			rec.Epoch = r.U64()
+			return rec
+		},
+		Footprint: func(key string, rec txRecord) int64 { return int64(len(key)+len(rec.Account)) + 17 + 48 },
+		// A record moves with the account the coordinator routes its
+		// transfer id's remaining phases by (PartitionState).
+		Route: func(_ string, rec txRecord) string { return rec.Account },
+	}
+)
 
 // New returns an empty bank.
 func New() *Bank {
-	return &Bank{
-		accounts:  make(map[string]int64),
-		dirty:     make(map[string]struct{}),
-		txs:       make(map[string]txRecord),
-		dirtyTx:   make(map[string]struct{}),
-		deletedTx: make(map[string]struct{}),
-	}
+	return &Bank{accounts: service.NewKeyed(balanceCodec), txs: service.NewKeyed(txCodec)}
+}
+
+// balance returns an account's balance; an absent account holds zero.
+func (b *Bank) balance(name string) int64 {
+	v, _ := b.accounts.Get(name)
+	return v
 }
 
 // AdvanceEpoch implements service.EpochAdvancer: epoch-fenced
@@ -231,20 +211,16 @@ func New() *Bank {
 // touched. Both the stamps and the deletions land in the seal's own
 // delta record (or snapshot), so recovery replays them exactly.
 func (b *Bank) AdvanceEpoch(epoch uint64) {
-	b.epoch = epoch
-	for key, rec := range b.txs {
+	for key, rec := range b.txs.All() {
 		if rec.State == txEscrowed {
 			continue
 		}
 		switch {
 		case rec.Epoch == 0:
 			rec.Epoch = epoch
-			b.setTx(key, rec)
-			b.dirtyTx[key] = struct{}{}
+			b.txs.Set(key, rec)
 		case rec.Epoch+PruneHorizonEpochs <= epoch:
-			b.deleteTx(key)
-			delete(b.dirtyTx, key)
-			b.deletedTx[key] = struct{}{}
+			b.txs.Delete(key)
 		}
 	}
 }
@@ -267,16 +243,11 @@ func (b *Bank) Apply(op []byte) ([]byte, error) {
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%w: inc: %v", ErrMalformedOp, err)
 		}
-		b.setAccount(name, b.accounts[name]+delta)
-		b.dirty[name] = struct{}{}
-		return encodeBalance(StatusOK, b.accounts[name]), nil
+		b.accounts.Set(name, b.balance(name)+delta)
+		return encodeBalance(StatusOK, b.balance(name)), nil
 
-	case opRead:
-		name := string(r.Var())
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: read: %v", ErrMalformedOp, err)
-		}
-		return encodeBalance(StatusOK, b.accounts[name]), nil
+	case opRead, opEscrowTotal:
+		return b.read(op, false)
 
 	case opTransfer:
 		from := string(r.Var())
@@ -285,14 +256,12 @@ func (b *Bank) Apply(op []byte) ([]byte, error) {
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%w: transfer: %v", ErrMalformedOp, err)
 		}
-		if amount < 0 || b.accounts[from] < amount {
-			return encodeBalance(StatusInsufficient, b.accounts[from]), nil
+		if amount < 0 || b.balance(from) < amount {
+			return encodeBalance(StatusInsufficient, b.balance(from)), nil
 		}
-		b.setAccount(from, b.accounts[from]-amount)
-		b.setAccount(to, b.accounts[to]+amount)
-		b.dirty[from] = struct{}{}
-		b.dirty[to] = struct{}{}
-		return encodeBalance(StatusOK, b.accounts[from]), nil
+		b.accounts.Set(from, b.balance(from)-amount)
+		b.accounts.Set(to, b.balance(to)+amount)
+		return encodeBalance(StatusOK, b.balance(from)), nil
 
 	case opPrepare:
 		id := string(r.Var())
@@ -328,12 +297,6 @@ func (b *Bank) Apply(op []byte) ([]byte, error) {
 		}
 		return b.abort(id, from), nil
 
-	case opEscrowTotal:
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: escrowtotal: %v", ErrMalformedOp, err)
-		}
-		return encodeBalance(StatusOK, b.EscrowTotal()), nil
-
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrMalformedOp, op[0])
 	}
@@ -343,22 +306,20 @@ func (b *Bank) Apply(op []byte) ([]byte, error) {
 // known transfer id return the recorded outcome instead of debiting again.
 func (b *Bank) prepare(id, from string, amount int64) []byte {
 	key := srcKey(id)
-	if rec, ok := b.txs[key]; ok {
+	if rec, ok := b.txs.Get(key); ok {
 		switch rec.State {
 		case txEscrowed, txSettled:
-			return encodeBalance(StatusOK, b.accounts[rec.Account])
+			return encodeBalance(StatusOK, b.balance(rec.Account))
 		default: // txAborted
-			return encodeBalance(StatusAborted, b.accounts[from])
+			return encodeBalance(StatusAborted, b.balance(from))
 		}
 	}
-	if amount < 0 || b.accounts[from] < amount {
-		return encodeBalance(StatusInsufficient, b.accounts[from])
+	if amount < 0 || b.balance(from) < amount {
+		return encodeBalance(StatusInsufficient, b.balance(from))
 	}
-	b.setAccount(from, b.accounts[from]-amount)
-	b.dirty[from] = struct{}{}
-	b.setTx(key, txRecord{State: txEscrowed, Account: from, Amount: amount})
-	b.dirtyTx[key] = struct{}{}
-	return encodeBalance(StatusOK, b.accounts[from])
+	b.accounts.Set(from, b.balance(from)-amount)
+	b.txs.Set(key, txRecord{State: txEscrowed, Account: from, Amount: amount})
+	return encodeBalance(StatusOK, b.balance(from))
 }
 
 // credit applies the target-shard half of a transfer exactly once per
@@ -366,37 +327,34 @@ func (b *Bank) prepare(id, from string, amount int64) []byte {
 // after the first one) is answered with StatusDuplicate and mints nothing.
 func (b *Bank) credit(id, to string, amount int64) []byte {
 	key := dstKey(id)
-	if _, ok := b.txs[key]; ok {
-		return encodeBalance(StatusDuplicate, b.accounts[to])
+	if _, ok := b.txs.Get(key); ok {
+		return encodeBalance(StatusDuplicate, b.balance(to))
 	}
 	if amount < 0 {
-		return encodeBalance(StatusInsufficient, b.accounts[to])
+		return encodeBalance(StatusInsufficient, b.balance(to))
 	}
-	b.setAccount(to, b.accounts[to]+amount)
-	b.dirty[to] = struct{}{}
-	b.setTx(key, txRecord{State: txCredited, Account: to, Amount: amount})
-	b.dirtyTx[key] = struct{}{}
-	return encodeBalance(StatusOK, b.accounts[to])
+	b.accounts.Set(to, b.balance(to)+amount)
+	b.txs.Set(key, txRecord{State: txCredited, Account: to, Amount: amount})
+	return encodeBalance(StatusOK, b.balance(to))
 }
 
 // settle burns an escrow record after the coordinator confirmed the
 // credit: the funds have permanently left this shard.
 func (b *Bank) settle(id string) []byte {
 	key := srcKey(id)
-	rec, ok := b.txs[key]
+	rec, ok := b.txs.Get(key)
 	if !ok {
 		return encodeBalance(StatusUnknown, 0)
 	}
 	switch rec.State {
 	case txEscrowed:
 		rec.State = txSettled
-		b.setTx(key, rec)
-		b.dirtyTx[key] = struct{}{}
-		return encodeBalance(StatusOK, b.accounts[rec.Account])
+		b.txs.Set(key, rec)
+		return encodeBalance(StatusOK, b.balance(rec.Account))
 	case txSettled:
-		return encodeBalance(StatusOK, b.accounts[rec.Account])
+		return encodeBalance(StatusOK, b.balance(rec.Account))
 	default: // txAborted: the escrow was refunded; the credit must not stand
-		return encodeBalance(StatusAborted, b.accounts[rec.Account])
+		return encodeBalance(StatusAborted, b.balance(rec.Account))
 	}
 }
 
@@ -409,24 +367,21 @@ func (b *Bank) settle(id string) []byte {
 // for the id would land.
 func (b *Bank) abort(id, from string) []byte {
 	key := srcKey(id)
-	rec, ok := b.txs[key]
+	rec, ok := b.txs.Get(key)
 	if !ok {
-		b.setTx(key, txRecord{State: txAborted, Account: from})
-		b.dirtyTx[key] = struct{}{}
+		b.txs.Set(key, txRecord{State: txAborted, Account: from})
 		return encodeBalance(StatusOK, 0)
 	}
 	switch rec.State {
 	case txEscrowed:
-		b.setAccount(rec.Account, b.accounts[rec.Account]+rec.Amount)
-		b.dirty[rec.Account] = struct{}{}
+		b.accounts.Set(rec.Account, b.balance(rec.Account)+rec.Amount)
 		rec.State = txAborted
-		b.setTx(key, rec)
-		b.dirtyTx[key] = struct{}{}
-		return encodeBalance(StatusOK, b.accounts[rec.Account])
+		b.txs.Set(key, rec)
+		return encodeBalance(StatusOK, b.balance(rec.Account))
 	case txAborted:
-		return encodeBalance(StatusOK, b.accounts[rec.Account])
+		return encodeBalance(StatusOK, b.balance(rec.Account))
 	default: // txSettled
-		return encodeBalance(StatusSettled, b.accounts[rec.Account])
+		return encodeBalance(StatusSettled, b.balance(rec.Account))
 	}
 }
 
@@ -435,7 +390,7 @@ func (b *Bank) abort(id, from string) []byte {
 // conservation invariant Σ balances + Σ escrow accounts for.
 func (b *Bank) EscrowTotal() int64 {
 	var total int64
-	for _, rec := range b.txs {
+	for _, rec := range b.txs.All() {
 		if rec.State == txEscrowed {
 			total += rec.Amount
 		}
@@ -446,7 +401,7 @@ func (b *Bank) EscrowTotal() int64 {
 // TotalBalance sums every account balance on this shard.
 func (b *Bank) TotalBalance() int64 {
 	var total int64
-	for _, v := range b.accounts {
+	for _, v := range b.accounts.All() {
 		total += v
 	}
 	return total
@@ -459,170 +414,38 @@ func encodeBalance(status byte, balance int64) []byte {
 	return w.Bytes()
 }
 
-// encodeTxRecord appends one transaction record (keyed) to w.
-func encodeTxRecord(w *wire.Writer, key string, rec txRecord) {
-	w.Var([]byte(key))
-	w.U8(rec.State)
-	w.Var([]byte(rec.Account))
-	w.U64(uint64(rec.Amount))
-	w.U64(rec.Epoch)
-}
-
-// decodeTxRecord reads one keyed transaction record.
-func decodeTxRecord(r *wire.Reader) (string, txRecord) {
-	key := string(r.VarView())
-	rec := txRecord{State: r.U8(), Account: string(r.VarView())}
-	rec.Amount = int64(r.U64())
-	rec.Epoch = r.U64()
-	return key, rec
-}
-
-// sortedKeys returns the keys of a string-keyed map in sorted order, for
-// the deterministic encodings every sealed blob requires.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Snapshot implements service.Service with a deterministic encoding:
-// the sorted account balances followed by the sorted escrow/credit
-// transaction records.
-func (b *Bank) Snapshot() ([]byte, error) {
-	names := sortedKeys(b.accounts)
-	w := wire.NewWriter(16 + len(names)*24 + len(b.txs)*40)
-	w.U32(uint32(len(names)))
-	for _, n := range names {
-		w.Var([]byte(n))
-		w.U64(uint64(b.accounts[n]))
-	}
-	txKeys := sortedKeys(b.txs)
-	w.U32(uint32(len(txKeys)))
-	for _, k := range txKeys {
-		encodeTxRecord(w, k, b.txs[k])
-	}
-	// A snapshot captures every pending change — including the absence of
-	// pruned records — so the dirty and deleted sets restart empty (the
-	// DeltaService contract).
-	clear(b.dirty)
-	clear(b.dirtyTx)
-	clear(b.deletedTx)
-	return w.Bytes(), nil
-}
+// the sorted account balances, then the sorted escrow/credit transaction
+// records, one service.Keyed section each.
+func (b *Bank) Snapshot() ([]byte, error) { return service.Encode(b.accounts.Snapshot, b.txs.Snapshot) }
 
 // Freeze implements service.Freezer: balances and records are values.
 func (b *Bank) Freeze() func() ([]byte, error) {
-	return (&Bank{accounts: maps.Clone(b.accounts), txs: maps.Clone(b.txs)}).Snapshot
+	return (&Bank{accounts: b.accounts.Freeze(), txs: b.txs.Freeze()}).Snapshot
 }
 
 // Restore implements service.Service.
 func (b *Bank) Restore(snapshot []byte) error {
-	r := wire.NewReader(snapshot)
-	n := r.Count(12)
-	accounts := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		name := string(r.VarView())
-		accounts[name] = int64(r.U64())
-	}
-	ntx := r.Count(25)
-	txs := make(map[string]txRecord, ntx)
-	for i := 0; i < ntx; i++ {
-		key, rec := decodeTxRecord(r)
-		txs[key] = rec
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("counter: restore: %w", err)
-	}
-	b.mu.Lock()
-	b.accounts = accounts
-	b.txs = txs
-	b.acctOverlay.Reset()
-	b.txOverlay.Reset()
-	b.mu.Unlock()
-	b.dirty = make(map[string]struct{})
-	b.dirtyTx = make(map[string]struct{})
-	b.deletedTx = make(map[string]struct{})
-	return nil
+	return service.Decode("counter: restore", snapshot, b.accounts.Restore, b.txs.Restore)
 }
 
-// Delta implements service.DeltaService: it serializes the balances of
-// every account and the full record of every transaction touched since
-// the last Delta or Snapshot (sorted, so identical change sets encode
-// identically), followed by the keys of transaction records pruned in
-// the window (tombstones — accounts are still never deleted), and
-// resets the tracking.
+// Delta implements service.DeltaService: the accounts, then the
+// transaction records, touched since the last Delta or Snapshot, one
+// service.Keyed delta section each; a pruned record is a del (accounts
+// are never deleted). No change is nil.
 func (b *Bank) Delta() ([]byte, error) {
-	// Net deletions against re-creations within the window: a key pruned
-	// and then re-created (a late abort tombstone after its predecessor
-	// pruned) is fully described by its assignment; a key touched and
-	// then pruned needs only the tombstone.
-	for k := range b.deletedTx {
-		if _, live := b.txs[k]; live {
-			delete(b.deletedTx, k)
-		} else {
-			delete(b.dirtyTx, k)
-		}
+	if !b.accounts.Dirty() && !b.txs.Dirty() {
+		return nil, nil
 	}
-	names := sortedKeys(b.dirty)
-	w := wire.NewWriter(20 + len(names)*24 + len(b.dirtyTx)*48 + len(b.deletedTx)*16)
-	w.U32(uint32(len(names)))
-	for _, n := range names {
-		w.Var([]byte(n))
-		w.U64(uint64(b.accounts[n]))
-	}
-	txKeys := sortedKeys(b.dirtyTx)
-	w.U32(uint32(len(txKeys)))
-	for _, k := range txKeys {
-		encodeTxRecord(w, k, b.txs[k])
-	}
-	delKeys := sortedKeys(b.deletedTx)
-	w.U32(uint32(len(delKeys)))
-	for _, k := range delKeys {
-		w.Var([]byte(k))
-	}
-	clear(b.dirty)
-	clear(b.dirtyTx)
-	clear(b.deletedTx)
-	return w.Bytes(), nil
+	return service.Encode(b.accounts.Delta, b.txs.Delta)
 }
 
-// ApplyDelta implements service.DeltaService. Changes record pre-images
-// like Apply's, so a healed chain suffix stays invisible to snapshot
-// readers until it is reported durable.
+// ApplyDelta implements service.DeltaService.
 func (b *Bank) ApplyDelta(delta []byte) error {
-	r := wire.NewReader(delta)
-	n := r.U32()
-	for i := uint32(0); i < n; i++ {
-		name := string(r.Var())
-		balance := int64(r.U64())
-		if r.Err() != nil {
-			break
-		}
-		b.setAccount(name, balance)
+	if len(delta) == 0 {
+		return nil // Delta's "no change"
 	}
-	ntx := r.U32()
-	for i := uint32(0); i < ntx; i++ {
-		key, rec := decodeTxRecord(r)
-		if r.Err() != nil {
-			break
-		}
-		b.setTx(key, rec)
-	}
-	ndel := r.U32()
-	for i := uint32(0); i < ndel; i++ {
-		key := string(r.Var())
-		if r.Err() != nil {
-			break
-		}
-		b.deleteTx(key)
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("counter: apply delta: %w", err)
-	}
-	return nil
+	return service.Decode("counter: apply delta", delta, b.accounts.ApplyDelta, b.txs.ApplyDelta)
 }
 
 // ShardKeys implements service.Sharder: increments and reads address one
@@ -662,94 +485,23 @@ func (b *Bank) ShardKeys(op []byte) []string {
 }
 
 // Footprint implements service.Service.
-func (b *Bank) Footprint() int64 {
-	var total int64
-	for n := range b.accounts {
-		total += int64(len(n)) + 8 + 48
-	}
-	for k, rec := range b.txs {
-		total += int64(len(k)+len(rec.Account)) + 17 + 48
-	}
-	return total
-}
+func (b *Bank) Footprint() int64 { return b.accounts.Footprint() + b.txs.Footprint() }
 
 // PartitionState implements service.Resharder. Accounts partition by
-// their own name; escrow/credit transaction records partition by the
-// account they belong to (the source account for src/ records, the
-// credited account for dst/ records) — exactly the account the
-// coordinator routes that transfer id's remaining phases by, so a late
-// settle, abort or duplicate credit still finds its record after the
-// move. Fragments use the snapshot encoding; dirty tracking is untouched.
+// their own name, transaction records by their account (txCodec's Route):
+// the source account for src/ records, the credited one for dst/ records.
+// That is the account the coordinator routes the transfer id's remaining
+// phases by, so a late settle, abort or duplicate credit still finds its
+// record after the move.
 func (b *Bank) PartitionState(n int) ([][]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("counter: partition into %d shards", n)
-	}
-	acctBuckets := make([][]string, n)
-	for name := range b.accounts {
-		j := service.ShardIndex(name, n)
-		acctBuckets[j] = append(acctBuckets[j], name)
-	}
-	txBuckets := make([][]string, n)
-	for key, rec := range b.txs {
-		j := service.ShardIndex(rec.Account, n)
-		txBuckets[j] = append(txBuckets[j], key)
-	}
-	fragments := make([][]byte, n)
-	for j := range fragments {
-		names, txKeys := acctBuckets[j], txBuckets[j]
-		sort.Strings(names)
-		sort.Strings(txKeys)
-		w := wire.NewWriter(16 + len(names)*24 + len(txKeys)*40)
-		w.U32(uint32(len(names)))
-		for _, name := range names {
-			w.Var([]byte(name))
-			w.U64(uint64(b.accounts[name]))
-		}
-		w.U32(uint32(len(txKeys)))
-		for _, k := range txKeys {
-			encodeTxRecord(w, k, b.txs[k])
-		}
-		fragments[j] = w.Bytes()
-	}
-	return fragments, nil
+	return service.Partition("counter", n, b.accounts.Partition, b.txs.Partition)
 }
 
 // MergeState implements service.Resharder: the union of the fragments
-// becomes the bank's state. Accounts and transaction records are disjoint
-// across source shards; a duplicate means inconsistent fragments.
+// becomes the bank's state; an account or record in two fragments is an
+// error.
 func (b *Bank) MergeState(fragments [][]byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, frag := range fragments {
-		r := wire.NewReader(frag)
-		n := r.U32()
-		for j := uint32(0); j < n; j++ {
-			name := string(r.Var())
-			balance := int64(r.U64())
-			if r.Err() != nil {
-				break
-			}
-			if _, ok := b.accounts[name]; ok {
-				return fmt.Errorf("counter: merge state: account %q in more than one fragment", name)
-			}
-			b.accounts[name] = balance
-		}
-		ntx := r.U32()
-		for j := uint32(0); j < ntx; j++ {
-			key, rec := decodeTxRecord(r)
-			if r.Err() != nil {
-				break
-			}
-			if _, ok := b.txs[key]; ok {
-				return fmt.Errorf("counter: merge state: transaction %q in more than one fragment", key)
-			}
-			b.txs[key] = rec
-		}
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("counter: merge state: fragment %d: %w", i, err)
-		}
-	}
-	return nil
+	return service.Merge("counter: merge state", fragments, b.accounts.Merge, b.txs.Merge)
 }
 
 // ---- Snapshot reads (service.SnapshotReader) ----
@@ -770,77 +522,53 @@ func (b *Bank) IsReadOnly(op []byte) bool { return ReadOnly(op) }
 // SnapshotRead implements service.SnapshotReader. Safe for concurrent
 // use with Apply.
 func (b *Bank) SnapshotRead(op []byte) ([]byte, error) {
-	if len(op) == 0 {
-		return nil, ErrMalformedOp
+	if !ReadOnly(op) {
+		return nil, fmt.Errorf("%w: not a read-only op", ErrMalformedOp)
 	}
-	r := wire.NewReader(op[1:])
-	switch op[0] {
-	case opRead:
-		name := string(r.Var())
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: read: %v", ErrMalformedOp, err)
-		}
-		b.mu.RLock()
-		bal, existed, pinned := b.acctOverlay.Resolve(name)
-		if !pinned {
-			bal = b.accounts[name]
-		} else if !existed {
-			bal = 0 // account did not exist at the snapshot: zero balance
-		}
-		b.mu.RUnlock()
-		return encodeBalance(StatusOK, bal), nil
+	return b.read(op, true)
+}
 
-	case opEscrowTotal:
+// read executes a balance read or the escrow total against the live state
+// or, if durable, against the durable snapshot, where a record pruned
+// since still counts: a reader never under-counts the escrow.
+func (b *Bank) read(op []byte, durable bool) ([]byte, error) {
+	r := wire.NewReader(op[1:])
+	if op[0] == opEscrowTotal {
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%w: escrowtotal: %v", ErrMalformedOp, err)
 		}
-		b.mu.RLock()
+		if !durable {
+			return encodeBalance(StatusOK, b.EscrowTotal()), nil
+		}
 		var total int64
-		for key, rec := range b.txs {
-			if pre, existed, pinned := b.txOverlay.Resolve(key); pinned {
-				if !existed {
-					continue // record created after the snapshot
-				}
-				rec = pre
-			}
+		b.txs.RangeDurable(func(_ string, rec txRecord) {
 			if rec.State == txEscrowed {
 				total += rec.Amount
 			}
-		}
-		// Records pruned after the snapshot are no longer in the live map
-		// but still pinned: cover them too, so a reader at the durable
-		// snapshot never under-counts the escrow.
-		b.txOverlay.Pinned(func(key string, pre txRecord, existed bool) bool {
-			if _, live := b.txs[key]; live {
-				return true // counted (via its pre-image) above
-			}
-			if existed && pre.State == txEscrowed {
-				total += pre.Amount
-			}
-			return true
 		})
-		b.mu.RUnlock()
 		return encodeBalance(StatusOK, total), nil
-
-	default:
-		return nil, fmt.Errorf("%w: not a read-only op (tag %d)", ErrMalformedOp, op[0])
 	}
+	name := string(r.Var())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: read: %v", ErrMalformedOp, err)
+	}
+	if !durable {
+		return encodeBalance(StatusOK, b.balance(name)), nil
+	}
+	bal, _ := b.accounts.ReadDurable(name) // absent at the snapshot: zero
+	return encodeBalance(StatusOK, bal), nil
 }
 
 // EndBatch implements service.SnapshotReader.
 func (b *Bank) EndBatch(seq uint64) {
-	b.mu.Lock()
-	b.acctOverlay.Close(seq)
-	b.txOverlay.Close(seq)
-	b.mu.Unlock()
+	b.accounts.EndBatch(seq)
+	b.txs.EndBatch(seq)
 }
 
 // AdvanceDurable implements service.SnapshotReader.
 func (b *Bank) AdvanceDurable(seq uint64) {
-	b.mu.Lock()
-	b.acctOverlay.Advance(seq)
-	b.txOverlay.Advance(seq)
-	b.mu.Unlock()
+	b.accounts.AdvanceDurable(seq)
+	b.txs.AdvanceDurable(seq)
 }
 
 // ---- Operation and result codecs ----

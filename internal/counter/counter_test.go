@@ -175,7 +175,7 @@ func TestDeltaTracksTouchedAccounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d) != 12 { // empty delta: just the account + tx + tombstone count headers
+	if len(d) != 0 { // no change: a nil delta, as kvs's
 		t.Fatalf("delta after snapshot = %d bytes, want empty", len(d))
 	}
 
@@ -206,7 +206,7 @@ func TestDeltaTracksTouchedAccounts(t *testing.T) {
 
 	// Delta cleared its tracking: the next one is empty again.
 	d2, _ := b.Delta()
-	if len(d2) != 12 {
+	if len(d2) != 0 {
 		t.Fatalf("second delta = %d bytes, want empty", len(d2))
 	}
 }
@@ -336,18 +336,18 @@ func TestEpochStampAndPrune(t *testing.T) {
 	want := b.TotalBalance() + b.EscrowTotal()
 
 	b.AdvanceEpoch(1) // stamps the three terminal records
-	if got := len(b.txs); got != 4 {
+	if got := b.txs.Len(); got != 4 {
 		t.Fatalf("records after stamping seal = %d, want 4", got)
 	}
 	b.AdvanceEpoch(2) // within the horizon: nothing pruned
-	if got := len(b.txs); got != 4 {
+	if got := b.txs.Len(); got != 4 {
 		t.Fatalf("records one epoch after stamp = %d, want 4", got)
 	}
 	b.AdvanceEpoch(3) // stamp+PruneHorizonEpochs reached: terminals prune
-	if got := len(b.txs); got != 1 {
+	if got := b.txs.Len(); got != 1 {
 		t.Fatalf("records after prune = %d, want only the escrowed one", got)
 	}
-	if rec, ok := b.txs[srcKey("t3")]; !ok || rec.State != txEscrowed {
+	if rec, ok := b.txs.Get(srcKey("t3")); !ok || rec.State != txEscrowed {
 		t.Fatalf("escrowed record must survive pruning, got %+v (present=%v)", rec, ok)
 	}
 	if got := b.TotalBalance() + b.EscrowTotal(); got != want {
@@ -393,7 +393,7 @@ func TestDeltaFoldAcrossPrune(t *testing.T) {
 	step()
 	live.AdvanceEpoch(3) // tombstones land in this delta
 	step()
-	if got := len(live.txs); got != 0 {
+	if got := live.txs.Len(); got != 0 {
 		t.Fatalf("live records after prune = %d, want 0", got)
 	}
 	sLive, err := live.Snapshot()
@@ -440,7 +440,7 @@ func TestPruneTombstoneNetsAgainstRecreation(t *testing.T) {
 		t.Fatalf("late abort: code %d", res.Code)
 	}
 	step()
-	if rec, ok := live.txs[srcKey("x")]; !ok || rec.State != txAborted {
+	if rec, ok := live.txs.Get(srcKey("x")); !ok || rec.State != txAborted {
 		t.Fatalf("recreated tombstone record missing, got %+v (present=%v)", rec, ok)
 	}
 	sLive, err := live.Snapshot()
@@ -488,7 +488,7 @@ func TestSnapshotReadEscrowTotalAcrossPrune(t *testing.T) {
 	mustApply(t, b, Credit("p", "dst", 30))
 	b.AdvanceEpoch(1)
 	b.AdvanceEpoch(3)
-	if _, live := b.txs[srcKey("p")]; live {
+	if _, live := b.txs.Get(srcKey("p")); live {
 		t.Fatal("record p should have pruned")
 	}
 	if got := readEscrow(); got != 30 {
@@ -522,9 +522,7 @@ func TestRestoreOverwriteOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := func(b *Bank) (accts, txs int) {
-		b.acctOverlay.Pinned(func(string, int64, bool) bool { accts++; return true })
-		b.txOverlay.Pinned(func(string, txRecord, bool) bool { txs++; return true })
-		return accts, txs
+		return b.accounts.PreImages(), b.txs.PreImages()
 	}
 	for _, armed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("armed=%v", armed), func(t *testing.T) {

@@ -13,10 +13,8 @@ package kvs
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"lcm/internal/service"
 	"lcm/internal/wire"
@@ -50,30 +48,21 @@ const (
 // ErrMalformedOp reports an operation that does not decode.
 var ErrMalformedOp = errors.New("kvs: malformed operation")
 
-// Delta change kinds (see Delta below).
-const (
-	deltaSet byte = iota + 1
-	deltaDel
-)
-
-// Store is the key-value service. It implements service.Service and
-// service.DeltaService: every Put/Del marks its key dirty, and Delta
-// serializes just the dirty entries — so the enclave's per-batch sealed
-// record grows with the batch, not with the store.
+// Store is the key-value service: its operation processor over one
+// service.Keyed map of string values. Every PUT/DEL marks its key dirty,
+// and Delta serializes just the dirty entries — so the enclave's
+// per-batch sealed record grows with the batch, not with the store.
 type Store struct {
-	data      map[string]string
-	dirty     map[string]struct{}
-	footprint int64
+	kv *service.Keyed[string]
+}
 
-	// mu orders the writer's mutations against concurrent snapshot
-	// readers (service.SnapshotReader). Only mutation sites take the
-	// write lock — and per mutation, not per batch, so readers
-	// interleave with a long batch. The writer's own plain reads
-	// (GET/SCAN in Apply, Delta, Snapshot) need no lock: all mutations
-	// happen on the writer's goroutine, and readers never write. The
-	// overlay records pre-images only once EndBatch has armed it.
-	mu      sync.RWMutex
-	overlay service.Overlay[string]
+// codec encodes a value as a length-prefixed string and charges an entry
+// the Sec. 6.2 memory model.
+var codec = service.Codec[string]{
+	Size:      func(v string) int { return 4 + len(v) },
+	Put:       func(w *wire.Writer, v string) { w.Var([]byte(v)) },
+	Get:       func(r *wire.Reader) string { return string(r.VarView()) },
+	Footprint: entryFootprint,
 }
 
 var (
@@ -88,7 +77,7 @@ var (
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{data: make(map[string]string), dirty: make(map[string]struct{})}
+	return &Store{kv: service.NewKeyed(codec)}
 }
 
 // Factory returns a service.Factory producing empty stores.
@@ -108,82 +97,91 @@ func (s *Store) Apply(op []byte) ([]byte, error) {
 	}
 	r := wire.NewReader(op[1:])
 	switch op[0] {
-	case opGet:
-		key := string(r.Var())
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: get: %v", ErrMalformedOp, err)
-		}
-		value, ok := s.data[key]
-		if !ok {
-			return encodeStatus(statusNotFound, nil), nil
-		}
-		return encodeStatus(statusOK, []byte(value)), nil
+	case opGet, opScan:
+		return s.read(op, false)
 
 	case opPut:
-		key := string(r.Var())
-		value := string(r.Var())
+		key := string(r.VarView())
+		value := string(r.VarView())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%w: put: %v", ErrMalformedOp, err)
 		}
-		s.mu.Lock()
-		old, ok := s.data[key]
-		s.overlay.Record(key, old, ok)
-		if ok {
-			s.footprint -= entryFootprint(key, old)
-		}
-		s.data[key] = value
-		s.footprint += entryFootprint(key, value)
-		s.mu.Unlock()
-		s.dirty[key] = struct{}{}
+		s.kv.Set(key, value)
 		return encodeStatus(statusOK, nil), nil
 
 	case opDel:
-		key := string(r.Var())
+		key := string(r.VarView())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%w: del: %v", ErrMalformedOp, err)
 		}
-		old, ok := s.data[key]
-		if !ok {
+		if !s.kv.Delete(key) {
 			return encodeStatus(statusNotFound, nil), nil
 		}
-		s.mu.Lock()
-		s.overlay.Record(key, old, true)
-		s.footprint -= entryFootprint(key, old)
-		delete(s.data, key)
-		s.mu.Unlock()
-		s.dirty[key] = struct{}{}
 		return encodeStatus(statusOK, nil), nil
-
-	case opScan:
-		prefix := string(r.Var())
-		limit := r.U32()
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: scan: %v", ErrMalformedOp, err)
-		}
-		return s.scan(prefix, int(limit)), nil
 
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrMalformedOp, op[0])
 	}
 }
 
-func (s *Store) scan(prefix string, limit int) []byte {
-	var keys []string // the matches only, not the keyspace
-	for k := range s.data {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			keys = append(keys, k)
+// read executes a GET or SCAN against the live state or, if durable,
+// against the durable snapshot (SnapshotRead).
+func (s *Store) read(op []byte, durable bool) ([]byte, error) {
+	r := wire.NewReader(op[1:])
+	key := string(r.VarView()) // a GET's key, a SCAN's prefix
+	if op[0] == opGet {
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("%w: get: %v", ErrMalformedOp, err)
+		}
+		var value string
+		var ok bool
+		if durable {
+			value, ok = s.kv.ReadDurable(key)
+		} else {
+			value, ok = s.kv.Get(key)
+		}
+		if !ok {
+			return encodeStatus(statusNotFound, nil), nil
+		}
+		return encodeStatus(statusOK, []byte(value)), nil
+	}
+	limit := r.U32()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: scan: %v", ErrMalformedOp, err)
+	}
+	var hits []ScanEntry // the matches only, not the keyspace
+	match := func(k, v string) {
+		if strings.HasPrefix(k, key) {
+			hits = append(hits, ScanEntry{Key: k, Value: v})
 		}
 	}
-	sort.Strings(keys)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
+	if durable {
+		s.kv.RangeDurable(match)
+	} else {
+		for k, v := range s.kv.All() {
+			match(k, v)
+		}
 	}
+	return scanResult(hits, int(limit)), nil
+}
+
+// scanResult sorts a scan's hits, applies its limit and encodes them.
+func scanResult(hits []ScanEntry, limit int) []byte {
+	slices.SortFunc(hits, func(a, b ScanEntry) int { return strings.Compare(a.Key, b.Key) })
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	return encodeScanResult(hits)
+}
+
+// encodeScanResult is the inverse of DecodeScanResult.
+func encodeScanResult(entries []ScanEntry) []byte {
 	w := wire.NewWriter(64)
 	w.U8(statusOK)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.Var([]byte(k))
-		w.Var([]byte(s.data[k]))
+	w.U32(uint32(len(entries)))
+	for _, e := range entries {
+		w.Var([]byte(e.Key))
+		w.Var([]byte(e.Value))
 	}
 	return w.Bytes()
 }
@@ -222,11 +220,9 @@ func (s *Store) IsScan(op []byte) bool {
 
 // MergeScans implements service.Scanner: it merges per-shard SCAN results
 // into the result the scan would have produced against the unsharded
-// store. Each shard's result is sorted and the hash partition assigns
-// every key to exactly one shard, so a k-way sorted merge of the parts is
-// the globally sorted result; the scan's limit is re-applied after the
-// merge (each shard applied it locally, so parts are prefixes of their
-// shard's match set and the merged prefix is exact).
+// store. The hash partition assigns every key to exactly one shard, and
+// each shard applied the limit to its own sorted matches, so sorting the
+// union and applying the limit again is exact.
 func (s *Store) MergeScans(op []byte, parts [][]byte) ([]byte, error) {
 	if !s.IsScan(op) {
 		return nil, fmt.Errorf("%w: merge of non-scan op", ErrMalformedOp)
@@ -237,246 +233,62 @@ func (s *Store) MergeScans(op []byte, parts [][]byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: scan: %v", ErrMalformedOp, err)
 	}
-
-	decoded := make([][]ScanEntry, 0, len(parts))
-	total := 0
+	var merged []ScanEntry
 	for i, part := range parts {
 		entries, err := DecodeScanResult(part)
 		if err != nil {
 			return nil, fmt.Errorf("kvs: merge scans: shard %d: %w", i, err)
 		}
-		decoded = append(decoded, entries)
-		total += len(entries)
+		merged = append(merged, entries...)
 	}
-
-	// K-way merge by smallest head key. Shard counts are small (≤256), so
-	// a linear head scan beats a heap in practice.
-	heads := make([]int, len(decoded))
-	merged := make([]ScanEntry, 0, total)
-	for {
-		best := -1
-		for i, entries := range decoded {
-			if heads[i] >= len(entries) {
-				continue
-			}
-			if best < 0 || entries[heads[i]].Key < decoded[best][heads[best]].Key {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, decoded[best][heads[best]])
-		heads[best]++
-		if limit > 0 && len(merged) == limit {
-			break
-		}
-	}
-
-	return encodeScanResult(merged), nil
-}
-
-// encodeScanResult is the inverse of DecodeScanResult.
-func encodeScanResult(entries []ScanEntry) []byte {
-	w := wire.NewWriter(64)
-	w.U8(statusOK)
-	w.U32(uint32(len(entries)))
-	for _, e := range entries {
-		w.Var([]byte(e.Key))
-		w.Var([]byte(e.Value))
-	}
-	return w.Bytes()
+	return scanResult(merged, limit), nil
 }
 
 // Len returns the number of stored objects.
-func (s *Store) Len() int { return len(s.data) }
+func (s *Store) Len() int { return s.kv.Len() }
 
 // Footprint implements service.Service with the Sec. 6.2 memory model.
-func (s *Store) Footprint() int64 { return s.footprint }
+func (s *Store) Footprint() int64 { return s.kv.Footprint() }
 
-// Snapshot implements service.Service. The encoding is deterministic
-// (sorted keys) so identical states serialize identically.
-func (s *Store) Snapshot() ([]byte, error) {
-	keys := make([]string, 0, len(s.data))
-	size := 4 // exact, so the writer never regrows (a regrow copies the state)
-	for k, v := range s.data {
-		keys = append(keys, k)
-		size += 8 + len(k) + len(v)
-	}
-	sort.Strings(keys)
-	w := wire.NewWriter(size)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.Var([]byte(k))
-		w.Var([]byte(s.data[k]))
-	}
-	// A snapshot captures every pending change, so the dirty set restarts
-	// empty (the DeltaService contract).
-	clear(s.dirty)
-	return w.Bytes(), nil
-}
+// Snapshot implements service.Service: one service.Keyed section, sorted,
+// so identical states serialize identically.
+func (s *Store) Snapshot() ([]byte, error) { return service.Encode(s.kv.Snapshot) }
 
 // Freeze implements service.Freezer: values are immutable strings.
-func (s *Store) Freeze() func() ([]byte, error) {
-	return (&Store{data: maps.Clone(s.data)}).Snapshot
-}
+func (s *Store) Freeze() func() ([]byte, error) { return (&Store{kv: s.kv.Freeze()}).Snapshot }
 
 // Restore implements service.Service.
 func (s *Store) Restore(snapshot []byte) error {
-	r := wire.NewReader(snapshot)
-	n := r.Count(8)
-	data := make(map[string]string, n)
-	var footprint int64
-	for i := 0; i < n; i++ {
-		k := string(r.VarView())
-		v := string(r.VarView())
-		data[k] = v
-		footprint += entryFootprint(k, v)
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("kvs: restore: %w", err)
-	}
-	s.mu.Lock()
-	s.data = data
-	s.footprint = footprint
-	s.overlay.Reset()
-	s.mu.Unlock()
-	s.dirty = make(map[string]struct{})
-	return nil
+	return service.Decode("kvs: restore", snapshot, s.kv.Restore)
 }
 
-// Delta implements service.DeltaService: it serializes the entries touched
-// since the last Delta or Snapshot (sorted, so identical change sets encode
-// identically) and resets the dirty set; no change is nil. A key written
-// and then deleted within the window encodes as a delete.
+// Delta implements service.DeltaService: the keys touched since the last
+// Delta or Snapshot, one service.Keyed delta section; no change is nil.
 func (s *Store) Delta() ([]byte, error) {
-	if len(s.dirty) == 0 {
+	if !s.kv.Dirty() {
 		return nil, nil
 	}
-	keys := make([]string, 0, len(s.dirty))
-	for k := range s.dirty {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w := wire.NewWriter(16 + len(keys)*32)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		if v, ok := s.data[k]; ok {
-			w.U8(deltaSet)
-			w.Var([]byte(k))
-			w.Var([]byte(v))
-		} else {
-			w.U8(deltaDel)
-			w.Var([]byte(k))
-		}
-	}
-	clear(s.dirty)
-	return w.Bytes(), nil
+	return service.Encode(s.kv.Delta)
 }
 
-// ApplyDelta implements service.DeltaService. Changes record pre-images
-// like Apply's: a healed chain suffix is a mutation like any other from
-// the snapshot overlay's point of view.
+// ApplyDelta implements service.DeltaService.
 func (s *Store) ApplyDelta(delta []byte) error {
 	if len(delta) == 0 {
 		return nil // Delta's "no change"
 	}
-	r := wire.NewReader(delta)
-	n := r.Count(5)
-	for i := 0; i < n; i++ {
-		kind := r.U8()
-		k := string(r.VarView())
-		switch kind {
-		case deltaSet:
-			v := string(r.VarView())
-			if r.Err() != nil {
-				break
-			}
-			s.mu.Lock()
-			old, ok := s.data[k]
-			s.overlay.Record(k, old, ok)
-			if ok {
-				s.footprint -= entryFootprint(k, old)
-			}
-			s.data[k] = v
-			s.footprint += entryFootprint(k, v)
-			s.mu.Unlock()
-		case deltaDel:
-			if r.Err() != nil {
-				break
-			}
-			s.mu.Lock()
-			if old, ok := s.data[k]; ok {
-				s.overlay.Record(k, old, true)
-				s.footprint -= entryFootprint(k, old)
-				delete(s.data, k)
-			}
-			s.mu.Unlock()
-		default:
-			return fmt.Errorf("kvs: apply delta: unknown change kind %d", kind)
-		}
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("kvs: apply delta: %w", err)
-	}
-	return nil
+	return service.Decode("kvs: apply delta", delta, s.kv.ApplyDelta)
 }
 
-// PartitionState implements service.Resharder: fragment j receives
-// exactly the keys ShardIndex maps onto shard j under an n-way partition,
-// each fragment encoded like a snapshot (sorted, deterministic). The
-// dirty set is untouched — resharding freezes the instance around the
-// split, so delta tracking must survive an aborted attempt.
+// PartitionState implements service.Resharder: fragment j holds the keys
+// ShardIndex maps onto shard j, encoded like a snapshot.
 func (s *Store) PartitionState(n int) ([][]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("kvs: partition into %d shards", n)
-	}
-	buckets := make([][]string, n)
-	for k := range s.data {
-		j := service.ShardIndex(k, n)
-		buckets[j] = append(buckets[j], k)
-	}
-	fragments := make([][]byte, n)
-	for j, keys := range buckets {
-		sort.Strings(keys)
-		w := wire.NewWriter(16 + len(keys)*32)
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			w.Var([]byte(k))
-			w.Var([]byte(s.data[k]))
-		}
-		fragments[j] = w.Bytes()
-	}
-	return fragments, nil
+	return service.Partition("kvs", n, s.kv.Partition)
 }
 
 // MergeState implements service.Resharder: the union of the fragments
-// becomes the store's state. Source shards partition the keyspace, so the
-// fragments are disjoint; a duplicate key means the fragments were not
-// produced by one consistent split and is rejected.
+// becomes the store's state; a key in two fragments is an error.
 func (s *Store) MergeState(fragments [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, frag := range fragments {
-		r := wire.NewReader(frag)
-		n := r.U32()
-		for j := uint32(0); j < n; j++ {
-			k := string(r.Var())
-			v := string(r.Var())
-			if r.Err() != nil {
-				break
-			}
-			if _, ok := s.data[k]; ok {
-				return fmt.Errorf("kvs: merge state: key %q in more than one fragment", k)
-			}
-			s.data[k] = v
-			s.footprint += entryFootprint(k, v)
-		}
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("kvs: merge state: fragment %d: %w", i, err)
-		}
-	}
-	return nil
+	return service.Merge("kvs: merge state", fragments, s.kv.Merge)
 }
 
 // ---- Snapshot reads (service.SnapshotReader) ----
@@ -495,100 +307,20 @@ func ReadOnly(op []byte) bool {
 func (s *Store) IsReadOnly(op []byte) bool { return ReadOnly(op) }
 
 // SnapshotRead implements service.SnapshotReader: it executes a GET or
-// SCAN against the last durable version of the store — the live state
-// with every still-pending batch's mutations peeled back through the
-// undo overlay. Safe for concurrent use with Apply.
+// SCAN against the last durable version of the store. Safe for
+// concurrent use with Apply.
 func (s *Store) SnapshotRead(op []byte) ([]byte, error) {
-	if len(op) == 0 {
-		return nil, ErrMalformedOp
+	if !ReadOnly(op) {
+		return nil, fmt.Errorf("%w: not a read-only op", ErrMalformedOp)
 	}
-	r := wire.NewReader(op[1:])
-	switch op[0] {
-	case opGet:
-		key := string(r.Var())
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: get: %v", ErrMalformedOp, err)
-		}
-		s.mu.RLock()
-		val, existed, pinned := s.overlay.Resolve(key)
-		if !pinned {
-			val, existed = s.data[key]
-		}
-		s.mu.RUnlock()
-		if !existed {
-			return encodeStatus(statusNotFound, nil), nil
-		}
-		return encodeStatus(statusOK, []byte(val)), nil
-
-	case opScan:
-		prefix := string(r.Var())
-		limit := r.U32()
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("%w: scan: %v", ErrMalformedOp, err)
-		}
-		return s.snapshotScan(prefix, int(limit)), nil
-
-	default:
-		return nil, fmt.Errorf("%w: not a read-only op (tag %d)", ErrMalformedOp, op[0])
-	}
-}
-
-// snapshotScan is scan against the durable snapshot: live entries with
-// pending pre-images substituted (a pre-image that says "absent at the
-// snapshot" suppresses the live entry; one that says "existed" resurrects
-// a since-deleted or overwritten entry).
-func (s *Store) snapshotScan(prefix string, limit int) []byte {
-	s.mu.RLock()
-	entries := make(map[string]string)
-	for k, v := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			entries[k] = v
-		}
-	}
-	s.overlay.Pinned(func(k string, val string, existed bool) bool {
-		if !strings.HasPrefix(k, prefix) {
-			return true
-		}
-		if existed {
-			entries[k] = val
-		} else {
-			delete(entries, k)
-		}
-		return true
-	})
-	s.mu.RUnlock()
-
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	w := wire.NewWriter(64)
-	w.U8(statusOK)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.Var([]byte(k))
-		w.Var([]byte(entries[k]))
-	}
-	return w.Bytes()
+	return s.read(op, true)
 }
 
 // EndBatch implements service.SnapshotReader.
-func (s *Store) EndBatch(seq uint64) {
-	s.mu.Lock()
-	s.overlay.Close(seq)
-	s.mu.Unlock()
-}
+func (s *Store) EndBatch(seq uint64) { s.kv.EndBatch(seq) }
 
 // AdvanceDurable implements service.SnapshotReader.
-func (s *Store) AdvanceDurable(seq uint64) {
-	s.mu.Lock()
-	s.overlay.Advance(seq)
-	s.mu.Unlock()
-}
+func (s *Store) AdvanceDurable(seq uint64) { s.kv.AdvanceDurable(seq) }
 
 // ---- Operation and result codecs (used by clients) ----
 

@@ -433,26 +433,23 @@ func TestRestoreOverwriteOverlay(t *testing.T) {
 			for i := 0; i < n; i++ {
 				mustApply(t, s, Put(fmt.Sprintf("key-%d", i), "new"))
 			}
-			pinned := make(map[string]string)
-			s.overlay.Pinned(func(k, v string, _ bool) bool { pinned[k] = v; return true })
 			want := 0
 			if armed {
 				want = n
 			}
-			if len(pinned) != want {
-				t.Fatalf("%d pre-images after overwrite, want %d", len(pinned), want)
+			if got := s.kv.PreImages(); got != want {
+				t.Fatalf("%d pre-images after overwrite, want %d", got, want)
 			}
-			for k, v := range pinned {
-				if v != "old" {
-					t.Fatalf("pre-image of %s = %q, want the restored value", k, v)
+			for i := 0; armed && i < n; i++ {
+				if v, _ := s.kv.ReadDurable(fmt.Sprintf("key-%d", i)); v != "old" {
+					t.Fatalf("pre-image of key-%d = %q, want the restored value", i, v)
 				}
 			}
 			s.EndBatch(1)
 			s.AdvanceDurable(1)
-			s.overlay.Pinned(func(k, _ string, _ bool) bool {
-				t.Fatalf("pre-image of %s survived AdvanceDurable", k)
-				return false
-			})
+			if got := s.kv.PreImages(); got != 0 {
+				t.Fatalf("%d pre-images survived AdvanceDurable", got)
+			}
 		})
 	}
 }

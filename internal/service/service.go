@@ -7,6 +7,12 @@
 // by the LCM protocol (internal/core) as well as by the SGX and native
 // baselines — mirroring the paper's framework design (Sec. 5.2), which
 // requires "an operation processor ... and a serialization interface".
+//
+// Keyed is that serialization interface for state made of named items: a
+// service gives it a value codec and keeps its operation processor
+// (Apply), and Keyed supplies the snapshot, delta, freeze, partition and
+// merge codecs, the footprint and the pre-images snapshot reads need.
+// Both bundled services are built on it.
 package service
 
 import (
@@ -42,7 +48,6 @@ type Service interface {
 // incremental state changes. The trusted context uses it to seal only what
 // changed in a batch (a delta record) instead of re-sealing the full state,
 // turning the per-batch persistence cost from O(state) into O(batch).
-// Both bundled services implement it (internal/kvs and internal/counter).
 //
 // Deltas carry state changes, not operations, so LCM's
 // no-determinism-required property (Sec. 3.1) is preserved: replaying a
@@ -74,8 +79,6 @@ type DeltaService interface {
 // which shard's protocol context the operation belongs to. The host never
 // needs it — INVOKE ciphertexts are opaque to the (untrusted) server, so
 // routing happens where the plaintext exists: at the client.
-//
-// Both bundled services implement it (internal/kvs and internal/counter).
 type Sharder interface {
 	// ShardKeys returns the item names op touches. An empty result marks
 	// an operation that cannot be pinned to one shard (e.g. a prefix
@@ -123,7 +126,6 @@ type Scanner interface {
 // (each restored on an empty instance) across all source shards must
 // reproduce exactly the union of the sources' states, and fragment j
 // must contain precisely the items with ShardIndex(name, n) == j.
-// Both bundled services implement it (internal/kvs and internal/counter).
 type Resharder interface {
 	Service
 
@@ -145,7 +147,7 @@ type Resharder interface {
 // frozen cheaply for a background checkpoint (see internal/core). Freeze
 // returns a function that serializes the state as of the call, as
 // Snapshot would, and is safe to run concurrently with later calls; it
-// leaves the delta tracking alone. Both bundled services clone a map.
+// leaves the delta tracking alone.
 type Freezer interface {
 	Freeze() func() ([]byte, error)
 }
@@ -164,11 +166,8 @@ type Freezer interface {
 // undo generation) and AdvanceDurable once the host reports the batch's
 // record persisted; no pre-image is needed before the first EndBatch.
 // Implementations must make SnapshotRead safe for use concurrent with
-// Apply/EndBatch/AdvanceDurable; all four are expected to synchronize on
-// one internal lock (Apply taking it per mutation, not per batch, so
-// readers interleave with a long batch instead of convoying behind it).
-//
-// Both bundled services implement it (internal/kvs and internal/counter).
+// Apply/EndBatch/AdvanceDurable; Keyed does, locking per mutation so
+// readers interleave with a long batch instead of convoying behind it.
 type SnapshotReader interface {
 	Service
 
@@ -210,137 +209,6 @@ type SnapshotReader interface {
 // this to prune settled escrow transfer records.
 type EpochAdvancer interface {
 	AdvanceEpoch(epoch uint64)
-}
-
-// Overlay tracks pre-images of mutated items so a service can serve
-// snapshot reads at the last durable sequence number while later batches
-// have already executed against the live state. It is the bookkeeping
-// half of a SnapshotReader implementation; the service supplies the live
-// state and the locking.
-//
-// The write path records, per batch ("generation"), the value every item
-// had *before* that batch first touched it. To read item k at durable
-// sequence S, walk the still-pending generations oldest to newest: the
-// first one holding a pre-image of k supplies k's value at S (no earlier
-// pending generation touched k, so its value was unchanged between S and
-// that batch); if none does, the live value is current. Close ends a
-// generation, Advance(S) discards generations at or below S.
-//
-// A zero Overlay is un-armed: Record keeps nothing until the first Close.
-// The trusted context closes generations only once reads are armed, and
-// the arming Close finds every earlier write durable, so a service that
-// serves no snapshot read holds no pre-image. Reset keeps the overlay
-// armed: Restore may replace the state of an instance that serves reads.
-type Overlay[V any] struct {
-	gens  []overlayGen[V]
-	cur   map[string]overlayPre[V]
-	armed bool
-}
-
-type overlayPre[V any] struct {
-	val     V
-	existed bool
-}
-
-type overlayGen[V any] struct {
-	seq  uint64
-	pres map[string]overlayPre[V]
-}
-
-// Record notes item key's pre-image in the current generation: the value
-// it had (and whether it existed) before the current batch's first
-// mutation of it. Later Records of the same key in one generation are
-// ignored — the first already holds the batch-entry value. Before the
-// first Close it is a no-op.
-func (o *Overlay[V]) Record(key string, val V, existed bool) {
-	if !o.armed {
-		return
-	}
-	if o.cur == nil {
-		o.cur = make(map[string]overlayPre[V])
-	}
-	if _, done := o.cur[key]; done {
-		return
-	}
-	o.cur[key] = overlayPre[V]{val: val, existed: existed}
-}
-
-// Close ends the current generation at sequence seq and arms the
-// overlay. Empty generations are dropped (Advance works on sequence
-// numbers, not generation counts, so gaps are harmless).
-func (o *Overlay[V]) Close(seq uint64) {
-	o.armed = true
-	if len(o.cur) == 0 {
-		return
-	}
-	o.gens = append(o.gens, overlayGen[V]{seq: seq, pres: o.cur})
-	o.cur = nil
-}
-
-// Advance discards every generation tagged at or below seq: their
-// pre-images predate the durable snapshot and are no longer needed.
-func (o *Overlay[V]) Advance(seq uint64) {
-	i := 0
-	for i < len(o.gens) && o.gens[i].seq <= seq {
-		i++
-	}
-	if i > 0 {
-		o.gens = append(o.gens[:0], o.gens[i:]...)
-	}
-}
-
-// Resolve reports item key's value at the durable snapshot: pinned is
-// true when a pending generation holds a pre-image (val/existed are that
-// pre-image); false means the live value is current. The open generation
-// counts as the newest pending one: a mutation of the currently-executing
-// batch has already changed the live state, so its pre-image must pin the
-// snapshot value until Close/Advance retire it.
-func (o *Overlay[V]) Resolve(key string) (val V, existed, pinned bool) {
-	for _, g := range o.gens {
-		if p, ok := g.pres[key]; ok {
-			return p.val, p.existed, true
-		}
-	}
-	if p, ok := o.cur[key]; ok {
-		return p.val, p.existed, true
-	}
-	return val, false, false
-}
-
-// Pinned calls f for every item with a pending pre-image, passing its
-// snapshot-time value (first-generation-wins; the open generation counts
-// as the newest, as in Resolve). Items whose pre-image says "did not
-// exist at the snapshot" are reported with existed == false — scans must
-// skip them even if the item exists in the live state. f returning false
-// stops the iteration.
-func (o *Overlay[V]) Pinned(f func(key string, val V, existed bool) bool) {
-	seen := make(map[string]struct{})
-	for _, g := range o.gens {
-		for k, p := range g.pres {
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			if !f(k, p.val, p.existed) {
-				return
-			}
-		}
-	}
-	for k, p := range o.cur {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		if !f(k, p.val, p.existed) {
-			return
-		}
-	}
-}
-
-// Reset discards all tracking — for Restore, which replaces the state
-// wholesale. An armed overlay stays armed.
-func (o *Overlay[V]) Reset() {
-	o.gens = nil
-	o.cur = nil
 }
 
 // ShardIndex maps an item name onto one of n shards with a stable hash

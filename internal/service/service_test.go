@@ -17,122 +17,118 @@ func (s stubSharder) ShardKeys(op []byte) []string {
 
 // TestOverlayPinsOpenGeneration: pre-images recorded by the
 // currently-executing batch live in the open generation until Close runs
-// after the whole batch. Resolve and Pinned must consult them — otherwise
+// after the whole batch. resolve and pinned must consult them — otherwise
 // a concurrent snapshot read of a key first touched by the in-flight
 // batch would return the live, non-durable value (a dirty read).
 func TestOverlayPinsOpenGeneration(t *testing.T) {
-	var o Overlay[string]
-	o.Close(0) // arm: a zero Overlay records nothing
+	var o overlay[string]
+	o.close(0) // arm: a zero overlay records nothing
 
 	// Mid-batch: the batch overwrote k (pre-image v1) and created n.
-	o.Record("k", "v1", true)
-	o.Record("n", "", false)
-	if v, ex, pin := o.Resolve("k"); !pin || !ex || v != "v1" {
+	o.record("k", "v1", true)
+	o.record("n", "", false)
+	if v, ex, pin := o.resolve("k"); !pin || !ex || v != "v1" {
 		t.Fatalf("Resolve(k) mid-batch = %q, %v, %v; want v1 pinned", v, ex, pin)
 	}
-	if _, ex, pin := o.Resolve("n"); !pin || ex {
+	if _, ex, pin := o.resolve("n"); !pin || ex {
 		t.Fatalf("Resolve(n) mid-batch: pinned=%v existed=%v; want pinned, absent", pin, ex)
 	}
 	// First-record-wins within the open generation too.
-	o.Record("k", "v2", true)
-	if v, _, _ := o.Resolve("k"); v != "v1" {
+	o.record("k", "v2", true)
+	if v, _, _ := o.resolve("k"); v != "v1" {
 		t.Fatalf("second Record overwrote pre-image: %q", v)
 	}
 	pinned := make(map[string]bool)
-	o.Pinned(func(k string, _ string, existed bool) bool {
-		pinned[k] = existed
-		return true
-	})
+	o.pinned(func(k string, _ string, existed bool) { pinned[k] = existed })
 	if len(pinned) != 2 || !pinned["k"] || pinned["n"] {
 		t.Fatalf("Pinned mid-batch = %v; want k existed, n absent", pinned)
 	}
 
-	// A closed generation stays older than the open one: after Close, a
+	// A closed generation stays older than the open one: after close, a
 	// second batch's pre-image of k must not shadow the first's.
-	o.Close(1)
-	o.Record("k", "v5", true)
-	if v, _, _ := o.Resolve("k"); v != "v1" {
+	o.close(1)
+	o.record("k", "v5", true)
+	if v, _, _ := o.resolve("k"); v != "v1" {
 		t.Fatalf("open generation shadowed closed one: %q, want v1", v)
 	}
 	// Advancing past the closed generation promotes the open one.
-	o.Advance(1)
-	if v, _, pin := o.Resolve("k"); !pin || v != "v5" {
+	o.advance(1)
+	if v, _, pin := o.resolve("k"); !pin || v != "v5" {
 		t.Fatalf("Resolve(k) after Advance(1) = %q pinned=%v; want v5 pinned", v, pin)
 	}
 	// Closing and advancing the second batch unpins everything.
-	o.Close(2)
-	o.Advance(2)
-	if _, _, pin := o.Resolve("k"); pin {
+	o.close(2)
+	o.advance(2)
+	if _, _, pin := o.resolve("k"); pin {
 		t.Fatal("Resolve(k) still pinned after all generations advanced")
 	}
-	o.Pinned(func(k string, _ string, _ bool) bool {
-		t.Fatalf("Pinned reported %q after all generations advanced", k)
-		return false
+	o.pinned(func(k string, _ string, _ bool) {
+		t.Fatalf("pinned reported %q after all generations advanced", k)
 	})
 }
 
-// overlayHolds reports whether o pins anything: a Resolve of key, or any
-// item Pinned visits.
-func overlayHolds(o *Overlay[string], key string) bool {
-	if _, _, pin := o.Resolve(key); pin {
+// overlayHolds reports whether o pins anything: a resolve of key, or any
+// item pinned visits.
+func overlayHolds(o *overlay[string], key string) bool {
+	if _, _, pin := o.resolve(key); pin {
 		return true
 	}
 	held := false
-	o.Pinned(func(string, string, bool) bool { held = true; return false })
+	o.pinned(func(string, string, bool) { held = true })
 	return held
 }
 
-// TestOverlayUnarmedRecordsNothing: a zero Overlay is un-armed, and its
-// Record keeps no pre-image — a service whose reads are never armed holds
+// TestOverlayUnarmedRecordsNothing: a zero overlay is un-armed, and its
+// record keeps no pre-image — a service whose reads are never armed holds
 // no copy of what it overwrites.
 func TestOverlayUnarmedRecordsNothing(t *testing.T) {
-	var o Overlay[string]
-	o.Record("k", "v1", true)
-	o.Record("n", "", false)
+	var o overlay[string]
+	o.record("k", "v1", true)
+	o.record("n", "", false)
 	if overlayHolds(&o, "k") || overlayHolds(&o, "n") {
 		t.Fatal("un-armed overlay holds a pre-image")
 	}
-	o.Advance(1)
+	o.advance(1)
 	if overlayHolds(&o, "k") {
-		t.Fatal("Advance armed the overlay")
+		t.Fatal("advance armed the overlay")
 	}
 }
 
-// TestOverlayFirstCloseArms: the first Close arms the overlay (and, with
-// nothing recorded, closes an empty generation); Records after it pin.
+// TestOverlayFirstCloseArms: the first close arms the overlay (and, with
+// nothing recorded, closes an empty generation); records after it pin.
 func TestOverlayFirstCloseArms(t *testing.T) {
-	var o Overlay[string]
-	o.Record("k", "v0", true)
-	o.Close(3)
+	var o overlay[string]
+	o.record("k", "v0", true)
+	o.close(3)
 	if overlayHolds(&o, "k") {
-		t.Fatal("a Record before arming survived the arming Close")
+		t.Fatal("a record before arming survived the arming close")
 	}
-	o.Record("k", "v1", true)
-	if v, ex, pin := o.Resolve("k"); !pin || !ex || v != "v1" {
+	o.record("k", "v1", true)
+	if v, ex, pin := o.resolve("k"); !pin || !ex || v != "v1" {
 		t.Fatalf("Resolve(k) after arming = %q, %v, %v; want v1 pinned", v, ex, pin)
 	}
-	o.Close(4)
-	o.Advance(4)
+	o.close(4)
+	o.advance(4)
 	if overlayHolds(&o, "k") {
-		t.Fatal("pre-image survived Advance past its generation")
+		t.Fatal("pre-image survived advance past its generation")
 	}
 }
 
 // TestOverlayResetKeepsArmed: Restore resets the overlay of a live
-// instance that may already serve reads, so Reset must drop the
+// instance that may already serve reads, so reset must drop the
 // generations but keep recording.
 func TestOverlayResetKeepsArmed(t *testing.T) {
-	var o Overlay[string]
-	o.Close(0)
-	o.Record("k", "v1", true)
-	o.Close(1)
-	o.Reset()
+	var o overlay[string]
+	o.close(0)
+	o.record("k", "v1", true)
+	o.close(1)
+	o.reset()
 	if overlayHolds(&o, "k") {
-		t.Fatal("Reset kept a generation")
+		t.Fatal("reset kept a generation")
 	}
-	o.Record("k", "v2", true)
-	if v, _, pin := o.Resolve("k"); !pin || v != "v2" {
-		t.Fatalf("Resolve(k) after Reset = %q pinned=%v; want v2 pinned", v, pin)
+	o.record("k", "v2", true)
+	if v, _, pin := o.resolve("k"); !pin || v != "v2" {
+		t.Fatalf("Resolve(k) after reset = %q pinned=%v; want v2 pinned", v, pin)
 	}
 }
 
