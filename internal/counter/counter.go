@@ -417,7 +417,9 @@ func encodeBalance(status byte, balance int64) []byte {
 // Snapshot implements service.Service with a deterministic encoding:
 // the sorted account balances, then the sorted escrow/credit transaction
 // records, one service.Keyed section each.
-func (b *Bank) Snapshot() ([]byte, error) { return service.Encode(b.accounts.Snapshot, b.txs.Snapshot) }
+func (b *Bank) Snapshot() ([]byte, error) {
+	return service.Encode(b.accounts.Snapshot, b.txs.Snapshot), nil
+}
 
 // Freeze implements service.Freezer: balances and records are values.
 func (b *Bank) Freeze() func() ([]byte, error) {
@@ -437,7 +439,7 @@ func (b *Bank) Delta() ([]byte, error) {
 	if !b.accounts.Dirty() && !b.txs.Dirty() {
 		return nil, nil
 	}
-	return service.Encode(b.accounts.Delta, b.txs.Delta)
+	return service.Encode(b.accounts.Delta, b.txs.Delta), nil
 }
 
 // ApplyDelta implements service.DeltaService.
@@ -494,7 +496,7 @@ func (b *Bank) Footprint() int64 { return b.accounts.Footprint() + b.txs.Footpri
 // phases by, so a late settle, abort or duplicate credit still finds its
 // record after the move.
 func (b *Bank) PartitionState(n int) ([][]byte, error) {
-	return service.Partition("counter", n, b.accounts.Partition, b.txs.Partition)
+	return service.Partition(n, b.accounts.Partition, b.txs.Partition), nil
 }
 
 // MergeState implements service.Resharder: the union of the fragments
@@ -541,7 +543,7 @@ func (b *Bank) read(op []byte, durable bool) ([]byte, error) {
 			return encodeBalance(StatusOK, b.EscrowTotal()), nil
 		}
 		var total int64
-		b.txs.RangeDurable(func(_ string, rec txRecord) {
+		b.txs.RangeDurable("", func(_ string, rec txRecord) {
 			if rec.State == txEscrowed {
 				total += rec.Amount
 			}

@@ -110,3 +110,29 @@ func BenchmarkStoreRestore(b *testing.B) {
 		}
 	})
 }
+
+// A durable SCAN (SnapshotRead) matching 10 keys while four batches of
+// benchBatch overwrites are pending: the read half of scanmix with armed
+// reads, whose cost must grow with the matches, not with the store times
+// the pending batches.
+func BenchmarkStoreSnapshotScan(b *testing.B) {
+	benchEachShape(b, func(b *testing.B, s *Store, puts [][]byte) {
+		s.EndBatch(0) // arm, with everything durable
+		s.AdvanceDurable(0)
+		for g := 0; g < 4; g++ {
+			for j := 0; j < benchBatch; j++ {
+				if _, err := s.Apply(puts[(benchBatch*g+j)*97%len(puts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.EndBatch(uint64(g + 1))
+		}
+		scan := Scan("user0000001", 0) // user00000010 … user00000019
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.SnapshotRead(scan); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -2,19 +2,12 @@ package kvs
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// update rewrites the fixtures under testdata from the current code. The
-// committed fixtures were written by the code before the keyed-state
-// substrate (service.Keyed), so a byte change in a snapshot, delta or
-// fragment fails these tests until it is made on purpose.
-var update = flag.Bool("update", false, "rewrite testdata from the current code")
 
 // goldenStore is a fixed state: short and long keys, an empty key, an
 // empty value and non-UTF-8 bytes.
@@ -37,20 +30,14 @@ var goldenDeltaOps = [][]byte{
 	Put("user03", "changed"), Del("user05"), Put("new", "v"), Put("gone", "x"), Del("gone"), Del("never"), Get("user01"),
 }
 
-// golden compares got with testdata/name (or writes it under -update) and
-// returns the fixture's bytes.
+// golden compares got with the committed testdata/name and returns the
+// fixture's bytes. The fixtures were written by the code before the
+// keyed-state substrate (service.Keyed) and are never rewritten: a byte
+// change fails these tests, and an intended format change adds a new,
+// versioned fixture beside them.
 func golden(t *testing.T, name string, got []byte) []byte {
 	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,16 +150,14 @@ func (s *Store) read(op []byte, durable bool) ([]byte, error) {
 		return nil, fmt.Errorf("%w: scan: %v", ErrMalformedOp, err)
 	}
 	var hits []ScanEntry // the matches only, not the keyspace
-	match := func(k, v string) {
-		if strings.HasPrefix(k, key) {
-			hits = append(hits, ScanEntry{Key: k, Value: v})
-		}
-	}
+	add := func(k, v string) { hits = append(hits, ScanEntry{Key: k, Value: v}) }
 	if durable {
-		s.kv.RangeDurable(match)
+		s.kv.RangeDurable(key, add)
 	} else {
 		for k, v := range s.kv.All() {
-			match(k, v)
+			if strings.HasPrefix(k, key) {
+				add(k, v)
+			}
 		}
 	}
 	return scanResult(hits, int(limit)), nil
@@ -252,7 +250,7 @@ func (s *Store) Footprint() int64 { return s.kv.Footprint() }
 
 // Snapshot implements service.Service: one service.Keyed section, sorted,
 // so identical states serialize identically.
-func (s *Store) Snapshot() ([]byte, error) { return service.Encode(s.kv.Snapshot) }
+func (s *Store) Snapshot() ([]byte, error) { return service.Encode(s.kv.Snapshot), nil }
 
 // Freeze implements service.Freezer: values are immutable strings.
 func (s *Store) Freeze() func() ([]byte, error) { return (&Store{kv: s.kv.Freeze()}).Snapshot }
@@ -268,7 +266,7 @@ func (s *Store) Delta() ([]byte, error) {
 	if !s.kv.Dirty() {
 		return nil, nil
 	}
-	return service.Encode(s.kv.Delta)
+	return service.Encode(s.kv.Delta), nil
 }
 
 // ApplyDelta implements service.DeltaService.
@@ -282,7 +280,7 @@ func (s *Store) ApplyDelta(delta []byte) error {
 // PartitionState implements service.Resharder: fragment j holds the keys
 // ShardIndex maps onto shard j, encoded like a snapshot.
 func (s *Store) PartitionState(n int) ([][]byte, error) {
-	return service.Partition("kvs", n, s.kv.Partition)
+	return service.Partition(n, s.kv.Partition), nil
 }
 
 // MergeState implements service.Resharder: the union of the fragments

@@ -54,6 +54,34 @@ func TestPutGetDel(t *testing.T) {
 	}
 }
 
+// TestSnapshotScanPrefixWithPendingBatch: a durable SCAN returns the
+// prefix's entries at the durable snapshot only. A pinned pre-image
+// stands in for its live key inside the prefix and stays out of the
+// result outside it; a key created since is absent.
+func TestSnapshotScanPrefixWithPendingBatch(t *testing.T) {
+	s := New()
+	mustApply(t, s, Put("a1", "old"))
+	mustApply(t, s, Put("b1", "old"))
+	s.EndBatch(1)
+	s.AdvanceDurable(1) // durable snapshot: a1=old, b1=old
+
+	mustApply(t, s, Put("a1", "new"))
+	mustApply(t, s, Del("b1"))
+	mustApply(t, s, Put("a2", "new"))
+	s.EndBatch(2) // pending, not durable
+	raw, err := s.SnapshotRead(Scan("a", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := DecodeScanResult(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan) != 1 || scan[0] != (ScanEntry{Key: "a1", Value: "old"}) {
+		t.Fatalf("durable scan of a = %+v, want [a1=old]", scan)
+	}
+}
+
 // TestSnapshotReadPinsInFlightBatch: mutations of the currently-executing
 // batch (recorded in the overlay's still-open generation, before EndBatch)
 // must be invisible to snapshot reads — a concurrent read of a key first

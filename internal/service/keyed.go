@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"iter"
 	"maps"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"lcm/internal/wire"
@@ -29,9 +31,9 @@ type Codec[V any] struct {
 // Snapshot, a running Footprint and, once snapshot reads are armed, the
 // pre-images a read at the durable sequence number needs.
 //
-// Its codec methods read and write sections of a wire message, so a
-// service with several maps writes one section per map (Encode, Decode,
-// Partition and Merge join them). A snapshot or fragment section is
+// Its codec methods read and write one section of a wire message (a
+// service with several maps joins their sections with Encode, Decode,
+// Partition and Merge). A snapshot or fragment section is
 //
 //	U32 n, (Var key, value)*                            keys ascending
 //
@@ -41,9 +43,8 @@ type Codec[V any] struct {
 //
 // Decoders report errors through the wire.Reader and stop at the first.
 // ReadDurable, RangeDurable and PreImages may run beside the writer; the
-// rest is the writer's, serialized with it. Only mutations take the
-// lock, once per mutation, so snapshot readers interleave with a long
-// batch.
+// rest is the writer's. Only mutations take the lock, once each, so
+// snapshot readers interleave with a long batch.
 type Keyed[V any] struct {
 	codec     Codec[V]
 	m         map[string]V
@@ -226,7 +227,7 @@ func (k *Keyed[V]) Restore(r *wire.Reader) {
 	}
 	k.mu.Lock()
 	k.m, k.footprint = m, footprint
-	k.overlay.reset()
+	k.overlay.gens = nil
 	k.mu.Unlock()
 	k.dirty = make(map[string]struct{})
 }
@@ -319,8 +320,7 @@ func (k *Keyed[V]) AdvanceDurable(seq uint64) {
 	k.mu.Unlock()
 }
 
-// ReadDurable returns key's value at the durable sequence number. Safe
-// for use concurrent with the writer.
+// ReadDurable returns key's value at the durable sequence number.
 func (k *Keyed[V]) ReadDurable(key string) (V, bool) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
@@ -331,22 +331,25 @@ func (k *Keyed[V]) ReadDurable(key string) (V, bool) {
 	return v, ok
 }
 
-// RangeDurable calls f for every entry at the durable sequence number, in
-// no order, including entries deleted since. It holds the read lock, so f
-// must not call back into k. Safe for use concurrent with the writer.
-func (k *Keyed[V]) RangeDurable(f func(key string, v V)) {
+// RangeDurable calls f, in no order, for every entry whose key starts
+// with prefix at the durable sequence number, including entries deleted
+// since. It holds the read lock, so f must not call back into k.
+func (k *Keyed[V]) RangeDurable(prefix string, f func(key string, v V)) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	pins := k.overlay.pins()
 	for key, v := range k.m {
-		if _, _, pinned := k.overlay.resolve(key); !pinned {
-			f(key, v)
+		if strings.HasPrefix(key, prefix) {
+			if _, pinned := pins[key]; !pinned {
+				f(key, v)
+			}
 		}
 	}
-	k.overlay.pinned(func(key string, v V, existed bool) {
-		if existed {
-			f(key, v)
+	for key, p := range pins {
+		if p.existed && strings.HasPrefix(key, prefix) {
+			f(key, p.val)
 		}
-	})
+	}
 }
 
 // PreImages returns the number of items whose pre-image a snapshot
@@ -354,19 +357,17 @@ func (k *Keyed[V]) RangeDurable(f func(key string, v V)) {
 func (k *Keyed[V]) PreImages() int {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	n := 0
-	k.overlay.pinned(func(string, V, bool) { n++ })
-	return n
+	return len(k.overlay.pins())
 }
 
 // Encode joins sections into one message: the snapshot or the delta of a
 // service whose state is one or more Keyed maps.
-func Encode(sections ...func(w *wire.Writer)) ([]byte, error) {
+func Encode(sections ...func(w *wire.Writer)) []byte {
 	var w wire.Writer
 	for _, section := range sections {
 		section(&w)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // Decode reads b as the sections, in order, and fails unless they
@@ -383,11 +384,8 @@ func Decode(what string, b []byte, sections ...func(r *wire.Reader)) error {
 }
 
 // Partition is Resharder.PartitionState over Keyed maps' Partition
-// methods: fragment j holds their sections for shard j, in order.
-func Partition(what string, n int, sections ...func(ws []wire.Writer)) ([][]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("%s: partition into %d shards", what, n)
-	}
+// methods, for n ≥ 1: fragment j holds their sections for shard j.
+func Partition(n int, sections ...func(ws []wire.Writer)) [][]byte {
 	ws := make([]wire.Writer, n)
 	for _, section := range sections {
 		section(ws)
@@ -396,7 +394,7 @@ func Partition(what string, n int, sections ...func(ws []wire.Writer)) ([][]byte
 	for j := range ws {
 		fragments[j] = ws[j].Bytes()
 	}
-	return fragments, nil
+	return fragments
 }
 
 // Merge is Resharder.MergeState over Keyed maps' Merge methods: each
@@ -415,25 +413,20 @@ func Merge(what string, fragments [][]byte, sections ...func(r *wire.Reader)) er
 // Per batch ("generation") it records the value each item had before the
 // batch first touched it. An item's value at durable sequence S is the
 // pre-image in the oldest pending generation that holds one (no earlier
-// pending batch touched it), else the live value. The open generation
-// counts as the newest pending one: the executing batch has already
-// changed the live state. close ends a generation; advance(S) drops those
-// at or below S.
+// pending batch touched it), else the live value. The executing batch's
+// generation is the newest, open one (seq open): it has already changed
+// the live state. close ends it; advance(S) drops generations at or
+// below S.
 //
 // A zero overlay is un-armed: record keeps nothing until the first close.
 // The trusted context closes generations only once reads are armed, and
 // the arming close finds every earlier write durable, so a service that
-// serves no snapshot read holds no pre-image. reset keeps the overlay
-// armed: Restore may replace the state of an instance that serves reads.
+// serves no snapshot read holds no pre-image. Restore drops the
+// generations but keeps the overlay armed: it may replace the state of
+// an instance that serves reads.
 type overlay[V any] struct {
-	gens  []overlayGen[V]
-	cur   map[string]overlayPre[V]
+	gens  []overlayGen[V] // oldest first; only the last may be open
 	armed bool
-}
-
-type overlayPre[V any] struct {
-	val     V
-	existed bool
 }
 
 type overlayGen[V any] struct {
@@ -441,27 +434,35 @@ type overlayGen[V any] struct {
 	pres map[string]overlayPre[V]
 }
 
+type overlayPre[V any] struct {
+	val     V
+	existed bool
+}
+
+// open is the seq of the generation still recording.
+const open = math.MaxUint64
+
 // record notes key's pre-image in the open generation; the first record
 // of a key in a generation wins.
 func (o *overlay[V]) record(key string, val V, existed bool) {
 	if !o.armed {
 		return
 	}
-	if o.cur == nil {
-		o.cur = make(map[string]overlayPre[V])
+	if n := len(o.gens); n == 0 || o.gens[n-1].seq != open {
+		o.gens = append(o.gens, overlayGen[V]{seq: open, pres: make(map[string]overlayPre[V])})
 	}
-	if _, done := o.cur[key]; !done {
-		o.cur[key] = overlayPre[V]{val: val, existed: existed}
+	pres := o.gens[len(o.gens)-1].pres
+	if _, done := pres[key]; !done {
+		pres[key] = overlayPre[V]{val: val, existed: existed}
 	}
 }
 
-// close ends the open generation at seq and arms the overlay. An empty
-// generation is dropped: advance works on sequence numbers.
+// close ends the open generation, if any (an empty batch leaves none), at
+// seq and arms the overlay.
 func (o *overlay[V]) close(seq uint64) {
 	o.armed = true
-	if len(o.cur) > 0 {
-		o.gens = append(o.gens, overlayGen[V]{seq: seq, pres: o.cur})
-		o.cur = nil
+	if n := len(o.gens); n > 0 && o.gens[n-1].seq == open {
+		o.gens[n-1].seq = seq
 	}
 }
 
@@ -481,29 +482,15 @@ func (o *overlay[V]) resolve(key string) (val V, existed, pinned bool) {
 			return p.val, p.existed, true
 		}
 	}
-	p, ok := o.cur[key]
-	return p.val, p.existed, ok
+	return val, false, false
 }
 
-// pinned calls f once per item with a pending pre-image, with its value
-// at the durable snapshot; existed is false for an item created since.
-func (o *overlay[V]) pinned(f func(key string, val V, existed bool)) {
-	seen := make(map[string]struct{})
-	visit := func(pres map[string]overlayPre[V]) {
-		for k, p := range pres {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				f(k, p.val, p.existed)
-			}
-		}
+// pins returns the durable value of every item with a pending pre-image:
+// the oldest generation's wins.
+func (o *overlay[V]) pins() map[string]overlayPre[V] {
+	m := make(map[string]overlayPre[V])
+	for i := len(o.gens) - 1; i >= 0; i-- {
+		maps.Copy(m, o.gens[i].pres)
 	}
-	for _, g := range o.gens {
-		visit(g.pres)
-	}
-	visit(o.cur)
-}
-
-func (o *overlay[V]) reset() {
-	o.gens = nil
-	o.cur = nil
+	return m
 }

@@ -44,7 +44,7 @@ func TestKeyedDurableReadsDuringWrites(t *testing.T) {
 				default:
 				}
 				seen := map[uint64]int{}
-				k.RangeDurable(func(_ string, v uint64) { seen[v]++ })
+				k.RangeDurable("", func(_ string, v uint64) { seen[v]++ })
 				if len(seen) != 1 {
 					t.Errorf("RangeDurable saw values %v, want one batch's", seen)
 					return

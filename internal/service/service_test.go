@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"testing"
+
+	"lcm/internal/wire"
 )
 
 // stubSharder returns fixed keys per op byte.
@@ -38,10 +40,9 @@ func TestOverlayPinsOpenGeneration(t *testing.T) {
 	if v, _, _ := o.resolve("k"); v != "v1" {
 		t.Fatalf("second Record overwrote pre-image: %q", v)
 	}
-	pinned := make(map[string]bool)
-	o.pinned(func(k string, _ string, existed bool) { pinned[k] = existed })
-	if len(pinned) != 2 || !pinned["k"] || pinned["n"] {
-		t.Fatalf("Pinned mid-batch = %v; want k existed, n absent", pinned)
+	pins := o.pins()
+	if len(pins) != 2 || !pins["k"].existed || pins["n"].existed {
+		t.Fatalf("pins mid-batch = %v; want k existed, n absent", pins)
 	}
 
 	// A closed generation stays older than the open one: after close, a
@@ -62,20 +63,16 @@ func TestOverlayPinsOpenGeneration(t *testing.T) {
 	if _, _, pin := o.resolve("k"); pin {
 		t.Fatal("Resolve(k) still pinned after all generations advanced")
 	}
-	o.pinned(func(k string, _ string, _ bool) {
-		t.Fatalf("pinned reported %q after all generations advanced", k)
-	})
+	if pins := o.pins(); len(pins) != 0 {
+		t.Fatalf("pins = %v after all generations advanced", pins)
+	}
 }
 
 // overlayHolds reports whether o pins anything: a resolve of key, or any
-// item pinned visits.
+// item in pins.
 func overlayHolds(o *overlay[string], key string) bool {
-	if _, _, pin := o.resolve(key); pin {
-		return true
-	}
-	held := false
-	o.pinned(func(string, string, bool) { held = true })
-	return held
+	_, _, pin := o.resolve(key)
+	return pin || len(o.pins()) > 0
 }
 
 // TestOverlayUnarmedRecordsNothing: a zero overlay is un-armed, and its
@@ -115,20 +112,21 @@ func TestOverlayFirstCloseArms(t *testing.T) {
 }
 
 // TestOverlayResetKeepsArmed: Restore resets the overlay of a live
-// instance that may already serve reads, so reset must drop the
-// generations but keep recording.
+// instance that may already serve reads, so it must drop the generations
+// but keep recording.
 func TestOverlayResetKeepsArmed(t *testing.T) {
-	var o overlay[string]
-	o.close(0)
-	o.record("k", "v1", true)
-	o.close(1)
-	o.reset()
-	if overlayHolds(&o, "k") {
-		t.Fatal("reset kept a generation")
+	k := NewKeyed(testCodec)
+	k.EndBatch(0)
+	k.Set("k", 1)
+	k.EndBatch(1)
+	var w wire.Writer
+	k.Snapshot(&w)
+	if k.Restore(wire.NewReader(w.Bytes())); k.PreImages() != 0 {
+		t.Fatal("Restore kept a generation")
 	}
-	o.record("k", "v2", true)
-	if v, _, pin := o.resolve("k"); !pin || v != "v2" {
-		t.Fatalf("Resolve(k) after reset = %q pinned=%v; want v2 pinned", v, pin)
+	k.Set("k", 2)
+	if v, ok := k.ReadDurable("k"); k.PreImages() != 1 || !ok || v != 1 {
+		t.Fatalf("ReadDurable(k) after Restore = %d, %v; want the restored 1 pinned", v, ok)
 	}
 }
 
