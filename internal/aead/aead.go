@@ -16,6 +16,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,8 +29,11 @@ const KeySize = 16
 // NonceSize is the standard GCM nonce size in bytes.
 const NonceSize = 12
 
+// TagSize is the GCM authentication tag size in bytes.
+const TagSize = 16
+
 // Overhead is the total ciphertext expansion: nonce plus the GCM tag.
-const Overhead = NonceSize + 16
+const Overhead = NonceSize + TagSize
 
 var (
 	// ErrAuth reports that a ciphertext failed authentication. In the
@@ -185,6 +189,26 @@ func SealInPlace(k Key, buf, associated []byte) ([]byte, error) {
 		return nil, fmt.Errorf("aead: nonce: %w", err)
 	}
 	return gcm.Seal(buf[:NonceSize], buf[:NonceSize], buf[NonceSize:], associated), nil
+}
+
+// Reseal re-derives what Seal returned for plaintext and associated from
+// that call's nonce and tag: it seals again under the nonce and returns
+// the result only if its tag equals tag (constant-time). GCM is
+// deterministic, so a match is the original byte for byte; any other
+// input would be a second message under a used nonce: ErrAuth, no bytes.
+func Reseal(k Key, nonce, tag, plaintext, associated []byte) ([]byte, error) {
+	gcm, err := cachedGCM(k)
+	if err != nil {
+		return nil, err
+	}
+	if len(nonce) != NonceSize {
+		return nil, ErrAuth
+	}
+	out := gcm.Seal(append(make([]byte, 0, NonceSize+len(plaintext)+TagSize), nonce...), nonce, plaintext, associated)
+	if subtle.ConstantTimeCompare(out[len(out)-TagSize:], tag) != 1 {
+		return nil, ErrAuth
+	}
+	return out, nil
 }
 
 // Open implements auth-decrypt(c, k): it verifies and decrypts a ciphertext

@@ -309,6 +309,46 @@ func TestCipherCacheEvictsRetiredKeys(t *testing.T) {
 // BenchmarkSeal measures the sealed hot path at the protocol's typical
 // message size; the cached key schedule is what keeps the per-message
 // cost near the raw GCM throughput.
+// Reseal returns exactly the bytes Seal returned from that seal's nonce
+// and tag; a plaintext, associated data, nonce or tag that differs in one
+// bit, or a nonce or tag of the wrong length, yields ErrAuth and no bytes.
+func TestReseal(t *testing.T) {
+	k, _ := NewKey()
+	plaintext, ad := []byte("reply plaintext"), []byte("lcm/msg/reply/v1")
+	ct, err := Seal(k, plaintext, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, tag := ct[:NonceSize], ct[len(ct)-TagSize:]
+	got, err := Reseal(k, nonce, tag, plaintext, ad)
+	if err != nil || !bytes.Equal(got, ct) {
+		t.Fatalf("Reseal = %x, %v; want Seal's %x", got, err, ct)
+	}
+	flip := func(b []byte) []byte {
+		out := bytes.Clone(b)
+		out[len(out)-1] ^= 1
+		return out
+	}
+	other, _ := NewKey()
+	for name, in := range map[string]struct {
+		k                                 Key
+		nonce, tag, plaintext, associated []byte
+	}{
+		"plaintext":     {k, nonce, tag, flip(plaintext), ad},
+		"associated":    {k, nonce, tag, plaintext, flip(ad)},
+		"nonce":         {k, flip(nonce), tag, plaintext, ad},
+		"tag":           {k, nonce, flip(tag), plaintext, ad},
+		"key":           {other, nonce, tag, plaintext, ad},
+		"short nonce":   {k, nonce[1:], tag, plaintext, ad},
+		"short tag":     {k, nonce, tag[1:], plaintext, ad},
+		"empty content": {k, nonce, tag, nil, ad},
+	} {
+		if got, err := Reseal(in.k, in.nonce, in.tag, in.plaintext, in.associated); err != ErrAuth || got != nil {
+			t.Errorf("%s differs: Reseal = %x, %v; want nil, ErrAuth", name, got, err)
+		}
+	}
+}
+
 func BenchmarkSeal(b *testing.B) {
 	k, _ := NewKey()
 	msg := make([]byte, 145) // one 100 B invoke + metadata
@@ -317,6 +357,23 @@ func BenchmarkSeal(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Seal(k, msg, ad); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReseal re-derives a 256 B message's ciphertext from its nonce
+// and tag (a cached reply resent to a retry).
+func BenchmarkReseal(b *testing.B) {
+	k, _ := NewKey()
+	msg := make([]byte, 256)
+	ad := []byte("lcm/msg/reply/v1")
+	ct, _ := Seal(k, msg, ad)
+	nonce, tag := ct[:NonceSize], ct[len(ct)-TagSize:]
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Reseal(k, nonce, tag, msg, ad); err != nil {
 			b.Fatal(err)
 		}
 	}

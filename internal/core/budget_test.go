@@ -179,20 +179,34 @@ func TestPreVersionStateBlobFailsWithErrStateVersion(t *testing.T) {
 // plaintext still carried a U32 after QFloor) fails with ErrStateVersion
 // when its header is read, and halts a restart over it with that cause.
 func TestVersion1StateBlobFailsWithErrStateVersion(t *testing.T) {
-	v1, err := os.ReadFile("testdata/state-blob-v1.bin")
+	oldStateBlobHalts(t, "testdata/state-blob-v1.bin")
+}
+
+// A state blob written by a version-2 build (the committed fixture, sealed
+// under the zero key; its V entries kept the whole sealed reply) fails the
+// same way.
+func TestVersion2StateBlobFailsWithErrStateVersion(t *testing.T) {
+	oldStateBlobHalts(t, "testdata/state-blob-v2.bin")
+}
+
+// oldStateBlobHalts checks that the state blob in fixture fails to open
+// with ErrStateVersion, and that a restart over it halts with that cause.
+func oldStateBlobHalts(t *testing.T, fixture string) {
+	t.Helper()
+	old, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := openStateBlob(aead.Key{}, v1, nil); !errors.Is(err, ErrStateVersion) {
-		t.Fatalf("open of a version-1 blob = %v, want ErrStateVersion", err)
+	if _, _, err := openStateBlob(aead.Key{}, old, nil); !errors.Is(err, ErrStateVersion) {
+		t.Fatalf("open of %s = %v, want ErrStateVersion", fixture, err)
 	}
 	r := newRig(t, []uint32{1, 2})
 	r.mustPut(1, "a", "1")
-	if err := r.storage.Store(SlotStateBlob, v1); err != nil {
+	if err := r.storage.Store(SlotStateBlob, old); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
-		t.Fatalf("restart over a version-1 blob = %v, want a halt", err)
+		t.Fatalf("restart over %s = %v, want a halt", fixture, err)
 	}
 	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrStateVersion) {
 		t.Fatalf("halt = %v, want ErrStateVersion", err)

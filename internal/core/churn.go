@@ -275,6 +275,15 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 			return nil, fmt.Errorf("lcm: epoch kC rotation: %w", err)
 		}
 		p.kc = newKC
+		// Re-seal the cached replies, so a retry across the rotation is
+		// answered under the key its client now holds.
+		for _, e := range p.g.v {
+			if e.Reply != nil {
+				if _, err := e.sealReply(newKC, e.reply()); err != nil {
+					return nil, fmt.Errorf("lcm: epoch kC rotation: %w", err)
+				}
+			}
+		}
 	}
 	if ea, ok := p.svc.(service.EpochAdvancer); ok {
 		// Epoch-fenced housekeeping (e.g. escrow-record pruning); its

@@ -9,13 +9,14 @@ import (
 	"testing/quick"
 
 	"lcm/internal/kvs"
+	"lcm/internal/service"
 	"lcm/internal/stablestore"
 	"lcm/internal/tee"
 	"lcm/internal/wire"
 )
 
 // newRigWith builds a rig like newRig but lets the test tune the trusted
-// configuration (compaction thresholds, full-seal mode).
+// configuration (compaction thresholds, fullSeal).
 func newRigWith(t *testing.T, clientIDs []uint32, tune func(*TrustedConfig)) *rig {
 	t.Helper()
 	return newRigOver(t, stablestore.NewMemStore(), clientIDs, tune)
@@ -62,6 +63,15 @@ func newRigOver(t *testing.T, store stablestore.Store, clientIDs []uint32, tune 
 	}
 }
 
+// fullSealKVS is kvs without service.DeltaService: a context over it seals
+// its whole state on every batch, as the paper's Sec. 5.2 prototype does.
+type fullSealKVS struct{ service.Service }
+
+// fullSeal tunes a rig's context to serve fullSealKVS.
+func fullSeal(cfg *TrustedConfig) {
+	cfg.NewService = func() service.Service { return fullSealKVS{kvs.New()} }
+}
+
 // goldenDeltaRecord is the record the golden round-trip test encodes; the
 // decoder's fuzz target starts from it too. Every optional field is
 // present.
@@ -70,8 +80,8 @@ func goldenDeltaRecord() *deltaRecord {
 		FromT: 7,
 		ToT:   9,
 		Entries: map[uint32]*ventry{
-			2: {TA: 5, T: 8, LastReply: []byte("reply-2")},
-			1: {TA: 7, T: 9, LastReply: []byte("reply-1")},
+			2: {TA: 5, T: 8, Reply: testReply("reply-2")},
+			1: {TA: 7, T: 9, Reply: testReply("reply-1")},
 		},
 		Anchors:    true,
 		Delta:      []byte("service-delta"),
@@ -103,7 +113,7 @@ func TestDeltaRecordRoundtrip(t *testing.T) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, rec)
 	}
 	for id, e := range rec.Entries {
-		if g := got.Entries[id]; g.TA != e.TA || g.T != e.T || !bytes.Equal(g.LastReply, e.LastReply) {
+		if g := got.Entries[id]; g.TA != e.TA || g.T != e.T || !bytes.Equal(g.Reply, e.Reply) {
 			t.Fatalf("entry %d = %+v, want %+v", id, g, e)
 		}
 	}
@@ -399,13 +409,14 @@ func TestChainMigrationSealsRebasedBeaconTick(t *testing.T) {
 }
 
 // An admin-recovered context seals the beacon tick it rebases on its new
-// platform's counter, as a record or, in full-seal mode, in the state
-// blob: restarted before its first beacon, it folds that tick, not the old
-// platform's, and its next beacon is not a clone verdict.
+// platform's counter, as a record or, over a service without deltas
+// (fullSeal), in the state blob: restarted before its first beacon, it
+// folds that tick, not the old platform's, and its next beacon is not a
+// clone verdict.
 func TestRecoverSealsRebasedBeaconTick(t *testing.T) {
-	for _, fullSeal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fullSeal=%v", fullSeal), func(t *testing.T) {
-			r := newRigWith(t, []uint32{1}, func(c *TrustedConfig) { c.FullSeal = fullSeal })
+	for _, tune := range []func(*TrustedConfig){nil, fullSeal} {
+		t.Run(fmt.Sprintf("fullSeal=%v", tune != nil), func(t *testing.T) {
+			r := newRigWith(t, []uint32{1}, tune)
 			r.mustPut(1, "k", "v1")
 			for i := 0; i < 3; i++ {
 				if err := r.beacon(); err != nil {
@@ -418,12 +429,11 @@ func TestRecoverSealsRebasedBeaconTick(t *testing.T) {
 			}
 			r.attestation.Register(fresh)
 			tr := &rig{t: t, storage: stablestore.NewRollbackStore(stablestore.NewMemStore()), clients: r.clients}
-			tr.enclave = fresh.NewEnclave(NewTrustedFactory(TrustedConfig{
-				ServiceName: "kvs",
-				NewService:  kvs.Factory(),
-				Attestation: r.attestation,
-				FullSeal:    fullSeal,
-			}), tr.storage)
+			cfg := TrustedConfig{ServiceName: "kvs", NewService: kvs.Factory(), Attestation: r.attestation}
+			if tune != nil {
+				tune(&cfg)
+			}
+			tr.enclave = fresh.NewEnclave(NewTrustedFactory(cfg), tr.storage)
 			if err := tr.enclave.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -431,8 +441,8 @@ func TestRecoverSealsRebasedBeaconTick(t *testing.T) {
 			if err := r.admin.Recover(tr.enclave.Call); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
-			if fullSeal {
-				// Full-seal mode keeps its state in the blob alone.
+			if tune != nil {
+				// A service without deltas keeps its state in the blob alone.
 				blob, err := tr.storage.Load(SlotStateBlob)
 				if err != nil {
 					t.Fatal(err)
@@ -598,8 +608,9 @@ func TestDeltaStaleLogAfterCompactionCrashDiscarded(t *testing.T) {
 }
 
 // Property: a delta-persisted deployment with random restarts at batch
-// boundaries stays state-identical to a full-seal deployment driven by
-// the same schedule — sequence numbers, stability, and every key.
+// boundaries stays state-identical to a full-seal deployment (fullSealKVS,
+// a kvs without deltas) driven by the same schedule — sequence numbers,
+// stability, and every key.
 func TestQuickDeltaMatchesFullSeal(t *testing.T) {
 	check := func(seed int64, schedule []uint8) bool {
 		if len(schedule) == 0 {
@@ -617,7 +628,7 @@ func TestQuickDeltaMatchesFullSeal(t *testing.T) {
 		delta := newRigWith(t, ids, func(cfg *TrustedConfig) {
 			cfg.cutRecords = 1 + rng.Intn(6)
 		})
-		full := newRigWith(t, ids, func(cfg *TrustedConfig) { cfg.FullSeal = true })
+		full := newRigWith(t, ids, fullSeal)
 
 		keys := []string{"a", "b", "c"}
 		for _, step := range schedule {

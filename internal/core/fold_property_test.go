@@ -73,9 +73,9 @@ func sameState(live, folded *Trusted) error {
 	}
 	for id, e := range live.g.v {
 		f := folded.g.v[id]
-		if e.TA != f.TA || e.HA != f.HA || e.T != f.T || e.H != f.H || !bytes.Equal(e.LastReply, f.LastReply) {
-			return fmt.Errorf("V[%d]: live (TA %d, T %d), folded (TA %d, T %d), HA equal %v, H equal %v, LastReply equal %v",
-				id, e.TA, e.T, f.TA, f.T, e.HA == f.HA, e.H == f.H, bytes.Equal(e.LastReply, f.LastReply))
+		if e.TA != f.TA || e.HA != f.HA || e.T != f.T || e.H != f.H || !bytes.Equal(e.Reply, f.Reply) {
+			return fmt.Errorf("V[%d]: live (TA %d, T %d), folded (TA %d, T %d), HA equal %v, H equal %v, Reply equal %v",
+				id, e.TA, e.T, f.TA, f.T, e.HA == f.HA, e.H == f.H, bytes.Equal(e.Reply, f.Reply))
 		}
 	}
 	ls, err1 := live.svc.(service.Resharder).PartitionState(1)

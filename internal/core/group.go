@@ -10,9 +10,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 
+	"lcm/internal/aead"
 	"lcm/internal/hashchain"
+	"lcm/internal/wire"
 )
 
 // ventry is one client's entry in the protocol state V of Alg. 2. The
@@ -25,15 +28,51 @@ import (
 //   - H: the hash-chain value after that operation.
 //
 // The Sec. 4.6.1 crash-tolerance extension additionally caches the last
-// REPLY ciphertext so a retry after a lost reply can be answered without
+// REPLY (Reply) so a retry after a lost reply can be answered without
 // re-executing the operation, plus HA (the chain value the client
 // presented) so a retry's context can be verified exactly.
 type ventry struct {
-	TA        uint64
-	HA        hashchain.Value
-	T         uint64
-	H         hashchain.Value
-	LastReply []byte
+	TA    uint64
+	HA    hashchain.Value
+	T     uint64
+	H     hashchain.Value
+	Reply cachedReply
+}
+
+// cachedReply is what a V entry keeps of its last REPLY: nonce ‖ tag ‖
+// U64 Q ‖ U64 BeaconSeq ‖ result (state.go), nil before the first one.
+type cachedReply []byte
+
+const (
+	replyTagAt     = aead.NonceSize
+	replyQAt       = replyTagAt + aead.TagSize
+	cachedReplyMin = replyQAt + 16
+)
+
+// sealReply seals r, which carries e's T, H and HA, under kc and keeps
+// what e does not hold of the seal in e.Reply.
+func (e *ventry) sealReply(kc aead.Key, r *wire.Reply) ([]byte, error) {
+	ct, err := aead.Seal(kc, r.Encode(), []byte(adReply))
+	if err != nil {
+		return nil, err
+	}
+	c := append(make(cachedReply, 0, cachedReplyMin+len(r.Result)), ct[:replyTagAt]...)
+	c = append(c, ct[len(ct)-aead.TagSize:]...)
+	c = binary.BigEndian.AppendUint64(c, r.Q)
+	c = binary.BigEndian.AppendUint64(c, r.BeaconSeq)
+	e.Reply = append(c, r.Result...)
+	return ct, nil
+}
+
+// reply rebuilds the REPLY e.Reply was kept from.
+func (e *ventry) reply() *wire.Reply {
+	q, beaconSeq := binary.BigEndian.Uint64(e.Reply[replyQAt:]), binary.BigEndian.Uint64(e.Reply[replyQAt+8:])
+	return &wire.Reply{T: e.T, H: e.H, HCPrev: e.HA, Q: q, BeaconSeq: beaconSeq, Result: e.Reply[cachedReplyMin:]}
+}
+
+// sealedReply re-derives the ciphertext e.Reply was kept from, under kc.
+func (e *ventry) sealedReply(kc aead.Key) ([]byte, error) {
+	return aead.Reseal(kc, e.Reply[:replyTagAt], e.Reply[replyTagAt:replyQAt], e.reply().Encode(), []byte(adReply))
 }
 
 // vmap is the protocol state V: one entry per group member.
@@ -87,7 +126,7 @@ func (v vmap) clone() vmap {
 	out := make(vmap, len(v))
 	for id, e := range v {
 		cp := *e
-		cp.LastReply = append([]byte(nil), e.LastReply...)
+		cp.Reply = append(cachedReply(nil), e.Reply...)
 		out[id] = &cp
 	}
 	return out

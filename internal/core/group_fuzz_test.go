@@ -83,6 +83,11 @@ func FuzzDecodeGroupViews(f *testing.F) {
 	f.Add(append([]byte{0}, withCount(goldens[0], entries, 1<<24)...))
 	f.Add(append([]byte{0}, withCount(goldens[0], entries, 0xFFFFFFFF)...))
 	f.Add(append([]byte{2}, withCount(goldens[2], 16, 1<<30)...)) // members
+	for _, old := range formatFixtures(f) {
+		for i := range goldens {
+			f.Add(append([]byte{byte(i)}, old...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // makeGroup builds a group of n clients (ids 1..n), all TAs zero.
 func makeGroup(n int) *Group {
@@ -123,5 +126,25 @@ func TestStableDoesNotRaiseFloor(t *testing.T) {
 	}
 	if q := g.stableQ(); q != 4 || g.qFloor != 4 {
 		t.Fatalf("stableQ = %d with floor %d, want 4 with floor 4", q, g.qFloor)
+	}
+}
+
+// BenchmarkMajorityStable is majority-stable(V) (Sec. 4.5), which every
+// reply runs, over 2 to 10⁵ registered clients with distinct
+// acknowledged sequence numbers. The paper's Figs. 5 and 6 plot
+// throughput against the client count.
+func BenchmarkMajorityStable(b *testing.B) {
+	for _, n := range []int{2, 64, 1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
+			g := makeGroup(n)
+			for id, e := range g.v {
+				e.TA = uint64(id) * 7919 % uint64(n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.v.majorityStable()
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@ func recordFields(rec *deltaRecord) [][2]any {
 		if rec.Anchors {
 			fields = append(fields, [2]any{fmt.Sprintf("entry %d TA+HA", id), anchorSize})
 		}
-		fields = append(fields, [2]any{fmt.Sprintf("entry %d LastReply", id), 4 + len(e.LastReply)})
+		fields = append(fields, [2]any{fmt.Sprintf("entry %d Reply", id), 4 + len(e.Reply)})
 	}
 	for _, opt := range []struct {
 		name string
@@ -97,8 +97,8 @@ func TestDeltaRecordByteBudget(t *testing.T) {
 		op   []byte
 		want int
 	}{
-		{"put", kvs.Put(key, value), 381},
-		{"get", kvs.Get(key), 324},
+		{"put", kvs.Put(key, value), 304},
+		{"get", kvs.Get(key), 247},
 	} {
 		r.mustDo(1, tc.op)
 		r.mustDo(2, tc.op)
@@ -211,17 +211,32 @@ func TestVersion2RecordFailsWithErrRecordVersion(t *testing.T) {
 }
 
 // A record in the committed version-3 format (sealed at its chain
-// position like version 4, but its bank delta had the layout before
+// position like later versions, but its bank delta had the layout before
 // service.Keyed) fails with ErrRecordVersion: its decode reports it, and a
 // restart over a log holding one, sealed at the head's position, halts
 // with that cause rather than folding a delta it would misread.
 func TestVersion3RecordFailsWithErrRecordVersion(t *testing.T) {
-	v3, err := os.ReadFile("testdata/delta-record-v3.bin")
+	oldRecordAtHeadHalts(t, "testdata/delta-record-v3.bin")
+}
+
+// A record in the committed version-4 format (its entries kept the whole
+// sealed reply, not its inputs) fails the same way, in decode and as a
+// halt of the restart over it, rather than as a malformed cached reply.
+func TestVersion4RecordFailsWithErrRecordVersion(t *testing.T) {
+	oldRecordAtHeadHalts(t, "testdata/delta-record-v4.bin")
+}
+
+// oldRecordAtHeadHalts checks that the record plaintext in fixture fails
+// to decode with ErrRecordVersion, and that a restart over a log holding
+// it, sealed at the head's chain position, halts with that cause.
+func oldRecordAtHeadHalts(t *testing.T, fixture string) {
+	t.Helper()
+	old, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeDeltaRecord(v3); !errors.Is(err, ErrRecordVersion) {
-		t.Fatalf("decode of a version-3 record = %v, want ErrRecordVersion", err)
+	if _, err := decodeDeltaRecord(old); !errors.Is(err, ErrRecordVersion) {
+		t.Fatalf("decode of %s = %v, want ErrRecordVersion", fixture, err)
 	}
 	r := newRig(t, []uint32{1, 2})
 	r.mustPut(1, "a", "1")
@@ -230,7 +245,7 @@ func TestVersion3RecordFailsWithErrRecordVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ad recordAD
-	sealed, err := aead.Seal(r.admin.kp, v3, ad.at(head.chainPrev, head.t, head.adminSeq))
+	sealed, err := aead.Seal(r.admin.kp, old, ad.at(head.chainPrev, head.t, head.adminSeq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +253,7 @@ func TestVersion3RecordFailsWithErrRecordVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := r.enclave.Restart(); !errors.Is(err, tee.ErrEnclaveHalted) {
-		t.Fatalf("restart over a version-3 record = %v, want a halt", err)
+		t.Fatalf("restart over %s = %v, want a halt", fixture, err)
 	}
 	var halt *tee.HaltError
 	if err := r.enclave.HaltedErr(); !errors.Is(err, ErrRecordVersion) || !errors.As(err, &halt) || halt.Reason != "delta record version unknown" {

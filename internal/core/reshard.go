@@ -817,7 +817,7 @@ func (p *Trusted) handleReshardExport(env tee.Env) (_ []byte, err error) {
 	// Delta() resets the service's change tracking, so if anything below
 	// fails an inline seal covers them before the error returns.
 	var pending []byte
-	if p.deltaActive() {
+	if p.deltaSvc != nil {
 		if pending, err = p.deltaSvc.Delta(); err != nil {
 			return nil, fmt.Errorf("lcm: pending delta for reshard: %w", err)
 		}
@@ -847,10 +847,13 @@ func (p *Trusted) handleReshardExport(env tee.Env) (_ []byte, err error) {
 	}
 	for _, id := range p.g.v.clientIDs() {
 		e := p.g.v[id]
-		handoff.Entries = append(handoff.Entries, ReshardEntry{
-			ID: id, TA: e.TA, HA: e.HA, T: e.T, H: e.H,
-			LastReply: e.LastReply,
-		})
+		entry := ReshardEntry{ID: id, TA: e.TA, HA: e.HA, T: e.T, H: e.H}
+		if e.Reply != nil {
+			if entry.LastReply, err = e.sealedReply(p.kc); err != nil {
+				return nil, tee.Halt("cached reply does not reconstruct", err)
+			}
+		}
+		handoff.Entries = append(handoff.Entries, entry)
 	}
 	sealedHandoff, err := aead.Seal(p.kc, handoff.encode(), []byte(adReshardHandoff))
 	if err != nil {

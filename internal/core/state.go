@@ -18,18 +18,35 @@ package core
 // Seg without kP, and cannot change it. An unknown version, or a blob
 // from before the header, fails with ErrStateVersion. trustedState ends
 // with Head, the chain value the first record of segment Seg links to.
-// Version 2 dropped the U32 that version 1 carried after QFloor, so a
-// version-1 blob fails with ErrStateVersion.
+// Version 2 dropped a U32 after QFloor; version 3 keeps cached replies as
+// their inputs (below). A blob of version 1 or 2 fails with
+// ErrStateVersion.
+//
+// # V entries and cached replies
+//
+// V, in the blob and in records, encodes an entry as U32 id, [U64 TA,
+// Bytes32 HA], U64 T, Bytes32 H, Var Reply. Reply (cachedReply) is empty
+// or what the entry does not hold of its last REPLY seal:
+//
+//	[12]byte nonce ‖ [16]byte GCM tag ‖ U64 Q ‖ U64 BeaconSeq ‖ result
+//
+// The reply's T, H and HCPrev are the entry's T, H and HA. A retry and a
+// reshard handoff re-derive the ciphertext with aead.Reseal, which seals
+// under the stored nonce and returns the bytes only if its tag equals the
+// stored one. GCM is deterministic, so a match is the ciphertext first
+// sent, byte for byte; any other plaintext would be a second message
+// under a used nonce, and the context halts instead of releasing it.
+// Version 4 kept the ciphertext: 77 bytes more per entry.
 //
 // # Delta record layout
 //
-// Each record's plaintext (version 4) is:
+// Each record's plaintext (version 5) is:
 //
 //	U8       version      recordVersion
 //	U8       flags        which optional fields [..] follow
 //	U64      ToT          t after the batch
 //	U32      n            number of touched V entries
-//	n ×      U32 id, [U64 TA, Bytes32 HA], U64 T, Bytes32 H, Var LastReply
+//	n ×      V entry      as above, [TA, HA] only under recAnchors
 //	[Var     ServiceDelta]  service.DeltaService.Delta() output
 //	[U64     BeaconSeq, U64 BeaconTick]
 //	[U32 m, m × U32 id]     members this record removed from the group
@@ -43,8 +60,7 @@ package core
 // data from its own (chainPrev, t, adminSeq), so a record opens only at
 // the exact position it was sealed for. A record spliced in, replayed,
 // reordered or from before an admin re-seal fails authentication, and
-// recovery halts; version 2 wrote the three and compared them after
-// opening.
+// recovery halts.
 //
 // An optional field is written only when the fold (applyRecord) cannot
 // derive it; absent, the fold supplies it:
@@ -67,11 +83,10 @@ package core
 // the same chain, so a clone committing beacons forks it like any other
 // divergent writer.
 //
-// Old data fails by name, with no in-place migration: a record sealed
-// under the bare adDeltaLog label (versions 1, 2) or of version 3 (whose
-// bank delta, internal/counter's, had another layout) with
-// ErrRecordVersion, a log segment without stablestore.LogHeader with its
-// ErrLogVersion.
+// Old data fails by name, with no in-place migration: a record of
+// versions 1 to 4 with ErrRecordVersion (docs/ARCHITECTURE.md §2 says
+// what each changed), a log segment without stablestore.LogHeader with
+// its ErrLogVersion.
 //
 // # Chaining and checkpoints
 //
@@ -113,7 +128,6 @@ const (
 	adStateBlob = "lcm/blob/state/v1"
 	adDeltaLog  = "lcm/blob/delta/v1"
 	adAdminMsg  = "lcm/msg/admin/v1"
-	adMigration = "lcm/migration/v1"
 
 	// Reshard labels (see reshard.go): pieces are sealed under the
 	// generation key kR, handoffs under the source shard's kC, and the
@@ -150,7 +164,7 @@ func SegmentSlot(seg uint64) string {
 
 // State blob header (see the layout above).
 const (
-	stateVersion    = 2
+	stateVersion    = 3
 	stateHeaderSize = 1 + 8
 )
 
@@ -234,12 +248,12 @@ type trustedState struct {
 func (s *trustedState) encodedSize() int {
 	size := 56 + len(s.KC) + len(s.Snapshot) + 36 + hashchain.Size + 32 + 4*len(s.Evicted)
 	for _, e := range s.V {
-		size += vEntryMinSize + len(e.LastReply)
+		size += vEntryMinSize + len(e.Reply)
 	}
 	return size
 }
 
-// vEntryMinSize is an encoded V entry's size with an empty LastReply;
+// vEntryMinSize is an encoded V entry's size with no cached reply;
 // anchorSize is the part that is its (TA, HA).
 const (
 	vEntryMinSize = 4 + 8 + 8 + 2*hashchain.Size + 4
@@ -259,7 +273,7 @@ func encodeVMap(w *wire.Writer, v vmap, anchors bool) {
 		}
 		w.U64(e.T)
 		w.Bytes32(e.H)
-		w.Var(e.LastReply)
+		w.Var(e.Reply)
 	}
 }
 
@@ -279,8 +293,11 @@ func decodeVMap(r *wire.Reader, anchors bool) vmap {
 			e.TA, e.HA = r.U64(), r.Bytes32()
 		}
 		e.T, e.H = r.U64(), r.Bytes32()
-		if e.LastReply = r.Var(); len(e.LastReply) == 0 {
-			e.LastReply = nil
+		switch e.Reply = r.Var(); {
+		case len(e.Reply) == 0:
+			e.Reply = nil
+		case len(e.Reply) < cachedReplyMin:
+			r.Fail(errors.New("V entry's cached reply too short"))
 		}
 		v[id] = e
 	}
@@ -360,7 +377,7 @@ type deltaRecord struct {
 }
 
 // Delta record version and presence flags (bit i: flags()'s i-th field).
-const recordVersion = 4
+const recordVersion = 5
 
 const (
 	recAnchors = 1 << iota
@@ -384,7 +401,7 @@ func (d *deltaRecord) flags() (f byte) {
 func (d *deltaRecord) encodedSize() int {
 	size := 2 + 8 + 4 + 4 + len(d.Delta) + 16 + 4 + 4*len(d.Removed) + 16
 	for _, e := range d.Entries {
-		size += vEntryMinSize + len(e.LastReply)
+		size += vEntryMinSize + len(e.Reply)
 	}
 	return size
 }

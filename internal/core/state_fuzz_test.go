@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"testing"
+
+	"lcm/internal/aead"
 )
 
 // withCount returns b with the u32 at off replaced by n: an announced
@@ -18,6 +21,23 @@ func withCount(b []byte, off int, n uint32) []byte {
 // decodeBound is what decoding len bytes may allocate: the entries and
 // copies the input can actually hold, never what its counts announce.
 func decodeBound(n int) uint64 { return uint64(16*n + 64<<10) }
+
+// formatFixtures reads the committed old-format fixtures that seed every
+// decoder fuzz target here: the version-4 delta record, the version-2
+// state blob, and that blob's plaintext (it is sealed under the zero key),
+// each a V encoding that kept whole sealed replies.
+func formatFixtures(f *testing.F) [][]byte {
+	record, err1 := os.ReadFile("testdata/delta-record-v4.bin")
+	blob, err2 := os.ReadFile("testdata/state-blob-v2.bin")
+	if err := errors.Join(err1, err2); err != nil {
+		f.Fatal(err)
+	}
+	plain, err := aead.Open(aead.Key{}, blob[stateHeaderSize:], append([]byte(adStateBlob), blob[:stateHeaderSize]...))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return [][]byte{record, blob, plain}
+}
 
 // FuzzDecodeTrustedState: no panic; the bytes allocated are bounded by
 // the input's length, whatever its counts announce; and a state that
@@ -38,6 +58,9 @@ func FuzzDecodeTrustedState(f *testing.F) {
 	cut := goldenTrustedState()
 	cut.Snapshot, cut.Evicted, cut.SeqT = nil, []uint32{2, 9}, 11 // a cut's frozen state
 	f.Add(cut.encode())
+	for _, old := range formatFixtures(f) {
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var (
 			s   *trustedState
@@ -81,8 +104,8 @@ func withFlags(golden *deltaRecord, flags byte) *deltaRecord {
 }
 
 // FuzzDecodeDeltaRecord: the same three oracles for a delta-log record,
-// seeded with every combination of the optional fields (version 4) and
-// with the committed version-1, version-2 and version-3 records.
+// seeded with every combination of the optional fields in the current
+// format and with the committed old-format records and state blob.
 func FuzzDecodeDeltaRecord(f *testing.F) {
 	golden := goldenDeltaRecord()
 	for flags := 0; flags < recQFloor<<1; flags++ {
@@ -102,6 +125,9 @@ func FuzzDecodeDeltaRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(b)
+	}
+	for _, old := range formatFixtures(f) {
+		f.Add(old)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var (
@@ -125,7 +151,7 @@ func FuzzDecodeDeltaRecord(f *testing.F) {
 func TestDecodeVMapRejectsNonCanonicalOrder(t *testing.T) {
 	golden := goldenTrustedState().encode()
 	first := 8 + 8 + 4 + 16 + 4 // the first V entry's id
-	second := first + vEntryMinSize + len("cached-reply")
+	second := first + vEntryMinSize + len(testReply("cached-reply"))
 	for name, id := range map[string]uint32{"descending": 0, "repeated": 1} {
 		b := withCount(golden, second, id)
 		if _, err := decodeTrustedState(b); err == nil {
@@ -137,5 +163,20 @@ func TestDecodeVMapRejectsNonCanonicalOrder(t *testing.T) {
 	}
 	if _, err := decodeTrustedState(withCount(golden, first, 0)); err != nil {
 		t.Fatalf("ascending ids 0, 2: %v", err)
+	}
+}
+
+// A V entry's cached reply is empty or holds at least its fixed part
+// (nonce, tag, Q, BeaconSeq): a shorter one does not decode, so a retry
+// never slices past its end.
+func TestDecodeVMapRejectsShortReply(t *testing.T) {
+	s := goldenTrustedState()
+	s.V[1].Reply = testReply("")
+	if _, err := decodeTrustedState(s.encode()); err != nil {
+		t.Fatalf("a cached reply with an empty result: %v", err)
+	}
+	s.V[1].Reply = s.V[1].Reply[:cachedReplyMin-1]
+	if _, err := decodeTrustedState(s.encode()); err == nil {
+		t.Fatalf("a %d-byte cached reply decoded", cachedReplyMin-1)
 	}
 }

@@ -33,7 +33,6 @@ type Trusted struct {
 	serviceName  string
 	newService   service.Factory
 	attestation  *tee.AttestationService // verification root for migration targets
-	fullSeal     bool
 	compactRatio float64
 	cutRecords   int // tests: cut after this many records, whatever their size
 
@@ -132,12 +131,6 @@ type TrustedConfig struct {
 	// program, used when this enclave attests a migration target. May be
 	// nil if migration is not used.
 	Attestation *tee.AttestationService
-	// FullSeal disables incremental delta-log persistence even when the
-	// service implements service.DeltaService, re-sealing the full state
-	// on every batch (the paper's original Sec. 5.2 behaviour). Recovery
-	// still folds any existing delta log, so the toggle is safe across
-	// restarts.
-	FullSeal bool
 	// CompactRatio tunes the checkpoint policy: cut once the chain's
 	// sealed bytes since the last checkpoint exceed this multiple of the
 	// last full snapshot's size. 0 means DefaultCompactRatio.
@@ -162,7 +155,6 @@ func NewTrustedFactory(cfg TrustedConfig) tee.ProgramFactory {
 			serviceName:      cfg.ServiceName,
 			newService:       cfg.NewService,
 			attestation:      cfg.Attestation,
-			fullSeal:         cfg.FullSeal,
 			cutRecords:       cfg.cutRecords,
 			compactRatio:     compactRatio,
 			evictAfterEpochs: cfg.EvictAfterEpochs,
@@ -482,7 +474,7 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			NumClients:     len(p.g.v),
 			Gen:            p.gen,
 			Resharding:     p.resh != nil,
-			DeltaActive:    p.deltaActive(),
+			DeltaActive:    p.deltaSvc != nil,
 			ChainLen:       p.chainLen,
 			ChainBytes:     p.chainBytes,
 			SnapshotBytes:  int(p.snapBytes.Load()),
@@ -613,14 +605,10 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 	}
 }
 
-// deltaActive reports whether batches persist through the sealed delta
-// log instead of full-state seals.
-func (p *Trusted) deltaActive() bool { return p.deltaSvc != nil && !p.fullSeal }
-
 // handleBatch processes a batch of INVOKE messages sequentially (the main
 // loop of Alg. 2) and seals the persistence record once per batch: a
 // delta record covering exactly this batch's changes, or a full state
-// blob in full-seal mode.
+// blob for a service without deltas.
 func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
@@ -639,7 +627,7 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	}
 	rec := deltaRecord{FromT: p.t}
 	replies := make([][]byte, 0, len(invokes))
-	if p.deltaActive() {
+	if p.deltaSvc != nil {
 		rec.Entries = make(vmap, len(invokes))
 	}
 	for _, ct := range invokes {
@@ -672,11 +660,11 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	return encodeBatchResult(&res), nil
 }
 
-// sealResult seals a result's persistence record: a full state blob in
-// full-seal mode, else the delta record rec (the caller sets FromT and
+// sealResult seals a result's persistence record: a full state blob for a
+// service without deltas, else the delta record rec (the caller sets FromT and
 // what it touched), then cuts if the chain is due.
 func (p *Trusted) sealResult(res *BatchResult, rec *deltaRecord) error {
-	if !p.deltaActive() {
+	if p.deltaSvc == nil {
 		blob, err := p.sealState()
 		res.StateBlob, res.Seg = blob, p.seg
 		return err
@@ -801,12 +789,13 @@ func (p *Trusted) sealDeltaRecord(rec *deltaRecord) ([]byte, error) {
 
 // sealBeaconTick makes a beacon tick rebased on this platform's counter
 // durable once the chain has beaconed: in a sealed beacon record, or in a
-// fresh state blob in full-seal mode, where the blob carries the tick.
+// fresh state blob for a service without deltas, where the blob carries
+// the tick.
 func (p *Trusted) sealBeaconTick(env tee.Env) error {
 	if p.beaconSeq == 0 {
 		return nil
 	}
-	if !p.deltaActive() {
+	if p.deltaSvc == nil {
 		blob, err := p.sealState()
 		if err == nil {
 			err = env.Host().Store(SlotStateBlob, blob)
@@ -871,7 +860,7 @@ func (p *Trusted) handleBeacon(env tee.Env) ([]byte, error) {
 	p.beaconSeq++
 	p.beaconTick = read + 1
 	p.beaconOpen = true
-	// In full-seal mode the beacon fields travel in the state blob.
+	// Without deltas the beacon fields travel in the state blob.
 	res := BatchResult{Seq: p.t, Beacon: true}
 	if err := p.sealResult(&res, &deltaRecord{FromT: p.t, BeaconSeq: p.beaconSeq, BeaconTick: p.beaconTick}); err != nil {
 		return nil, err
@@ -930,8 +919,12 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 		// Sec. 4.6.1: a retry whose context matches the *acknowledged*
 		// entry means T processed the operation but the reply was lost;
 		// resend the cached reply instead of treating it as an attack.
-		if inv.Retry && ent.TA == inv.TC && ent.HA == inv.HC && ent.LastReply != nil {
-			return ent.LastReply, inv.ClientID, nil
+		if inv.Retry && ent.TA == inv.TC && ent.HA == inv.HC && ent.Reply != nil {
+			ct, err := ent.sealedReply(p.kc)
+			if err != nil {
+				return nil, 0, tee.Halt("cached reply does not reconstruct", err)
+			}
+			return ct, inv.ClientID, nil
 		}
 		return nil, 0, tee.Halt("client context mismatch: rollback or forking attack", nil)
 	}
@@ -953,12 +946,10 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 	p.g.noteActive(inv.ClientID)
 	q := p.g.stableQ()
 
-	reply := wire.Reply{T: p.t, H: p.h, Result: result, Q: q, HCPrev: inv.HC, BeaconSeq: p.beaconSeq}
-	replyCT, err := aead.Seal(p.kc, reply.Encode(), []byte(adReply))
+	replyCT, err := ent.sealReply(p.kc, &wire.Reply{T: p.t, H: p.h, Result: result, Q: q, HCPrev: inv.HC, BeaconSeq: p.beaconSeq})
 	if err != nil {
 		return nil, 0, fmt.Errorf("lcm: seal reply: %w", err)
 	}
-	ent.LastReply = replyCT
 	return replyCT, inv.ClientID, nil
 }
 
@@ -1203,7 +1194,7 @@ func (p *Trusted) handleMigrateExport(env tee.Env, quoteBytes []byte) ([]byte, e
 
 	state := p.stateOf(nil)
 	payload := migrationPayload{KP: p.kp.Bytes()}
-	if p.deltaActive() {
+	if p.deltaSvc != nil {
 		// Chain mode: carry the delta chain instead of forcing an
 		// O(state) snapshot. The service state reaches the target as the
 		// host-side sealed base blob + delta log; the payload pins the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -161,11 +162,11 @@ func TestQuickMajorityStableMonotonic(t *testing.T) {
 func TestVMapCloneIsDeep(t *testing.T) {
 	v := newVMap([]uint32{1})
 	v[1].T = 5
-	v[1].LastReply = []byte{1, 2, 3}
+	v[1].Reply = testReply("r")
 	cp := v.clone()
 	cp[1].T = 99
-	cp[1].LastReply[0] = 42
-	if v[1].T != 5 || v[1].LastReply[0] != 1 {
+	cp[1].Reply[0] = 42
+	if v[1].T != 5 || v[1].Reply[0] != 0 {
 		t.Fatal("clone shares memory with the original")
 	}
 }
@@ -181,6 +182,12 @@ func TestClientIDsSorted(t *testing.T) {
 	}
 }
 
+// testReply is a cached reply with a zero nonce, tag, Q and BeaconSeq and
+// the given result.
+func testReply(result string) cachedReply {
+	return append(make(cachedReply, cachedReplyMin), result...)
+}
+
 // goldenTrustedState is the state the golden round-trip test encodes; the
 // decoder's fuzz target starts from it too.
 func goldenTrustedState() *trustedState {
@@ -188,7 +195,7 @@ func goldenTrustedState() *trustedState {
 	v[1].TA, v[1].T = 3, 4
 	v[1].HA = hashchain.Extend(hashchain.Initial(), []byte("a"), 3, 1)
 	v[1].H = hashchain.Extend(hashchain.Initial(), []byte("b"), 4, 1)
-	v[1].LastReply = []byte("cached-reply")
+	v[1].Reply = testReply("cached-reply")
 	return &trustedState{
 		AdminSeq: 7,
 		KC:       make([]byte, 16),
@@ -209,11 +216,11 @@ func TestStateEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	e := got.V[1]
-	if e.TA != 3 || e.T != 4 || e.HA != v[1].HA || e.H != v[1].H || string(e.LastReply) != "cached-reply" {
+	if e.TA != 3 || e.T != 4 || e.HA != v[1].HA || e.H != v[1].H || !bytes.Equal(e.Reply, v[1].Reply) {
 		t.Fatalf("entry mismatch: %+v", e)
 	}
-	if got.V[2].LastReply != nil {
-		t.Fatal("empty LastReply must decode as nil")
+	if got.V[2].Reply != nil {
+		t.Fatal("an empty Reply must decode as nil")
 	}
 }
 

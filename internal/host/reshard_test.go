@@ -43,6 +43,67 @@ func refreshUntilAdopted(st *shardStack, sess *client.ShardedSession) (*client.S
 	}
 }
 
+// dropNextReply is a client link that loses the next frame it receives
+// once armed: an operation that executes but whose reply never arrives.
+type dropNextReply struct {
+	transport.Conn
+	armed atomic.Bool
+}
+
+func (c *dropNextReply) Recv() ([]byte, error) {
+	for {
+		b, err := c.Conn.Recv()
+		if err != nil || !c.armed.CompareAndSwap(true, false) {
+			return b, err
+		}
+	}
+}
+
+// A reshard after a restart still recovers a frozen operation's result:
+// the put executed on its old shard and its reply was lost, the shard
+// restarted (its V entry, cached reply included, comes back from stable
+// storage), and the handoff still carries a reply the client verifies as
+// that put's.
+func TestReshardAfterRestartRecoversExecutedOp(t *testing.T) {
+	const shard = 1
+	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
+	conn, err := st.net.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &dropNextReply{Conn: conn}
+	sess := client.NewSharded(link, 1, st.keys, kvs.New(), client.Config{Timeout: 200 * time.Millisecond})
+	t.Cleanup(func() { sess.Close() })
+	key := keyOnShard(shard, 2, "doc")
+	if _, err := sess.Do(kvs.Put(key, "v1")); err != nil {
+		t.Fatal(err)
+	}
+	link.armed.Store(true)
+	if _, err := sess.Do(kvs.Put(key, "v2")); err == nil || !sess.HasPending(shard) {
+		t.Fatalf("put with a lost reply = %v, pending %v", err, sess.HasPending(shard))
+	}
+	if err := st.server.Enclave(shard).Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.server.Reshard(4); err != nil {
+		t.Fatalf("Reshard: %v", err)
+	}
+	next, pending, err := refreshUntilAdopted(st, sess)
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	if len(pending) != 1 || !pending[0].Executed || pending[0].Result == nil || pending[0].Result.Seq != 2 {
+		t.Fatalf("pending = %+v, want the executed put (seq 2) with its result", pending)
+	}
+	res, err := next.Do(kvs.Get(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kv, _ := kvs.DecodeResult(res.Value); !kv.Found || string(kv.Value) != "v2" {
+		t.Fatalf("%q after the reshard = %q (found %v), want v2", key, kv.Value, kv.Found)
+	}
+}
+
 // A live 2→4 reshard under concurrent client traffic: every acknowledged
 // write survives the move, clients detect the boundary, refresh, resolve
 // their pending operations against the handoff and keep writing — and

@@ -19,10 +19,10 @@ var benchShapes = []struct {
 const benchBatch = 8
 
 // benchStore returns a store holding keys×size bytes, its delta window
-// empty, and one pre-encoded overwrite per key. It loads as the enclave
-// does, one delta per batch, so the dirty set never holds more than a
-// batch.
-func benchStore(b *testing.B, keys, size int) (*Store, [][]byte) {
+// empty, and one pre-encoded overwrite per key. It loads with a delta
+// every window puts; the enclave takes one per batch (window benchBatch),
+// so its dirty set never holds more than a batch.
+func benchStore(b *testing.B, keys, size, window int) (*Store, [][]byte) {
 	b.Helper()
 	s := New()
 	puts := make([][]byte, keys)
@@ -32,7 +32,7 @@ func benchStore(b *testing.B, keys, size int) (*Store, [][]byte) {
 		if _, err := s.Apply(puts[i]); err != nil {
 			b.Fatal(err)
 		}
-		if i%benchBatch == benchBatch-1 {
+		if i%window == window-1 {
 			if _, err := s.Delta(); err != nil {
 				b.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func benchStore(b *testing.B, keys, size int) (*Store, [][]byte) {
 func benchEachShape(b *testing.B, run func(b *testing.B, s *Store, puts [][]byte)) {
 	for _, shape := range benchShapes {
 		b.Run(fmt.Sprintf("%dx%dB", shape.keys, shape.size), func(b *testing.B) {
-			s, puts := benchStore(b, shape.keys, shape.size)
+			s, puts := benchStore(b, shape.keys, shape.size, benchBatch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			run(b, s, puts)
@@ -68,9 +68,12 @@ func BenchmarkStoreApplyPut(b *testing.B) {
 
 // One batch of benchBatch overwrites and its delta, as the enclave seals
 // one per batch: BenchmarkStoreApplyPut's cost times benchBatch, plus the
-// delta's.
+// delta's. The window cases load 20 000 keys of 100 B with a delta every
+// batch or in one window (an epoch seal that touches the whole bank, a
+// huge batch): a window that dirtied many keys must not tax later
+// deltas, so the two come within 1.5× of each other.
 func BenchmarkStoreDelta(b *testing.B) {
-	benchEachShape(b, func(b *testing.B, s *Store, puts [][]byte) {
+	run := func(b *testing.B, s *Store, puts [][]byte) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < benchBatch; j++ {
 				if _, err := s.Apply(puts[(benchBatch*i+j)%len(puts)]); err != nil {
@@ -81,7 +84,16 @@ func BenchmarkStoreDelta(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	benchEachShape(b, run)
+	for _, window := range []int{benchBatch, 20000} {
+		b.Run(fmt.Sprintf("20000x100B/window=%d", window), func(b *testing.B) {
+			s, puts := benchStore(b, 20000, 100, window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b, s, puts)
+		})
+	}
 }
 
 // A full snapshot, as a checkpoint seals one.

@@ -136,7 +136,7 @@ func (k *Keyed[V]) Snapshot(w *wire.Writer) {
 	keys, sizes := k.buckets(1)
 	w.Grow(sizes[0])
 	k.write(w, keys[0])
-	clear(k.dirty)
+	k.resetDirty()
 }
 
 // Partition appends to ws[j] the snapshot section of the entries whose
@@ -273,6 +273,17 @@ func (k *Keyed[V]) Delta(w *wire.Writer) {
 		w.U8(deltaSet)
 		w.Var([]byte(key))
 		k.codec.Put(w, v)
+	}
+	k.resetDirty()
+}
+
+// resetDirty empties the dirty set. clear walks a map's whole capacity,
+// which never shrinks, so a set larger than a batch dirties is replaced
+// instead: one window that dirtied many keys must not tax later deltas.
+func (k *Keyed[V]) resetDirty() {
+	if len(k.dirty) > 64 {
+		k.dirty = make(map[string]struct{})
+		return
 	}
 	clear(k.dirty)
 }

@@ -75,3 +75,27 @@ func TestKeyedDurableReadsDuringWrites(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// A delta after a window that dirtied more keys than a batch does (the
+// set is replaced, not cleared) holds only the keys changed since; so
+// does one after a small window (cleared in place).
+func TestKeyedDeltaAfterLargeWindow(t *testing.T) {
+	k := NewKeyed(testCodec)
+	count := func() uint32 {
+		w := wire.NewWriter(0)
+		k.Delta(w)
+		return wire.NewReader(w.Bytes()).U32()
+	}
+	for _, window := range []int{1000, 3} {
+		for i := 0; i < window; i++ {
+			k.Set(fmt.Sprintf("k%04d", i), uint64(i))
+		}
+		if n := count(); n != uint32(window) {
+			t.Fatalf("delta of a %d-key window holds %d keys", window, n)
+		}
+		k.Set("k0001", 7)
+		if n := count(); n != 1 {
+			t.Fatalf("delta after a %d-key window holds %d keys, want 1", window, n)
+		}
+	}
+}

@@ -49,7 +49,6 @@ import (
 	"lcm/internal/core"
 	"lcm/internal/host"
 	"lcm/internal/kvs"
-	"lcm/internal/latency"
 	"lcm/internal/service"
 	"lcm/internal/stablestore"
 	"lcm/internal/tee"
@@ -67,9 +66,6 @@ type (
 
 	// AttestationService verifies enclave quotes (the EPID stand-in).
 	AttestationService = tee.AttestationService
-
-	// Service is the stateful functionality F executed inside the TEE.
-	Service = service.Service
 
 	// TrustedConfig configures the LCM trusted context over a service.
 	TrustedConfig = core.TrustedConfig
@@ -92,19 +88,11 @@ type (
 	// SessionConfig tunes timeouts and retries.
 	SessionConfig = client.Config
 
-	// Result is a completed operation: value, sequence number, and the
-	// latest majority-stable sequence number.
-	Result = core.Result
-
 	// ClientState is the crash-recoverable client state.
 	ClientState = core.ClientState
 
 	// Status is a trusted context's externally visible state.
 	Status = core.Status
-
-	// DeploymentStatus is a (possibly sharded) host's aggregated
-	// operational view: one Status per shard plus group-commit counters.
-	DeploymentStatus = core.DeploymentStatus
 
 	// ShardedSession is a client of a sharded deployment: one protocol
 	// context per shard, routed by service-key hash.
@@ -113,57 +101,6 @@ type (
 	// Sharder maps operations to the service keys they touch; services
 	// implement it to make their keyspace partitionable.
 	Sharder = service.Sharder
-
-	// Scanner is the optional service extension for scatter-gatherable
-	// reads (prefix scans): recognizing them and merging per-shard
-	// results.
-	Scanner = service.Scanner
-
-	// ScanResult is the outcome of a scatter-gather scan: the merged
-	// service-level result plus every shard's verified protocol result.
-	ScanResult = client.ScanResult
-
-	// ShardError identifies which shard of a scatter-gather operation
-	// failed.
-	ShardError = client.ShardError
-
-	// Transfer is the client-side coordinator state of a cross-shard
-	// two-phase escrow transfer; journal it for crash recovery.
-	Transfer = client.Transfer
-
-	// TransferOutcome reports how a transfer ended.
-	TransferOutcome = client.TransferOutcome
-
-	// Resharder is the optional service extension a live reshard needs:
-	// splitting a shard's state by the new shard index and merging
-	// fragments on the targets.
-	Resharder = service.Resharder
-
-	// ReshardStats summarizes one completed live reshard
-	// (Server.Reshard).
-	ReshardStats = host.ReshardStats
-
-	// ReshardInfo is the handoff bundle a resharded host serves; verify
-	// it with ShardedSession.VerifyReshard before adopting.
-	ReshardInfo = core.ReshardInfo
-
-	// ReshardPending describes the fate of an operation that was pending
-	// when the deployment resharded.
-	ReshardPending = client.ReshardPending
-
-	// GroupInfo is the admin's sealed view of the registered group:
-	// membership epoch, members, past evictions
-	// and the current communication key (Admin.Members).
-	GroupInfo = core.GroupInfo
-
-	// ChurnAck is the sealed acknowledgment a join or leave receives
-	// (Session.Join / Session.Leave), carrying the membership epoch and
-	// registered-group size at the time the change was applied.
-	ChurnAck = core.ChurnAck
-
-	// LatencyModel centralizes the simulation's injected hardware
-	// latencies.
-	LatencyModel = latency.Model
 )
 
 // Detection errors, re-exported for matching with errors.Is.
@@ -203,18 +140,6 @@ func NewAttestationService() *AttestationService {
 	return tee.NewAttestationService()
 }
 
-// WithLatencyModel configures a platform's injected latencies.
-func WithLatencyModel(m *LatencyModel) tee.PlatformOption {
-	return tee.WithLatencyModel(m)
-}
-
-// DefaultLatency returns the full-fidelity latency model; NoLatency
-// disables all injection (pure-correctness mode).
-func DefaultLatency() *LatencyModel { return latency.Default() }
-
-// NoLatency returns a model that injects nothing.
-func NoLatency() *LatencyModel { return latency.None() }
-
 // NewKVStoreFactory returns the enclave key-value store of Sec. 5.3 as a
 // service factory for TrustedConfig.
 func NewKVStoreFactory() service.Factory { return kvs.Factory() }
@@ -247,12 +172,6 @@ func Migrate(origin, target core.CallFunc) error {
 // NewMemStore returns in-memory stable storage (tests, examples).
 func NewMemStore() *stablestore.MemStore { return stablestore.NewMemStore() }
 
-// NewFileStore returns file-backed stable storage; syncWrites selects
-// fsync-per-write (crash tolerance).
-func NewFileStore(dir string, syncWrites bool, m *LatencyModel) (*stablestore.FileStore, error) {
-	return stablestore.NewFileStore(dir, syncWrites, m)
-}
-
 // ListenTCP and DialTCP expose the framed TCP transport.
 func ListenTCP(addr string) (transport.Listener, error) { return transport.ListenTCP(addr) }
 
@@ -284,20 +203,6 @@ func ResumeShardedSession(conn transport.Conn, states []*ClientState, kcs []Key,
 	return client.ResumeSharded(conn, states, kcs, sharder, cfg)
 }
 
-// ShardIndex maps a service key onto one of n shards — the stable hash
-// every layer of a sharded deployment agrees on.
-func ShardIndex(key string, n int) int { return service.ShardIndex(key, n) }
-
-// CopyStorage ships the sealed state blob and delta log from one host's
-// storage to another's — streamed in bounded chunks — for a chain-mode
-// migration without shared storage (reshard staging reuses it).
-func CopyStorage(src, dst stablestore.Store) error { return host.CopyStorage(src, dst) }
-
-// NeedsReshardRefresh reports whether an operation error means the
-// deployment live-resharded underneath the session; refresh with
-// ShardedSession.Refresh and resolve pending operations from the report.
-func NeedsReshardRefresh(err error) bool { return client.NeedsReshardRefresh(err) }
-
 // QueryStatus fetches a trusted context's status through any call path.
 func QueryStatus(call core.CallFunc) (*Status, error) { return core.QueryStatus(call) }
 
@@ -310,16 +215,6 @@ var (
 	Put = kvs.Put
 	// Del encodes a delete.
 	Del = kvs.Del
-	// Scan encodes a prefix scan (limit 0 = unlimited). Against a
-	// sharded deployment, execute it with ShardedSession.Scan — the
-	// scatter-gather fan-out — rather than Do.
-	Scan = kvs.Scan
-	// KVReadOnly classifies a kvs operation for the snapshot-read path:
-	// ops it accepts may run through Session.DoRead /
-	// ShardedSession.DoRead on a ServerConfig.SnapshotReads deployment.
-	KVReadOnly = kvs.ReadOnly
 	// DecodeKVResult parses a kvs operation result.
 	DecodeKVResult = kvs.DecodeResult
-	// DecodeKVScanResult parses a (merged or single-shard) scan result.
-	DecodeKVScanResult = kvs.DecodeScanResult
 )
