@@ -95,12 +95,12 @@ func (r *rig) compactingPut(key string) (blob []byte, cutBytes, sealBytes uint64
 }
 
 // The batch that cuts a checkpoint allocates no state-sized buffer: it
-// clones the service's map (a bucket array, no keys or values) and V. The
-// background seal allocates two state-sized buffers — the service's
-// snapshot and the blob it is encoded and sealed in — plus the snapshot's
-// sorted key index (one string header per key) and a few KiB. A snapshot
-// writer that regrows from a guess, or a seal into a buffer of its own,
-// breaks the budget.
+// clones the service's map (a bucket array, no keys or values), its
+// ordered key index (one string header per key) and V. The background
+// seal allocates two state-sized buffers — the service's snapshot and the
+// blob it is encoded and sealed in — and a few KiB: the snapshot walks the
+// index, so it sorts no keys. A snapshot writer that regrows from a guess,
+// a seal into a buffer of its own, or a sort, breaks the budget.
 func TestCompactionAllocBudget(t *testing.T) {
 	r := bigStateRig(t)
 	blob, cut, seal := r.compactingPut("key00000")
@@ -109,14 +109,15 @@ func TestCompactionAllocBudget(t *testing.T) {
 	if budget := uint64(len(blob)) / 8; cut > budget {
 		t.Fatalf("a cutting batch allocated %d bytes = %.2f× its %d-byte blob, budget %d", cut, float64(cut)/float64(len(blob)), len(blob), budget)
 	}
-	if budget := 2*uint64(len(blob)) + 16*budgetKeys + 8<<10; seal > budget {
+	if budget := 2*uint64(len(blob)) + 8<<10; seal > budget {
 		t.Fatalf("a checkpoint seal allocated %d bytes = %.2f× its %d-byte blob, budget %d", seal, float64(seal)/float64(len(blob)), len(blob), budget)
 	}
 }
 
 // A restart over a compacted state allocates the loaded blob, its
 // plaintext and the restored entries: at most 3.5× the blob, and at most
-// two objects (key and value) per restored kvs entry plus a constant. A
+// two objects (key and value) per restored kvs entry plus a constant,
+// which covers the key index's nodes too (one per 64 keys). A
 // snapshot copied out of the plaintext, or a key or value copied twice,
 // breaks the budget.
 func TestRestartAllocBudget(t *testing.T) {

@@ -42,8 +42,8 @@ func foldStored(storage stablestore.Store, kp aead.Key, move func(*trustedState)
 	if move != nil {
 		move(state)
 	}
-	p := &Trusted{newService: kvs.Factory(), svc: kvs.New()}
-	p.deltaSvc = p.svc.(service.DeltaService)
+	p := &Trusted{newService: kvs.Factory()}
+	p.useService(kvs.New())
 	env := foldEnv{host: storage}
 	if err := p.install(env, kp, state); err != nil {
 		return nil, err
@@ -222,10 +222,13 @@ func (f *foldRig) step() string {
 		f.mustPut(f.member(), fmt.Sprintf("k%d", f.rng.Intn(8)), fmt.Sprintf("v%d", f.rng.Intn(1000)))
 		f.advance()
 		return "put"
-	case n < 38:
-		f.mustGet(f.member(), fmt.Sprintf("k%d", f.rng.Intn(8)))
-		f.advance()
-		return "get"
+	case n < 38: // a chain of reads, each a batch's first op
+		reads := 1 + f.rng.Intn(3)
+		for i := 0; i < reads; i++ {
+			f.mustDo(f.member(), f.op(0))
+			f.advance()
+		}
+		return fmt.Sprintf("reads (%d)", reads)
 	case n < 42:
 		return f.batch()
 	case n < 47: // the reply is lost and the client retries, after a restart or not
@@ -344,7 +347,7 @@ func (f *foldRig) batch() string {
 	invokes := make([][]byte, len(ids))
 	for i, id := range ids {
 		c := f.clients[id]
-		invoke, err := c.Invoke(kvs.Put(fmt.Sprintf("k%d", f.rng.Intn(8)), fmt.Sprint(id)))
+		invoke, err := c.Invoke(f.op(1 + f.rng.Intn(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,6 +366,20 @@ func (f *foldRig) batch() string {
 		}
 	}
 	return fmt.Sprintf("batch of %d (retry %v)", len(ids), retried)
+}
+
+// op returns a get or a SCAN, or with puts > 0 a put one time in
+// puts+1: batches mix reads before and after writes.
+func (f *foldRig) op(puts int) []byte {
+	key := fmt.Sprintf("k%d", f.rng.Intn(8))
+	switch n := f.rng.Intn(puts + 2); {
+	case n < puts:
+		return kvs.Put(key, fmt.Sprint(f.rng.Intn(1000)))
+	case n == puts:
+		return kvs.Get(key)
+	default:
+		return kvs.Scan(key[:1+f.rng.Intn(2)], uint32(f.rng.Intn(3)))
+	}
 }
 
 // heal rolls the newest segment back by a suffix, restarts over it, and
@@ -506,8 +523,8 @@ func (f *foldRig) reshard() {
 	f.reads = false
 }
 
-// TestQuickFoldMatchesLiveState: for seeded schedules of puts, gets,
-// retries, churn joins and leaves, evictions, epoch seals, beacons,
+// TestQuickFoldMatchesLiveState: for seeded schedules of puts, chains of
+// gets and SCANs, batches mixing reads and puts in any order, retries, churn joins and leaves, evictions, epoch seals, beacons,
 // snapshot reads, restarts, heals from a replica's suffix, chain-mode
 // migrations and reshards, a fold of every record the live enclave
 // sealed ends in the live state. The fold derives every field a record
@@ -530,7 +547,7 @@ func TestQuickFoldMatchesLiveState(t *testing.T) {
 			}
 		}
 	}
-	for _, action := range []string{"put", "get", "batch", "retry", "join", "leave", "evict", "epoch", "beacon", "snapshot", "restart", "heal", "chain-mode", "reshard"} {
+	for _, action := range []string{"put", "reads", "batch", "retry", "join", "leave", "evict", "epoch", "beacon", "snapshot", "restart", "heal", "chain-mode", "reshard"} {
 		if ran[action] == 0 {
 			t.Errorf("the schedules never ran %q (ran %v)", action, ran)
 		}

@@ -21,11 +21,19 @@ func recordFields(rec *deltaRecord) [][2]any {
 	fields := [][2]any{{"aead nonce+tag", aead.Overhead}, {"version+flags", 2}, {"ToT", 8}, {"entry count", 4}}
 	for _, id := range rec.Entries.clientIDs() {
 		e := rec.Entries[id]
-		fields = append(fields, [2]any{fmt.Sprintf("entry %d id+T+H", id), 4 + 8 + 32})
+		if rec.Reads[id].form == entryFirstRead {
+			fields = append(fields, [2]any{fmt.Sprintf("entry %d id+form", id), 4 + 1})
+		} else {
+			fields = append(fields, [2]any{fmt.Sprintf("entry %d id+form+T+H", id), 4 + 1 + 8 + 32})
+		}
 		if rec.Anchors {
 			fields = append(fields, [2]any{fmt.Sprintf("entry %d TA+HA", id), anchorSize})
 		}
-		fields = append(fields, [2]any{fmt.Sprintf("entry %d Reply", id), 4 + len(e.Reply)})
+		if read, ok := rec.Reads[id]; ok {
+			fields = append(fields, [2]any{fmt.Sprintf("entry %d Reply, op kept", id), 4 + cachedReplyMin + len(read.op)})
+		} else {
+			fields = append(fields, [2]any{fmt.Sprintf("entry %d Reply", id), 4 + len(e.Reply)})
+		}
 	}
 	for _, opt := range []struct {
 		name string
@@ -45,9 +53,9 @@ func recordFields(rec *deltaRecord) [][2]any {
 	return fields
 }
 
-// lastRecord opens the newest record of segment seg, walking the stored
-// chain from the blob to reach its chain position.
-func (r *rig) lastRecord(seg uint64) (*deltaRecord, int) {
+// lastRecord opens the newest stored record, walking the stored chain
+// from the blob to reach its chain position.
+func (r *rig) lastRecord() (*deltaRecord, int) {
 	r.t.Helper()
 	blob, err := r.storage.Load(SlotStateBlob)
 	if err != nil {
@@ -58,33 +66,38 @@ func (r *rig) lastRecord(seg uint64) (*deltaRecord, int) {
 		r.t.Fatal(err)
 	}
 	var ad recordAD
+	var last *deltaRecord
+	var size int
 	prev, t := base.Head, base.SeqT
-	for ; from <= seg; from++ {
+	for ; ; from++ {
 		log, err := r.storage.LoadLog(SegmentSlot(from))
-		if err != nil || (from == seg && len(log) == 0) {
-			r.t.Fatalf("segment %d: %d records (%v)", from, len(log), err)
+		if err != nil {
+			r.t.Fatalf("segment %d: %v", from, err)
+		}
+		if len(log) == 0 {
+			if last == nil {
+				r.t.Fatal("no record stored after the blob")
+			}
+			return last, size
 		}
 		for i, sealed := range log {
 			plain, err := aead.Open(r.admin.kp, sealed, ad.at(prev, t, base.AdminSeq))
 			if err != nil {
 				r.t.Fatalf("segment %d record %d: %v", from, i, err)
 			}
-			rec, err := decodeDeltaRecord(plain)
-			if err != nil {
+			if last, err = decodeDeltaRecord(plain); err != nil {
 				r.t.Fatal(err)
 			}
-			if from == seg && i == len(log)-1 {
-				return rec, len(sealed)
-			}
-			prev, t = blobHash(sealed), rec.ToT
+			prev, t, size = blobHash(sealed), last.ToT, len(sealed)
 		}
 	}
-	panic("unreachable")
 }
 
 // The sealed size of a one-op record is pinned: a put of bench/'s 40-byte
-// key and 100-byte value, and a get, each from the second of two clients
-// in steady state. A failure prints what every field costs.
+// key and 100-byte value, a get, and a SCAN with 11 hits of such entries
+// (scanmix's), each from the second of two clients in steady state. A
+// read keeps its op, not its result. A failure prints what every field
+// costs.
 func TestDeltaRecordByteBudget(t *testing.T) {
 	r := newRig(t, []uint32{1, 2})
 	key, value := strings.Repeat("k", 40), strings.Repeat("v", 100)
@@ -92,17 +105,23 @@ func TestDeltaRecordByteBudget(t *testing.T) {
 		r.mustPut(1, key, value)
 		r.mustPut(2, key, value)
 	}
+	for i := 0; i < 11; i++ {
+		r.mustPut(1, fmt.Sprintf("user%02d%s", i, key[:34]), value)
+	}
 	for _, tc := range []struct {
 		name string
 		op   []byte
 		want int
 	}{
-		{"put", kvs.Put(key, value), 304},
-		{"get", kvs.Get(key), 247},
+		{"put", kvs.Put(key, value), 305},
+		{"get", kvs.Get(key), 148},
+		{"scan", kvs.Scan("user", 50), 116},
 	} {
 		r.mustDo(1, tc.op)
-		r.mustDo(2, tc.op)
-		rec, size := r.lastRecord(0)
+		if hits, err := kvs.DecodeScanResult(r.mustDo(2, tc.op).Value); tc.name == "scan" && (err != nil || len(hits) != 11) {
+			t.Fatalf("scan: %d hits (%v), want 11", len(hits), err)
+		}
+		rec, size := r.lastRecord()
 		var b strings.Builder
 		sum := 0
 		for _, f := range recordFields(rec) {
@@ -224,6 +243,13 @@ func TestVersion3RecordFailsWithErrRecordVersion(t *testing.T) {
 // halt of the restart over it, rather than as a malformed cached reply.
 func TestVersion4RecordFailsWithErrRecordVersion(t *testing.T) {
 	oldRecordAtHeadHalts(t, "testdata/delta-record-v4.bin")
+}
+
+// A record in the committed version-5 format (every entry kept its
+// result; no entry form) fails the same way, rather than as an entry form
+// misread.
+func TestVersion5RecordFailsWithErrRecordVersion(t *testing.T) {
+	oldRecordAtHeadHalts(t, "testdata/delta-record-v5.bin")
 }
 
 // oldRecordAtHeadHalts checks that the record plaintext in fixture fails

@@ -15,15 +15,8 @@ import (
 // delivering it: the client still holds the op as pending.
 func (r *rig) executeLosingReply(id uint32, key, value string) []byte {
 	r.t.Helper()
-	inv, err := r.clients[id].Invoke(kvs.Put(key, value))
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	batch := r.call(inv)
-	if err := r.persistBatch(batch); err != nil {
-		r.t.Fatal(err)
-	}
-	return batch.Replies[0]
+	reply, _ := r.executeLosing(id, kvs.Put(key, value))
+	return reply
 }
 
 // A retry whose reply was lost is answered with the ciphertext the client

@@ -1007,8 +1007,8 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 	}
 	// Fold the staged chain in a scratch context, with recovery's rules. A
 	// copy that breaks them is refused, not a violation of this context.
-	src := &Trusted{newService: p.newService, svc: p.newService()}
-	src.deltaSvc, _ = src.svc.(service.DeltaService)
+	src := &Trusted{newService: p.newService}
+	src.useService(p.newService())
 	quiet := quietEnv{env}
 	err = src.install(quiet, kp, state)
 	if err == nil {

@@ -24,9 +24,9 @@ package core
 //
 // # V entries and cached replies
 //
-// V, in the blob and in records, encodes an entry as U32 id, [U64 TA,
-// Bytes32 HA], U64 T, Bytes32 H, Var Reply. Reply (cachedReply) is empty
-// or what the entry does not hold of its last REPLY seal:
+// V encodes an entry as U32 id, [U64 TA, Bytes32 HA], U64 T, Bytes32 H,
+// Var Reply (a record's entry adds a form, below). Reply (cachedReply) is
+// empty or what the entry does not hold of its last REPLY seal:
 //
 //	[12]byte nonce ‖ [16]byte GCM tag ‖ U64 Q ‖ U64 BeaconSeq ‖ result
 //
@@ -40,13 +40,14 @@ package core
 //
 // # Delta record layout
 //
-// Each record's plaintext (version 5) is:
+// Each record's plaintext (version 6) is:
 //
 //	U8       version      recordVersion
 //	U8       flags        which optional fields [..] follow
 //	U64      ToT          t after the batch
 //	U32      n            number of touched V entries
-//	n ×      V entry      as above, [TA, HA] only under recAnchors
+//	n ×      V entry      U32 id, U8 form, [TA, HA] only under recAnchors,
+//	                      then the rest of a V entry as above, by form
 //	[Var     ServiceDelta]  service.DeltaService.Delta() output
 //	[U64     BeaconSeq, U64 BeaconTick]
 //	[U32 m, m × U32 id]     members this record removed from the group
@@ -61,6 +62,17 @@ package core
 // the exact position it was sealed for. A record spliced in, replayed,
 // reordered or from before an admin re-seal fails authentication, and
 // recovery halts.
+//
+// An entry keeps its result, as V does, unless its op is a read
+// (service.SnapshotReader.IsReadOnly) that ran before any write in the
+// batch: then Reply ends with the op (entryRead), and if it was the
+// batch's first op, T and H are not written (entryFirstRead). The fold
+// (rerun) runs the op on the state before the record's ServiceDelta, the
+// state it ran on, and derives T = FromT+1 and H = hashchain.Extend(h,
+// op, T, id). Writes are never re-run. A read whose result does not
+// depend only on the state rebuilds another result, whose re-seal on a
+// retry fails the stored tag: the context halts rather than send a second
+// plaintext under a used nonce.
 //
 // An optional field is written only when the fold (applyRecord) cannot
 // derive it; absent, the fold supplies it:
@@ -84,7 +96,7 @@ package core
 // divergent writer.
 //
 // Old data fails by name, with no in-place migration: a record of
-// versions 1 to 4 with ErrRecordVersion (docs/ARCHITECTURE.md §2 says
+// versions 1 to 5 with ErrRecordVersion (docs/ARCHITECTURE.md §2 says
 // what each changed), a log segment without stablestore.LogHeader with
 // its ErrLogVersion.
 //
@@ -260,55 +272,98 @@ const (
 	anchorSize    = 8 + hashchain.Size
 )
 
+// A record entry's form (version 6): what its Reply ends with, and
+// whether its T and H are written.
+const (
+	entryResult    byte = iota // the result; T and H written
+	entryRead                  // a read's op, which the fold re-runs
+	entryFirstRead             // the same, of the batch's first op: no T, H
+)
+
+// readOp is the op a record entry keeps in place of its result.
+type readOp struct {
+	op   []byte
+	form byte
+}
+
 // encodeVMap writes v count-prefixed, in ascending id order, each entry's
-// (TA, HA) only when anchors is set.
-func encodeVMap(w *wire.Writer, v vmap, anchors bool) {
+// (TA, HA) only when anchors is set. In a record each entry's form
+// follows its id, and an entry in reads ends its Reply with the op.
+func encodeVMap(w *wire.Writer, v vmap, anchors, record bool, reads map[uint32]readOp) {
 	w.U32(uint32(len(v)))
 	for _, id := range v.clientIDs() {
 		e := v[id]
 		w.U32(id)
+		read := reads[id] // entryResult if absent
+		if record {
+			w.U8(read.form)
+		}
 		if anchors {
 			w.U64(e.TA)
 			w.Bytes32(e.HA)
 		}
-		w.U64(e.T)
-		w.Bytes32(e.H)
-		w.Var(e.Reply)
+		if read.form != entryFirstRead {
+			w.U64(e.T)
+			w.Bytes32(e.H)
+		}
+		if read.form == entryResult {
+			w.Var(e.Reply)
+		} else {
+			w.Var(append(e.Reply[:cachedReplyMin:cachedReplyMin], read.op...))
+		}
 	}
 }
 
-// decodeVMap reads what encodeVMap writes. Any other entry order, or a
-// repeated id, is malformed, so every V that decodes has one encoding.
-func decodeVMap(r *wire.Reader, anchors bool) vmap {
-	n := r.Count(vEntryMinSize - anchorSize)
+// decodeVMap reads what encodeVMap writes. Any other entry order, a
+// repeated id, an unknown form or a second first op is malformed, so
+// every V that decodes has one encoding.
+func decodeVMap(r *wire.Reader, anchors, record bool) (vmap, map[uint32]readOp) {
+	n := r.Count(vEntryMinSize - 2*anchorSize) // no (TA, HA) or (T, H)
 	v := make(vmap, n)
-	for i, prev := 0, int64(-1); i < n; i++ {
+	var reads map[uint32]readOp
+	for i, prev, first := 0, int64(-1), false; i < n; i++ {
 		id := r.U32()
 		if int64(id) <= prev {
 			r.Fail(errors.New("V entries not in ascending id order"))
 		}
 		prev = int64(id)
+		form := entryResult
+		if record {
+			form = r.U8()
+		}
 		e := &ventry{}
 		if anchors {
 			e.TA, e.HA = r.U64(), r.Bytes32()
 		}
-		e.T, e.H = r.U64(), r.Bytes32()
+		if form != entryFirstRead {
+			e.T, e.H = r.U64(), r.Bytes32()
+		}
 		switch e.Reply = r.Var(); {
-		case len(e.Reply) == 0:
+		case form > entryFirstRead:
+			r.Fail(fmt.Errorf("V entry form %d unknown", form))
+		case form == entryFirstRead && first:
+			r.Fail(errors.New("two V entries of the batch's first op"))
+		case len(e.Reply) == 0 && form == entryResult:
 			e.Reply = nil
 		case len(e.Reply) < cachedReplyMin:
 			r.Fail(errors.New("V entry's cached reply too short"))
+		case form != entryResult:
+			if reads == nil {
+				reads = make(map[uint32]readOp)
+			}
+			reads[id] = readOp{op: e.Reply[cachedReplyMin:], form: form}
+			first = first || form == entryFirstRead
 		}
 		v[id] = e
 	}
-	return v
+	return v, reads
 }
 
 func (s *trustedState) encodeTo(w *wire.Writer) {
 	w.U64(s.AdminSeq)
 	w.U64(s.Gen)
 	w.Var(s.KC)
-	encodeVMap(w, s.V, true)
+	encodeVMap(w, s.V, true, false, nil)
 	w.Var(s.Snapshot)
 	w.U64(s.BeaconSeq)
 	w.U64(s.BeaconTick)
@@ -332,7 +387,8 @@ func (s *trustedState) encode() []byte {
 
 func decodeTrustedState(b []byte) (*trustedState, error) {
 	r := wire.NewReader(b)
-	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var(), V: decodeVMap(r, true)}
+	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var()}
+	s.V, _ = decodeVMap(r, true, false)
 	s.Snapshot = r.VarView() // aliases b; Restore copies what it keeps
 	s.BeaconSeq = r.U64()
 	s.BeaconTick = r.U64()
@@ -364,7 +420,9 @@ type deltaRecord struct {
 	ToT     uint64
 	Entries vmap
 	Anchors bool // the entries carry their (TA, HA)
-	Delta   []byte
+	// Reads holds the entries that keep their read's op, not its result.
+	Reads map[uint32]readOp
+	Delta []byte
 	// BeaconSeq > 0 marks a heartbeat beacon record; BeaconTick is the
 	// platform counter tick it reserved. Both zero on batch records.
 	BeaconSeq  uint64
@@ -377,7 +435,7 @@ type deltaRecord struct {
 }
 
 // Delta record version and presence flags (bit i: flags()'s i-th field).
-const recordVersion = 5
+const recordVersion = 6
 
 const (
 	recAnchors = 1 << iota
@@ -400,8 +458,8 @@ func (d *deltaRecord) flags() (f byte) {
 // encodedSize bounds the encoding's size: every optional field counted.
 func (d *deltaRecord) encodedSize() int {
 	size := 2 + 8 + 4 + 4 + len(d.Delta) + 16 + 4 + 4*len(d.Removed) + 16
-	for _, e := range d.Entries {
-		size += vEntryMinSize + len(e.Reply)
+	for id, e := range d.Entries {
+		size += vEntryMinSize + 1 + len(e.Reply) + len(d.Reads[id].op)
 	}
 	return size
 }
@@ -411,7 +469,7 @@ func (d *deltaRecord) encodeTo(w *wire.Writer) {
 	w.U8(recordVersion)
 	w.U8(flags)
 	w.U64(d.ToT)
-	encodeVMap(w, d.Entries, d.Anchors)
+	encodeVMap(w, d.Entries, d.Anchors, true, d.Reads)
 	if flags&recDelta != 0 {
 		w.Var(d.Delta)
 	}
@@ -444,7 +502,7 @@ func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 	}
 	flags := r.U8()
 	d := &deltaRecord{ToT: r.U64(), Anchors: flags&recAnchors != 0}
-	d.Entries = decodeVMap(r, d.Anchors)
+	d.Entries, d.Reads = decodeVMap(r, d.Anchors, true)
 	if flags&recDelta != 0 {
 		d.Delta = r.Var()
 	}

@@ -25,18 +25,20 @@ func decodeBound(n int) uint64 { return uint64(16*n + 64<<10) }
 // formatFixtures reads the committed old-format fixtures that seed every
 // decoder fuzz target here: the version-4 delta record, the version-2
 // state blob, and that blob's plaintext (it is sealed under the zero key),
-// each a V encoding that kept whole sealed replies.
+// each a V encoding that kept whole sealed replies, and the version-5
+// record, whose entries have no form.
 func formatFixtures(f *testing.F) [][]byte {
 	record, err1 := os.ReadFile("testdata/delta-record-v4.bin")
 	blob, err2 := os.ReadFile("testdata/state-blob-v2.bin")
-	if err := errors.Join(err1, err2); err != nil {
+	v5, err3 := os.ReadFile("testdata/delta-record-v5.bin")
+	if err := errors.Join(err1, err2, err3); err != nil {
 		f.Fatal(err)
 	}
 	plain, err := aead.Open(aead.Key{}, blob[stateHeaderSize:], append([]byte(adStateBlob), blob[:stateHeaderSize]...))
 	if err != nil {
 		f.Fatal(err)
 	}
-	return [][]byte{record, blob, plain}
+	return [][]byte{record, blob, plain, v5}
 }
 
 // FuzzDecodeTrustedState: no panic; the bytes allocated are bounded by
@@ -119,6 +121,10 @@ func FuzzDecodeDeltaRecord(f *testing.F) {
 	f.Add(withCount(enc, entriesCount, 1<<24))
 	f.Add(withCount(enc, entriesCount, 0xFFFFFFFF))
 	f.Add(withCount(enc, removedCount, 1<<30))
+	reads := readRecord()
+	f.Add(reads.encode())
+	delete(reads.Reads, 2)
+	f.Add(reads.encode())
 	for _, old := range []string{"testdata/delta-record-v1.bin", "testdata/delta-record-v2.bin", "testdata/delta-record-v3.bin"} {
 		b, err := os.ReadFile(old)
 		if err != nil {

@@ -178,9 +178,7 @@ func (p *Trusted) Identity() string { return ProgramIdentity(p.serviceName) }
 // from the recovered state or awaits bootstrapping.
 func (p *Trusted) Init(env tee.Env) error {
 	p.ks = env.SealingKey()
-	p.svc = p.newService()
-	p.deltaSvc, _ = p.svc.(service.DeltaService)
-	p.snapReader, _ = p.svc.(service.SnapshotReader)
+	p.useService(p.newService())
 	p.g = p.freshGroup(nil)
 
 	// Each epoch gets a fresh secure-channel key pair; its public key is
@@ -235,6 +233,13 @@ func (p *Trusted) Init(env tee.Env) error {
 		return err
 	}
 	return p.foldDeltaLog(env, state, seg, len(blobstate), SegmentSlot)
+}
+
+// useService adopts svc and the extensions of it the context uses.
+func (p *Trusted) useService(svc service.Service) {
+	p.svc = svc
+	p.deltaSvc, _ = svc.(service.DeltaService)
+	p.snapReader, _ = svc.(service.SnapshotReader)
 }
 
 // foldDeltaLog replays the chain after the freshly installed blob: the
@@ -319,6 +324,11 @@ func (p *Trusted) applyRecord(rec *deltaRecord, sum [32]byte, size int) error {
 			}
 			e.TA, e.HA = prev.T, prev.H
 		}
+		if read, ok := rec.Reads[id]; ok {
+			if err := p.rerun(id, e, read); err != nil {
+				return err
+			}
+		}
 		if e.T == rec.ToT {
 			t, h = e.T, e.H
 		}
@@ -350,6 +360,26 @@ func (p *Trusted) applyRecord(rec *deltaRecord, sum [32]byte, size int) error {
 	p.chainEpoch, p.chainQFloor = p.g.epoch, p.g.qFloor
 	p.chainLen++
 	p.chainBytes += size
+	return nil
+}
+
+// rerun rebuilds the cached reply of an entry that kept its read's op: it
+// runs the op on the state before the record's delta, the state it ran on
+// (state.go), and derives the batch's first op's (T, H) from the head.
+// Writes are never re-run.
+func (p *Trusted) rerun(id uint32, e *ventry, read readOp) error {
+	if p.snapReader == nil || !p.snapReader.IsReadOnly(read.op) {
+		return tee.Halt("delta record re-runs an op that is not a read", nil)
+	}
+	result, err := p.svc.Apply(read.op)
+	if err != nil {
+		return tee.Halt("delta record read rejected by service", err)
+	}
+	if read.form == entryFirstRead {
+		e.T = p.t + 1
+		e.H = hashchain.Extend(p.h, read.op, e.T, id)
+	}
+	e.Reply = append(e.Reply[:cachedReplyMin:cachedReplyMin], result...)
 	return nil
 }
 
@@ -628,11 +658,12 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	rec := deltaRecord{FromT: p.t}
 	replies := make([][]byte, 0, len(invokes))
 	if p.deltaSvc != nil {
-		rec.Entries = make(vmap, len(invokes))
+		rec.Entries, rec.Reads = make(vmap, len(invokes)), make(map[uint32]readOp)
 	}
+	wrote := false // a write ran earlier in the batch
 	for _, ct := range invokes {
 		t := p.t
-		reply, id, err := p.handleInvoke(ct)
+		reply, id, op, err := p.handleInvoke(ct)
 		if err != nil {
 			return nil, err
 		}
@@ -640,8 +671,21 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 		if rec.Entries != nil {
 			// The fold derives (TA, HA) of an op that ran, not of a retry
 			// or of a client's second op.
-			rec.Anchors = rec.Anchors || p.t == t || rec.Entries[id] != nil
+			ran := p.t != t
+			rec.Anchors = rec.Anchors || !ran || rec.Entries[id] != nil
 			rec.Entries[id] = p.g.v[id]
+			// A read before any write ran on the state the fold holds
+			// before the batch's delta: the fold re-runs its op.
+			read := ran && !wrote && p.snapReader != nil && p.snapReader.IsReadOnly(op)
+			wrote = wrote || ran && !read
+			delete(rec.Reads, id)
+			if read {
+				form := entryRead
+				if p.t == rec.FromT+1 {
+					form = entryFirstRead
+				}
+				rec.Reads[id] = readOp{op: op, form: form}
+			}
 		}
 	}
 	p.chargeFootprint(env)
@@ -889,18 +933,18 @@ func (p *Trusted) handleBeaconConfirm(env tee.Env) ([]byte, error) {
 }
 
 // handleInvoke is the per-operation body of Alg. 2. It returns the reply
-// ciphertext and the invoking client's identifier (for delta-record V
-// tracking).
-func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
+// ciphertext, and the invoking client's identifier and op (for
+// delta-record V tracking).
+func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, []byte, error) {
 	plain, err := aead.Open(p.kc, ciphertext, []byte(adInvoke))
 	if err != nil {
 		// Signal a violation if the message does not have valid
 		// authentication.
-		return nil, 0, tee.Halt("invoke failed authentication", err)
+		return nil, 0, nil, tee.Halt("invoke failed authentication", err)
 	}
 	inv, err := wire.DecodeInvoke(plain)
 	if err != nil {
-		return nil, 0, tee.Halt("invoke malformed", err)
+		return nil, 0, nil, tee.Halt("invoke malformed", err)
 	}
 	ent, ok := p.g.v[inv.ClientID]
 	if !ok {
@@ -908,9 +952,9 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 			// An evicted (or departed) client that somehow still holds a
 			// working kC is a configuration remnant, not an attack: refuse
 			// the operation without halting the context.
-			return nil, 0, fmt.Errorf("%w: client %d", ErrClientEvicted, inv.ClientID)
+			return nil, 0, nil, fmt.Errorf("%w: client %d", ErrClientEvicted, inv.ClientID)
 		}
-		return nil, 0, tee.Halt("invoke from unknown client", ErrUnknownClient)
+		return nil, 0, nil, tee.Halt("invoke from unknown client", ErrUnknownClient)
 	}
 
 	// assert V[i] = (∗, tc, hc): the client's context must match the last
@@ -922,11 +966,11 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 		if inv.Retry && ent.TA == inv.TC && ent.HA == inv.HC && ent.Reply != nil {
 			ct, err := ent.sealedReply(p.kc)
 			if err != nil {
-				return nil, 0, tee.Halt("cached reply does not reconstruct", err)
+				return nil, 0, nil, tee.Halt("cached reply does not reconstruct", err)
 			}
-			return ct, inv.ClientID, nil
+			return ct, inv.ClientID, inv.Op, nil
 		}
-		return nil, 0, tee.Halt("client context mismatch: rollback or forking attack", nil)
+		return nil, 0, nil, tee.Halt("client context mismatch: rollback or forking attack", nil)
 	}
 
 	// t ← t + 1; (r, s) ← execF(s, o); h ← hash(h ‖ o ‖ t ‖ i).
@@ -936,7 +980,7 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 		// Clients are correct and mutually trusting (Sec. 2.1); an
 		// authenticated-but-malformed operation cannot happen in a
 		// conforming deployment, so treat it as a violation.
-		return nil, 0, tee.Halt("operation rejected by service", err)
+		return nil, 0, nil, tee.Halt("operation rejected by service", err)
 	}
 	p.h = hashchain.Extend(p.h, inv.Op, p.t, inv.ClientID)
 
@@ -948,9 +992,9 @@ func (p *Trusted) handleInvoke(ciphertext []byte) ([]byte, uint32, error) {
 
 	replyCT, err := ent.sealReply(p.kc, &wire.Reply{T: p.t, H: p.h, Result: result, Q: q, HCPrev: inv.HC, BeaconSeq: p.beaconSeq})
 	if err != nil {
-		return nil, 0, fmt.Errorf("lcm: seal reply: %w", err)
+		return nil, 0, nil, fmt.Errorf("lcm: seal reply: %w", err)
 	}
-	return replyCT, inv.ClientID, nil
+	return replyCT, inv.ClientID, inv.Op, nil
 }
 
 // stateOf assembles the sealed-state plaintext, with Head the chain head.

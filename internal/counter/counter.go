@@ -543,11 +543,11 @@ func (b *Bank) read(op []byte, durable bool) ([]byte, error) {
 			return encodeBalance(StatusOK, b.EscrowTotal()), nil
 		}
 		var total int64
-		b.txs.RangeDurable("", func(_ string, rec txRecord) {
+		for _, rec := range b.txs.RangeDurable("") {
 			if rec.State == txEscrowed {
 				total += rec.Amount
 			}
-		})
+		}
 		return encodeBalance(StatusOK, total), nil
 	}
 	name := string(r.Var())

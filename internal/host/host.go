@@ -1426,8 +1426,9 @@ func (s *Server) Shutdown() {
 // instructing the rollback store to serve that shard's state from n
 // persisted writes ago. Under delta-log persistence the per-batch writes
 // are log appends, so the attack truncates the newest log segment holding
-// records by up to n records; with full-state sealing (or an empty
-// segment) it falls back to pinning a stale state-blob version. It requires the configured Store to
+// records by up to n records; with full-state sealing (or no segment
+// holding records: the last checkpoint dropped them) it falls back to
+// pinning a state-blob version up to n versions back. It requires the configured Store to
 // be a *stablestore.RollbackStore. Only the attacked shard is affected —
 // the other shards' chains stay live, which is exactly the locality the
 // per-shard detection tests assert.
@@ -1449,7 +1450,8 @@ func (s *Server) AttackRollback(shard, n int) error {
 	}
 	logSlot := s.ShardSlot(shard, core.SegmentSlot(cur.Seg))
 	blobSlot := s.ShardSlot(shard, core.SlotStateBlob)
-	if k := min(n, rs.LogLen(logSlot)); !(k > 0 && rs.RollbackLogBy(logSlot, k)) && !rs.RollbackBy(blobSlot, n) {
+	k, m := min(n, rs.LogLen(logSlot)), min(n, rs.Versions(blobSlot)-1)
+	if !(k > 0 && rs.RollbackLogBy(logSlot, k)) && !(m > 0 && rs.RollbackBy(blobSlot, m)) {
 		return fmt.Errorf("host: no state version %d writes back on shard %d", n, shard)
 	}
 	if err := inst.restart(); err != nil {

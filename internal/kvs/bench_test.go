@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"lcm/internal/ycsb"
 )
 
 // benchShapes are the two state shapes bench/ runs: ycsba's 1 000 keys of
@@ -93,6 +95,46 @@ func BenchmarkStoreDelta(b *testing.B) {
 			b.ResetTimer()
 			run(b, s, puts)
 		})
+	}
+}
+
+// A SCAN through Apply matching 10 keys, as scanmix runs one on each
+// shard: its cost grows with the matches, not with the store, so it stays
+// flat from 1 000 to 20 000 keys.
+func BenchmarkStoreScan(b *testing.B) {
+	benchEachShape(b, func(b *testing.B, s *Store, _ [][]byte) {
+		scan := Scan("user0000001", 50) // user00000010 … user00000019
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Apply(scan); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// A load of 20 000 fresh keys of 100 B in YCSB's key order ("user0",
+// "user1", …, padded to 40 bytes), as bench/'s set-up inserts them: every
+// put adds a key to the ordered index.
+func BenchmarkStoreLoad(b *testing.B) {
+	w := ycsb.WorkloadA(20000, 100)
+	puts := make([][]byte, w.RecordCount)
+	for i, key := range w.LoadKeys() {
+		puts[i] = Put(key, strings.Repeat("v", w.ValueSize))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New()
+		for j, put := range puts {
+			if _, err := s.Apply(put); err != nil {
+				b.Fatal(err)
+			}
+			if j%benchBatch == benchBatch-1 {
+				if _, err := s.Delta(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 }
 

@@ -145,36 +145,31 @@ func (s *Store) read(op []byte, durable bool) ([]byte, error) {
 		}
 		return encodeStatus(statusOK, []byte(value)), nil
 	}
-	limit := r.U32()
+	limit := int(r.U32())
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: scan: %v", ErrMalformedOp, err)
 	}
-	var hits []ScanEntry // the matches only, not the keyspace
-	add := func(k, v string) { hits = append(hits, ScanEntry{Key: k, Value: v}) }
+	matches := s.kv.Range
 	if durable {
-		s.kv.RangeDurable(key, add)
-	} else {
-		for k, v := range s.kv.All() {
-			if strings.HasPrefix(k, key) {
-				add(k, v)
-			}
+		matches = s.kv.RangeDurable
+	}
+	var hits []ScanEntry
+	for k, v := range matches(key) { // in key order, so the limit cuts the walk
+		if len(hits) == limit && limit > 0 {
+			break
 		}
+		hits = append(hits, ScanEntry{Key: k, Value: v})
 	}
-	return scanResult(hits, int(limit)), nil
-}
-
-// scanResult sorts a scan's hits, applies its limit and encodes them.
-func scanResult(hits []ScanEntry, limit int) []byte {
-	slices.SortFunc(hits, func(a, b ScanEntry) int { return strings.Compare(a.Key, b.Key) })
-	if limit > 0 && len(hits) > limit {
-		hits = hits[:limit]
-	}
-	return encodeScanResult(hits)
+	return encodeScanResult(hits), nil
 }
 
 // encodeScanResult is the inverse of DecodeScanResult.
 func encodeScanResult(entries []ScanEntry) []byte {
-	w := wire.NewWriter(64)
+	size := 5
+	for _, e := range entries {
+		size += 8 + len(e.Key) + len(e.Value)
+	}
+	w := wire.NewWriter(size)
 	w.U8(statusOK)
 	w.U32(uint32(len(entries)))
 	for _, e := range entries {
@@ -239,7 +234,11 @@ func (s *Store) MergeScans(op []byte, parts [][]byte) ([]byte, error) {
 		}
 		merged = append(merged, entries...)
 	}
-	return scanResult(merged, limit), nil
+	slices.SortFunc(merged, func(a, b ScanEntry) int { return strings.Compare(a.Key, b.Key) })
+	if limit > 0 && len(merged) > limit {
+		merged = merged[:limit]
+	}
+	return encodeScanResult(merged), nil
 }
 
 // Len returns the number of stored objects.

@@ -27,9 +27,11 @@ type Codec[V any] struct {
 
 // Keyed is a service's state as one typed map: the serialization
 // interface of Sec. 5.2, written once for every service whose state is
-// named items. It tracks the keys changed since the last Delta or
-// Snapshot, a running Footprint and, once snapshot reads are armed, the
-// pre-images a read at the durable sequence number needs.
+// named items. Beside the map it keeps the keys in order (keyIndex), so
+// ranges, snapshots and fragments come out sorted without a sort. It
+// tracks the keys changed since the last Delta or Snapshot, a running
+// Footprint and, once snapshot reads are armed, the pre-images a read at
+// the durable sequence number needs.
 //
 // Its codec methods read and write one section of a wire message (a
 // service with several maps joins their sections with Encode, Decode,
@@ -48,6 +50,7 @@ type Codec[V any] struct {
 type Keyed[V any] struct {
 	codec     Codec[V]
 	m         map[string]V
+	index     keyIndex // m's keys
 	dirty     map[string]struct{}
 	footprint int64
 
@@ -110,6 +113,11 @@ func (k *Keyed[V]) put(key string, v V) {
 	k.overlay.record(key, old, ok)
 	if ok {
 		k.footprint -= k.codec.Footprint(key, old)
+		// An overwrite replaces the map's copy of the key: give it the
+		// index's, so that each key's bytes are held once.
+		key = k.index.stored(key)
+	} else {
+		k.index.insert(key)
 	}
 	k.m[key] = v
 	k.footprint += k.codec.Footprint(key, v)
@@ -125,63 +133,49 @@ func (k *Keyed[V]) del(key string) bool {
 	k.overlay.record(key, old, true)
 	k.footprint -= k.codec.Footprint(key, old)
 	delete(k.m, key)
+	k.index.delete(key)
 	k.mu.Unlock()
 	return true
 }
 
 // Snapshot appends the snapshot section of every entry to w and clears
-// the dirty set. w grows once, by exactly the section's size: a regrow
-// would copy the whole state.
+// the dirty set.
 func (k *Keyed[V]) Snapshot(w *wire.Writer) {
-	keys, sizes := k.buckets(1)
-	w.Grow(sizes[0])
-	k.write(w, keys[0])
+	ws := []wire.Writer{*w}
+	k.Partition(ws)
+	*w = ws[0]
 	k.resetDirty()
 }
 
 // Partition appends to ws[j] the snapshot section of the entries whose
-// route name ShardIndex maps onto shard j of len(ws). The dirty set is
-// untouched: delta tracking must survive an aborted reshard.
+// route name ShardIndex maps onto shard j of len(ws). Each writer grows
+// once, by exactly its section's size: a regrow would copy the state. The
+// dirty set is untouched: delta tracking must survive an aborted reshard.
 func (k *Keyed[V]) Partition(ws []wire.Writer) {
-	keys, sizes := k.buckets(len(ws))
-	for j := range ws {
-		ws[j].Grow(sizes[j])
-		k.write(&ws[j], keys[j])
-	}
-}
-
-// buckets splits the keys over n shards, each sorted, with each shard's
-// section size.
-func (k *Keyed[V]) buckets(n int) ([][]string, []int) {
-	keys, sizes := make([][]string, n), make([]int, n)
-	if n == 1 {
-		keys[0] = make([]string, 0, len(k.m))
-	}
+	counts, sizes := make([]int, len(ws)), make([]int, len(ws))
 	for key, v := range k.m {
-		j := 0
-		if n > 1 {
-			name := key
-			if k.codec.Route != nil {
-				name = k.codec.Route(key, v)
-			}
-			j = ShardIndex(name, n)
-		}
-		keys[j] = append(keys[j], key)
+		j := k.shard(key, v, len(ws))
+		counts[j]++
 		sizes[j] += 4 + len(key) + k.codec.Size(v)
 	}
-	for j := range keys {
-		slices.Sort(keys[j])
-		sizes[j] += 4
+	for j := range ws {
+		ws[j].Grow(4 + sizes[j])
+		ws[j].U32(uint32(counts[j]))
 	}
-	return keys, sizes
+	for key := range k.index.from("") {
+		v := k.m[key]
+		w := &ws[k.shard(key, v, len(ws))]
+		w.Var([]byte(key))
+		k.codec.Put(w, v)
+	}
 }
 
-func (k *Keyed[V]) write(w *wire.Writer, keys []string) {
-	w.U32(uint32(len(keys)))
-	for _, key := range keys {
-		w.Var([]byte(key))
-		k.codec.Put(w, k.m[key])
+// shard is the shard of n an entry moves to.
+func (k *Keyed[V]) shard(key string, v V, n int) int {
+	if n > 1 && k.codec.Route != nil {
+		key = k.codec.Route(key, v)
 	}
+	return ShardIndex(key, n)
 }
 
 // count reads a snapshot section's entry count, bounded by what r holds.
@@ -216,17 +210,18 @@ func (k *Keyed[V]) read(r *wire.Reader, n int, f func(key string, v V)) {
 // sections may keep the ones before the error; its caller halts).
 func (k *Keyed[V]) Restore(r *wire.Reader) {
 	n := k.count(r)
-	m := make(map[string]V, n)
+	m, keys := make(map[string]V, n), make([]string, 0, n)
 	var footprint int64
 	k.read(r, n, func(key string, v V) {
 		m[key] = v
+		keys = append(keys, key)
 		footprint += k.codec.Footprint(key, v)
 	})
 	if r.Err() != nil {
 		return
 	}
 	k.mu.Lock()
-	k.m, k.footprint = m, footprint
+	k.m, k.index, k.footprint = m, sortedIndex(keys), footprint
 	k.overlay.gens = nil
 	k.mu.Unlock()
 	k.dirty = make(map[string]struct{})
@@ -243,6 +238,7 @@ func (k *Keyed[V]) Merge(r *wire.Reader) {
 			return
 		}
 		k.m[key] = v
+		k.index.insert(key)
 		k.footprint += k.codec.Footprint(key, v)
 	})
 }
@@ -313,7 +309,7 @@ func (k *Keyed[V]) ApplyDelta(r *wire.Reader) {
 // Freeze returns a copy of the entries as of the call, whose Snapshot is
 // safe to run on another goroutine while k changes.
 func (k *Keyed[V]) Freeze() *Keyed[V] {
-	return &Keyed[V]{codec: k.codec, m: maps.Clone(k.m)}
+	return &Keyed[V]{codec: k.codec, m: maps.Clone(k.m), index: k.index.clone()}
 }
 
 // EndBatch closes the pre-image generation of every mutation since the
@@ -342,23 +338,54 @@ func (k *Keyed[V]) ReadDurable(key string) (V, bool) {
 	return v, ok
 }
 
-// RangeDurable calls f, in no order, for every entry whose key starts
-// with prefix at the durable sequence number, including entries deleted
-// since. It holds the read lock, so f must not call back into k.
-func (k *Keyed[V]) RangeDurable(prefix string, f func(key string, v V)) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	pins := k.overlay.pins()
-	for key, v := range k.m {
-		if strings.HasPrefix(key, prefix) {
-			if _, pinned := pins[key]; !pinned {
-				f(key, v)
+// Range iterates, in key order, over the live entries whose key starts
+// with prefix. The loop body must not Set or Delete.
+func (k *Keyed[V]) Range(prefix string) iter.Seq2[string, V] {
+	return func(yield func(string, V) bool) {
+		for key := range k.index.from(prefix) {
+			if !strings.HasPrefix(key, prefix) || !yield(key, k.m[key]) {
+				return
 			}
 		}
 	}
-	for key, p := range pins {
-		if p.existed && strings.HasPrefix(key, prefix) {
-			f(key, p.val)
+}
+
+// RangeDurable iterates, in key order, over the entries whose key starts
+// with prefix at the durable sequence number, including entries deleted
+// since. It holds the read lock, so the loop body must not call back into
+// k.
+func (k *Keyed[V]) RangeDurable(prefix string) iter.Seq2[string, V] {
+	return func(yield func(string, V) bool) {
+		k.mu.RLock()
+		defer k.mu.RUnlock()
+		pins := k.overlay.pins()
+		var gone []string // deleted since, merged in below
+		for key, p := range pins {
+			if _, live := k.m[key]; p.existed && !live && strings.HasPrefix(key, prefix) {
+				gone = append(gone, key)
+			}
+		}
+		slices.Sort(gone)
+		for key, v := range k.Range(prefix) {
+			for ; len(gone) > 0 && gone[0] < key; gone = gone[1:] {
+				if !yield(gone[0], pins[gone[0]].val) {
+					return
+				}
+			}
+			if p, pinned := pins[key]; pinned {
+				if !p.existed {
+					continue
+				}
+				v = p.val
+			}
+			if !yield(key, v) {
+				return
+			}
+		}
+		for _, key := range gone {
+			if !yield(key, pins[key].val) {
+				return
+			}
 		}
 	}
 }

@@ -29,6 +29,9 @@ type Service interface {
 	// delivered to the invoking client verbatim. An error reports a
 	// malformed operation — a protocol-level failure, not an
 	// application-level "not found", which services encode in the result.
+	// Recovery never re-executes a write; it may re-execute a read
+	// (SnapshotReader.IsReadOnly), whose result must therefore depend only
+	// on the state.
 	Apply(op []byte) ([]byte, error)
 
 	// Snapshot serializes the full service state.
@@ -50,8 +53,12 @@ type Service interface {
 // turning the per-batch persistence cost from O(state) into O(batch).
 //
 // Deltas carry state changes, not operations, so LCM's
-// no-determinism-required property (Sec. 3.1) is preserved: replaying a
-// delta never re-executes application code.
+// no-determinism-required property (Sec. 3.1) is preserved for writes:
+// replaying a delta never re-executes one. A read-only op of a
+// SnapshotReader that ran before any write in its batch is the exception:
+// its record keeps the op, not its result, and recovery re-runs it with
+// Apply on the state before the batch's delta to rebuild the reply it
+// caches for a retry (see SnapshotReader).
 //
 // Downstream, delta support is what the rest of the persistence pipeline
 // keys on: the host group-commits delta records under shared fsyncs, the
@@ -174,7 +181,10 @@ type SnapshotReader interface {
 	// IsReadOnly reports whether op can never change state — only such
 	// operations may execute on the snapshot. The trusted context
 	// re-checks this server-side; a misclassified op is rejected, never
-	// executed.
+	// executed. Such an op's result must depend only on the state:
+	// recovery re-executes it with Apply, on the state it ran on, to
+	// rebuild its cached reply, and a retry whose rebuilt reply differs
+	// halts the context (internal/core/state.go).
 	IsReadOnly(op []byte) bool
 
 	// SnapshotRead executes a read-only op against the durable snapshot.

@@ -702,11 +702,10 @@ func (s *AttestationService) Register(p *Platform) {
 
 // Attestation verification errors.
 var (
-	ErrUnknownPlatform    = errors.New("tee: quote from unregistered platform")
-	ErrQuoteMAC           = errors.New("tee: quote MAC invalid")
-	ErrWrongMeasurement   = errors.New("tee: quote measurement does not match expected program")
-	ErrNonceMismatch      = errors.New("tee: quote nonce does not match challenge")
-	errAttestationGeneric = errors.New("tee: attestation failed")
+	ErrUnknownPlatform  = errors.New("tee: quote from unregistered platform")
+	ErrQuoteMAC         = errors.New("tee: quote MAC invalid")
+	ErrWrongMeasurement = errors.New("tee: quote measurement does not match expected program")
+	ErrNonceMismatch    = errors.New("tee: quote nonce does not match challenge")
 )
 
 // Verify checks that q is a genuine quote for the expected measurement and
