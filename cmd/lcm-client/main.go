@@ -335,8 +335,8 @@ func printStatus(sess *client.Session) error {
 			fmt.Printf("shard %d: UNAVAILABLE (%s) instances=%d\n", sh.Shard, sh.Err, sh.Instances)
 			continue
 		}
-		fmt.Printf("shard %d: provisioned=%v migrated=%v epoch=%d t=%d stable=%d clients=%d instances=%d\n",
-			sh.Shard, st.Provisioned, st.Migrated, st.Epoch, st.Seq, st.Stable, st.NumClients, sh.Instances)
+		fmt.Printf("shard %d: provisioned=%v retired=%v epoch=%d t=%d stable=%d clients=%d instances=%d\n",
+			sh.Shard, st.Provisioned, st.Retired, st.Epoch, st.Seq, st.Stable, st.NumClients, sh.Instances)
 		fmt.Printf("         delta=%v chain=%d records/%dB snapshot=%dB compactions=%d lastCompactT=%d\n",
 			st.DeltaActive, st.ChainLen, st.ChainBytes, st.SnapshotBytes, st.Compactions, st.LastCompactSeq)
 		fmt.Printf("         membership epoch=%d active=%d evictions=%d\n",

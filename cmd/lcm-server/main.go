@@ -298,7 +298,7 @@ func run() error {
 		go func() {
 			time.Sleep(*reshardAfter)
 			fmt.Printf("live reshard %d -> %d shards...\n", server.Shards(), *reshardTo)
-			stats, err := server.Reshard(*reshardTo)
+			stats, err := server.Reshard(*reshardTo, nil)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "lcm-server: reshard:", err)
 				return

@@ -1,33 +1,37 @@
 // Migration demo (Sec. 4.6.2): a live LCM-protected service moves from
-// one TEE platform to another — no trusted third party, no interruption
-// of the clients' protocol sessions, and rollback/forking detection
-// preserved across the move.
+// one TEE platform to another — no trusted third party, and
+// rollback/forking detection preserved across the move.
 //
-// The origin enclave takes the admin's role: it challenges the target,
-// verifies its attestation quote (same program, genuine platform), hands
-// over the state-encryption key kP through a secure channel, and stops
-// processing. The service state itself travels outside the channel as
-// the sealed base blob + delta chain: each datacenter has its own stable
-// storage, so the origin's host ships the files with host.CopyStorage
-// before the handshake. The target folds the copied chain, verifies it
-// ends at exactly the head the origin pinned in the handover (a
-// truncated or stale copy is refused), and re-seals only the key blob
-// under its own platform's sealing key — the secure-channel payload is
-// O(V), not O(state).
+// A migration is a reshard whose targets run on another server
+// (host.Server.MigrateTo). The origin enclave leads: it verifies the
+// target's attestation quote (same program, genuine platform) and seals
+// the new generation's keys to it. The service state travels outside
+// the secure channel: each datacenter has its own stable storage, so the
+// origin's host stages its sealed base blob + delta chain into the
+// target's storage, and the target folds that copy, refusing one that
+// does not end at the head the origin pinned. The origin then retires
+// and seals each client's V entry into a handoff under the old kC.
+//
+// Clients check that handoff before they move: a client's own V entry
+// must match the context it holds — the boundary check of a reshard. An
+// operation that executed just before the freeze, whose reply was lost,
+// is recovered from the handoff's cached reply. The client then starts a
+// fresh context under the new kC on the target.
 //
 //	go run ./examples/migration
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"lcm"
 	"lcm/internal/counter"
 	"lcm/internal/host"
 	"lcm/internal/service"
-	"lcm/internal/stablestore"
 	"lcm/internal/transport"
 )
 
@@ -39,10 +43,9 @@ func main() {
 }
 
 // startServer deploys the LCM-protected bank service on a platform over
-// the given stable storage (shared between origin and target, modelling
-// the Sec. 4.6.2 shared remote storage the delta chain migrates through).
+// its own stable storage.
 func startServer(platformID string, attestation *lcm.AttestationService,
-	network *transport.InmemNetwork, endpoint string, store *stablestore.MemStore) (*host.Server, func(), error) {
+	network *transport.InmemNetwork, endpoint string) (*host.Server, func(), error) {
 	platform, err := lcm.NewPlatform(platformID)
 	if err != nil {
 		return nil, nil, err
@@ -55,7 +58,7 @@ func startServer(platformID string, attestation *lcm.AttestationService,
 			NewService:  func() service.Service { return counter.New() },
 			Attestation: attestation,
 		}),
-		Store:     store,
+		Store:     lcm.NewMemStore(),
 		BatchSize: 4,
 	})
 	if err != nil {
@@ -73,17 +76,28 @@ func startServer(platformID string, attestation *lcm.AttestationService,
 	return server, stop, nil
 }
 
+// lossyConn loses the next frame it receives once armed: an operation
+// that executes but whose reply never arrives.
+type lossyConn struct {
+	transport.Conn
+	armed atomic.Bool
+}
+
+func (c *lossyConn) Recv() ([]byte, error) {
+	for {
+		b, err := c.Conn.Recv()
+		if err != nil || !c.armed.CompareAndSwap(true, false) {
+			return b, err
+		}
+	}
+}
+
 func run() error {
 	attestation := lcm.NewAttestationService()
 	network := lcm.NewInmemNetwork()
 
-	// Separate storage per datacenter: the sealed blobs and delta chain
-	// must be shipped by the (untrusted) hosts before the handover.
-	originStorage := lcm.NewMemStore()
-	targetStorage := lcm.NewMemStore()
-
 	// --- Origin deployment on platform A, bootstrapped for two clients.
-	origin, stopOrigin, err := startServer("datacenter-A", attestation, network, "origin", originStorage)
+	origin, stopOrigin, err := startServer("datacenter-A", attestation, network, "origin")
 	if err != nil {
 		return err
 	}
@@ -92,26 +106,15 @@ func run() error {
 	if err := admin.Bootstrap(origin.ECall, []uint32{1, 2}); err != nil {
 		return err
 	}
+	kc := admin.CommunicationKey()
+	cfg := lcm.SessionConfig{Timeout: 5 * time.Second}
 
-	dial := func(endpoint string, id uint32, state *lcm.ClientState) (*lcm.Session, error) {
-		conn, err := network.Dial(endpoint)
-		if err != nil {
-			return nil, err
-		}
-		cfg := lcm.SessionConfig{Timeout: 5 * time.Second}
-		if state != nil {
-			return lcm.ResumeSession(conn, state, admin.CommunicationKey(), cfg), nil
-		}
-		return lcm.NewSession(conn, id, admin.CommunicationKey(), cfg), nil
-	}
-
-	alice, err := dial("origin", 1, nil)
+	conn, err := network.Dial("origin")
 	if err != nil {
 		return err
 	}
+	alice := lcm.NewSession(conn, 1, kc, cfg)
 	defer alice.Close()
-
-	// Build up state on the origin.
 	if _, err := alice.Do(counter.Inc("alice", 100)); err != nil {
 		return err
 	}
@@ -120,62 +123,88 @@ func run() error {
 		return err
 	}
 	bal, _ := counter.DecodeResult(res.Value)
-	fmt.Printf("on %s: alice=60 after transfer (balance=%d, seq=%d)\n",
-		"datacenter-A", bal.Balance, res.Seq)
+	fmt.Printf("on datacenter-A: alice=%d after paying bob 40 (seq=%d)\n", bal.Balance, res.Seq)
 
-	// --- Target deployment on platform B (same program, own storage; its
-	// enclave starts empty and awaits import).
-	target, stopTarget, err := startServer("datacenter-B", attestation, network, "target", targetStorage)
+	// Bob pays alice 15 right before the move; the transfer executes on
+	// the origin, but its reply is lost and it stays pending.
+	conn, err = network.Dial("origin")
+	if err != nil {
+		return err
+	}
+	lossy := &lossyConn{Conn: conn}
+	bob := lcm.NewSession(lossy, 2, kc, lcm.SessionConfig{Timeout: 200 * time.Millisecond})
+	defer bob.Close()
+	lossy.armed.Store(true)
+	if _, err := bob.Do(counter.Transfer("bob", "alice", 15)); err == nil {
+		return errors.New("the lost reply arrived")
+	}
+	fmt.Println("bob's transfer executed on datacenter-A; its reply was lost")
+
+	// --- Target deployment on platform B: same program, own storage, an
+	// enclave nobody provisioned.
+	target, stopTarget, err := startServer("datacenter-B", attestation, network, "target")
 	if err != nil {
 		return err
 	}
 	defer stopTarget()
 
-	// --- The host-side transfer: ship the sealed base blob + delta log.
-	// The copy is untrusted; the import below verifies it cryptographically.
-	if err := host.CopyStorage(originStorage, targetStorage); err != nil {
-		return fmt.Errorf("copy storage: %w", err)
-	}
-	fmt.Println("datacenter-A shipped the sealed blob + delta chain to datacenter-B")
-
-	// --- The migration handshake: challenge → attest → export → import.
-	// The export carries kP, V and the delta-chain head; the target folds
-	// the copied chain and refuses anything that falls short of that head.
-	if err := lcm.Migrate(origin.ECall, target.ECall); err != nil {
+	// --- The move: attest, freeze, stage the sealed chain into B's
+	// storage, export the handoffs, import and verify on B.
+	stats, err := origin.MigrateTo(target, nil)
+	if err != nil {
 		return fmt.Errorf("migrate: %w", err)
 	}
-	fmt.Println("migrated: datacenter-A attested datacenter-B and handed over kP + the chain head")
-
-	// The origin now refuses work...
-	if _, err := alice.Do(counter.Read("alice")); err == nil {
-		return fmt.Errorf("origin still serving after migration")
+	status, err := lcm.QueryStatus(origin.ECall)
+	if err != nil {
+		return err
 	}
-	fmt.Println("origin refuses further operations (ErrMigratedAway)")
+	fmt.Printf("migrated to datacenter-B in %v (generation %d); datacenter-A retired=%v\n",
+		stats.Pause.Round(time.Microsecond), stats.Gen, status.Retired)
 
-	// ...and the same client session — same tc, same hash-chain value —
-	// continues against the target. Alice's pending operation (the read
-	// that just failed) is retried there.
-	alice2, err := dial("target", 1, alice.State())
+	// --- Each client checks its own V entry in A's handoff and adopts B.
+	// A plain session's state resumes as a one-shard sharded session,
+	// which walks the generation boundary.
+	dialTarget := func() (transport.Conn, error) { return network.Dial("target") }
+	move := func(name string, sess *lcm.Session) (*lcm.ShardedSession, error) {
+		conn, err := network.Dial("origin")
+		if err != nil {
+			return nil, err
+		}
+		old, err := lcm.ResumeShardedSession(conn, []*lcm.ClientState{sess.State()}, []lcm.Key{kc}, counter.New(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		next, pending, err := old.Refresh(dialTarget)
+		if err != nil {
+			old.Close()
+			return nil, fmt.Errorf("%s refresh: %w", name, err)
+		}
+		fmt.Printf("%s: handoff check passed (own V entry matches own context), now on generation %d\n", name, next.Gen())
+		for _, p := range pending {
+			if p.Executed {
+				b, _ := counter.DecodeResult(p.Result.Value)
+				fmt.Printf("%s: recovered the pending transfer's result from the handoff: ok=%v balance=%d seq=%d\n",
+					name, b.OK, b.Balance, p.Result.Seq)
+			}
+		}
+		return next, nil
+	}
+	alice2, err := move("alice", alice)
 	if err != nil {
 		return err
 	}
 	defer alice2.Close()
-	res, err = alice2.Recover()
-	if err != nil {
-		return fmt.Errorf("resume on target: %w", err)
-	}
-	bal, _ = counter.DecodeResult(res.Value)
-	fmt.Printf("on datacenter-B: alice=%d, seq=%d — session and history continuous\n",
-		bal.Balance, res.Seq)
-
-	// Detection still works on the new platform: the hash chain moved
-	// with the state, so a rolled-back target would be caught exactly as
-	// before (see examples/attackdemo).
-	status, err := lcm.QueryStatus(target.ECall)
+	bob2, err := move("bob", bob)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("target status: t=%d clients=%d provisioned=%v\n",
-		status.Seq, status.NumClients, status.Provisioned)
+	defer bob2.Close()
+
+	// --- Service continues on B under fresh contexts and keys.
+	if res, err = alice2.Do(counter.Read("alice")); err != nil {
+		return fmt.Errorf("alice on datacenter-B: %w", err)
+	}
+	bal, _ = counter.DecodeResult(res.Value)
+	fmt.Printf("on datacenter-B: alice=%d (seq=%d of a fresh chain)\n", bal.Balance, res.Seq)
 	return nil
 }

@@ -119,7 +119,7 @@ func (d *Deployment) Reshard(newShards int) (*host.ReshardStats, error) {
 	if d.host == nil {
 		return nil, fmt.Errorf("benchrun: %s is not an LCM deployment", d.system)
 	}
-	return d.host.Reshard(newShards)
+	return d.host.Reshard(newShards, nil)
 }
 
 // Dial opens a raw connection to the deployment's server — what a

@@ -606,8 +606,7 @@ func (s *Session) Leave() (*core.ChurnAck, error) { return s.churnOn(0, core.Chu
 func (s *Session) Heartbeat() error { return s.heartbeatAll() }
 
 // ECall forwards a raw enclave call through this connection — the path a
-// remote admin uses for attestation, provisioning, membership and
-// migration. The call is synchronous; do not interleave it with Do.
+// remote admin uses for attestation, provisioning and membership. The call is synchronous; do not interleave it with Do.
 func (s *Session) ECall(payload []byte) ([]byte, error) {
 	return s.ecallOn(s.cfg.Shard, payload)
 }

@@ -48,7 +48,7 @@ func NewAdmin(attestation *tee.AttestationService, programIdentity string) *Admi
 func (a *Admin) CommunicationKey() aead.Key { return a.kc }
 
 // StateKey returns kP; the admin retains it for administrative messages
-// and for disaster recovery (migrating T when the origin is lost).
+// and for disaster recovery (Recover, when the origin platform is lost).
 func (a *Admin) StateKey() aead.Key { return a.kp }
 
 // Attestation returns the attestation service this admin verifies quotes
@@ -246,35 +246,6 @@ func (a *Admin) Members(call CallFunc) (*GroupInfo, error) {
 func (a *Admin) SealEpoch(call CallFunc) error {
 	if _, err := call(EncodeEpochSealCall()); err != nil {
 		return fmt.Errorf("lcm: epoch seal call: %w", err)
-	}
-	return nil
-}
-
-// Migrate orchestrates Sec. 4.6.2 from the host's perspective: the origin
-// enclave challenges and attests the target, then hands over kP and its
-// state through a secure channel; the target installs and re-seals it. The
-// two CallFuncs reach the origin and target enclaves respectively. No
-// trusted third party participates — the origin enclave itself acts as the
-// admin for the target.
-func Migrate(origin, target CallFunc) error {
-	nonce, err := origin(EncodeMigrateChallengeCall())
-	if err != nil {
-		return fmt.Errorf("lcm: migration challenge: %w", err)
-	}
-	quoteBytes, err := target(EncodeAttestCall(nonce))
-	if err != nil {
-		return fmt.Errorf("lcm: target attest: %w", err)
-	}
-	exportBytes, err := origin(EncodeMigrateExportCall(quoteBytes))
-	if err != nil {
-		return fmt.Errorf("lcm: migration export: %w", err)
-	}
-	export, err := DecodeMigrationExport(exportBytes)
-	if err != nil {
-		return err
-	}
-	if _, err := target(EncodeMigrateImportCall(export)); err != nil {
-		return fmt.Errorf("lcm: migration import: %w", err)
 	}
 	return nil
 }

@@ -16,10 +16,8 @@ const (
 	callAttest
 	callProvision
 	callAdmin
-	callMigrateChallenge
-	callMigrateExport
-	callMigrateImport
-	callStatus
+	// Kinds 5 to 7 are retired; the later kinds keep their values.
+	callStatus byte = iota + 4
 	// Reshard calls (appended in order — the values are part of the ecall
 	// ABI). See reshard.go for the protocol.
 	callReshardChallenge
@@ -325,55 +323,6 @@ func EncodeAdminCall(ciphertext []byte) []byte {
 	return w.Bytes()
 }
 
-// EncodeMigrateChallengeCall asks the origin enclave for a fresh nonce to
-// challenge the migration target with (Sec. 4.6.2).
-func EncodeMigrateChallengeCall() []byte {
-	return []byte{callMigrateChallenge}
-}
-
-// EncodeMigrateExportCall hands the target's quote to the origin enclave.
-// On success the origin returns its ephemeral public key and the state
-// ciphertext sealed to the target's channel key, and stops processing.
-func EncodeMigrateExportCall(quote []byte) []byte {
-	w := wire.NewWriter(5 + len(quote))
-	w.U8(callMigrateExport)
-	w.Var(quote)
-	return w.Bytes()
-}
-
-// MigrationExport is the origin's output: a secure-channel message only
-// the attested target enclave can open.
-type MigrationExport struct {
-	SenderPub  []byte
-	Ciphertext []byte
-}
-
-func encodeMigrationExport(m *MigrationExport) []byte {
-	w := wire.NewWriter(8 + len(m.SenderPub) + len(m.Ciphertext))
-	w.Var(m.SenderPub)
-	w.Var(m.Ciphertext)
-	return w.Bytes()
-}
-
-// DecodeMigrationExport parses the origin's migration export.
-func DecodeMigrationExport(b []byte) (*MigrationExport, error) {
-	r := wire.NewReader(b)
-	m := &MigrationExport{SenderPub: r.Var(), Ciphertext: r.Var()}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("lcm: decode migration export: %w", err)
-	}
-	return m, nil
-}
-
-// EncodeMigrateImportCall delivers the origin's export to the target.
-func EncodeMigrateImportCall(m *MigrationExport) []byte {
-	inner := encodeMigrationExport(m)
-	w := wire.NewWriter(5 + len(inner))
-	w.U8(callMigrateImport)
-	w.Var(inner)
-	return w.Bytes()
-}
-
 // EncodeEnableReadsCall arms the concurrent snapshot-read path. The host
 // sends it through the persistence barrier before an instance's first
 // snapshot read (at start, or lazily after a restart); from then on the
@@ -419,7 +368,7 @@ func EncodeStatusCall() []byte {
 // counts.
 type Status struct {
 	Provisioned bool
-	Migrated    bool
+	Retired     bool // the context exported its state (a reshard or a migration) and stopped
 	Epoch       uint64
 	Seq         uint64 // t: last assigned sequence number
 	Stable      uint64 // q: latest majority-stable sequence number
@@ -452,7 +401,7 @@ type Status struct {
 func encodeStatus(s *Status) []byte {
 	w := wire.NewWriter(112)
 	w.Bool(s.Provisioned)
-	w.Bool(s.Migrated)
+	w.Bool(s.Retired)
 	w.U64(s.Epoch)
 	w.U64(s.Seq)
 	w.U64(s.Stable)
@@ -592,7 +541,7 @@ func DecodeStatus(b []byte) (*Status, error) {
 	r := wire.NewReader(b)
 	s := &Status{
 		Provisioned: r.Bool(),
-		Migrated:    r.Bool(),
+		Retired:     r.Bool(),
 		Epoch:       r.U64(),
 		Seq:         r.U64(),
 		Stable:      r.U64(),

@@ -248,9 +248,6 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
 	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -259,8 +256,8 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 	}
 	newEpoch := env.CounterIncrement(p.epochCounterID())
 	if newEpoch <= p.g.epoch {
-		// A migrated platform's counter starts below the carried epoch;
-		// stay monotone from the context's own view.
+		// An admin-recovered context's new platform counter starts below
+		// the carried epoch; stay monotone from the context's own view.
 		newEpoch = p.g.epoch + 1
 	}
 	removed := p.g.takeEvictions(newEpoch)
@@ -318,9 +315,6 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
-	}
-	if p.migrated {
-		return nil, ErrMigratedAway
 	}
 	if p.resharded {
 		return nil, ErrReshardedAway

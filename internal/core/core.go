@@ -2,10 +2,11 @@
 // paper: the Alg. 1 client (invoke, reply verification, retries of
 // Sec. 4.6.1), the Alg. 2 trusted context (execution, hash chain, the
 // client context map V, majority stability of Sec. 4.2.3), the admin
-// operations (bootstrap via remote attestation, membership changes,
-// migration of Sec. 4.3/4.6), and the sealed persistence of the trusted
-// state (full snapshots plus the hash-chained delta-record log;
-// state.go documents the formats and recovery rules).
+// operations (bootstrap via remote attestation, membership changes and
+// recovery, Sec. 4.3/4.6; a migration is a reshard, see reshard.go), and
+// the sealed persistence of the trusted state (full snapshots plus the
+// hash-chained delta-record log; state.go documents the formats and
+// recovery rules).
 //
 // Invariants the rest of the system leans on:
 //

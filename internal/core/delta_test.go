@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -282,13 +283,16 @@ func TestStatusReportsChainAndCompaction(t *testing.T) {
 	}
 }
 
-// Chain-mode migration: the payload carries V and the chain head, the host
-// ships the sealed blob + log, and the target folds them, continues the
-// chain, and resumes compaction bookkeeping where the origin left off.
+// A migration carries the delta chain, not the state: the host stages the
+// origin's sealed blob + log, the piece the origin seals pins only kP, the
+// head and the pending delta, and the target folds the copy and seals one
+// fresh blob under its own keys. Compaction then runs on the target's own
+// chain, and the target restarts from it.
 func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
 	tune := func(cfg *TrustedConfig) { cfg.cutRecords = 4 }
 	r := newRigWith(t, []uint32{1}, tune)
-	r.mustPut(1, "k", "v1")
+	big := strings.Repeat("x", 4096)
+	r.mustPut(1, "big", big)
 	r.mustPut(1, "k", "v2")
 
 	target, err := tee.NewPlatform("plat-migrate-2")
@@ -296,58 +300,57 @@ func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.attestation.Register(target)
-	targetStorage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	cfg := TrustedConfig{
-		ServiceName: "kvs",
-		NewService:  kvs.Factory(),
-		Attestation: r.attestation,
-	}
+	cfg := TrustedConfig{ServiceName: "kvs", NewService: kvs.Factory(), Attestation: r.attestation}
 	tune(&cfg)
+	targetStorage := stablestore.NewRollbackStore(stablestore.NewMemStore())
 	targetEnclave := target.NewEnclave(NewTrustedFactory(cfg), targetStorage)
 	if err := targetEnclave.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	copySealedState(t, targetStorage, r.storage)
-	if err := Migrate(r.enclave.Call, targetEnclave.Call); err != nil {
-		t.Fatalf("Migrate: %v", err)
+	_, export, err := r.reshardOnto([]*tee.Enclave{targetEnclave}, []stablestore.Store{targetStorage}, nil, nil)
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
 	}
-
-	// The import folded the copied chain in place: no fresh state blob was
-	// sealed on the target, and the chain reports the origin's two records.
+	if n := len(export.Pieces[0]); n >= len(big) {
+		t.Fatalf("the sealed piece is %d B: the state crossed the channel", n)
+	}
 	if got := targetStorage.Versions(SlotStateBlob); got != 1 {
-		t.Fatalf("target state blob written %d times, want 1 (the host's copy)", got)
+		t.Fatalf("target state blob written %d times, want 1 (the import's)", got)
 	}
 	status, err := QueryStatus(targetEnclave.Call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status.Seq != 2 || status.ChainLen != 2 {
-		t.Fatalf("imported status = %+v, want seq=2 chainLen=2", status)
+	if status.Seq != 0 || status.ChainLen != 0 || status.Gen != 1 {
+		t.Fatalf("imported status = %+v, want a fresh chain at generation 1", status)
 	}
 
-	// The client continues against the target; the 4th record (2 migrated
-	// + 2 fresh) reaches the record threshold and cuts on the target.
-	tr := &rig{t: t, storage: targetStorage, enclave: targetEnclave, clients: r.clients}
-	tr.mustPut(1, "k", "v3")
-	tr.mustPut(1, "k", "v4")
-	tr.mustPut(1, "k", "v5")
+	// The client continues against the target; its 4th record cuts.
+	c, _, err := adopt(r.clients[1], r.admin.CommunicationKey(), export, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &rig{t: t, storage: targetStorage, enclave: targetEnclave, clients: map[uint32]*Client{1: c}}
+	for i := 3; i <= 6; i++ {
+		tr.mustPut(1, "k", fmt.Sprintf("v%d", i))
+	}
 	status, _ = QueryStatus(targetEnclave.Call)
 	if status.Compactions != 1 {
-		t.Fatalf("migrated-in enclave did not resume compaction: %+v", status)
+		t.Fatalf("migrated-in enclave did not compact: %+v", status)
 	}
 	if got := tr.chainRecords(); got > 1 {
 		t.Fatalf("target log holds %d records after compaction", got)
 	}
 
-	// And the target can restart from its own storage (re-sealed key blob
-	// + continued chain).
+	// And the target restarts from its own storage.
 	if err := targetEnclave.Restart(); err != nil {
 		t.Fatalf("target restart: %v", err)
 	}
-	kv, _ := tr.mustGet(1, "k")
-	if string(kv.Value) != "v5" {
+	if kv, _ := tr.mustGet(1, "k"); string(kv.Value) != "v6" {
 		t.Fatalf("migrated+compacted value = %q", kv.Value)
+	}
+	if kv, _ := tr.mustGet(1, "big"); string(kv.Value) != big {
+		t.Fatalf("migrated big value has %d bytes", len(kv.Value))
 	}
 }
 
@@ -368,10 +371,11 @@ func (r *rig) beacon() error {
 	return err
 }
 
-// A chain-mode migration target seals the beacon tick it rebases on its
-// own platform's counter: restarted before its first beacon, it folds that
-// tick, not the origin's, and its next beacon is not a clone verdict.
-func TestChainMigrationSealsRebasedBeaconTick(t *testing.T) {
+// A migration target beacons on its own platform's counter with no
+// rebase: the target mints a fresh kP, and the counter is keyed by kP.
+// Restarted before its first beacon, the target's next beacon is not a
+// clone verdict, though the origin had beaconed.
+func TestMigrationTargetBeaconsOnFreshCounter(t *testing.T) {
 	r := newRig(t, []uint32{1})
 	r.mustPut(1, "k", "v1")
 	for i := 0; i < 3; i++ {
@@ -384,18 +388,9 @@ func TestChainMigrationSealsRebasedBeaconTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.attestation.Register(target)
-	tr := &rig{t: t, storage: stablestore.NewRollbackStore(stablestore.NewMemStore()), clients: r.clients}
-	tr.enclave = target.NewEnclave(NewTrustedFactory(TrustedConfig{
-		ServiceName: "kvs",
-		NewService:  kvs.Factory(),
-		Attestation: r.attestation,
-	}), tr.storage)
-	if err := tr.enclave.Start(); err != nil {
-		t.Fatal(err)
-	}
-	copySealedState(t, tr.storage, r.storage)
-	if err := Migrate(r.enclave.Call, tr.enclave.Call); err != nil {
-		t.Fatalf("Migrate: %v", err)
+	tr, err := r.migrate(target, stablestore.NewRollbackStore(stablestore.NewMemStore()), kvsConfig())
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
 	}
 	if err := tr.enclave.Restart(); err != nil {
 		t.Fatalf("target restart: %v", err)
@@ -465,9 +460,8 @@ func TestRecoverSealsRebasedBeaconTick(t *testing.T) {
 	}
 }
 
-// A host that serves the target a truncated copy of the chain is refused
-// at import: the fold does not reach the head the origin pinned in the
-// payload.
+// A host that stages a truncated copy of the chain is refused at import:
+// the fold does not reach the head the origin pinned in its piece.
 func TestMigrationChainTruncatedCopyRefused(t *testing.T) {
 	r := newRig(t, []uint32{1})
 	r.mustPut(1, "k", "v1")
@@ -490,17 +484,19 @@ func TestMigrationChainTruncatedCopyRefused(t *testing.T) {
 	}
 
 	// The host copies the blob but withholds the last delta record.
-	copySealedState(t, targetStorage, r.storage)
-	log, _ := targetStorage.LoadLog(SlotDeltaLog)
-	if err := targetStorage.TruncateLog(SlotDeltaLog); err != nil {
-		t.Fatal(err)
+	truncated := func(dst stablestore.Store) {
+		copySealedState(t, dst, r.storage)
+		log, _ := dst.LoadLog(SlotDeltaLog)
+		if err := dst.TruncateLog(SlotDeltaLog); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.AppendGroup(SlotDeltaLog, log[:len(log)-1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := targetStorage.AppendGroup(SlotDeltaLog, log[:len(log)-1]); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := Migrate(r.enclave.Call, targetEnclave.Call); err == nil {
-		t.Fatal("import accepted a truncated chain copy")
+	_, _, err = r.reshardOnto([]*tee.Enclave{targetEnclave}, []stablestore.Store{targetStorage}, nil, truncated)
+	if err == nil || !strings.Contains(err.Error(), "staged chain does not reach the source's exported head") {
+		t.Fatalf("import of a truncated chain copy = %v", err)
 	}
 	status, err := QueryStatus(targetEnclave.Call)
 	if err != nil {

@@ -93,11 +93,6 @@ var (
 	// ErrAlreadyProvisioned reports a second provisioning attempt.
 	ErrAlreadyProvisioned = errors.New("lcm: trusted context already provisioned")
 
-	// ErrMigratedAway reports an operation on a trusted context that has
-	// exported its state to a migration target and stopped processing
-	// (Sec. 4.6.2).
-	ErrMigratedAway = errors.New("lcm: trusted context migrated to another platform")
-
 	// ErrAdminAuth reports an administrative message that failed
 	// authentication.
 	ErrAdminAuth = errors.New("lcm: admin message failed authentication")
@@ -116,10 +111,6 @@ var (
 	// and the definitive cut-off is the kC rotation at the epoch seal —
 	// after which the evictee's messages simply fail authentication.
 	ErrClientEvicted = errors.New("lcm: client evicted from the group")
-
-	// ErrMigrationAttestation reports a migration target whose quote did
-	// not verify.
-	ErrMigrationAttestation = errors.New("lcm: migration target attestation failed")
 
 	// ErrResharding reports an operation on a trusted context that is
 	// frozen mid-reshard: it has joined a reshard generation (prepare)

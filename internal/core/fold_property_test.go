@@ -27,9 +27,8 @@ func (e foldEnv) Host() tee.HostServices { return e.host }
 func (foldEnv) ChargeMemory(int64)       {}
 
 // foldStored folds a deployment's stored blob and chain in a scratch
-// context, with the install and foldDeltaLog that recovery, chain-mode
-// migration and reshard import run; move, if set, first changes the
-// blob's state.
+// context, with the install and foldDeltaLog that recovery and reshard
+// staging run; move, if set, first changes the blob's state.
 func foldStored(storage stablestore.Store, kp aead.Key, move func(*trustedState)) (*Trusted, error) {
 	blob, err := storage.Load(SlotStateBlob)
 	if err != nil {
@@ -53,7 +52,7 @@ func foldStored(storage stablestore.Store, kp aead.Key, move func(*trustedState)
 
 // sameState reports where a fold of the stored chain differs from the
 // live context: V with every (TA, HA), (t, h), the q floor, the group
-// epoch, the beacon ordinal and the service state.
+// epoch, the beacon ordinal and tick, and the service state.
 func sameState(live, folded *Trusted) error {
 	if live.t != folded.t || live.h != folded.h {
 		return fmt.Errorf("(t, h): live (%d, %v), folded (%d, %v)", live.t, live.h, folded.t, folded.h)
@@ -65,8 +64,8 @@ func sameState(live, folded *Trusted) error {
 		return fmt.Errorf("q floor, epoch: live %d (%d at the last record), %d, folded %d, %d",
 			live.g.qFloor, live.chainQFloor, live.g.epoch, folded.g.qFloor, folded.g.epoch)
 	}
-	if live.beaconSeq != folded.beaconSeq { // the tick rebases on a migration target's counter
-		return fmt.Errorf("beacon ordinal: live %d, folded %d", live.beaconSeq, folded.beaconSeq)
+	if live.beaconSeq != folded.beaconSeq || live.beaconTick != folded.beaconTick {
+		return fmt.Errorf("beacon ordinal, tick: live %d, %d, folded %d, %d", live.beaconSeq, live.beaconTick, folded.beaconSeq, folded.beaconTick)
 	}
 	if ids, fids := live.g.v.clientIDs(), folded.g.v.clientIDs(); !slices.Equal(ids, fids) {
 		return fmt.Errorf("members: live %v, folded %v", ids, fids)
@@ -324,10 +323,16 @@ func (f *foldRig) step() string {
 	case n < 95:
 		return f.heal()
 	case n < 98:
-		f.migrate()
-		return "chain-mode migration"
+		target, err := tee.NewPlatform(fmt.Sprintf("plat-fold-target-%d", f.next))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.next++
+		f.attestation.Register(target)
+		f.reshard(target, 1)
+		return "migration"
 	default:
-		f.reshard()
+		f.reshard(f.platform, 2)
 		return "reshard"
 	}
 }
@@ -410,32 +415,8 @@ func (f *foldRig) heal() string {
 	return fmt.Sprintf("heal %d records", k)
 }
 
-// migrate moves the deployment to a fresh platform over a copy of its
-// storage, in chain mode.
-func (f *foldRig) migrate() {
-	t := f.t
-	target, err := tee.NewPlatform(fmt.Sprintf("plat-fold-target-%d", f.next))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.next++
-	f.attestation.Register(target)
-	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	origin, last := f.enclave, f.live.seg
-	enclave := target.NewEnclave(f.factory(), storage) // f.live is the target from here
-	if err := enclave.Start(); err != nil {
-		t.Fatal(err)
-	}
-	f.copyStored(storage, last)
-	if err := Migrate(origin.Call, enclave.Call); err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	f.platform, f.storage, f.enclave = target, storage, enclave
-	f.reads = false
-}
-
 // copyStored copies the stored blob and segments up to last to dst, as
-// the host stages storage for a migration or a reshard.
+// the host stages storage for a reshard.
 func (f *foldRig) copyStored(dst stablestore.Store, last uint64) {
 	for seg := uint64(0); seg <= last; seg++ {
 		records, _ := f.storage.LoadLog(SegmentSlot(seg))
@@ -452,57 +433,42 @@ func (f *foldRig) copyStored(dst stablestore.Store, last uint64) {
 	}
 }
 
-// reshard splits the deployment in two, checks that each target imported
-// its part of the source's folded state, and carries on with shard 0: its
-// admin and fresh client contexts, as clients adopting the generation.
-func (f *foldRig) reshard() {
+// reshard moves the deployment onto n targets on platform (a migration
+// is one target on another platform), checks that each target imported
+// its part of the source's folded state, and carries on with shard 0:
+// its admin and fresh client contexts, as clients adopting the
+// generation.
+func (f *foldRig) reshard(platform *tee.Platform, n int) {
 	t := f.t
-	src, last := f.live, f.live.seg
-	nonce, err := f.enclave.Call(EncodeReshardChallengeCall())
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets, progs := make([]*tee.Enclave, 2), make([]*Trusted, 2)
-	stores, quotes := make([]*stablestore.RollbackStore, 2), make([][]byte, 2)
+	src := f.live
+	targets, progs := make([]*tee.Enclave, n), make([]*Trusted, n)
+	stores := make([]*stablestore.RollbackStore, n)
 	for j := range targets {
 		stores[j] = stablestore.NewRollbackStore(stablestore.NewMemStore())
-		targets[j] = f.platform.NewEnclave(f.factory(), stores[j])
+		targets[j] = platform.NewEnclave(f.factory(), stores[j])
 		if err := targets[j].Start(); err != nil {
 			t.Fatal(err)
 		}
 		progs[j] = f.live
-		if quotes[j], err = targets[j].Call(EncodeAttestCall(nonce)); err != nil {
-			t.Fatal(err)
-		}
-		f.copyStored(stablestore.NewNamespaced(stores[j], "src0"), last)
+	}
+	want, err := src.svc.(service.Resharder).PartitionState(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	channel, err := f.admin.ReshardChannel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := f.enclave.Call(EncodeReshardBeginCall(2, quotes, nil, channel))
+	dsts := make([]stablestore.Store, n)
+	for j := range stores {
+		dsts[j] = stores[j]
+	}
+	last := src.seg
+	begin, _, err := f.reshardOnto(targets, dsts, channel, func(dst stablestore.Store) { f.copyStored(dst, last) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	begin, err := DecodeReshardBeginResult(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = f.enclave.Call(EncodeReshardExportCall()); err != nil {
-		t.Fatal(err)
-	}
-	export, err := DecodeReshardExportResult(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := src.svc.(service.Resharder).PartitionState(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, target := range targets {
-		if _, err := target.Call(EncodeReshardImportCall(begin.TargetPayloads[j], [][]byte{export.Pieces[j]})); err != nil {
-			t.Fatalf("reshard import %d: %v", j, err)
-		}
+	for j := range targets {
 		if got, _ := progs[j].svc.(service.Resharder).PartitionState(1); !bytes.Equal(got[0], want[j]) {
 			t.Fatalf("reshard target %d imported a state other than its part of the source's", j)
 		}
@@ -511,7 +477,7 @@ func (f *foldRig) reshard() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.admin, f.enclave, f.storage, f.live = admins[0], targets[0], stores[0], progs[0]
+	f.admin, f.platform, f.enclave, f.storage, f.live = admins[0], platform, targets[0], stores[0], progs[0]
 	f.clients = map[uint32]*Client{}
 	info, err := admins[0].Members(targets[0].Call)
 	if err != nil {
@@ -525,8 +491,8 @@ func (f *foldRig) reshard() {
 
 // TestQuickFoldMatchesLiveState: for seeded schedules of puts, chains of
 // gets and SCANs, batches mixing reads and puts in any order, retries, churn joins and leaves, evictions, epoch seals, beacons,
-// snapshot reads, restarts, heals from a replica's suffix, chain-mode
-// migrations and reshards, a fold of every record the live enclave
+// snapshot reads, restarts, heals from a replica's suffix, migrations
+// and reshards, a fold of every record the live enclave
 // sealed ends in the live state. The fold derives every field a record
 // omits, so each omit rule is checked against the state that rule stands
 // for.
@@ -547,7 +513,7 @@ func TestQuickFoldMatchesLiveState(t *testing.T) {
 			}
 		}
 	}
-	for _, action := range []string{"put", "reads", "batch", "retry", "join", "leave", "evict", "epoch", "beacon", "snapshot", "restart", "heal", "chain-mode", "reshard"} {
+	for _, action := range []string{"put", "reads", "batch", "retry", "join", "leave", "evict", "epoch", "beacon", "snapshot", "restart", "heal", "migration", "reshard"} {
 		if ran[action] == 0 {
 			t.Errorf("the schedules never ran %q (ran %v)", action, ran)
 		}

@@ -119,7 +119,7 @@ func TestBankRollbackDoubleSpendDetected(t *testing.T) {
 }
 
 // Migration works identically for any service: the bank moves platforms
-// with balances and sessions intact.
+// with its balances, and its client moves across the handoff.
 func TestBankMigration(t *testing.T) {
 	r := bankRig(t, []uint32{1})
 	if _, err := r.do(1, counter.Inc("acct", 55)); err != nil {
@@ -131,41 +131,14 @@ func TestBankMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.attestation.Register(target)
-	factory := NewTrustedFactory(TrustedConfig{
+	tr, err := r.migrate(target, stablestore.NewRollbackStore(stablestore.NewMemStore()), TrustedConfig{
 		ServiceName: "bank",
 		NewService:  func() service.Service { return counter.New() },
-		Attestation: r.attestation,
 	})
-	targetStorage := stablestore.NewMemStore()
-	targetEnclave := target.NewEnclave(factory, targetStorage)
-	if err := targetEnclave.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// The bank is delta-persisted, so the migration payload carries the
-	// chain head and the host ships the sealed blob + log to the target.
-	copySealedState(t, targetStorage, r.storage)
-	if err := Migrate(r.enclave.Call, targetEnclave.Call); err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-
-	c := r.clients[1]
-	inv, err := c.Invoke(counter.Read("acct"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("migrate: %v", err)
 	}
-	resp, err := targetEnclave.Call(EncodeBatchCall([][]byte{inv}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, _ := DecodeBatchResult(resp)
-	if len(batch.DeltaRecord) > 0 {
-		if err := targetStorage.Append(SegmentSlot(batch.Seg), batch.DeltaRecord); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := targetStorage.Store(SlotStateBlob, batch.StateBlob); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.ProcessReply(batch.Replies[0])
+	res, err := tr.do(1, counter.Read("acct"))
 	if err != nil {
 		t.Fatal(err)
 	}

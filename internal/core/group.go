@@ -121,7 +121,7 @@ func (v vmap) clientIDs() []uint32 {
 	return ids
 }
 
-// clone deep-copies V (used by migration export).
+// clone deep-copies V (a checkpoint freezes it).
 func (v vmap) clone() vmap {
 	out := make(vmap, len(v))
 	for id, e := range v {

@@ -88,6 +88,10 @@ func FuzzDecodeGroupViews(f *testing.F) {
 			f.Add(append([]byte{byte(i)}, old...))
 		}
 	}
+	_, handoffs := reshardSeeds(f) // real handoffs, an executed op's cached reply included
+	for _, h := range handoffs {
+		f.Add(append([]byte{0}, h...))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return

@@ -97,9 +97,6 @@ func (p *Trusted) handleChainSync(env tee.Env, records [][]byte) ([]byte, error)
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
 	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -168,29 +165,21 @@ func (p *Trusted) handleRecover(env tee.Env, senderPub, ct []byte) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	blobstate, err := env.Host().Load(SlotStateBlob)
-	if errors.Is(err, stablestore.ErrNotFound) {
-		return nil, ErrRecoverNoState
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lcm: load state blob: %w", err)
-	}
-	state, seg, err := openStateBlob(kp, blobstate, func() ([]byte, error) { return env.Host().Load(SlotStateBlob) })
-	if err != nil {
+	err = p.openChain(env, kp, ownSlot, func(reason string, err error) error {
 		// Wrong key, foreign or malformed blob: refuse, do not halt —
 		// the enclave adopted nothing yet.
-		return nil, fmt.Errorf("lcm: recover: state blob does not open under offered kP: %w", err)
-	}
-	if err := p.install(env, kp, state); err != nil {
-		return nil, err
-	}
-	if err := p.foldDeltaLog(env, state, seg, len(blobstate), SegmentSlot); err != nil {
+		if errors.Is(err, stablestore.ErrNotFound) {
+			return ErrRecoverNoState
+		}
+		return fmt.Errorf("lcm: recover: %s under offered kP: %w", reason, err)
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Recovery typically lands on a replacement platform whose counter did
 	// not travel with the storage; rebase the beacon reservation on the
-	// local counter (admin-authorized, like the migration import rebase)
-	// and seal it before the key blob commits the recovery.
+	// local counter (admin-authorized) and seal it before the key blob
+	// commits the recovery.
 	p.beaconTick = env.CounterRead(p.counterID())
 	if err := p.sealBeaconTick(env); err != nil {
 		return nil, fmt.Errorf("lcm: recover: seal beacon tick: %w", err)

@@ -113,8 +113,6 @@ func (p *Trusted) syncReadStateLocked() {
 	switch {
 	case !p.provisioned():
 		rs.ready, rs.reason = false, ErrNotProvisioned
-	case p.migrated:
-		rs.ready, rs.reason = false, ErrMigratedAway
 	case p.resharded:
 		rs.ready, rs.reason = false, ErrReshardedAway
 	case p.resh != nil:

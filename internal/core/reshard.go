@@ -11,7 +11,9 @@ package core
 // Forking Way", Briongos & Soriente 2023), so the move itself must leave
 // evidence a client can verify.
 //
-// The protocol generalizes Sec. 4.6.2 migration from 1→1 to N→M. The
+// The protocol is also Sec. 4.6.2's migration: a migration is a reshard
+// whose targets run on another server (host.Server.MigrateTo), so one
+// protocol moves a chain to a new enclave, whatever the shard counts. The
 // untrusted host coordinates (it restarts enclaves at will anyway); all
 // secrets move enclave-to-enclave over attested secure channels, and the
 // client-visible outcome is authenticated by the *old* shards' keys:
@@ -30,8 +32,7 @@ package core
 //     its own generation, and freezes.
 //  4. EXPORT (every source) — each source emits (a) one *piece* per
 //     target, sealed under kR: {g+1, src, dst, kP_src, chain head,
-//     pending delta} — the chain-mode migration payload, generalized;
-//     and (b) one *handoff*, sealed under its own kC: {g+1, layout, src,
+//     pending delta}; and (b) one *handoff*, sealed under its own kC: {g+1, layout, src,
 //     final (t, h), every client's V entry, and (lead only) the new
 //     shards' communication keys}. The bulk service state does NOT
 //     travel in the piece: the host copies the source's sealed base
@@ -329,7 +330,7 @@ type ReshardEntry struct {
 // open it with the source's kC and verify their own entry against their
 // stored context before adopting the new generation. It carries every
 // member of V, so its size is O(registered clients), as the paper's
-// migration handoff is.
+// migration handoff is (Sec. 4.6.2; a migration is a reshard).
 type ReshardHandoff struct {
 	Gen       uint64
 	OldShards int
@@ -558,8 +559,7 @@ func decodeReshardAdminHandoff(b []byte) (*reshardAdminHandoff, error) {
 }
 
 // reshardPiece is what a source seals under kR for one target: the
-// chain-mode migration payload generalized to N→M — the source's state
-// key, pinned chain head and pending delta. The bulk service state
+// source's state key, pinned chain head and pending delta. The bulk service state
 // travels as the host-copied sealed blob + delta log, verified against
 // Head at import.
 type reshardPiece struct {
@@ -617,9 +617,6 @@ func (p *Trusted) handleReshardChallenge(env tee.Env) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
 	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -642,9 +639,6 @@ func (p *Trusted) handleReshardChallenge(env tee.Env) ([]byte, error) {
 func (p *Trusted) handleReshardBegin(env tee.Env, newShards int, targetQuotes, peerQuotes [][]byte, adminChannel []byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
-	}
-	if p.migrated {
-		return nil, ErrMigratedAway
 	}
 	if p.resharded {
 		return nil, ErrReshardedAway
@@ -763,9 +757,6 @@ func (p *Trusted) handleReshardPrepare(env tee.Env, senderPub, ct []byte) ([]byt
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
 	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -861,9 +852,8 @@ func (p *Trusted) handleReshardExport(env tee.Env) (_ []byte, err error) {
 	}
 	res.Handoff = sealedHandoff
 
-	// Point of no return: like a migration origin, this context stops
-	// processing (Sec. 4.6.2 semantics, generalized), and leaves a
-	// checkpoint not yet sealed unsealed.
+	// Point of no return: this context stops processing (Sec. 4.6.2's
+	// migration origin), and leaves a checkpoint not yet sealed unsealed.
 	p.resharded = true
 	p.resh = nil
 	p.pending.Store(nil)
@@ -997,25 +987,12 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 	if err != nil {
 		return nil, fmt.Errorf("source kP malformed: %w", err)
 	}
-	blob, err := env.Host().Load(ReshardSrcSlot(piece.Src, SlotStateBlob))
-	if err != nil {
-		return nil, fmt.Errorf("staged state blob: %w", err)
-	}
-	state, seg, err := openStateBlob(kp, blob, func() ([]byte, error) { return env.Host().Load(ReshardSrcSlot(piece.Src, SlotStateBlob)) })
-	if err != nil {
-		return nil, fmt.Errorf("staged state blob: %w", err)
-	}
 	// Fold the staged chain in a scratch context, with recovery's rules. A
 	// copy that breaks them is refused, not a violation of this context.
 	src := &Trusted{newService: p.newService}
 	src.useService(p.newService())
-	quiet := quietEnv{env}
-	err = src.install(quiet, kp, state)
-	if err == nil {
-		err = src.foldDeltaLog(quiet, state, seg, len(blob), func(seg uint64) string {
-			return ReshardSrcSlot(piece.Src, SegmentSlot(seg))
-		})
-	}
+	err = src.openChain(quietEnv{env}, kp, func(slot string) string { return ReshardSrcSlot(piece.Src, slot) },
+		func(reason string, err error) error { return fmt.Errorf("%s: %w", reason, err) })
 	var halt *tee.HaltError
 	if errors.As(err, &halt) {
 		err = errors.New(halt.Reason)

@@ -529,50 +529,3 @@ func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 	}
 	return d, nil
 }
-
-// migrationPayload is the plaintext the origin enclave seals to the
-// migration target's channel key (Sec. 4.6.2). It carries kP and one of
-// two state representations:
-//
-//   - Snapshot mode (ChainMode false): State is a full trustedState
-//     including the service snapshot — self-contained, used when delta
-//     persistence is inactive.
-//   - Chain mode (ChainMode true): State carries V, kC and adminSeq but an
-//     empty service snapshot. The service state travels outside the secure
-//     channel, as the sealed base blob + delta log, which the (untrusted)
-//     host copies to — or shares with — the target's stable storage; the
-//     sealing under kP keeps that path safe. The target rebuilds the state
-//     by folding its copy of the chain and accepts only if the fold ends
-//     exactly at ChainPrev, so a host serving a stale or truncated copy is
-//     refused rather than silently imported. Pending carries any service
-//     delta not yet covered by a persisted record. The secure-channel
-//     payload is thus O(V + pending) instead of O(state).
-type migrationPayload struct {
-	KP        []byte
-	State     []byte // trustedState encoding (empty Snapshot in chain mode)
-	ChainMode bool
-	ChainPrev [32]byte
-	Pending   []byte
-}
-
-func (m *migrationPayload) encode() []byte {
-	w := wire.NewWriter(49 + len(m.KP) + len(m.State) + len(m.Pending))
-	w.Var(m.KP)
-	w.Var(m.State)
-	w.Bool(m.ChainMode)
-	w.Bytes32(m.ChainPrev)
-	w.Var(m.Pending)
-	return w.Bytes()
-}
-
-func decodeMigrationPayload(b []byte) (*migrationPayload, error) {
-	r := wire.NewReader(b)
-	m := &migrationPayload{KP: r.Var(), State: r.Var()}
-	m.ChainMode = r.Bool()
-	m.ChainPrev = r.Bytes32()
-	m.Pending = r.Var()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("lcm: decode migration payload: %w", err)
-	}
-	return m, nil
-}

@@ -20,7 +20,7 @@ import (
 
 // ProgramIdentity is the identity string measured into LCM enclaves. All
 // LCM enclaves for the same service share a measurement, which is what
-// lets a client (or a migration origin) recognize a genuine LCM target.
+// lets a client (or a reshard lead) recognize a genuine LCM target.
 func ProgramIdentity(serviceName string) string {
 	return "lcm/trusted/v1/" + serviceName
 }
@@ -32,7 +32,7 @@ func ProgramIdentity(serviceName string) string {
 type Trusted struct {
 	serviceName  string
 	newService   service.Factory
-	attestation  *tee.AttestationService // verification root for migration targets
+	attestation  *tee.AttestationService // verification root for reshard targets and peers
 	compactRatio float64
 	cutRecords   int // tests: cut after this many records, whatever their size
 
@@ -50,8 +50,6 @@ type Trusted struct {
 	kp         aead.Key // protocol-state encryption key
 	kc         aead.Key // communication key
 	channel    *securechannel.Responder
-	migNonce   []byte // outstanding migration challenge, if any
-	migrated   bool
 	footprint  int64 // last footprint reported to the EPC model
 
 	// Reshard state (see reshard.go): the generation this context
@@ -128,8 +126,8 @@ type TrustedConfig struct {
 	// NewService creates an empty service instance (per epoch).
 	NewService service.Factory
 	// Attestation is the quote-verification root compiled into the
-	// program, used when this enclave attests a migration target. May be
-	// nil if migration is not used.
+	// program, used when this enclave leads a reshard or a migration and
+	// attests its targets and peers. May be nil if neither is used.
 	Attestation *tee.AttestationService
 	// CompactRatio tunes the checkpoint policy: cut once the chain's
 	// sealed bytes since the last checkpoint exceed this multiple of the
@@ -201,8 +199,8 @@ func (p *Trusted) Init(env tee.Env) error {
 	if err != nil {
 		// A key blob we cannot open is expected in exactly one benign
 		// scenario: this enclave runs on a different platform than the
-		// one that sealed it (shared storage during migration,
-		// Sec. 4.6.2). Await provisioning or migration import; serving
+		// one that sealed it (storage shared with or copied from another
+		// server). Await provisioning or a reshard import; serving
 		// requests is impossible without kP, so this is safe.
 		return nil
 	}
@@ -210,29 +208,42 @@ func (p *Trusted) Init(env tee.Env) error {
 	if err != nil {
 		return tee.Halt("key blob malformed", err)
 	}
-	blobstate, err := env.Host().Load(SlotStateBlob)
+	// kP exists, so a state blob that is missing or does not open is the
+	// host losing or withholding our history: a violation, not a restart
+	// from empty.
+	return p.openChain(env, kp, ownSlot, func(reason string, err error) error { return tee.Halt(reason, err) })
+}
+
+// ownSlot names this context's own persistence objects.
+func ownSlot(slot string) string { return slot }
+
+// openChain loads the state blob and the log segments after it from the
+// slots slot names, opens them under kp, installs the blob and folds the
+// chain: the one chain open behind Init, admin recover and reshard
+// staging. A blob that is missing or does not open fails with refuse's
+// verdict on the reason; install and the fold halt on a broken chain.
+func (p *Trusted) openChain(env tee.Env, kp aead.Key, slot func(string) string, refuse func(reason string, err error) error) error {
+	load := func() ([]byte, error) { return env.Host().Load(slot(SlotStateBlob)) }
+	blob, err := load()
 	if errors.Is(err, stablestore.ErrNotFound) {
-		// kP exists but the state vanished: the host lost or withheld
-		// the state blob. Without it we cannot know the history; treat
-		// as violation rather than silently restarting from empty.
-		return tee.Halt("state blob missing", err)
+		return refuse("state blob missing", err)
 	}
 	if err != nil {
 		return fmt.Errorf("lcm: load state blob: %w", err)
 	}
-	state, seg, err := openStateBlob(kp, blobstate, func() ([]byte, error) { return env.Host().Load(SlotStateBlob) })
+	state, seg, err := openStateBlob(kp, blob, load)
 	switch {
 	case errors.Is(err, ErrStateVersion):
-		return tee.Halt("state blob version unknown", err)
+		return refuse("state blob version unknown", err)
 	case errors.Is(err, aead.ErrAuth):
-		return tee.Halt("state blob failed authentication", err)
+		return refuse("state blob failed authentication", err)
 	case err != nil:
-		return tee.Halt("state blob malformed", err)
+		return refuse("state blob malformed", err)
 	}
 	if err := p.install(env, kp, state); err != nil {
 		return err
 	}
-	return p.foldDeltaLog(env, state, seg, len(blobstate), SegmentSlot)
+	return p.foldDeltaLog(env, state, seg, len(blob), func(seg uint64) string { return slot(SegmentSlot(seg)) })
 }
 
 // useService adopts svc and the extensions of it the context uses.
@@ -383,7 +394,7 @@ func (p *Trusted) rerun(id uint32, e *ventry, read readOp) error {
 	return nil
 }
 
-// install adopts a recovered (or migrated) state. Note that a stale but
+// install adopts a recovered or staged state. Note that a stale but
 // authentic state is accepted here — that is the rollback attack, which is
 // detected at the first client invocation whose context is ahead of V.
 func (p *Trusted) install(env tee.Env, kp aead.Key, state *trustedState) error {
@@ -473,30 +484,13 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return p.handleAdmin(env, ct)
-	case callMigrateChallenge:
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return p.handleMigrateChallenge(env)
-	case callMigrateExport:
-		quote := r.Var()
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return p.handleMigrateExport(env, quote)
-	case callMigrateImport:
-		inner := r.Var()
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return p.handleMigrateImport(env, inner)
 	case callStatus:
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
 		return encodeStatus(&Status{
 			Provisioned:    p.provisioned(),
-			Migrated:       p.migrated || p.resharded,
+			Retired:        p.resharded,
 			Epoch:          env.Epoch(),
 			Seq:            p.t,
 			Stable:         p.g.stable(),
@@ -642,9 +636,6 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
-	}
-	if p.migrated {
-		return nil, ErrMigratedAway
 	}
 	if p.resharded {
 		return nil, ErrReshardedAway
@@ -888,9 +879,6 @@ func (p *Trusted) handleBeacon(env tee.Env) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
 	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -1054,7 +1042,7 @@ func (p *Trusted) sealKeyBlob() ([]byte, error) {
 }
 
 // persist stores both sealed blobs through the host. Used on the
-// bootstrap/admin/migration paths; the batch path piggybacks the state
+// bootstrap, admin and reshard-import paths; the batch path piggybacks the state
 // blob on its response instead.
 func (p *Trusted) persist(env tee.Env) error {
 	keyBlob, err := p.sealKeyBlob()
@@ -1132,9 +1120,6 @@ func (p *Trusted) handleAdmin(env tee.Env, ct []byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
 	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
 	if p.resharded {
 		return nil, ErrReshardedAway
 	}
@@ -1176,220 +1161,6 @@ func (p *Trusted) handleAdmin(env tee.Env, ct []byte) ([]byte, error) {
 	p.adminSeq = op.Seq
 	if err := p.persist(env); err != nil {
 		return nil, err
-	}
-	return []byte("ok"), nil
-}
-
-// handleMigrateChallenge begins a migration: the origin enclave issues a
-// fresh nonce with which the host must obtain the target's quote.
-func (p *Trusted) handleMigrateChallenge(env tee.Env) ([]byte, error) {
-	if !p.provisioned() {
-		return nil, ErrNotProvisioned
-	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
-	if p.resharded {
-		return nil, ErrReshardedAway
-	}
-	if p.resh != nil {
-		return nil, ErrResharding
-	}
-	if p.attestation == nil {
-		return nil, errors.New("lcm: migration requires an attestation root")
-	}
-	nonce := make([]byte, 32)
-	if err := env.Rand(nonce); err != nil {
-		return nil, fmt.Errorf("lcm: migration nonce: %w", err)
-	}
-	p.migNonce = nonce
-	return append([]byte(nil), nonce...), nil
-}
-
-// handleMigrateExport verifies the target's quote (the origin takes the
-// admin's role, Sec. 4.6.2), seals kP and the full state to the target's
-// channel key, and stops processing requests.
-func (p *Trusted) handleMigrateExport(env tee.Env, quoteBytes []byte) ([]byte, error) {
-	if !p.provisioned() {
-		return nil, ErrNotProvisioned
-	}
-	if p.migrated {
-		return nil, ErrMigratedAway
-	}
-	if p.resharded {
-		return nil, ErrReshardedAway
-	}
-	if p.resh != nil {
-		return nil, ErrResharding
-	}
-	if p.migNonce == nil {
-		return nil, errors.New("lcm: no outstanding migration challenge")
-	}
-	quote, err := DecodeQuote(quoteBytes)
-	if err != nil {
-		return nil, err
-	}
-	// The target must run exactly this program (same measurement) on a
-	// genuine platform, and answer our fresh challenge.
-	if err := p.attestation.Verify(*quote, tee.Measure(p.Identity()), p.migNonce); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrMigrationAttestation, err)
-	}
-	p.migNonce = nil
-
-	state := p.stateOf(nil)
-	payload := migrationPayload{KP: p.kp.Bytes()}
-	if p.deltaSvc != nil {
-		// Chain mode: carry the delta chain instead of forcing an
-		// O(state) snapshot. The service state reaches the target as the
-		// host-side sealed base blob + delta log; the payload pins the
-		// chain head the target's fold must reach, plus any service
-		// changes not yet covered by a persisted record.
-		pending, err := p.deltaSvc.Delta()
-		if err != nil {
-			return nil, fmt.Errorf("lcm: pending delta for migration: %w", err)
-		}
-		payload.ChainMode = true
-		payload.ChainPrev = p.chainPrev
-		payload.Pending = pending
-	} else {
-		snapshot, err := p.svc.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("lcm: snapshot for migration: %w", err)
-		}
-		state.Snapshot = snapshot
-	}
-	payload.State = state.encode()
-	senderPub, ct, err := securechannel.Seal(quote.UserData, payload.encode())
-	if err != nil {
-		return nil, fmt.Errorf("lcm: seal migration payload: %w", err)
-	}
-	// At this point T stops processing requests (Sec. 4.6.2), and leaves
-	// a checkpoint not yet sealed unsealed: the host copies the storage.
-	p.migrated = true
-	p.pending.Store(nil)
-	return encodeMigrationExport(&MigrationExport{SenderPub: senderPub, Ciphertext: ct}), nil
-}
-
-// handleMigrateImport installs state received from a migration origin and
-// re-seals it under this platform's sealing key.
-func (p *Trusted) handleMigrateImport(env tee.Env, inner []byte) ([]byte, error) {
-	if p.provisioned() {
-		return nil, ErrAlreadyProvisioned
-	}
-	export, err := DecodeMigrationExport(inner)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := p.channel.Open(export.SenderPub, export.Ciphertext)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: migration channel: %w", err)
-	}
-	payload, err := decodeMigrationPayload(plain)
-	if err != nil {
-		return nil, err
-	}
-	kp, err := aead.KeyFromBytes(payload.KP)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: migration kP: %w", err)
-	}
-	state, err := decodeTrustedState(payload.State)
-	if err != nil {
-		return nil, err
-	}
-	if payload.ChainMode {
-		return p.importChain(env, kp, state, payload)
-	}
-	if err := p.install(env, kp, state); err != nil {
-		return nil, err
-	}
-	// The counter is a platform resource and did not migrate with the
-	// state; rebase the reservation on this platform's current value. The
-	// origin stopped processing before exporting, so no live writer is
-	// being forgiven. (On a fresh platform this reads 0.)
-	p.beaconTick = env.CounterRead(p.counterID())
-	if err := p.persist(env); err != nil {
-		return nil, err
-	}
-	return []byte("ok"), nil
-}
-
-// importChain completes a chain-mode migration import: the service state
-// is rebuilt from this host's copy of the origin's sealed base blob and
-// delta log, verified to end exactly at the chain head the origin pinned
-// in the payload, while V, kC and the admin sequence come from the
-// payload itself. Only the key blob is re-sealed (under this platform's
-// sealing key); the state blob and log continue unchanged, so the target
-// resumes the chain — and its checkpoint bookkeeping — where the origin
-// left off.
-func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, payload *migrationPayload) ([]byte, error) {
-	if p.deltaSvc == nil {
-		return nil, errors.New("lcm: chain-mode migration requires a delta-capable service")
-	}
-	baseBlob, err := env.Host().Load(SlotStateBlob)
-	if errors.Is(err, stablestore.ErrNotFound) {
-		return nil, errors.New("lcm: chain-mode migration: origin's sealed state not present on this host")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lcm: chain-mode migration: load state blob: %w", err)
-	}
-	base, seg, err := openStateBlob(kp, baseBlob, func() ([]byte, error) { return env.Host().Load(SlotStateBlob) })
-	if err != nil {
-		return nil, fmt.Errorf("lcm: chain-mode migration: state blob: %w", err)
-	}
-	if err := p.install(env, kp, base); err != nil {
-		return nil, err
-	}
-	if err := p.foldDeltaLog(env, base, seg, len(baseBlob), SegmentSlot); err != nil {
-		return nil, err
-	}
-	if p.chainPrev != payload.ChainPrev {
-		// The host's copy of the chain is stale, truncated or ahead of
-		// what the origin exported; refuse (the host can retry with the
-		// correct files) instead of importing a rolled-back state.
-		p.kp = aead.Key{}
-		return nil, errors.New("lcm: chain-mode migration: delta chain does not reach the origin's head")
-	}
-	// The payload's V/kC/adminSeq are the origin's authoritative values
-	// (they subsume what the fold reconstructed).
-	kc, err := aead.KeyFromBytes(state.KC)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: migration kC: %w", err)
-	}
-	if state.AdminSeq != p.adminSeq {
-		p.kp = aead.Key{}
-		return nil, errors.New("lcm: chain-mode migration: admin sequence mismatch against folded state")
-	}
-	if state.Gen != p.gen {
-		p.kp = aead.Key{}
-		return nil, errors.New("lcm: chain-mode migration: reshard generation mismatch against folded state")
-	}
-	p.kc = kc
-	p.g = p.freshGroup(nil)
-	p.g.adoptState(state)
-	p.t, p.h = state.SeqT, state.SeqH
-	if len(payload.Pending) > 0 {
-		if err := p.deltaSvc.ApplyDelta(payload.Pending); err != nil {
-			return nil, tee.Halt("migration pending delta malformed", err)
-		}
-	}
-	// The payload's beacon ordinal is authoritative (≥ anything the fold
-	// reconstructed); the counter tick rebases on this platform, exactly
-	// as in the snapshot-mode import, and is sealed before the key blob
-	// commits the import (no counter of kP moves before a first beacon).
-	p.beaconSeq = state.BeaconSeq
-	p.beaconTick = env.CounterRead(p.counterID())
-	if err := p.sealBeaconTick(env); err != nil {
-		return nil, fmt.Errorf("lcm: chain-mode migration: seal beacon tick: %w", err)
-	}
-	p.chargeFootprint(env)
-	// Re-seal only kP under this platform's sealing key; the sealed state
-	// and delta log stay as-is and the chain continues from them.
-	keyBlob, err := p.sealKeyBlob()
-	if err != nil {
-		return nil, err
-	}
-	if err := env.Host().Store(SlotKeyBlob, keyBlob); err != nil {
-		return nil, fmt.Errorf("lcm: store key blob: %w", err)
 	}
 	return []byte("ok"), nil
 }

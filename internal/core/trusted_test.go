@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lcm/internal/aead"
 	"lcm/internal/kvs"
 	"lcm/internal/stablestore"
 	"lcm/internal/tee"
@@ -13,7 +14,7 @@ import (
 // rig wires a trusted LCM context to a simulated platform with
 // attacker-controllable storage, plus a bootstrapped admin and clients.
 type rig struct {
-	t           *testing.T
+	t           testing.TB
 	platform    *tee.Platform
 	attestation *tee.AttestationService
 	storage     *stablestore.RollbackStore
@@ -25,7 +26,7 @@ type rig struct {
 	noCheckpoints bool
 }
 
-func newRig(t *testing.T, clientIDs []uint32) *rig {
+func newRig(t testing.TB, clientIDs []uint32) *rig {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-1")
@@ -191,11 +192,12 @@ func (r *rig) mustGet(clientID uint32, key string) (kvs.Result, *Result) {
 	return kv, res
 }
 
-// copySealedState plays the honest host's part of a chain-mode migration:
-// the sealed state blob and delta log are ordinary untrusted files, and
-// the host ships them to the target's storage outside the secure channel
-// (the payload carries only kP, V and the chain head).
-func copySealedState(t *testing.T, dst, src stablestore.Store) {
+// copySealedState plays the honest host's part of a reshard's staging or
+// an admin recovery: the sealed state blob and delta log are ordinary
+// untrusted files, and the host ships them to the target's storage
+// outside the secure channel (a reshard piece carries only kP, the chain
+// head and the pending delta).
+func copySealedState(t testing.TB, dst, src stablestore.Store) {
 	t.Helper()
 	blob, err := src.Load(SlotStateBlob)
 	if err != nil {
@@ -219,6 +221,115 @@ func copySealedState(t *testing.T, dst, src stablestore.Store) {
 			t.Fatalf("store delta log: %v", err)
 		}
 	}
+}
+
+// reshardOnto moves r's context onto targets, one store each, as the
+// host's coordinator does: quote every target over the lead's nonce,
+// BEGIN (relaying channel, the admin's, if set), stage the source's chain
+// under src0/ in each target's store (stage, if set, stages instead),
+// EXPORT, and IMPORT on each target. A migration is one target on
+// another platform. A failure before EXPORT aborts, and the origin
+// serves on.
+func (r *rig) reshardOnto(targets []*tee.Enclave, stores []stablestore.Store, channel []byte, stage func(dst stablestore.Store)) (*ReshardBeginResult, *ReshardExportResult, error) {
+	r.t.Helper()
+	abort := func(err error) (*ReshardBeginResult, *ReshardExportResult, error) {
+		_, _ = r.enclave.Call(EncodeReshardAbortCall())
+		return nil, nil, err
+	}
+	nonce, err := r.enclave.Call(EncodeReshardChallengeCall())
+	if err != nil {
+		return abort(err)
+	}
+	quotes := make([][]byte, len(targets))
+	for j, target := range targets {
+		if quotes[j], err = target.Call(EncodeAttestCall(nonce)); err != nil {
+			return abort(err)
+		}
+	}
+	resp, err := r.enclave.Call(EncodeReshardBeginCall(len(targets), quotes, nil, channel))
+	if err != nil {
+		return abort(err)
+	}
+	begin, err := DecodeReshardBeginResult(resp)
+	if err != nil {
+		return abort(err)
+	}
+	for _, store := range stores {
+		staging := stablestore.NewNamespaced(store, "src0")
+		if stage != nil {
+			stage(staging)
+		} else {
+			copySealedState(r.t, staging, r.storage)
+		}
+	}
+	if resp, err = r.enclave.Call(EncodeReshardExportCall()); err != nil {
+		return abort(err)
+	}
+	export, err := DecodeReshardExportResult(resp)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, target := range targets {
+		if _, err := target.Call(EncodeReshardImportCall(begin.TargetPayloads[j], [][]byte{export.Pieces[j]})); err != nil {
+			return begin, export, fmt.Errorf("reshard import %d: %w", j, err)
+		}
+	}
+	return begin, export, nil
+}
+
+// adopt walks client c of the single-shard context r moved across the
+// boundary, as a client session does: it opens the source's handoff with
+// its kC, requires its own V entry to match its context (or, with an op
+// pending, to have executed exactly that op, whose result the cached
+// reply recovers) and starts a fresh context under target shard j's kC.
+func adopt(c *Client, kc aead.Key, export *ReshardExportResult, j int) (*Client, *Result, error) {
+	handoff, err := OpenReshardHandoff(kc, export.Handoff)
+	if err != nil {
+		return nil, nil, err
+	}
+	entry, ok := handoff.Entry(c.ID())
+	if !ok || j >= len(handoff.NewKCs) {
+		return nil, nil, fmt.Errorf("handoff has no entry for client %d or no key for shard %d", c.ID(), j)
+	}
+	var recovered *Result
+	st := c.State()
+	switch {
+	case entry.T == st.TC && entry.H == st.HC:
+	case st.Pending != nil && entry.TA == st.TC && entry.HA == st.HC:
+		if recovered, err = c.ProcessReply(entry.LastReply); err != nil {
+			return nil, nil, err
+		}
+	default:
+		return nil, nil, fmt.Errorf("%w: handoff context t=%d, client t=%d", ErrViolationDetected, entry.T, st.TC)
+	}
+	kcNew, err := aead.KeyFromBytes(handoff.NewKCs[j])
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewClient(c.ID(), kcNew), recovered, nil
+}
+
+// migrate moves r's context onto a fresh enclave of cfg's program on
+// platform, over store, and moves its clients; the returned rig drives
+// the target.
+func (r *rig) migrate(platform *tee.Platform, store *stablestore.RollbackStore, cfg TrustedConfig) (*rig, error) {
+	r.t.Helper()
+	cfg.Attestation = r.attestation
+	target := platform.NewEnclave(NewTrustedFactory(cfg), store)
+	if err := target.Start(); err != nil {
+		return nil, err
+	}
+	_, export, err := r.reshardOnto([]*tee.Enclave{target}, []stablestore.Store{store}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	tr := &rig{t: r.t, platform: platform, attestation: r.attestation, storage: store, enclave: target, clients: map[uint32]*Client{}}
+	for id, c := range r.clients {
+		if tr.clients[id], _, err = adopt(c, r.admin.CommunicationKey(), export, 0); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
 }
 
 func TestBootstrapAndBasicOperation(t *testing.T) {
@@ -583,107 +694,73 @@ func TestForkStallsStability(t *testing.T) {
 	}
 }
 
-// Migration (Sec. 4.6.2): T moves to a new platform; the hash chain and
-// client sessions continue; the origin refuses further work.
+// kvsConfig is the kvs program the rigs run.
+func kvsConfig() TrustedConfig {
+	return TrustedConfig{ServiceName: "kvs", NewService: kvs.Factory()}
+}
+
+// Migration (Sec. 4.6.2) is a reshard onto another platform: the state
+// moves, each client's context is pinned in the origin's handoff, the
+// origin refuses further work, and the target restarts from its own
+// storage.
 func TestMigrationPreservesSessionsAndState(t *testing.T) {
 	r := newRig(t, []uint32{1, 2})
 	r.mustPut(1, "k", "v1")
 	r.mustPut(2, "k", "v2")
+	origin := r.clients[1]
 
-	// Target platform with its own storage (shared-storage migration is
-	// exercised in TestMigrationInitOnForeignPlatformAwaitsImport). With
-	// delta persistence active the migration payload carries the chain
-	// head, not the state, so the host copies the sealed files over.
 	target, err := tee.NewPlatform("plat-2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.attestation.Register(target)
-	targetStorage := stablestore.NewMemStore()
-	factory := NewTrustedFactory(TrustedConfig{
-		ServiceName: "kvs",
-		NewService:  kvs.Factory(),
-		Attestation: r.attestation,
-	})
-	targetEnclave := target.NewEnclave(factory, targetStorage)
-	if err := targetEnclave.Start(); err != nil {
-		t.Fatal(err)
+	tr, err := r.migrate(target, stablestore.NewRollbackStore(stablestore.NewMemStore()), kvsConfig())
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
 	}
 
-	copySealedState(t, targetStorage, r.storage)
-	if err := Migrate(r.enclave.Call, targetEnclave.Call); err != nil {
-		t.Fatalf("Migrate: %v", err)
+	// The origin refuses batches now.
+	inv, _ := origin.Invoke(kvs.Get("k"))
+	if _, err := r.enclave.Call(EncodeBatchCall([][]byte{inv})); !errors.Is(err, ErrReshardedAway) {
+		t.Fatalf("origin after migration = %v, want ErrReshardedAway", err)
 	}
 
-	// Origin refuses batches now.
-	c1 := r.clients[1]
-	inv, _ := c1.Invoke(kvs.Get("k"))
-	if _, err := r.enclave.Call(EncodeBatchCall([][]byte{inv})); !errors.Is(err, ErrMigratedAway) {
-		t.Fatalf("origin after migration = %v, want ErrMigratedAway", err)
+	// Each client checked its own V entry in the handoff (adopt) and runs
+	// a fresh context under the target's kC, over the migrated state.
+	kv, res := tr.mustGet(1, "k")
+	if res.Seq != 1 || !kv.Found || string(kv.Value) != "v2" {
+		t.Fatalf("migrated state read = %+v at seq %d", kv, res.Seq)
 	}
-
-	// The same pending op succeeds against the target with full session
-	// continuity (tc/hc verified against the migrated V).
-	retry, err := c1.RetryMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := targetEnclave.Call(EncodeBatchCall([][]byte{retry}))
-	if err != nil {
-		t.Fatalf("target call: %v", err)
-	}
-	batch, _ := DecodeBatchResult(resp)
-	// Honest target host: append the delta record (the import persisted
-	// the full blob; batches continue the chain from it).
-	if len(batch.DeltaRecord) > 0 {
-		if err := targetStorage.Append(SegmentSlot(batch.Seg), batch.DeltaRecord); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := targetStorage.Store(SlotStateBlob, batch.StateBlob); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c1.ProcessReply(batch.Replies[0])
-	if err != nil {
-		t.Fatalf("reply from target: %v", err)
-	}
-	if res.Seq != 3 {
-		t.Fatalf("target seq = %d, want 3", res.Seq)
-	}
-	kv, err := kvs.DecodeResult(res.Value)
-	if err != nil || !kv.Found || string(kv.Value) != "v2" {
-		t.Fatalf("migrated state read = %+v, %v", kv, err)
-	}
+	tr.mustPut(2, "k", "v3")
 
 	// The target persisted under its own sealing key: it can restart.
-	if err := targetEnclave.Restart(); err != nil {
+	if err := tr.enclave.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	status, err := QueryStatus(targetEnclave.Call)
-	if err != nil || status.Seq != 3 {
+	status, err := QueryStatus(tr.enclave.Call)
+	if err != nil || status.Seq != 2 || status.Gen != 1 {
 		t.Fatalf("target status after restart = %+v, %v", status, err)
+	}
+	if kv, _ := tr.mustGet(1, "k"); string(kv.Value) != "v3" {
+		t.Fatalf("value after the target's restart = %q", kv.Value)
 	}
 }
 
-// A migration export must only be released to an attested genuine target:
-// a quote from an unregistered platform is rejected.
+// A migration releases the generation's keys only to an attested genuine
+// target: a quote from an unregistered platform fails BEGIN, and the
+// origin serves on.
 func TestMigrationRejectsRoguePlatform(t *testing.T) {
 	r := newRig(t, []uint32{1})
 	rogue, _ := tee.NewPlatform("rogue") // never registered
-	factory := NewTrustedFactory(TrustedConfig{
-		ServiceName: "kvs",
-		NewService:  kvs.Factory(),
-		Attestation: r.attestation,
-	})
-	rogueEnclave := rogue.NewEnclave(factory, stablestore.NewMemStore())
+	cfg := kvsConfig()
+	cfg.Attestation = r.attestation
+	rogueEnclave := rogue.NewEnclave(NewTrustedFactory(cfg), stablestore.NewMemStore())
 	if err := rogueEnclave.Start(); err != nil {
 		t.Fatal(err)
 	}
-	err := Migrate(r.enclave.Call, rogueEnclave.Call)
-	if err == nil {
-		t.Fatal("migration to unregistered platform succeeded")
-	}
-	if !errors.Is(err, ErrMigrationAttestation) {
-		t.Fatalf("migration error = %v, want ErrMigrationAttestation", err)
+	_, _, err := r.reshardOnto([]*tee.Enclave{rogueEnclave}, []stablestore.Store{stablestore.NewMemStore()}, nil, nil)
+	if !errors.Is(err, ErrReshardAttestation) {
+		t.Fatalf("migration to an unregistered platform = %v, want ErrReshardAttestation", err)
 	}
 	// The origin must still be serving (no state was released).
 	if _, err := r.do(1, kvs.Put("k", "v")); err != nil {
@@ -691,22 +768,19 @@ func TestMigrationRejectsRoguePlatform(t *testing.T) {
 	}
 }
 
-// With shared remote storage, the target enclave on a different platform
-// finds a key blob it cannot unseal and awaits migration instead of
-// halting (Sec. 4.6.2).
+// With shared storage, an enclave on a different platform finds a key
+// blob it cannot unseal and awaits provisioning instead of halting
+// (Sec. 4.6.2); a migration's import then provisions it.
 func TestMigrationInitOnForeignPlatformAwaitsImport(t *testing.T) {
 	r := newRig(t, []uint32{1})
 	r.mustPut(1, "k", "v")
 
 	target, _ := tee.NewPlatform("plat-2")
 	r.attestation.Register(target)
-	factory := NewTrustedFactory(TrustedConfig{
-		ServiceName: "kvs",
-		NewService:  kvs.Factory(),
-		Attestation: r.attestation,
-	})
+	cfg := kvsConfig()
+	cfg.Attestation = r.attestation
 	// Shared storage: the target sees the origin's sealed blobs.
-	targetEnclave := target.NewEnclave(factory, r.storage)
+	targetEnclave := target.NewEnclave(NewTrustedFactory(cfg), r.storage)
 	if err := targetEnclave.Start(); err != nil {
 		t.Fatalf("target start on shared storage: %v", err)
 	}
@@ -717,11 +791,11 @@ func TestMigrationInitOnForeignPlatformAwaitsImport(t *testing.T) {
 	if status.Provisioned {
 		t.Fatal("target claims provisioned without kP")
 	}
-	if err := Migrate(r.enclave.Call, targetEnclave.Call); err != nil {
-		t.Fatalf("Migrate over shared storage: %v", err)
+	if _, _, err := r.reshardOnto([]*tee.Enclave{targetEnclave}, []stablestore.Store{r.storage}, nil, nil); err != nil {
+		t.Fatalf("migration over shared storage: %v", err)
 	}
 	status, _ = QueryStatus(targetEnclave.Call)
-	if !status.Provisioned || status.Seq != 1 {
+	if !status.Provisioned || status.Gen != 1 || status.Seq != 0 {
 		t.Fatalf("target status after import = %+v", status)
 	}
 }
@@ -1042,7 +1116,7 @@ func TestStatusCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status.Seq != 3 || !status.Provisioned || status.Migrated {
+	if status.Seq != 3 || !status.Provisioned || status.Retired {
 		t.Fatalf("status = %+v", status)
 	}
 }

@@ -3,7 +3,8 @@
 // to demonstrate that the LCM framework is generic over the enclave
 // application (the paper's framework accepts any operation processor plus
 // serialization interface, Sec. 5.2) and serves as the workload for the
-// membership and migration examples.
+// membership and migration examples (a migration reshards the bank onto
+// another server).
 //
 // Transfers make the service's consistency guarantees observable: under a
 // forking attack, two partitions can both spend the same balance — exactly

@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"lcm/internal/core"
@@ -40,9 +41,10 @@ func (s *Server) tick(d time.Duration) (<-chan time.Time, func()) {
 }
 
 // tickLoop drives one instance's beacons and epoch seals until the server
-// stops or the instance's enclave terminally leaves the serving state
-// (halt, migration, reshard). On a halt it also drops any route override
-// pointing at this instance, so subsequently accepted connections reach
+// stops, the instance's enclave terminally leaves the serving state (halt,
+// reshard or migration), or a failing tick finds the instance replaced (a
+// migration's destination stops its unprovisioned enclaves). On a halt it
+// also drops any route override pointing at this instance, so subsequently accepted connections reach
 // the shard's surviving primary instead of a dead clone — attack arms
 // stay composable after detection fires.
 func (s *Server) tickLoop(inst *instance) {
@@ -65,7 +67,9 @@ func (s *Server) tickLoop(inst *instance) {
 		case errors.Is(err, tee.ErrEnclaveHalted):
 			s.clearOverridesTo(inst)
 			return
-		case errors.Is(err, core.ErrMigratedAway), errors.Is(err, core.ErrReshardedAway):
+		case errors.Is(err, core.ErrReshardedAway):
+			return
+		case !s.registered(inst):
 			return
 		default:
 			// Transient refusals (not yet provisioned, frozen mid-reshard,
@@ -117,4 +121,11 @@ func (s *Server) clearOverridesTo(inst *instance) {
 			delete(s.routeOverride, shard)
 		}
 	}
+}
+
+// registered reports whether inst is still one of the server's instances.
+func (s *Server) registered(inst *instance) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Contains(s.instances, inst)
 }

@@ -61,7 +61,7 @@ func TestReshardGCReclaimsRetiredGenerations(t *testing.T) {
 		}
 	}
 
-	if _, err := st.server.Reshard(newShards); err != nil {
+	if _, err := st.server.Reshard(newShards, nil); err != nil {
 		t.Fatalf("Reshard: %v", err)
 	}
 	// Staging copies exist until the whole group adopts.

@@ -539,7 +539,7 @@ func (s *Server) instanceAt(idx int) *instance {
 // barrierECall performs a non-batch ecall against instance idx behind the
 // persistence barrier: it holds the instance's persist lock — so no batch
 // can seal a new record between the flush and the call — flushes any
-// queued batch results, then calls. Without the lock, an admin/migration
+// queued batch results, then calls. Without the lock, an admin or import
 // persist (fresh blob + log truncation) inside the call could race a
 // just-sealed delta record still queued at the committer, landing an
 // unchained record at the head of the truncated log; a later restart
@@ -570,7 +570,7 @@ func (s *Server) instanceBarrierECall(inst *instance, payload []byte) ([]byte, e
 		return s.epochSealLocked(inst)
 	}
 	if !bytes.Equal(payload, core.EncodeStatusCall()) {
-		inst.fence.advance() // it may store an inline blob (bootstrap, admin, migration)
+		inst.fence.advance() // it may store an inline blob (bootstrap, admin, recover)
 	}
 	return inst.enclave.Call(payload)
 }
@@ -588,7 +588,7 @@ func (s *Server) Enclave(idx int) *tee.Enclave {
 // ECall performs a raw enclave call against shard 0's primary instance —
 // the path an in-process admin of an unsharded deployment uses. Like the
 // networked ecall path it runs behind the persistence barrier, so status,
-// admin and migration calls see storage consistent with every
+// admin and reshard calls see storage consistent with every
 // acknowledged batch.
 func (s *Server) ECall(payload []byte) ([]byte, error) {
 	return s.barrierECall(0, payload)
@@ -820,7 +820,7 @@ func (s *Server) connLoop(cs *connState) {
 			}
 			_ = cs.send(wire.OKFrame(reply))
 		case wire.FrameECall:
-			// Ecalls (status, admin, migration) act as persistence
+			// Ecalls (status, admin, reshard) act as persistence
 			// barriers: queued batch results become durable first.
 			inst, inner, err := s.routeFrame(cs, payload)
 			if err != nil {
@@ -1527,8 +1527,8 @@ func (s *Server) AttackClone(shard int) (int, error) {
 		if err := cloneStore.Store(core.SlotKeyBlob, keyBlob); err != nil {
 			return fmt.Errorf("host: clone attack: store key blob: %w", err)
 		}
-		// CopyStorage deliberately skips the key blob (migration re-seals
-		// it); the attacker copies it too — same platform, same sealing
+		// CopyStorage deliberately skips the key blob (a reshard target
+		// seals its own); the attacker copies it too — same platform, same sealing
 		// key, so the clone recovers unassisted.
 		return CopyStorage(src.store, cloneStore)
 	}(); err != nil {

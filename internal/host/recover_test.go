@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"lcm/internal/client"
@@ -98,11 +99,16 @@ func TestTransferStrandedEscrowRecoveredAndResolved(t *testing.T) {
 // context reseals the key blob under the new platform, so later restarts
 // stand alone.
 func TestAdminRecoverReanimatesOnNewPlatform(t *testing.T) {
-	origin, target, originStore, targetStore, admin := migrationPair(t)
-	driveOriginChain(t, origin, originStore, admin, 3)
+	originStore, targetStore := stablestore.NewMemStore(), stablestore.NewMemStore()
+	m := newMigrateStack(t, originStore, targetStore, []uint32{1})
+	target, admin := m.target, m.admin
+	sess := m.session(1)
+	for i := 1; i <= 3; i++ {
+		put(t, sess, "k", fmt.Sprintf("v%d", i))
+	}
 
 	// The origin platform dies; only its storage survives, shipped to the
-	// target host. No migration handshake ever ran.
+	// target host. No migration ever ran.
 	if err := CopyStorage(originStore, targetStore); err != nil {
 		t.Fatalf("CopyStorage: %v", err)
 	}

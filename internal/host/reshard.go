@@ -22,8 +22,8 @@ type ReshardStats struct {
 	// operation.
 	Pause time.Duration
 	// AdminHandoff is the new generation's key set sealed to the admin's
-	// reshard channel (empty unless ReshardWithAdmin was used). The host
-	// only relays it — the admin opens it with core.Admin.AdoptReshard.
+	// reshard channel (empty unless the call relayed one). The host only
+	// relays it — the admin opens it with core.Admin.AdoptReshard.
 	AdminHandoff core.SealedPayload
 }
 
@@ -47,43 +47,97 @@ type ReshardStats struct {
 //     refresh error), and the handoff bundle is served on
 //     wire.FrameReshardInfo for clients to verify and adopt.
 //
+// adminChannel, if non-nil, is the admin's sealed reshard channel
+// (core.Admin.ReshardChannel): the lead seals the new generation's keys
+// to it, the returned stats carry them (AdminHandoff), and membership
+// changes keep working after the move.
+//
 // Until the first EXPORT the reshard is abortable: any failure unfreezes
 // the sources and the old generation resumes serving. After EXPORT the
-// sources are gone (the protocol's point of no return, like a migration
-// origin), so a failure past it leaves the deployment down and the error
-// says so — the staged state remains on storage for recovery.
-func (s *Server) Reshard(newShards int) (*ReshardStats, error) {
-	return s.reshard(newShards, nil)
+// sources are gone (the protocol's point of no return), so a failure
+// past it leaves the deployment down and the error says so — the staged
+// state remains on storage for recovery.
+func (s *Server) Reshard(newShards int, adminChannel []byte) (*ReshardStats, error) {
+	return s.reshard(s, newShards, adminChannel)
 }
 
-// ReshardWithAdmin runs Reshard while relaying the admin's sealed
-// reshard-channel blob (core.Admin.ReshardChannel) to the lead, so the
-// returned stats carry the new generation's admin handoff and membership
-// changes keep working after the move.
-func (s *Server) ReshardWithAdmin(newShards int, adminChannel []byte) (*ReshardStats, error) {
-	return s.reshard(newShards, adminChannel)
+// MigrateTo moves the deployment onto dst, a server on another platform
+// (Sec. 4.6.2): a reshard that keeps the shard count and starts its
+// targets on dst — its platform, program factory and storage. dst must
+// be fresh: at generation 0, with enclaves nobody provisioned. Once the
+// targets imported, dst serves the new generation, and the origin moves
+// to it too: it keeps serving the generation's handoff bundle, so its
+// stale clients verify the handoffs and adopt the new keys with
+// client.ShardedSession.Refresh, dialing dst. The origin's retired
+// enclaves refuse everything with core.ErrReshardedAway.
+func (s *Server) MigrateTo(dst *Server, adminChannel []byte) (*ReshardStats, error) {
+	if dst == nil || dst == s {
+		return nil, errors.New("host: migrate to another server")
+	}
+	return s.reshard(dst, s.Shards(), adminChannel)
 }
 
-func (s *Server) reshard(newShards int, adminChannel []byte) (*ReshardStats, error) {
+// beginReshard marks s as running a reshard, as its source or as a
+// migration's destination, unless one already runs.
+func (s *Server) beginReshard() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.resharding {
+		return errors.New("host: a reshard is already in progress")
+	}
+	s.resharding = true
+	return nil
+}
+
+func (s *Server) endReshard() {
+	s.mu.Lock()
+	s.resharding = false
+	s.mu.Unlock()
+}
+
+// fresh refuses a migration destination that holds a deployment: one
+// past generation 0, or one whose enclaves are provisioned.
+func (s *Server) fresh() error {
+	if gen := s.Gen(); gen != 0 {
+		return fmt.Errorf("host: migration target is at generation %d, not fresh", gen)
+	}
+	for shard := 0; shard < s.Shards(); shard++ {
+		status, err := core.QueryStatus(s.ShardCall(shard))
+		if err != nil {
+			return fmt.Errorf("host: migration target shard %d: %w", shard, err)
+		}
+		if status.Provisioned {
+			return fmt.Errorf("host: migration target shard %d is already provisioned", shard)
+		}
+	}
+	return nil
+}
+
+// reshard moves s's deployment to newShards target enclaves started on
+// dst: s itself for a reshard, a fresh server for a migration.
+func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*ReshardStats, error) {
 	if newShards < 1 || newShards > wire.MaxShards {
 		return nil, fmt.Errorf("host: reshard to %d shards (want 1..%d)", newShards, wire.MaxShards)
 	}
-	s.mu.Lock()
-	if s.resharding {
-		s.mu.Unlock()
-		return nil, errors.New("host: a reshard is already in progress")
+	if err := s.beginReshard(); err != nil {
+		return nil, err
 	}
-	s.resharding = true
+	defer s.endReshard()
+	if dst != s {
+		if err := dst.beginReshard(); err != nil {
+			return nil, err
+		}
+		defer dst.endReshard()
+		if err := dst.fresh(); err != nil {
+			return nil, err
+		}
+	}
+	s.mu.Lock()
 	oldShards := s.shards
 	gen := s.gen + 1
 	sources := append([]*instance(nil), s.instances[:oldShards]...)
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.resharding = false
-		s.mu.Unlock()
-	}()
-	if newShards == oldShards {
+	if dst == s && newShards == oldShards {
 		return nil, fmt.Errorf("host: deployment already has %d shards", newShards)
 	}
 
@@ -115,8 +169,8 @@ func (s *Server) reshard(newShards int, adminChannel []byte) (*ReshardStats, err
 		return abort(fmt.Errorf("host: reshard challenge: %w", err))
 	}
 	for j := 0; j < newShards; j++ {
-		store := s.storeForShard(gen, newShards, j)
-		enclave := s.cfg.Platform.NewEnclave(s.cfg.Factory, store)
+		store := dst.storeForShard(gen, newShards, j)
+		enclave := dst.cfg.Platform.NewEnclave(dst.cfg.Factory, store)
 		enclave.SetLabel(genShardPrefix(gen, j))
 		if err := enclave.Start(); err != nil {
 			return abort(fmt.Errorf("host: start reshard target %d: %w", j, err))
@@ -205,7 +259,7 @@ func (s *Server) reshard(newShards int, adminChannel []byte) (*ReshardStats, err
 		}
 	}
 
-	// Swap: the new generation's instances become the shard primaries.
+	// Swap: the new generation's instances become dst's shard primaries.
 	handoffs := make([][]byte, oldShards)
 	for i, export := range exports {
 		handoffs[i] = export.Handoff
@@ -218,26 +272,39 @@ func (s *Server) reshard(newShards int, adminChannel []byte) (*ReshardStats, err
 	}
 	instances := make([]*instance, newShards)
 	for j := range targets {
-		rs, err := s.replicaSetFor(gen, newShards, j)
+		rs, err := dst.replicaSetFor(gen, newShards, j)
 		if err != nil {
 			return nil, fmt.Errorf("host: start replica set for target %d (deployment needs recovery): %w", j, err)
 		}
-		instances[j] = s.newInstance(targets[j], targetStores[j], j, rs)
+		instances[j] = dst.newInstance(targets[j], targetStores[j], j, rs)
 	}
-	s.mu.Lock()
-	s.gen = gen
-	s.shards = newShards
-	s.instances = instances
-	s.shardStores = targetStores
-	s.routeOverride = make(map[int]int)
-	s.reshardInfos[gen] = info.Encode()
-	s.mu.Unlock()
+	encoded := info.Encode()
+	dst.mu.Lock()
+	replaced := dst.instances
+	dst.gen = gen
+	dst.shards = newShards
+	dst.instances = instances
+	dst.shardStores = targetStores
+	dst.routeOverride = make(map[int]int)
+	dst.reshardInfos[gen] = encoded
+	dst.mu.Unlock()
 	for _, inst := range instances {
-		s.startInstance(inst)
+		dst.startInstance(inst)
 	}
 	// Old instances stay allocated but unroutable: stale connections are
 	// answered with a refresh error before any frame reaches them, and
-	// their (now terminal) enclaves refuse everything anyway.
+	// their (now terminal) enclaves refuse everything anyway. A migrated
+	// origin moves to the new generation too, to serve its bundle to the
+	// stale clients; the destination's unprovisioned enclaves stop.
+	if dst != s {
+		s.mu.Lock()
+		s.gen = gen
+		s.reshardInfos[gen] = encoded
+		s.mu.Unlock()
+		for _, inst := range replaced {
+			inst.enclave.Stop()
+		}
+	}
 
 	return &ReshardStats{
 		Gen:          gen,

@@ -20,16 +20,21 @@ import (
 	"lcm/internal/transport"
 )
 
-// refreshUntilAdopted drives a session through the reshard refresh loop:
-// while the reshard is still in flight the host has no info to serve, so
-// the client retries; a verification failure (violation) is returned to
-// the caller. Returns the adopted session and the pending resolution.
+// refreshUntilAdopted drives a session through the reshard refresh loop
+// (refreshVia) against the stack's server.
 func refreshUntilAdopted(st *shardStack, sess *client.ShardedSession) (*client.ShardedSession, []client.ReshardPending, error) {
+	return refreshVia(sess, func() (transport.Conn, error) { return st.net.Dial("srv") })
+}
+
+// refreshVia drives a session through the reshard refresh loop, dialing
+// the new generation with dial: while the reshard is still in flight the
+// host has no info to serve, so the client retries; a verification
+// failure (violation) is returned to the caller. Returns the adopted
+// session and the pending resolution.
+func refreshVia(sess *client.ShardedSession, dial func() (transport.Conn, error)) (*client.ShardedSession, []client.ReshardPending, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		next, pending, err := sess.Refresh(func() (transport.Conn, error) {
-			return st.net.Dial("srv")
-		})
+		next, pending, err := sess.Refresh(dial)
 		if err == nil {
 			return next, pending, nil
 		}
@@ -85,7 +90,7 @@ func TestReshardAfterRestartRecoversExecutedOp(t *testing.T) {
 	if err := st.server.Enclave(shard).Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.server.Reshard(4); err != nil {
+	if _, err := st.server.Reshard(4, nil); err != nil {
 		t.Fatalf("Reshard: %v", err)
 	}
 	next, pending, err := refreshUntilAdopted(st, sess)
@@ -205,7 +210,7 @@ func TestLiveReshardGrowUnderTraffic(t *testing.T) {
 	for ackCount.Load() < 15 {
 		time.Sleep(time.Millisecond)
 	}
-	stats, err := st.server.Reshard(newShards)
+	stats, err := st.server.Reshard(newShards, nil)
 	if err != nil {
 		t.Fatalf("Reshard: %v", err)
 	}
@@ -283,7 +288,7 @@ func TestReshardShrinkMergesState(t *testing.T) {
 		written[key] = val
 	}
 
-	if _, err := st.server.Reshard(2); err != nil {
+	if _, err := st.server.Reshard(2, nil); err != nil {
 		t.Fatalf("Reshard 4→2: %v", err)
 	}
 	next, pending, err := refreshUntilAdopted(st, sess)
@@ -319,7 +324,7 @@ func TestReshardSingleShardGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.server.Reshard(3); err != nil {
+	if _, err := st.server.Reshard(3, nil); err != nil {
 		t.Fatalf("Reshard 1→3: %v", err)
 	}
 	next, _, err := refreshUntilAdopted(st, sess)
@@ -367,7 +372,7 @@ func TestReshardRollbackDuringMoveDetected(t *testing.T) {
 
 	// The reshard itself completes — the rolled-back state is internally
 	// consistent, so only the clients' contexts can expose it.
-	if _, err := st.server.Reshard(4); err != nil {
+	if _, err := st.server.Reshard(4, nil); err != nil {
 		t.Fatalf("Reshard after rollback: %v", err)
 	}
 	_, _, err := refreshUntilAdopted(st, sess)
@@ -412,7 +417,7 @@ func TestReshardForkDuringMoveDetected(t *testing.T) {
 	if !store.RollbackLogBy(st.server.ShardSlot(victim, core.SlotDeltaLog), 2) {
 		t.Fatal("could not pin the victim log to the primary branch")
 	}
-	if _, err := st.server.Reshard(4); err != nil {
+	if _, err := st.server.Reshard(4, nil); err != nil {
 		t.Fatalf("Reshard with a mounted fork: %v", err)
 	}
 
@@ -463,7 +468,7 @@ func TestReshardEscrowTransferResumes(t *testing.T) {
 	}
 	tx.Phase = client.TxPrepared
 
-	if _, err := st.server.Reshard(4); err != nil {
+	if _, err := st.server.Reshard(4, nil); err != nil {
 		t.Fatalf("Reshard with escrow in flight: %v", err)
 	}
 	next, _, err := refreshUntilAdopted(st, sess)
@@ -520,7 +525,7 @@ func TestReshardClientWalksMultipleGenerations(t *testing.T) {
 
 	// Generation 1, adopted only by client 2, who keeps writing.
 	awake := st.session(2)
-	if _, err := st.server.Reshard(4); err != nil {
+	if _, err := st.server.Reshard(4, nil); err != nil {
 		t.Fatalf("Reshard to gen 1: %v", err)
 	}
 	awake, _, err := refreshUntilAdopted(st, awake)
@@ -531,7 +536,7 @@ func TestReshardClientWalksMultipleGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generation 2, while client 1 still holds generation-0 state.
-	if _, err := st.server.Reshard(3); err != nil {
+	if _, err := st.server.Reshard(3, nil); err != nil {
 		t.Fatalf("Reshard to gen 2: %v", err)
 	}
 
@@ -579,7 +584,7 @@ func TestReshardAbortResumesOldGeneration(t *testing.T) {
 	// Every write from here on fails: the staging copy is the reshard's
 	// first storage write, so the attempt dies before EXPORT.
 	store.FailAfter(0)
-	if _, err := st.server.Reshard(4); err == nil {
+	if _, err := st.server.Reshard(4, nil); err == nil {
 		t.Fatal("reshard succeeded with failing storage")
 	}
 	store.Reset()
@@ -594,7 +599,7 @@ func TestReshardAbortResumesOldGeneration(t *testing.T) {
 	}
 
 	// A retry completes and the client adopts generation 1 normally.
-	if _, err := st.server.Reshard(4); err != nil {
+	if _, err := st.server.Reshard(4, nil); err != nil {
 		t.Fatalf("retried reshard: %v", err)
 	}
 	next, _, err := refreshUntilAdopted(st, sess)
@@ -616,7 +621,7 @@ func TestReshardRejectsNoopAndServesNoInfo(t *testing.T) {
 	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
 	sess := st.session(1)
 
-	if _, err := st.server.Reshard(2); err == nil || !strings.Contains(err.Error(), "already has") {
+	if _, err := st.server.Reshard(2, nil); err == nil || !strings.Contains(err.Error(), "already has") {
 		t.Fatalf("Reshard to the same count = %v, want rejection", err)
 	}
 	if _, err := sess.FetchReshardInfo(); err == nil || !strings.Contains(err.Error(), "no reshard") {
@@ -645,9 +650,9 @@ func TestReshardAdminContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReshardChannel: %v", err)
 	}
-	stats, err := st.server.ReshardWithAdmin(newShards, adminCh)
+	stats, err := st.server.Reshard(newShards, adminCh)
 	if err != nil {
-		t.Fatalf("ReshardWithAdmin: %v", err)
+		t.Fatalf("Reshard with admin: %v", err)
 	}
 	admins, err := st.admins[0].AdoptReshard(stats.AdminHandoff)
 	if err != nil {
@@ -727,7 +732,7 @@ func TestReshardForgedAdminChannelRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.server.ReshardWithAdmin(4, forged); err == nil {
+	if _, err := st.server.Reshard(4, forged); err == nil {
 		t.Fatal("reshard accepted a forged admin channel")
 	}
 	// The abort unfroze the old generation; it still serves.

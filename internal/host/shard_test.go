@@ -2,7 +2,6 @@ package host
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -378,139 +377,5 @@ func TestShardRollbackLocalised(t *testing.T) {
 		if sh.Err != "" || sh.Status.Seq == 0 {
 			t.Fatalf("healthy shard %d status degraded: %+v", sh.Shard, sh)
 		}
-	}
-}
-
-// ---- CopyStorage (chain-mode migration without shared storage) ----
-
-// migrationPair deploys an origin (bootstrapped, with delta-chain state)
-// and a fresh target on separate platforms and separate stores.
-func migrationPair(t *testing.T) (origin, target *Server, originStore, targetStore *stablestore.MemStore, admin *core.Admin) {
-	t.Helper()
-	attestation := tee.NewAttestationService()
-	newServer := func(platformID string, store stablestore.Store) *Server {
-		platform, err := tee.NewPlatform(platformID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attestation.Register(platform)
-		srv, err := New(Config{
-			Platform: platform,
-			Factory: core.NewTrustedFactory(core.TrustedConfig{
-				ServiceName: "kvs",
-				NewService:  kvs.Factory(),
-				Attestation: attestation,
-			}),
-			Store:     store,
-			BatchSize: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Shutdown)
-		return srv
-	}
-	originStore = stablestore.NewMemStore()
-	targetStore = stablestore.NewMemStore()
-	origin = newServer("dc-origin", originStore)
-	target = newServer("dc-target", targetStore)
-	admin = core.NewAdmin(attestation, core.ProgramIdentity("kvs"))
-	if err := admin.Bootstrap(origin.ECall, []uint32{1}); err != nil {
-		t.Fatal(err)
-	}
-	return origin, target, originStore, targetStore, admin
-}
-
-// driveOriginChain executes n puts against the origin's enclave and
-// performs the honest host's persistence (delta-record appends) by hand,
-// leaving a sealed base blob plus an n-record delta chain on its store.
-func driveOriginChain(t *testing.T, origin *Server, store *stablestore.MemStore, admin *core.Admin, n int) {
-	t.Helper()
-	proto := core.NewClient(1, admin.CommunicationKey())
-	for i := 1; i <= n; i++ {
-		msg, err := proto.Invoke(kvs.Put("k", fmt.Sprintf("v%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := origin.Enclave(0).Call(core.EncodeBatchCall([][]byte{msg}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := core.DecodeBatchResult(resp)
-		if err != nil || len(batch.Replies) != 1 {
-			t.Fatalf("bad batch result: %v", err)
-		}
-		if len(batch.DeltaRecord) > 0 {
-			if err := store.Append(core.SlotDeltaLog, batch.DeltaRecord); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := proto.ProcessReply(batch.Replies[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if records, _ := store.LoadLog(core.SlotDeltaLog); len(records) != n {
-		t.Fatalf("origin chain = %d records, want %d (test must exercise chain mode)", len(records), n)
-	}
-}
-
-// CopyStorage ships the sealed blob + delta log to a host that does not
-// share storage with the origin, and the chain-mode migration completes
-// over the copy.
-func TestCopyStorageEnablesChainMigration(t *testing.T) {
-	origin, target, originStore, targetStore, admin := migrationPair(t)
-	driveOriginChain(t, origin, originStore, admin, 4)
-
-	if err := CopyStorage(originStore, targetStore); err != nil {
-		t.Fatalf("CopyStorage: %v", err)
-	}
-	if err := core.Migrate(origin.ECall, target.ECall); err != nil {
-		t.Fatalf("Migrate over copied storage: %v", err)
-	}
-	status, err := core.QueryStatus(target.ECall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !status.Provisioned || status.Seq != 4 {
-		t.Fatalf("target after migration: %+v", status)
-	}
-}
-
-// A truncated copy — the host lost (or withheld) the tail of the delta
-// log while shipping it — is refused by the target: the folded chain does
-// not reach the head the origin pinned in the handover.
-func TestCopyStorageTruncatedCopyRefused(t *testing.T) {
-	origin, target, originStore, targetStore, admin := migrationPair(t)
-	driveOriginChain(t, origin, originStore, admin, 4)
-
-	if err := CopyStorage(originStore, targetStore); err != nil {
-		t.Fatalf("CopyStorage: %v", err)
-	}
-	// The "shipping accident": the copy loses its newest record.
-	records, err := targetStore.LoadLog(core.SlotDeltaLog)
-	if err != nil || len(records) < 2 {
-		t.Fatalf("copied log = %d records, %v", len(records), err)
-	}
-	if err := targetStore.TruncateLog(core.SlotDeltaLog); err != nil {
-		t.Fatal(err)
-	}
-	if err := targetStore.AppendGroup(core.SlotDeltaLog, records[:len(records)-1]); err != nil {
-		t.Fatal(err)
-	}
-
-	err = core.Migrate(origin.ECall, target.ECall)
-	if err == nil {
-		t.Fatal("migration over a truncated copy succeeded")
-	}
-	if !strings.Contains(err.Error(), "does not reach the origin's head") {
-		t.Fatalf("refusal reason = %v, want chain-head mismatch", err)
-	}
-	// The target must not have adopted the rolled-back state.
-	status, serr := core.QueryStatus(target.ECall)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if status.Provisioned {
-		t.Fatalf("target provisioned itself from a truncated copy: %+v", status)
 	}
 }

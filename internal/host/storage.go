@@ -8,24 +8,22 @@ import (
 	"lcm/internal/stablestore"
 )
 
-// CopyStorage copies the persistence objects a chain-mode migration needs
-// — the sealed state blob and its log segments — from one host's stable
-// storage to another's. It is the host-side half of Sec. 4.6.2 when the
-// origin and target do not share storage: the origin's host ships the
-// files, the enclaves ship only kP, V and the chain head over the secure
-// channel.
+// CopyStorage copies the persistence objects a reshard target folds — the
+// sealed state blob and its log segments — from one store to another: the
+// staging step of Server.Reshard and Server.MigrateTo (which stages into
+// another server's store), and an admin recovery's shipped storage. The
+// enclaves ship only kP, the chain head and the pending delta over the
+// secure channel.
 //
 // The copy is untrusted, like everything the host does: every object is
-// sealed under kP, and the target enclave folds the copied chain and
-// refuses an import whose fold does not end exactly at the head the
-// origin pinned in the handover. A truncated, stale or tampered copy is
-// therefore rejected at import, never silently adopted — CopyStorage only
-// needs to be correct for the migration to succeed, not for it to be
-// safe.
+// sealed under kP, and a reshard target folds the copied chain and refuses
+// an import whose fold does not end exactly at the head its source pinned
+// in the sealed piece. A truncated, stale or tampered copy is therefore
+// rejected at import, never silently adopted — CopyStorage only needs to
+// be correct for the move to succeed, not for it to be safe.
 //
-// The key blob is deliberately not copied: it is sealed under the
-// origin's platform key, useless to the target, which re-seals kP under
-// its own platform after the import.
+// The key blob is deliberately not copied: it is sealed under the source
+// platform's key, and a target seals its own.
 //
 // Each destination segment is truncated first, so a retry after a
 // partial copy cannot splice two copies together.
@@ -33,9 +31,8 @@ import (
 // The segments stream slot-by-slot in bounded chunks
 // (stablestore.ScanLog): at no point is more than copyChunkRecords
 // records or ~copyChunkBytes of log resident, so a multi-gigabyte chain
-// copies in constant memory. Reshard staging (Server.Reshard) reuses
-// this path to fan each source shard's chain out to every target's
-// namespace.
+// copies in constant memory; reshard staging fans each source shard's
+// chain out to every target's namespace this way.
 func CopyStorage(src, dst stablestore.Store) error {
 	blob, err := src.Load(core.SlotStateBlob)
 	if errors.Is(err, stablestore.ErrNotFound) {

@@ -1,8 +1,10 @@
 // Package securechannel implements the attested secure channel used during
-// bootstrapping (Sec. 4.3) and migration (Sec. 4.6.2): after verifying a
-// remote-attestation quote, the admin (or the origin enclave) injects
-// secret keys into a trusted execution context through a channel that the
-// untrusted server relaying the messages cannot read or tamper with.
+// bootstrapping (Sec. 4.3), admin recovery and resharding, of which a
+// migration (Sec. 4.6.2) is the case on another server: after verifying a
+// remote-attestation quote, the admin (or a reshard's lead enclave)
+// injects secret keys into a trusted execution context through a channel
+// that the untrusted server relaying the messages cannot read or tamper
+// with.
 //
 // The channel is a single-round X25519 key agreement: the responder (the
 // enclave) generates an ephemeral key pair and publishes its public key as

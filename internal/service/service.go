@@ -62,9 +62,9 @@ type Service interface {
 //
 // Downstream, delta support is what the rest of the persistence pipeline
 // keys on: the host group-commits delta records under shared fsyncs, the
-// enclave sizes checkpoints from the observed snapshot/delta ratio, and
-// migration exports carry the delta chain instead of a snapshot (see
-// internal/core/state.go for the full protocol).
+// enclave sizes checkpoints from the observed snapshot/delta ratio, and a
+// reshard or migration stages the sealed delta chain, not a snapshot, for
+// its targets to fold (see internal/core/state.go and reshard.go).
 type DeltaService interface {
 	Service
 

@@ -76,8 +76,8 @@ type Lister interface {
 
 // LogScanner is an optional Store extension for streaming reads of log
 // slots: fn is called once per record, in append order, without the
-// whole log ever being resident. Large delta logs are copied (migration
-// staging, reshard splits) through this path in bounded chunks instead
+// whole log ever being resident. Large delta logs are copied (reshard
+// and migration staging) through this path in bounded chunks instead
 // of one LoadLog allocation.
 //
 // Implementations must not hold their internal locks across fn — the

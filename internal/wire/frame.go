@@ -14,7 +14,7 @@ const (
 	// (see EncodeShardFrame) — 0 in unsharded deployments.
 	FrameInvoke byte = iota + 1
 	// FrameECall carries a raw enclave call (attestation, provisioning,
-	// admin, migration, status); the response carries the enclave's
+	// admin, status); the response carries the enclave's
 	// response. The honest host forwards these verbatim; their security
 	// rests on the inner protocol layers, never on the host. Like
 	// FrameInvoke, the payload starts with a shard index byte.

@@ -27,7 +27,7 @@
 // lives under internal/:
 //
 //   - internal/core — the LCM protocol (Alg. 1 client, Alg. 2 trusted
-//     context, stability, retries, migration, membership)
+//     context, stability, retries, reshard and migration, membership)
 //   - internal/tee — the TEE simulator (enclaves, sealing, attestation,
 //     EPC paging model)
 //   - internal/host — the untrusted server (batching, storage, and the
@@ -161,12 +161,6 @@ func NewAdmin(att *AttestationService, programIdentity string) *Admin {
 // ProgramIdentity names the LCM program over a service for attestation.
 func ProgramIdentity(serviceName string) string {
 	return core.ProgramIdentity(serviceName)
-}
-
-// Migrate moves a trusted context from the origin to the target enclave
-// (Sec. 4.6.2); both arguments perform raw enclave calls.
-func Migrate(origin, target core.CallFunc) error {
-	return core.Migrate(origin, target)
 }
 
 // NewMemStore returns in-memory stable storage (tests, examples).
