@@ -23,6 +23,7 @@ package consistency
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -252,22 +253,28 @@ func checkEvents(events []Event, newService service.Factory) error {
 	// Rule 4: majority stability. For each client event, operations with
 	// seq ≤ Stable must be observed identically by a majority of the
 	// whole group (clients that never completed an op count toward n but
-	// cannot be witnesses).
+	// cannot be witnesses). A witness is a client whose view includes an
+	// event at or beyond Stable on the same fork as id: each fork's
+	// highest seqs, sorted once, count them with a binary search.
 	n := len(byClient)
+	highs := make(map[uint32][]uint64, n) // client → its fork's highest seqs, ascending
+	for _, fork := range forks {
+		seqs := make([]uint64, len(fork))
+		for i, id := range fork {
+			seqs[i] = maxSeq(byClient[id])
+		}
+		slices.Sort(seqs)
+		for _, id := range fork {
+			highs[id] = seqs
+		}
+	}
 	for id, evs := range byClient {
 		for _, e := range evs {
 			if e.Stable == 0 {
 				continue
 			}
-			// A witness is a client whose view includes an event at or
-			// beyond Stable on the same fork as id.
-			witnesses := 0
-			for _, other := range ids {
-				if sameFork(forks, id, other) && maxSeq(byClient[other]) >= e.Stable {
-					witnesses++
-				}
-			}
-			if 2*witnesses <= n {
+			below, _ := slices.BinarySearch(highs[id], e.Stable)
+			if witnesses := len(highs[id]) - below; 2*witnesses <= n {
 				return violation("majority-stability",
 					"client %d reported seq %d stable with only %d/%d witnesses",
 					id, e.Stable, witnesses, n)
@@ -296,19 +303,6 @@ func (l *Log) Forks() [][]uint32 {
 // events split into several groups while every other shard's stay whole.
 func (l *Log) ShardForks(shard int) [][]uint32 {
 	return forksOf(l.eventsByShard()[shard])
-}
-
-// GenShardForks is ShardForks restricted to one generation — the form a
-// history that crosses a reshard boundary needs, since shard index i
-// before and after the reshard names two unrelated contexts.
-func (l *Log) GenShardForks(gen, shard int) [][]uint32 {
-	var events []Event
-	for _, e := range l.Events() {
-		if e.Gen == gen && e.Shard == shard {
-			events = append(events, e)
-		}
-	}
-	return forksOf(events)
 }
 
 // CloneEvidence is the verdict GenShardCloneEvidence extracts from a
@@ -493,24 +487,6 @@ func partitionForks(ids []uint32, views map[uint32]map[uint64]obs) [][]uint32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
-}
-
-func sameFork(forks [][]uint32, a, b uint32) bool {
-	for _, fork := range forks {
-		inA, inB := false, false
-		for _, id := range fork {
-			if id == a {
-				inA = true
-			}
-			if id == b {
-				inB = true
-			}
-		}
-		if inA {
-			return inB
-		}
-	}
-	return false
 }
 
 // replayFork replays one fork's combined operations in sequence order

@@ -226,6 +226,30 @@ func TestMajorityStabilityViolationDetected(t *testing.T) {
 	mustFail(t, log, "majority-stability")
 }
 
+// With four clients a stable claim needs three witnesses: a client on
+// the claimant's fork whose view reaches the claimed seq, the one that
+// reaches exactly it included. One witness short fails.
+func TestMajorityStabilityOneWitnessShort(t *testing.T) {
+	for _, tc := range []struct {
+		stable uint64
+		pass   bool
+	}{{4, true}, {5, false}} {
+		log := NewLog()
+		h := newHistory()
+		for c := uint32(1); c <= 4; c++ {
+			log.Record(h.step(t, c, kvs.Put("k", "v"), 0)) // seqs 1–4
+		}
+		log.Record(h.step(t, 1, kvs.Get("k"), 0)) // seq 5
+		// Views reach 5, 6, 3 and 4: seq 4 has three witnesses, seq 5 two.
+		log.Record(h.step(t, 2, kvs.Get("k"), tc.stable)) // seq 6
+		if tc.pass {
+			mustPass(t, log)
+		} else {
+			mustFail(t, log, "majority-stability")
+		}
+	}
+}
+
 func TestMajorityStabilityHonoredPasses(t *testing.T) {
 	log := NewLog()
 	h := newHistory()

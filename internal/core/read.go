@@ -262,10 +262,6 @@ func (c *Client) ReadInvoke(op []byte) ([]byte, error) {
 // HasPendingRead reports whether a read awaits its reply.
 func (c *Client) HasPendingRead() bool { return c.readPending }
 
-// LastReadSeq returns the monotonic-reads floor: the snapshot sequence
-// number of the most recent completed read in this session.
-func (c *Client) LastReadSeq() uint64 { return c.readSeq }
-
 // ProcessReadReply verifies and consumes the reply to the outstanding
 // read. The reply must echo the request nonce and the client's current
 // hash-chain value, and must describe a snapshot no older than the

@@ -212,7 +212,8 @@ func (b *Bank) balance(name string) int64 {
 // touched. Both the stamps and the deletions land in the seal's own
 // delta record (or snapshot), so recovery replays them exactly.
 func (b *Bank) AdvanceEpoch(epoch uint64) {
-	for key, rec := range b.txs.All() {
+	var pruned []string // deleted after the walk, which must not delete
+	for key, rec := range b.txs.Range("") {
 		if rec.State == txEscrowed {
 			continue
 		}
@@ -221,8 +222,11 @@ func (b *Bank) AdvanceEpoch(epoch uint64) {
 			rec.Epoch = epoch
 			b.txs.Set(key, rec)
 		case rec.Epoch+PruneHorizonEpochs <= epoch:
-			b.txs.Delete(key)
+			pruned = append(pruned, key)
 		}
+	}
+	for _, key := range pruned {
+		b.txs.Delete(key)
 	}
 }
 
@@ -391,7 +395,7 @@ func (b *Bank) abort(id, from string) []byte {
 // conservation invariant Σ balances + Σ escrow accounts for.
 func (b *Bank) EscrowTotal() int64 {
 	var total int64
-	for _, rec := range b.txs.All() {
+	for _, rec := range b.txs.Range("") {
 		if rec.State == txEscrowed {
 			total += rec.Amount
 		}
@@ -402,7 +406,7 @@ func (b *Bank) EscrowTotal() int64 {
 // TotalBalance sums every account balance on this shard.
 func (b *Bank) TotalBalance() int64 {
 	var total int64
-	for _, v := range b.accounts.All() {
+	for _, v := range b.accounts.Range("") {
 		total += v
 	}
 	return total

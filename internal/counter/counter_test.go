@@ -367,6 +367,61 @@ func TestEpochStampAndPrune(t *testing.T) {
 	}
 }
 
+// TestPruneAdjacentRecords prunes, in one seal, terminal records that
+// sit next to each other in key order, between an escrowed one and a
+// fresh one: the seal walks the records in order, so a prune that shifted
+// the walk would skip a neighbour. A restart from the snapshot taken
+// before the seals, folding their deltas, reaches the same state.
+func TestPruneAdjacentRecords(t *testing.T) {
+	live := New()
+	mustApply(t, live, Inc("src", 100))
+	mustApply(t, live, Prepare("a", "src", 1)) // stays escrowed
+	for _, id := range []string{"b1", "b2", "b3", "b4"} {
+		mustApply(t, live, Prepare(id, "src", 1))
+		mustApply(t, live, Abort(id, "src"))
+	}
+	snap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deltas [][]byte
+	for _, epoch := range []uint64{1, 3} { // stamp, then prune
+		live.AdvanceEpoch(epoch)
+		if epoch == 1 {
+			mustApply(t, live, Prepare("c", "src", 1)) // unstamped at the prune
+			mustApply(t, live, Abort("c", "src"))
+		}
+		d, err := live.Delta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas = append(deltas, d)
+	}
+	var left []string
+	for key := range live.txs.Range("") {
+		left = append(left, key)
+	}
+	if want := []string{srcKey("a"), srcKey("c")}; fmt.Sprint(left) != fmt.Sprint(want) {
+		t.Fatalf("records after the prune = %q, want %q", left, want)
+	}
+	restarted := New()
+	if err := restarted.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range deltas {
+		if err := restarted.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sLive, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sFold, err := restarted.Snapshot(); err != nil || !bytes.Equal(sLive, sFold) {
+		t.Fatalf("restart and fold diverge from live after the prune (%v):\nlive %x\nfold %x", err, sLive, sFold)
+	}
+}
+
 // TestDeltaFoldAcrossPrune folds every delta — including the epoch
 // seals' stamp updates and prune tombstones — onto a follower bank and
 // checks the folded state stays byte-identical to the live one.

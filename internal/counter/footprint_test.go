@@ -10,10 +10,10 @@ import (
 // key, its fields and 48 bytes of map structure.
 func footprintFromScratch(b *Bank) int64 {
 	var total int64
-	for n := range b.accounts.All() {
+	for n := range b.accounts.Range("") {
 		total += int64(len(n)) + 8 + 48
 	}
-	for k, rec := range b.txs.All() {
+	for k, rec := range b.txs.Range("") {
 		total += int64(len(k)+len(rec.Account)) + 17 + 48
 	}
 	return total

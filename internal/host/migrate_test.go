@@ -169,16 +169,31 @@ func (s truncatingStore) AppendGroup(slot string, records [][]byte) error {
 
 // A truncated staged copy is refused at import: the fold does not reach
 // the head the origin pinned in its piece. The move is past its point of
-// no return, and the destination adopted nothing.
+// no return: the destination adopted nothing, and no target enclave the
+// attempt started is left running.
 func TestCopyStorageTruncatedCopyRefused(t *testing.T) {
 	m := newMigrateStack(t, stablestore.NewMemStore(), truncatingStore{stablestore.NewMemStore()}, []uint32{1})
 	sess := m.session(1)
 	for i := 1; i <= 4; i++ {
 		put(t, sess, "k", fmt.Sprintf("v%d", i))
 	}
+	var started []*tee.Enclave
+	newTargetEnclave = func(p *tee.Platform, f tee.ProgramFactory, h tee.HostServices) *tee.Enclave {
+		started = append(started, p.NewEnclave(f, h))
+		return started[len(started)-1]
+	}
+	t.Cleanup(func() { newTargetEnclave = (*tee.Platform).NewEnclave })
 	_, err := m.origin.MigrateTo(m.target, nil)
 	if err == nil || !strings.Contains(err.Error(), "staged chain does not reach the source's exported head") {
 		t.Fatalf("MigrateTo over a truncated copy = %v", err)
+	}
+	if len(started) == 0 {
+		t.Fatal("the move started no target enclave")
+	}
+	for _, e := range started {
+		if e.Running() {
+			t.Fatalf("the failed move left its target %s running", e.Label())
+		}
 	}
 	status, err := core.QueryStatus(m.target.ECall)
 	if err != nil {

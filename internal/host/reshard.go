@@ -113,6 +113,10 @@ func (s *Server) fresh() error {
 	return nil
 }
 
+// newTargetEnclave creates a reshard target; a test wraps it to see what
+// an attempt leaves running.
+var newTargetEnclave = (*tee.Platform).NewEnclave
+
 // reshard moves s's deployment to newShards target enclaves started on
 // dst: s itself for a reshard, a fresh server for a migration.
 func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*ReshardStats, error) {
@@ -145,22 +149,26 @@ func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*Resh
 	targetStores := make([]stablestore.Store, newShards)
 	targets := make([]*tee.Enclave, newShards)
 	targetQuotes := make([][]byte, newShards)
-	abort := func(err error) (*ReshardStats, error) {
-		// Unfreeze every source that prepared (sources that never froze
-		// answer the abort as a no-op) and stop the target enclaves this
-		// attempt started, so retried reshards do not accumulate live
-		// instances. The staged gen<g> storage copies stay on disk; the
-		// next attempt uses generation g+1's fresh namespaces and the
-		// operator reclaims abandoned ones (see ROADMAP).
-		for _, src := range sources {
-			_, _ = s.instanceBarrierECall(src, core.EncodeReshardAbortCall())
-		}
+	// stranded stops the target enclaves this attempt started, so failed
+	// attempts do not accumulate live instances, and reports err. The
+	// staged gen<g> storage copies stay on disk; the next attempt uses
+	// generation g+1's fresh namespaces and the operator reclaims
+	// abandoned ones (see ROADMAP).
+	stranded := func(err error) (*ReshardStats, error) {
 		for _, target := range targets {
 			if target != nil {
 				target.Stop()
 			}
 		}
 		return nil, err
+	}
+	// abort also unfreezes every source that prepared (sources that never
+	// froze answer the abort as a no-op): before EXPORT, nothing is lost.
+	abort := func(err error) (*ReshardStats, error) {
+		for _, src := range sources {
+			_, _ = s.instanceBarrierECall(src, core.EncodeReshardAbortCall())
+		}
+		return stranded(err)
 	}
 
 	// Challenge the lead and collect quotes over its nonce.
@@ -170,7 +178,7 @@ func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*Resh
 	}
 	for j := 0; j < newShards; j++ {
 		store := dst.storeForShard(gen, newShards, j)
-		enclave := dst.cfg.Platform.NewEnclave(dst.cfg.Factory, store)
+		enclave := newTargetEnclave(dst.cfg.Platform, dst.cfg.Factory, store)
 		enclave.SetLabel(genShardPrefix(gen, j))
 		if err := enclave.Start(); err != nil {
 			return abort(fmt.Errorf("host: start reshard target %d: %w", j, err))
@@ -226,7 +234,8 @@ func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*Resh
 	}
 
 	// EXPORT: the point of no return. The sources stop serving
-	// permanently; a failure from here on leaves the deployment down.
+	// permanently; a failure from here on stops the targets and leaves
+	// the deployment down.
 	exports := make([]*core.ReshardExportResult, oldShards)
 	for i, src := range sources {
 		resp, err := s.instanceBarrierECall(src, core.EncodeReshardExportCall())
@@ -235,14 +244,14 @@ func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*Resh
 				// The lead refused: nothing exported, still abortable.
 				return abort(fmt.Errorf("host: reshard export shard 0: %w", err))
 			}
-			return nil, fmt.Errorf("host: reshard export shard %d (deployment needs recovery): %w", i, err)
+			return stranded(fmt.Errorf("host: reshard export shard %d (deployment needs recovery): %w", i, err))
 		}
 		export, err := core.DecodeReshardExportResult(resp)
 		if err == nil && len(export.Pieces) != newShards {
 			err = fmt.Errorf("host: shard %d exported %d pieces, want %d", i, len(export.Pieces), newShards)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("host: reshard export shard %d (deployment needs recovery): %w", i, err)
+			return stranded(fmt.Errorf("host: reshard export shard %d (deployment needs recovery): %w", i, err))
 		}
 		exports[i] = export
 	}
@@ -255,7 +264,7 @@ func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*Resh
 			pieces[i] = exports[i].Pieces[j]
 		}
 		if _, err := target.Call(core.EncodeReshardImportCall(begin.TargetPayloads[j], pieces)); err != nil {
-			return nil, fmt.Errorf("host: reshard import target %d (deployment needs recovery): %w", j, err)
+			return stranded(fmt.Errorf("host: reshard import target %d (deployment needs recovery): %w", j, err))
 		}
 	}
 
@@ -274,7 +283,7 @@ func (s *Server) reshard(dst *Server, newShards int, adminChannel []byte) (*Resh
 	for j := range targets {
 		rs, err := dst.replicaSetFor(gen, newShards, j)
 		if err != nil {
-			return nil, fmt.Errorf("host: start replica set for target %d (deployment needs recovery): %w", j, err)
+			return stranded(fmt.Errorf("host: start replica set for target %d (deployment needs recovery): %w", j, err))
 		}
 		instances[j] = dst.newInstance(targets[j], targetStores[j], j, rs)
 	}

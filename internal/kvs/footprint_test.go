@@ -10,7 +10,7 @@ import (
 // footprintFromScratch is the Sec. 6.2 model summed over every entry.
 func footprintFromScratch(s *Store) int64 {
 	var total int64
-	for k, v := range s.kv.All() {
+	for k, v := range s.kv.Range("") {
 		total += int64(len(k)+len(v))*234/100 + 48
 	}
 	return total

@@ -27,11 +27,11 @@ type Codec[V any] struct {
 
 // Keyed is a service's state as one typed map: the serialization
 // interface of Sec. 5.2, written once for every service whose state is
-// named items. Beside the map it keeps the keys in order (keyIndex), so
-// ranges, snapshots and fragments come out sorted without a sort. It
-// tracks the keys changed since the last Delta or Snapshot, a running
-// Footprint and, once snapshot reads are armed, the pre-images a read at
-// the durable sequence number needs.
+// named items. One ordered tree (keyIndex) holds the keys and their
+// values, so a key is stored once, and ranges, snapshots and fragments
+// come out sorted without a sort. Keyed tracks the keys changed since the
+// last Delta or Snapshot, a running Footprint and, once snapshot reads
+// are armed, the pre-images a read at the durable sequence number needs.
 //
 // Its codec methods read and write one section of a wire message (a
 // service with several maps joins their sections with Encode, Decode,
@@ -49,8 +49,7 @@ type Codec[V any] struct {
 // snapshot readers interleave with a long batch.
 type Keyed[V any] struct {
 	codec     Codec[V]
-	m         map[string]V
-	index     keyIndex // m's keys
+	index     keyIndex[V] // the entries
 	dirty     map[string]struct{}
 	footprint int64
 
@@ -66,21 +65,14 @@ const (
 
 // NewKeyed returns an empty map over codec.
 func NewKeyed[V any](codec Codec[V]) *Keyed[V] {
-	return &Keyed[V]{codec: codec, m: make(map[string]V), dirty: make(map[string]struct{})}
+	return &Keyed[V]{codec: codec, dirty: make(map[string]struct{})}
 }
 
 // Get returns key's live value.
-func (k *Keyed[V]) Get(key string) (V, bool) {
-	v, ok := k.m[key]
-	return v, ok
-}
+func (k *Keyed[V]) Get(key string) (V, bool) { return k.index.get(key) }
 
 // Len returns the number of entries.
-func (k *Keyed[V]) Len() int { return len(k.m) }
-
-// All iterates over the live entries in no order. The loop body may Set
-// or Delete the entry it is at.
-func (k *Keyed[V]) All() iter.Seq2[string, V] { return maps.All(k.m) }
+func (k *Keyed[V]) Len() int { return k.index.n }
 
 // Footprint is the codec's Footprint summed over every entry.
 func (k *Keyed[V]) Footprint() int64 { return k.footprint }
@@ -109,33 +101,24 @@ func (k *Keyed[V]) Delete(key string) bool {
 // it dirty: ApplyDelta replays changes that are already sealed.
 func (k *Keyed[V]) put(key string, v V) {
 	k.mu.Lock()
-	old, ok := k.m[key]
+	old, ok := k.index.set(key, v)
 	k.overlay.record(key, old, ok)
 	if ok {
 		k.footprint -= k.codec.Footprint(key, old)
-		// An overwrite replaces the map's copy of the key: give it the
-		// index's, so that each key's bytes are held once.
-		key = k.index.stored(key)
-	} else {
-		k.index.insert(key)
 	}
-	k.m[key] = v
 	k.footprint += k.codec.Footprint(key, v)
 	k.mu.Unlock()
 }
 
 func (k *Keyed[V]) del(key string) bool {
-	old, ok := k.m[key]
-	if !ok {
-		return false
-	}
 	k.mu.Lock()
-	k.overlay.record(key, old, true)
-	k.footprint -= k.codec.Footprint(key, old)
-	delete(k.m, key)
-	k.index.delete(key)
-	k.mu.Unlock()
-	return true
+	defer k.mu.Unlock()
+	old, ok := k.index.delete(key)
+	if ok {
+		k.overlay.record(key, old, true)
+		k.footprint -= k.codec.Footprint(key, old)
+	}
+	return ok
 }
 
 // Snapshot appends the snapshot section of every entry to w and clears
@@ -153,7 +136,7 @@ func (k *Keyed[V]) Snapshot(w *wire.Writer) {
 // dirty set is untouched: delta tracking must survive an aborted reshard.
 func (k *Keyed[V]) Partition(ws []wire.Writer) {
 	counts, sizes := make([]int, len(ws)), make([]int, len(ws))
-	for key, v := range k.m {
+	for key, v := range k.index.from("") {
 		j := k.shard(key, v, len(ws))
 		counts[j]++
 		sizes[j] += 4 + len(key) + k.codec.Size(v)
@@ -162,8 +145,7 @@ func (k *Keyed[V]) Partition(ws []wire.Writer) {
 		ws[j].Grow(4 + sizes[j])
 		ws[j].U32(uint32(counts[j]))
 	}
-	for key := range k.index.from("") {
-		v := k.m[key]
+	for key, v := range k.index.from("") {
 		w := &ws[k.shard(key, v, len(ws))]
 		w.Var([]byte(key))
 		k.codec.Put(w, v)
@@ -210,18 +192,17 @@ func (k *Keyed[V]) read(r *wire.Reader, n int, f func(key string, v V)) {
 // sections may keep the ones before the error; its caller halts).
 func (k *Keyed[V]) Restore(r *wire.Reader) {
 	n := k.count(r)
-	m, keys := make(map[string]V, n), make([]string, 0, n)
+	keys, vals := make([]string, 0, n), make([]V, 0, n)
 	var footprint int64
 	k.read(r, n, func(key string, v V) {
-		m[key] = v
-		keys = append(keys, key)
+		keys, vals = append(keys, key), append(vals, v)
 		footprint += k.codec.Footprint(key, v)
 	})
 	if r.Err() != nil {
 		return
 	}
 	k.mu.Lock()
-	k.m, k.index, k.footprint = m, sortedIndex(keys), footprint
+	k.index, k.footprint = sortedIndex(keys, vals), footprint
 	k.overlay.gens = nil
 	k.mu.Unlock()
 	k.dirty = make(map[string]struct{})
@@ -233,12 +214,11 @@ func (k *Keyed[V]) Merge(r *wire.Reader) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.read(r, k.count(r), func(key string, v V) {
-		if _, dup := k.m[key]; dup {
+		if _, dup := k.index.get(key); dup {
 			r.Fail(fmt.Errorf("key %q in more than one fragment", key))
 			return
 		}
-		k.m[key] = v
-		k.index.insert(key)
+		k.index.set(key, v)
 		k.footprint += k.codec.Footprint(key, v)
 	})
 }
@@ -248,27 +228,30 @@ func (k *Keyed[V]) Merge(r *wire.Reader) {
 // is a set, an absent one a del.
 func (k *Keyed[V]) Delta(w *wire.Writer) {
 	keys := make([]string, 0, len(k.dirty))
-	size := 4
 	for key := range k.dirty {
 		keys = append(keys, key)
-		size += 5 + len(key)
-		if v, ok := k.m[key]; ok {
-			size += k.codec.Size(v)
-		}
 	}
 	slices.Sort(keys)
+	now := make([]overlayPre[V], len(keys)) // each key's value, if present
+	size := 4
+	for i, key := range keys {
+		now[i].val, now[i].existed = k.index.get(key)
+		size += 5 + len(key)
+		if now[i].existed {
+			size += k.codec.Size(now[i].val)
+		}
+	}
 	w.Grow(size)
 	w.U32(uint32(len(keys)))
-	for _, key := range keys {
-		v, ok := k.m[key]
-		if !ok {
+	for i, key := range keys {
+		if !now[i].existed {
 			w.U8(deltaDel)
 			w.Var([]byte(key))
 			continue
 		}
 		w.U8(deltaSet)
 		w.Var([]byte(key))
-		k.codec.Put(w, v)
+		k.codec.Put(w, now[i].val)
 	}
 	k.resetDirty()
 }
@@ -309,7 +292,7 @@ func (k *Keyed[V]) ApplyDelta(r *wire.Reader) {
 // Freeze returns a copy of the entries as of the call, whose Snapshot is
 // safe to run on another goroutine while k changes.
 func (k *Keyed[V]) Freeze() *Keyed[V] {
-	return &Keyed[V]{codec: k.codec, m: maps.Clone(k.m), index: k.index.clone()}
+	return &Keyed[V]{codec: k.codec, index: k.index.clone()}
 }
 
 // EndBatch closes the pre-image generation of every mutation since the
@@ -334,16 +317,16 @@ func (k *Keyed[V]) ReadDurable(key string) (V, bool) {
 	if v, existed, pinned := k.overlay.resolve(key); pinned {
 		return v, existed
 	}
-	v, ok := k.m[key]
-	return v, ok
+	return k.index.get(key)
 }
 
 // Range iterates, in key order, over the live entries whose key starts
-// with prefix. The loop body must not Set or Delete.
+// with prefix. The loop body may overwrite an entry (Set a key that is
+// present) but must not add or Delete one: either shifts a leaf.
 func (k *Keyed[V]) Range(prefix string) iter.Seq2[string, V] {
 	return func(yield func(string, V) bool) {
-		for key := range k.index.from(prefix) {
-			if !strings.HasPrefix(key, prefix) || !yield(key, k.m[key]) {
+		for key, v := range k.index.from(prefix) {
+			if !strings.HasPrefix(key, prefix) || !yield(key, v) {
 				return
 			}
 		}
@@ -361,7 +344,7 @@ func (k *Keyed[V]) RangeDurable(prefix string) iter.Seq2[string, V] {
 		pins := k.overlay.pins()
 		var gone []string // deleted since, merged in below
 		for key, p := range pins {
-			if _, live := k.m[key]; p.existed && !live && strings.HasPrefix(key, prefix) {
+			if _, live := k.index.get(key); p.existed && !live && strings.HasPrefix(key, prefix) {
 				gone = append(gone, key)
 			}
 		}
